@@ -7,7 +7,7 @@ GO ?= go
 SHELL := /usr/bin/bash
 .SHELLFLAGS := -o pipefail -ec
 
-.PHONY: all build vet lint check test test-race race churn-race bench bench-check bench-profile replicate examples chaos-smoke serve-smoke cluster-smoke chaos-cluster hotpath-smoke obs-smoke meter-smoke qos-smoke clean
+.PHONY: all build vet lint check test test-race race churn-race fuzz bench bench-check bench-profile replicate examples chaos-smoke serve-smoke cluster-smoke chaos-cluster hotpath-smoke obs-smoke meter-smoke qos-smoke clean
 
 all: build vet test
 
@@ -26,9 +26,10 @@ lint:
 	$(GO) vet ./...
 
 # The pre-merge gate: formatting + vet + the race-detector pass + the
-# full-size shard-churn race test + the daemon, fleet and hot-path smoke
-# tests + the coordinator-failover chaos run.
-check: lint race churn-race serve-smoke cluster-smoke hotpath-smoke chaos-cluster obs-smoke meter-smoke qos-smoke
+# full-size shard-churn race test + the time-boxed fuzz targets + the
+# daemon, fleet and hot-path smoke tests + the coordinator-failover
+# chaos run.
+check: lint race churn-race fuzz serve-smoke cluster-smoke hotpath-smoke chaos-cluster obs-smoke meter-smoke qos-smoke
 
 test:
 	$(GO) test ./...
@@ -49,6 +50,16 @@ race:
 # pre-merge full run.
 churn-race:
 	$(GO) test -race -run TestShardChurnRace ./internal/server/
+
+# Time-boxed fuzzing of the recovery parsers, seeded from a real
+# snapshot: damaged snapshot streams into Restore and damaged checkpoint
+# blobs into the session rebuild path. Truncated or bit-flipped input
+# must come back as an error — never a panic, never a live session. (go
+# test takes one -fuzz target per run, hence two steps; a failing input
+# lands in internal/server/testdata/fuzz/ as a regression case.)
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzRestore$$' -fuzztime=10s ./internal/server/
+	$(GO) test -run '^$$' -fuzz '^FuzzRestoreState$$' -fuzztime=10s ./internal/server/
 
 # Daemon smoke test under the race detector: selfhost the daemon, drive
 # 8 concurrent tenants for 200 iterations each, restart the daemon

@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"os"
 	"regexp"
+	"runtime"
 	"strconv"
 	"strings"
 )
@@ -110,7 +111,14 @@ func parse(in *os.File) ([]Result, error) {
 		if err != nil {
 			continue
 		}
-		r := Result{Name: fields[0], Package: pkg, Iterations: iters}
+		// go test appends "-<GOMAXPROCS>" to every name when it is not 1;
+		// snapshots are keyed by the bare name so a pin taken on one
+		// machine gates runs on another.
+		name := fields[0]
+		if procs := runtime.GOMAXPROCS(0); procs > 1 {
+			name = strings.TrimSuffix(name, "-"+strconv.Itoa(procs))
+		}
+		r := Result{Name: name, Package: pkg, Iterations: iters}
 		for i := 2; i+1 < len(fields); i += 2 {
 			v, err := strconv.ParseFloat(fields[i], 64)
 			if err != nil {

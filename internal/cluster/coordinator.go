@@ -9,8 +9,9 @@
 // heartbeating is expired: its unspent lease is booked as consumed
 // (pessimistically — the partitioned node may still be spending it, up
 // to exactly that amount, before its own fence trips), and its sessions
-// are restored on surviving nodes by replaying the iteration logs the
-// dead node shipped in its heartbeats. A node that rejoins reconciles:
+// are restored on surviving nodes from the checkpoints and iteration
+// tails the dead node shipped in its heartbeats. A node that rejoins
+// reconciles:
 // it reports its true cumulative spend and the coordinator refunds the
 // over-booked escrow. The safety invariant, re-checked after every
 // ledger mutation and pinned by the lease-safety tests:
@@ -103,8 +104,9 @@ func (n *node) unspent() float64 {
 }
 
 // sessRec is the coordinator's copy of one session: the registration
-// and acked iteration log are exactly what failover needs to rebuild it
-// on a surviving node by replay.
+// and the acked log — the owner's latest checkpoint record and the
+// iterations since, starting at absolute index base — are exactly what
+// failover needs to rebuild it on a surviving node.
 type sessRec struct {
 	key    string
 	id     string // owner-local session id
@@ -122,8 +124,12 @@ type sessRec struct {
 	spentJ   float64
 	done     int
 	comp     bool
+	base     int
 	log      []wire.IterRec
 }
+
+// reach is the absolute iteration count the stored log extends to.
+func (r *sessRec) reach() int { return r.base + len(r.log) }
 
 // Coordinator owns the fleet energy budget and the session placement
 // map. All state is in memory; nodes are the durable replicas (their
@@ -679,8 +685,9 @@ func (c *Coordinator) mergePoliciesLocked() []wire.TenantPolicy {
 	return out
 }
 
-// foldReportLocked merges one session report and returns the
-// coordinator's stored log length (the node's next From index).
+// foldReportLocked merges one session report and returns the iteration
+// count the coordinator's stored log reaches (the node's next From
+// index).
 func (c *Coordinator) foldReportLocked(nodeID string, rep *wire.SessionReport) int {
 	if rep.Key == "" {
 		return 0
@@ -706,12 +713,19 @@ func (c *Coordinator) foldReportLocked(nodeID string, rep *wire.SessionReport) i
 	rec.spentJ = rep.SpentJ
 	rec.done = rep.Done
 	rec.comp = rep.Complete
-	// Append the new log entries if they extend our copy contiguously;
-	// otherwise keep ours and let the ack re-sync the node's cursor.
-	if rep.From <= len(rec.log) && rep.From+len(rep.NewIters) > len(rec.log) {
-		rec.log = append(rec.log[:rep.From], rep.NewIters...)
+	// Fold in entries that extend our copy: a report that opens with a
+	// checkpoint stands alone and replaces it (which is what keeps the
+	// copy bounded), a plain tail is appended where it joins contiguously.
+	// Otherwise keep ours and let the ack re-sync the node's cursor.
+	if n := len(rep.NewIters); n > 0 && rep.From+n > rec.reach() {
+		switch {
+		case rep.NewIters[0].State != nil:
+			rec.base, rec.log = rep.From, append(rec.log[:0], rep.NewIters...)
+		case rep.From >= rec.base && rep.From <= rec.reach():
+			rec.log = append(rec.log[:rep.From-rec.base], rep.NewIters...)
+		}
 	}
-	return len(rec.log)
+	return rec.reach()
 }
 
 // targetDecay is the fraction of the gap between a node's ratcheted
@@ -856,9 +870,9 @@ func (c *Coordinator) Sweep() int {
 // Reassign finds sessions stranded on dead nodes and restores each on a
 // survivor: pick the new owner by rendezvous hashing, extend its lease
 // to cover the session's remaining grant, and push the registration +
-// acked iteration log for replay. Sessions the dead node never reported
-// (no authoritative record yet) are unplaced — a re-registration places
-// them fresh.
+// acked log (checkpoint and tail) to rebuild from. Sessions the dead
+// node never reported (no authoritative record yet) are unplaced — a
+// re-registration places them fresh.
 func (c *Coordinator) Reassign() {
 	// Everything the push needs (owner id and address included) is copied
 	// while c.mu is held: the node record may be rewritten by a
@@ -973,7 +987,7 @@ func (c *Coordinator) Reassign() {
 			m.rec.id = id
 			c.byID[id] = m.rec
 		}
-		m.rec.done = len(m.rec.log)
+		m.rec.done = m.rec.reach()
 		c.reassigned++
 		c.cReassign.Inc()
 		c.mu.Unlock()

@@ -14,15 +14,27 @@ import (
 
 // TestFailoverGoldenReplay extends the snapshot-replay determinism
 // guarantee across nodes: a session that is migrated mid-run by the
-// coordinator (owner dies, survivor adopts by replaying the acked
-// iteration log) must take exactly the decisions the uninterrupted run
-// takes, and land on the same final estimates. Energy accounting is
-// event-sourced and the control path is deterministic given its inputs,
-// so failover is invisible to the governed application.
+// coordinator (owner dies, survivor adopts from the acked checkpoint and
+// iteration tail) must take exactly the decisions the uninterrupted run
+// takes, and land on the same final estimates. The checkpoint is exact
+// and the control path is deterministic given its inputs, so failover is
+// invisible to the governed application.
+//
+// The short run fails over before the session's first checkpoint (a
+// plain log, replayed from the first iteration). The long one crosses
+// the daemon's checkpoint interval (1,024 settles) with heartbeats on
+// both sides of it, so the coordinator's copy is appended to, replaced
+// by a checkpoint-bearing report, and appended to again before the
+// survivor rebuilds from it.
 func TestFailoverGoldenReplay(t *testing.T) {
-	const iters = 30
-	const preFail = 12
+	t.Run("before-first-checkpoint", func(t *testing.T) { failoverGoldenReplay(t, 30, 12, nil) })
+	t.Run("across-a-checkpoint", func(t *testing.T) { failoverGoldenReplay(t, 1200, 1100, []int{400, 1030, 1060}) })
+}
 
+// failoverGoldenReplay kills the owner after preFail of iters
+// iterations; beatAt lists the iteration counts at which the owner
+// heartbeats before its last beat at preFail.
+func failoverGoldenReplay(t *testing.T, iters, preFail int, beatAt []int) {
 	type decision struct {
 		App, Sys int
 	}
@@ -61,6 +73,7 @@ func TestFailoverGoldenReplay(t *testing.T) {
 
 	// Fleet run: same registration, owner killed after preFail iterations.
 	f := newFleet(t, 50000, 2)
+	idx := f.nodeIdx("node1")
 	key := ""
 	for i := 0; ; i++ {
 		k := fmt.Sprintf("gold-%d", i)
@@ -89,11 +102,16 @@ func TestFailoverGoldenReplay(t *testing.T) {
 
 	got := make([]decision, 0, iters)
 	for i := 0; i < preFail; i++ {
+		if len(beatAt) > 0 && i == beatAt[0] {
+			beatAt = beatAt[1:]
+			if err := f.members[idx].Beat(); err != nil {
+				t.Fatal(err)
+			}
+		}
 		next, _ := d.step()
 		got = append(got, decision{next.AppConfig, next.SysConfig})
 	}
 	// The owner's heartbeat ships the log; then it goes silent and dies.
-	idx := f.nodeIdx("node1")
 	if err := f.members[idx].Beat(); err != nil {
 		t.Fatal(err)
 	}

@@ -69,7 +69,7 @@ type Member struct {
 	leaseJ    float64
 	deadline  time.Time
 	beatEvery time.Duration
-	acked     map[string]int // session id -> log length the coordinator holds
+	acked     map[string]int // session id -> iteration count the coordinator's log copy reaches
 
 	stop chan struct{}
 	done chan struct{}
@@ -402,8 +402,10 @@ func (m *Member) acceptFence(fence int64) bool {
 }
 
 // handleAdopt restores sessions the coordinator reassigned to this node
-// after their previous owner died: replay the acked log, import the
-// prior spend, resume under the local broker.
+// after their previous owner died: rebuild from the acked log, import
+// the prior spend, resume under the local broker. No ack cursor is
+// seeded: the first heartbeat re-ships the retained log once and the
+// coordinator's reply sets it.
 func (m *Member) handleAdopt(w http.ResponseWriter, r *http.Request) {
 	var req wire.AdoptRequest
 	if !decodeBody(w, r, &req) {
@@ -424,9 +426,6 @@ func (m *Member) handleAdopt(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		ids[a.Key] = id
-		m.mu.Lock()
-		m.acked[id] = len(a.Log)
-		m.mu.Unlock()
 	}
 	writeJSON(w, http.StatusOK, wire.AdoptResponse{IDs: ids})
 }

@@ -69,6 +69,7 @@ type Runtime struct {
 	bandit   *learning.Bandit
 	selector learning.Selector
 	ctrl     *control.SpeedupController
+	rng      *countedSource // shared by bandit and selector; see state.go
 	defSys   int
 
 	// Decision state for the next iteration.
@@ -136,7 +137,8 @@ func New(workload, budget float64, frontier *knob.Frontier, nSys int, priors lea
 		}
 		priors = learning.FlatPriors{Rate: rSum / float64(nSys), Power: pSum / float64(nSys)}
 	}
-	rng := rand.New(rand.NewSource(opts.Seed + 1))
+	src := newCountedSource(opts.Seed + 1)
+	rng := rand.New(src)
 	factory := learning.EWMAFactory(alpha)
 	if opts.KalmanEstimator {
 		factory = learning.KalmanFactory()
@@ -187,6 +189,7 @@ func New(workload, budget float64, frontier *knob.Frontier, nSys int, priors lea
 		bandit:       bandit,
 		selector:     sel,
 		ctrl:         control.NewSpeedupController(ctrlOpts...),
+		rng:          src,
 		defSys:       defaultSys,
 		slack:        slack,
 		degradeAfter: degradeAfter,

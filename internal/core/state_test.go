@@ -1,0 +1,123 @@
+package core
+
+import (
+	"bytes"
+	"math/rand"
+	"testing"
+
+	"jouleguard/internal/sim"
+)
+
+// stateCases are the Options combinations New accepts that change what a
+// checkpoint holds: each estimator family under each exploration policy,
+// plus the controller and prior variants.
+var stateCases = []struct {
+	name string
+	opts Options
+}{
+	{"paper", Options{Seed: 7}},
+	{"kalman", Options{Seed: 7, KalmanEstimator: true}},
+	{"fixed-eps", Options{Seed: 7, Selector: SelectFixedEps, FixedEpsilon: 0.2}},
+	{"ucb", Options{Seed: 7, Selector: SelectUCB}},
+	{"kalman-ucb", Options{Seed: 7, Selector: SelectUCB, KalmanEstimator: true}},
+	{"kalman-fixed-eps", Options{Seed: 7, Selector: SelectFixedEps, FixedEpsilon: 0.1, KalmanEstimator: true}},
+	{"fixed-pole-flat-priors", Options{Seed: 7, FixedPole: 0.3, FixedPoleSet: true, FlatPriors: true, Alpha: 0.5}},
+}
+
+// TestStateRoundTrip checkpoints a runtime mid-run under every Options
+// combination, restores it into a fresh one, and drives both on: every
+// decision and the final states must match exactly.
+func TestStateRoundTrip(t *testing.T) {
+	f := testFrontier(t)
+	const arms, cut, total = 12, 150, 400
+	for _, tc := range stateCases {
+		t.Run(tc.name, func(t *testing.T) {
+			w := newFakeWorld(arms)
+			build := func() *Runtime {
+				gov, err := New(total, 60, f, arms, optimisticPriors(w), arms-1, tc.opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return gov
+			}
+			orig := build()
+			for i := 0; i < cut; i++ {
+				fb := w.step(orig, f)
+				if i%17 == 3 {
+					// Rejected feedback moves the watchdog counters too.
+					fb.Estimated = true
+					orig.Observe(fb)
+				}
+			}
+			blob := orig.MarshalState()
+
+			rest := build()
+			if err := rest.RestoreState(blob); err != nil {
+				t.Fatal(err)
+			}
+			if again := rest.MarshalState(); !bytes.Equal(again, blob) {
+				t.Fatalf("restored state re-marshals to %d bytes that differ from the %d restored", len(again), len(blob))
+			}
+			for i := cut; i < total; i++ {
+				fb := w.step(orig, f)
+				a, s := rest.Decide(fb.Iter)
+				if a != fb.AppConfig || s != fb.SysConfig {
+					t.Fatalf("decision %d diverged: restored (%d,%d), original (%d,%d)", i, a, s, fb.AppConfig, fb.SysConfig)
+				}
+				rest.Observe(fb)
+			}
+			if a, b := orig.MarshalState(), rest.MarshalState(); !bytes.Equal(a, b) {
+				t.Fatal("final states differ")
+			}
+		})
+	}
+}
+
+// TestRestoreStateRejects pins the refusals: damage of any kind, a
+// runtime built differently from the one checkpointed, and a runtime
+// that has already run.
+func TestRestoreStateRejects(t *testing.T) {
+	f := testFrontier(t)
+	w := newFakeWorld(8)
+	build := func(opts Options, budget float64) *Runtime {
+		gov, err := New(200, budget, f, 8, optimisticPriors(w), 7, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return gov
+	}
+	orig := build(Options{Seed: 3}, 40)
+	for i := 0; i < 60; i++ {
+		w.step(orig, f)
+	}
+	blob := orig.MarshalState()
+
+	for n := 0; n < len(blob); n++ {
+		if err := build(Options{Seed: 3}, 40).RestoreState(blob[:n]); err == nil {
+			t.Fatalf("restored from the first %d of %d bytes", n, len(blob))
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 200; trial++ {
+		bad := bytes.Clone(blob)
+		bad[rng.Intn(len(bad))] ^= 1 << rng.Intn(8)
+		if err := build(Options{Seed: 3}, 40).RestoreState(bad); err == nil {
+			t.Fatal("restored from a blob with a flipped bit")
+		}
+	}
+	for name, other := range map[string]*Runtime{
+		"seed":      build(Options{Seed: 4}, 40),
+		"budget":    build(Options{Seed: 3}, 41),
+		"estimator": build(Options{Seed: 3, KalmanEstimator: true}, 40),
+		"selector":  build(Options{Seed: 3, Selector: SelectUCB}, 40),
+	} {
+		if err := other.RestoreState(blob); err == nil {
+			t.Errorf("restored into a runtime with a different %s", name)
+		}
+	}
+	used := build(Options{Seed: 3}, 40)
+	used.Observe(sim.Feedback{Duration: 1, Power: 1, Energy: 1, IterationsDone: 1})
+	if err := used.RestoreState(blob); err == nil {
+		t.Error("restored into a runtime that had already observed feedback")
+	}
+}

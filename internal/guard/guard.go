@@ -20,6 +20,7 @@ import (
 	"math"
 	"sort"
 
+	"jouleguard/internal/ckpt"
 	"jouleguard/internal/telemetry"
 )
 
@@ -364,4 +365,41 @@ func medianMADInto(tmp, xs []float64) (med, mad float64) {
 		mad = (tmp[n/2-1] + tmp[n/2]) / 2
 	}
 	return med, mad
+}
+
+// EncodeState appends the sensing state to a checkpoint: both sliding
+// windows, the cleaned ledger, the stuck/level-shift detectors and the
+// tallies. The Config is a constructor argument and is rebuilt.
+func (s *Sensor) EncodeState(enc *ckpt.Enc) {
+	enc.Floats(s.win)
+	enc.Float(s.energy)
+	enc.Float(s.model)
+	enc.Float(s.lastRaw)
+	enc.Bool(s.haveRaw)
+	enc.Int(s.stuckRun)
+	enc.Bool(s.expectShift)
+	enc.Float(s.pending)
+	enc.Bool(s.havePending)
+	enc.Floats(s.ivals)
+	enc.Int(s.rejectStreak)
+	enc.Int(s.accepted)
+	enc.Int(s.rejected)
+}
+
+// DecodeState restores what EncodeState wrote into a Sensor built with
+// the same Config; failures stick to d.
+func (s *Sensor) DecodeState(d *ckpt.Dec) {
+	s.win = d.Floats(s.win, s.cfg.Window)
+	s.energy = d.Float()
+	s.model = d.Float()
+	s.lastRaw = d.Float()
+	s.haveRaw = d.Bool()
+	s.stuckRun = d.Count(math.MaxInt)
+	s.expectShift = d.Bool()
+	s.pending = d.Float()
+	s.havePending = d.Bool()
+	s.ivals = d.Floats(s.ivals, ivalWindow)
+	s.rejectStreak = d.Count(math.MaxInt)
+	s.accepted = d.Count(math.MaxInt)
+	s.rejected = d.Count(math.MaxInt)
 }

@@ -9,6 +9,8 @@ package heartbeats
 import (
 	"fmt"
 	"math"
+
+	"jouleguard/internal/ckpt"
 )
 
 // Beat is one recorded heartbeat.
@@ -118,3 +120,37 @@ func (m *Monitor) LatencyStats() (min, mean, max float64) {
 
 // Window returns the configured window size.
 func (m *Monitor) Window() int { return m.window }
+
+// EncodeState appends the ring of recent beats and the sequence state to
+// a checkpoint. Slots the ring has not reached yet are zero and travel as
+// such, so the blob's length depends on the window alone.
+func (m *Monitor) EncodeState(enc *ckpt.Enc) {
+	enc.Int(m.window)
+	for _, b := range m.beats {
+		enc.Uint(b.Seq)
+		enc.Float(b.Time)
+		enc.Int(b.Tag)
+	}
+	enc.Int(m.head)
+	enc.Int(m.count)
+	enc.Uint(m.seq)
+	enc.Float(m.lastTime)
+	enc.Bool(m.started)
+}
+
+// DecodeState restores what EncodeState wrote into a Monitor of the same
+// window; failures stick to d.
+func (m *Monitor) DecodeState(d *ckpt.Dec) {
+	if got := d.Int(); got != m.window {
+		d.Fail("checkpoint of a %d-beat window, this monitor keeps %d", got, m.window)
+		return
+	}
+	for i := range m.beats {
+		m.beats[i] = Beat{Seq: d.Uint(), Time: d.Float(), Tag: d.Int()}
+	}
+	m.head = d.Count(m.window - 1)
+	m.count = d.Count(m.window)
+	m.seq = d.Uint()
+	m.lastTime = d.Float()
+	m.started = d.Bool()
+}

@@ -11,6 +11,7 @@ import (
 	"math"
 	"math/rand"
 
+	"jouleguard/internal/ckpt"
 	"jouleguard/internal/control"
 	"jouleguard/internal/telemetry"
 )
@@ -24,6 +25,10 @@ type Estimator interface {
 	Rate() float64
 	Power() float64
 	Efficiency() float64
+	// EncodeState and DecodeState carry the filter state through a
+	// checkpoint (see Bandit.EncodeState).
+	EncodeState(*ckpt.Enc)
+	DecodeState(*ckpt.Dec)
 }
 
 // Gainer is an optional Estimator extension exposing the filter gain —
@@ -43,6 +48,14 @@ func (e ewmaEstimator) Rate() float64               { return e.rp.Rate.Value() }
 func (e ewmaEstimator) Power() float64              { return e.rp.Power.Value() }
 func (e ewmaEstimator) Efficiency() float64         { return e.rp.Efficiency() }
 func (e ewmaEstimator) Gain() float64               { return e.rp.Rate.Alpha() }
+func (e ewmaEstimator) EncodeState(enc *ckpt.Enc) {
+	e.rp.Rate.EncodeState(enc)
+	e.rp.Power.EncodeState(enc)
+}
+func (e ewmaEstimator) DecodeState(d *ckpt.Dec) {
+	e.rp.Rate.DecodeState(d)
+	e.rp.Power.DecodeState(d)
+}
 
 // kalmanEstimator tracks rate and power with scalar Kalman filters.
 type kalmanEstimator struct {
@@ -63,6 +76,14 @@ func (k kalmanEstimator) Efficiency() float64 {
 		return 0
 	}
 	return k.rate.Value() / p
+}
+func (k kalmanEstimator) EncodeState(enc *ckpt.Enc) {
+	k.rate.EncodeState(enc)
+	k.power.EncodeState(enc)
+}
+func (k kalmanEstimator) DecodeState(d *ckpt.Dec) {
+	k.rate.DecodeState(d)
+	k.power.DecodeState(d)
 }
 
 // EstimatorFactory builds an estimator primed with an arm's priors.
@@ -299,4 +320,9 @@ type Selector interface {
 	// Update feeds back the efficiency prediction error of the last
 	// observation (VDBE uses it; others may ignore it).
 	Update(effError, measuredEff float64)
+	// EncodeState and DecodeState carry the policy's own state through a
+	// checkpoint. The random source is not part of it: selectors and the
+	// bandit share one, and whoever built it restores its position.
+	EncodeState(*ckpt.Enc)
+	DecodeState(*ckpt.Dec)
 }

@@ -1,0 +1,139 @@
+package learning
+
+import (
+	"math"
+
+	"jouleguard/internal/ckpt"
+)
+
+// EncodeState appends the bandit's learned state. Only arms that were
+// ever pulled travel: an unpulled arm still holds the prior its
+// constructor computed, and on a 1,024-arm platform those are most of
+// the table for most of a run. The running argmaxes are written rather
+// than recomputed so a restored bandit ranks ties and NaNs exactly as
+// the original's incremental bookkeeping left them.
+func (b *Bandit) EncodeState(enc *ckpt.Enc) {
+	enc.Int(len(b.arms))
+	enc.Uint(uint64(estimatorTag(b.arms[0].Estimate)))
+	enc.Int(b.totalPulls)
+	enc.Int(b.best)
+	enc.Int(b.bestPulled)
+	pulled := 0
+	for i := range b.arms {
+		if b.arms[i].Pulls > 0 {
+			pulled++
+		}
+	}
+	enc.Int(pulled)
+	for i := range b.arms {
+		if a := &b.arms[i]; a.Pulls > 0 {
+			enc.Int(i)
+			enc.Int(a.Pulls)
+			a.Estimate.EncodeState(enc)
+		}
+	}
+}
+
+// DecodeState restores what EncodeState wrote into a bandit fresh from
+// its constructor (same arm count, estimator kind and priors). A bandit
+// that has already observed anything is refused: its unlisted arms would
+// keep their learned values instead of the priors the blob assumes.
+func (b *Bandit) DecodeState(d *ckpt.Dec) {
+	if b.totalPulls != 0 {
+		d.Fail("bandit already holds %d observations", b.totalPulls)
+		return
+	}
+	n := len(b.arms)
+	if got := d.Int(); got != n {
+		d.Fail("checkpoint of a %d-arm bandit, this one has %d", got, n)
+		return
+	}
+	if got, want := d.Uint(), uint64(estimatorTag(b.arms[0].Estimate)); got != want {
+		d.Fail("checkpoint estimator kind %q, this bandit uses %q", rune(got), rune(want))
+		return
+	}
+	total := d.Count(math.MaxInt)
+	best := d.Count(n - 1)
+	bestPulled := d.Int()
+	pulled := d.Count(n)
+	sum, prev := 0, -1
+	for k := 0; k < pulled && d.Err() == nil; k++ {
+		i := d.Count(n - 1)
+		pulls := d.Count(total)
+		if i <= prev || pulls == 0 {
+			d.Fail("arm record %d (arm %d, %d pulls) out of order or empty", k, i, pulls)
+			return
+		}
+		prev = i
+		b.arms[i].Pulls = pulls
+		b.arms[i].Estimate.DecodeState(d)
+		b.eff[i] = b.arms[i].Estimate.Efficiency()
+		sum += pulls
+	}
+	if d.Err() != nil {
+		return
+	}
+	if sum != total || bestPulled < -1 || bestPulled >= n ||
+		(bestPulled >= 0 && b.arms[bestPulled].Pulls == 0) {
+		d.Fail("bandit tallies disagree (%d pulls listed, %d recorded, best pulled arm %d)", sum, total, bestPulled)
+		return
+	}
+	b.totalPulls, b.best, b.bestPulled = total, best, bestPulled
+}
+
+// estimatorTag names the filter family in a checkpoint, so a blob
+// written under one estimator is never decoded as the other's fields.
+func estimatorTag(e Estimator) byte {
+	switch e.(type) {
+	case ewmaEstimator:
+		return 'E'
+	case kalmanEstimator:
+		return 'K'
+	}
+	return '?'
+}
+
+// expectTag consumes a selector's leading tag word.
+func expectTag(d *ckpt.Dec, want byte) {
+	if got := d.Uint(); got != uint64(want) {
+		d.Fail("checkpoint selector kind %q, this runtime uses %q", rune(got), rune(want))
+	}
+}
+
+// EncodeState appends the exploration rate and the two observability
+// values.
+func (v *VDBE) EncodeState(enc *ckpt.Enc) {
+	enc.Uint('V')
+	enc.Float(v.eps)
+	enc.Float(v.lastX)
+	enc.Float(v.lastRV)
+}
+
+// DecodeState restores what EncodeState wrote.
+func (v *VDBE) DecodeState(d *ckpt.Dec) {
+	expectTag(d, 'V')
+	v.eps = d.Float()
+	v.lastX = d.Float()
+	v.lastRV = d.Float()
+}
+
+// EncodeState writes the tag alone: the policy's only state is the
+// shared random source.
+func (f *FixedEpsilon) EncodeState(enc *ckpt.Enc) { enc.Uint('F') }
+
+// DecodeState reads the tag alone.
+func (f *FixedEpsilon) DecodeState(d *ckpt.Dec) { expectTag(d, 'F') }
+
+// EncodeState appends the running mean reward and its sample count.
+func (u *UCB1) EncodeState(enc *ckpt.Enc) {
+	enc.Uint('U')
+	enc.Float(u.meanEff)
+	enc.Int(u.n)
+}
+
+// DecodeState restores what EncodeState wrote.
+func (u *UCB1) DecodeState(d *ckpt.Dec) {
+	expectTag(d, 'U')
+	u.meanEff = d.Float()
+	u.n = d.Int()
+}

@@ -1,0 +1,152 @@
+package server
+
+import (
+	"bytes"
+	"encoding/binary"
+	"hash/crc32"
+	"os"
+	"strings"
+	"testing"
+
+	"jouleguard/internal/wire"
+)
+
+// TestRestoreVersion1Snapshot pins backward compatibility on a file a
+// version-1 daemon wrote (testdata/snapshot_v1.jsonl: two sessions, 14
+// and 9 settled iterations, failed meter readings among them, no state
+// lines). It restores through the same loop as a checkpointed snapshot,
+// lands on the ledger that daemon reported, and is written back out as
+// version 2.
+func TestRestoreVersion1Snapshot(t *testing.T) {
+	raw, err := os.ReadFile("testdata/snapshot_v1.jsonl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := testServer(t, 1, nil)
+	defer shutdown(srv)
+	if err := srv.Restore(bytes.NewReader(raw)); err != nil {
+		t.Fatal(err)
+	}
+	// What the version-1 daemon's last Done responses said.
+	want := map[string]struct {
+		done  int
+		spent float64
+	}{
+		"s-000001": {14, 1.8049520703891431},
+		"s-000002": {9, 1.0864652133265311},
+	}
+	exports := srv.Export(nil)
+	if len(exports) != len(want) {
+		t.Fatalf("restored %d sessions, want %d", len(exports), len(want))
+	}
+	for _, x := range exports {
+		if w := want[x.ID]; x.Done != w.done || x.SpentJ != w.spent {
+			t.Errorf("%s restored at %d iterations / %.17g J, the version-1 daemon stood at %d / %.17g J",
+				x.ID, x.Done, x.SpentJ, w.done, w.spent)
+		}
+	}
+	if sess := srv.sessions.byKey("fixture-a"); sess == nil || sess.id != "s-000001" {
+		t.Error("restored session lost its key")
+	}
+	if resp, err := srv.Register(wire.RegisterRequest{App: "radar", Platform: "Tablet", Iterations: 5, BudgetJ: 1}); err != nil || resp.SessionID != "s-000003" {
+		t.Errorf("first registration after restore: id %q, err %v; want s-000003", resp.SessionID, err)
+	}
+
+	var again bytes.Buffer
+	if err := srv.Snapshot(&again); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(again.String(), `{"kind":"daemon","v":2,`) {
+		t.Errorf("re-snapshot header: %.60s", again.String())
+	}
+	newer := strings.Replace(string(raw), `"v":1`, `"v":3`, 1)
+	if err := testServer(t, 1, nil).Restore(strings.NewReader(newer)); err == nil {
+		t.Error("restored a snapshot from a version this daemon does not know")
+	}
+}
+
+// fuzzSource is a daemon holding one session just past a checkpoint: the
+// source of the fuzz targets' seed inputs.
+func fuzzSource(t testing.TB) (*Server, *session) {
+	const total = 3 * checkpointEvery
+	srv := cutServer(t, nil)
+	sess := cutRegister(t, srv, 7, total)
+	(&cutTrace{}).drive(t, srv, sess, newMemoMachine(t, "radar", "Tablet"), cutRegime{errEvery: 9}, 0, checkpointEvery+5)
+	return srv, sess
+}
+
+// FuzzRestore feeds damaged snapshot streams to Restore. Whatever the
+// bytes, it must not panic; a stream it refuses must leave the server
+// with no sessions, and one it accepts must leave a server whose own
+// snapshot restores again.
+func FuzzRestore(f *testing.F) {
+	src, _ := fuzzSource(f)
+	var snap bytes.Buffer
+	if err := src.Snapshot(&snap); err != nil {
+		f.Fatal(err)
+	}
+	v1, err := os.ReadFile("testdata/snapshot_v1.jsonl")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(snap.Bytes())
+	f.Add(snap.Bytes()[:snap.Len()/2])
+	f.Add(v1)
+	f.Add([]byte(`{"kind":"daemon","v":2,"global_j":10,"reserve":1.05}` + "\n" + `{"kind":"iter","sid":"s-000001"}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		srv := testServer(t, 1, nil)
+		defer shutdown(srv)
+		if err := srv.Restore(bytes.NewReader(data)); err != nil {
+			if n := srv.sessions.size(); n != 0 {
+				t.Fatalf("refused snapshot left %d sessions behind: %v", n, err)
+			}
+			return
+		}
+		var again bytes.Buffer
+		if err := srv.Snapshot(&again); err != nil {
+			t.Fatal(err)
+		}
+		if err := testServer(t, 1, nil).Restore(&again); err != nil {
+			t.Fatalf("accepted snapshot does not survive a second round trip: %v", err)
+		}
+	})
+}
+
+// FuzzRestoreState feeds damaged checkpoint blobs to the session rebuild
+// path, each one twice: as is (the checksum refuses nearly all of them),
+// and with the checksum recomputed, so the field decoders themselves see
+// hostile values. It must not panic, and a blob it accepts is one the
+// session writes back out byte for byte.
+func FuzzRestoreState(f *testing.F) {
+	_, src := fuzzSource(f)
+	blob := bytes.Clone(src.log[0].State)
+	reg, grant := src.reg, src.grant
+	f.Add(blob)
+	f.Add(blob[:len(blob)/2])
+	f.Add(blob[:7])
+	f.Fuzz(func(t *testing.T, data []byte) {
+		resealed := bytes.Clone(data)
+		if n := len(resealed) - 4; n >= 0 {
+			binary.LittleEndian.PutUint32(resealed[n:], crc32.ChecksumIEEE(resealed[:n]))
+		}
+		for _, state := range [][]byte{data, resealed} {
+			sess, err := newSession("s-000001", reg, grant, nil, nil, src.lastTouch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if state == nil {
+				state = []byte{} // an empty State field is still a State field
+			}
+			if err := sess.replay(iterRec{State: state}); err != nil {
+				continue
+			}
+			back, err := sess.ctl.MarshalState()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(back, state) {
+				t.Fatalf("accepted a %d-byte blob that the restored session marshals back as %d different bytes", len(state), len(back))
+			}
+		}
+	})
+}

@@ -466,12 +466,13 @@ func (s *Server) SetFenced(fenced bool) { s.fenced.Store(fenced) }
 // Fenced reports the self-fence state.
 func (s *Server) Fenced() bool { return s.fenced.Load() }
 
-// Adopt rebuilds a migrated session from its registration and iteration
-// log — the cross-node analogue of snapshot restore. The governor stack
-// is rebuilt and the log replayed (bit-identical state, same as a local
-// restore), then the remaining grant is admitted into this node's
-// broker with the pre-spend marked imported. Re-pushing an adoption the
-// node already holds returns the existing session id.
+// Adopt rebuilds a migrated session from its registration and its log
+// (checkpoint + iteration tail) — the cross-node analogue of snapshot
+// restore, through the same session.replay: the governor stack is
+// rebuilt, the checkpoint restored and the tail stepped (bit-identical
+// state, same as a local restore), then the remaining grant is admitted
+// into this node's broker with the pre-spend marked imported. Re-pushing
+// an adoption the node already holds returns the existing session id.
 func (s *Server) Adopt(a wire.AdoptSession) (string, error) {
 	if a.Key == "" {
 		return "", &wireError{wire.CodeBadRequest, "adoption requires a session key"}
@@ -560,9 +561,10 @@ func (s *Server) TotalSpentJ() float64 {
 }
 
 // Export copies every session's reportable state, with each iteration
-// log trimmed to what the caller has not yet acked (from[id], missing =
-// everything). The cluster member builds heartbeat session reports from
-// it; ordering is stable (creation order) for deterministic wire bodies.
+// log trimmed to what the caller has not yet acked (from[id], an absolute
+// iteration index; missing = everything the session retains, checkpoint
+// first). The cluster member builds heartbeat session reports from it;
+// ordering is stable (creation order) for deterministic wire bodies.
 func (s *Server) Export(from map[string]int) []SessionExport {
 	sessions := s.sessions.allSorted()
 	out := make([]SessionExport, 0, len(sessions))

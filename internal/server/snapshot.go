@@ -11,26 +11,38 @@ import (
 	"jouleguard/internal/wire"
 )
 
-// The snapshot is a JSONL write-ahead-style dump: one daemon header
-// line, then for every live session a session line followed by that
-// session's iteration log. Restoring replays each session's logged
-// iterations through a freshly built governor stack (same registration,
-// same grant, same seed), which — because the whole control path is
-// deterministic given its inputs — lands the bandit estimates, the PI
-// controller state, the sensing-guard window and the budget ledger on
-// bit-identical values. Event-sourcing beats serialising the learner's
-// internals directly: the log is human-auditable, versions cannot skew
-// against estimator implementations, and the replay exercises exactly
-// the code that produced the state.
+// The snapshot is a JSONL dump: one daemon header line, then for every
+// live session a session line followed by that session's retained log —
+// checkpoint + event tail. The first iter line of a session that has
+// passed a checkpoint carries the governor stack's state right after
+// that iteration (base64 of OnlineController.MarshalState); the lines
+// after it are the iterations settled since, at most checkpointEvery of
+// them. Restoring builds a fresh governor stack per session (same
+// registration, same grant, same seed) and folds the lines in with the
+// one loop body adoption also uses: a line carrying state restores it, a
+// line without steps the controller through the iteration. Because the
+// control path is deterministic given its inputs and the checkpoint is
+// exact, both land the bandit estimates, the PI controller, the
+// sensing-guard windows and the budget ledger on bit-identical values —
+// at a cost bounded by checkpointEvery, not by how long the session has
+// run. The tail stays an event log on purpose: it is human-auditable,
+// and replaying it exercises the code that produced the state.
+//
+// Versions: 2 is this format. A version-1 file has no state lines — every
+// session's whole history, replayed from its first iteration — and is a
+// special case of the same loop, so it still restores. A version-1
+// daemon rejects a version-2 file instead of silently ignoring the state
+// it cannot read.
 //
 // Closed and expired sessions are not written: their lasting effects —
 // consumed energy and per-tenant deficit carry-over — live in the
 // daemon header.
 
-const snapshotVersion = 1
+const snapshotVersion = 2
 
+// The three line bodies; on the wire each is preceded by its kind
+// ("daemon", "session", "iter").
 type snapDaemon struct {
-	Kind      string             `json:"kind"` // "daemon"
 	V         int                `json:"v"`
 	GlobalJ   float64            `json:"global_j"`
 	Reserve   float64            `json:"reserve"`
@@ -40,7 +52,6 @@ type snapDaemon struct {
 }
 
 type snapSession struct {
-	Kind      string               `json:"kind"` // "session"
 	ID        string               `json:"id"`
 	Reg       wire.RegisterRequest `json:"reg"`
 	GrantJ    float64              `json:"grant_j"`
@@ -50,9 +61,18 @@ type snapSession struct {
 }
 
 type snapIter struct {
-	Kind string `json:"kind"` // "iter"
-	SID  string `json:"sid"`
+	SID string `json:"sid"`
 	iterRec
+}
+
+// snapLine is any line of a snapshot: the kind and the three bodies side
+// by side (their JSON names are disjoint), so Restore decodes each line
+// once, whatever it turns out to be.
+type snapLine struct {
+	Kind string `json:"kind"`
+	snapDaemon
+	snapSession
+	snapIter
 }
 
 // Snapshot writes the daemon's durable state as JSONL. Call it after
@@ -67,7 +87,6 @@ func (s *Server) Snapshot(w io.Writer) error {
 
 	s.broker.mu.Lock()
 	hdr := snapDaemon{
-		Kind:      "daemon",
 		V:         snapshotVersion,
 		GlobalJ:   s.broker.globalJ,
 		Reserve:   s.broker.reserve,
@@ -82,7 +101,10 @@ func (s *Server) Snapshot(w io.Writer) error {
 
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
-	if err := enc.Encode(hdr); err != nil {
+	if err := enc.Encode(struct {
+		Kind string `json:"kind"`
+		snapDaemon
+	}{"daemon", hdr}); err != nil {
 		return err
 	}
 	for _, sess := range sessions {
@@ -90,15 +112,21 @@ func (s *Server) Snapshot(w io.Writer) error {
 		if !live {
 			continue
 		}
-		if err := enc.Encode(snapSession{
-			Kind: "session", ID: sess.id, Reg: reg,
+		if err := enc.Encode(struct {
+			Kind string `json:"kind"`
+			snapSession
+		}{"session", snapSession{
+			ID: sess.id, Reg: reg,
 			GrantJ: grant.GrantJ, CommitJ: grant.CommitJ, Weight: grant.Weight,
 			ImportedJ: grant.ImportedJ,
-		}); err != nil {
+		}}); err != nil {
 			return err
 		}
 		for _, rec := range log {
-			if err := enc.Encode(snapIter{Kind: "iter", SID: sess.id, iterRec: rec}); err != nil {
+			if err := enc.Encode(struct {
+				Kind string `json:"kind"`
+				snapIter
+			}{"iter", snapIter{SID: sess.id, iterRec: rec}}); err != nil {
 				return err
 			}
 		}
@@ -132,10 +160,13 @@ func (s *Server) SnapshotFile(path string) error {
 }
 
 // Restore rebuilds sessions and the budget ledger from a snapshot
-// stream. It must run on a fresh Server (no sessions yet). Each
-// session's logged iterations are replayed through a silent telemetry
-// sink; the live sink is installed afterwards, so restored state resumes
-// reporting without double-counting the replayed decisions.
+// stream. It must run on a fresh Server (no sessions yet), and it is all
+// or nothing: the broker and the sessions are installed only once the
+// whole stream has been read and every session rebuilt, so a truncated
+// or damaged snapshot leaves the server as it was. Sessions are rebuilt
+// against a silent telemetry sink; the live sink is installed
+// afterwards, so restored state resumes reporting without
+// double-counting replayed decisions.
 func (s *Server) Restore(r io.Reader) error {
 	if n := s.sessions.size(); n != 0 {
 		return fmt.Errorf("server: restore requires a fresh server, have %d sessions", n)
@@ -143,85 +174,74 @@ func (s *Server) Restore(r io.Reader) error {
 
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	var cur *session
-	line := 0
-	seen := false
-	for sc.Scan() {
-		line++
+	var (
+		broker   *Broker
+		nextID   uint64
+		sessions []*session
+		cur      *session
+	)
+	for line := 1; sc.Scan(); line++ {
 		raw := sc.Bytes()
 		if len(raw) == 0 {
 			continue
 		}
-		var kind struct {
-			Kind string `json:"kind"`
-		}
-		if err := json.Unmarshal(raw, &kind); err != nil {
+		var rec snapLine
+		if err := json.Unmarshal(raw, &rec); err != nil {
 			return fmt.Errorf("server: snapshot line %d: %w", line, err)
 		}
-		switch kind.Kind {
+		switch rec.Kind {
 		case "daemon":
-			if seen {
+			if broker != nil {
 				return fmt.Errorf("server: snapshot line %d: duplicate daemon header", line)
 			}
-			seen = true
-			var hdr snapDaemon
-			if err := json.Unmarshal(raw, &hdr); err != nil {
+			if rec.V < 1 || rec.V > snapshotVersion {
+				return fmt.Errorf("server: snapshot version %d, want 1..%d", rec.V, snapshotVersion)
+			}
+			b, err := NewBroker(rec.GlobalJ, rec.Reserve)
+			if err != nil {
 				return fmt.Errorf("server: snapshot line %d: %w", line, err)
 			}
-			if hdr.V != snapshotVersion {
-				return fmt.Errorf("server: snapshot version %d, want %d", hdr.V, snapshotVersion)
-			}
-			broker, err := NewBroker(hdr.GlobalJ, hdr.Reserve)
-			if err != nil {
-				return err
-			}
-			s.broker = broker
-			s.nextID.Store(hdr.NextID)
-			broker.Instrument(s.tel.Registry)
-			broker.restore(hdr.ConsumedJ, hdr.Carry)
+			b.restore(rec.ConsumedJ, rec.Carry)
+			broker, nextID = b, rec.NextID
 		case "session":
-			if !seen {
+			if broker == nil {
 				return fmt.Errorf("server: snapshot line %d: session before daemon header", line)
 			}
-			var sn snapSession
-			if err := json.Unmarshal(raw, &sn); err != nil {
-				return fmt.Errorf("server: snapshot line %d: %w", line, err)
-			}
-			grant := Grant{Tenant: sn.Reg.Tenant, Weight: sn.Weight, GrantJ: sn.GrantJ, CommitJ: sn.CommitJ, ImportedJ: sn.ImportedJ}
-			sess, err := newSession(sn.ID, sn.Reg, grant, s.meter, nil, s.clock())
+			grant := Grant{Tenant: rec.Reg.Tenant, Weight: rec.Weight, GrantJ: rec.GrantJ, CommitJ: rec.CommitJ, ImportedJ: rec.ImportedJ}
+			sess, err := newSession(rec.ID, rec.Reg, grant, s.meter, nil, s.clock())
 			if err != nil {
-				return fmt.Errorf("server: snapshot line %d: rebuilding session %s: %w", line, sn.ID, err)
+				return fmt.Errorf("server: snapshot line %d: rebuilding session %s: %w", line, rec.ID, err)
 			}
-			s.broker.readopt(grant)
-			s.sessions.put(sess)
-			if sn.Reg.Key != "" {
-				s.sessions.setKey(sn.Reg.Key, sn.ID)
-			}
+			broker.readopt(grant)
+			sessions = append(sessions, sess)
 			cur = sess
 		case "iter":
-			var it snapIter
-			if err := json.Unmarshal(raw, &it); err != nil {
+			if cur == nil || rec.SID != cur.id {
+				return fmt.Errorf("server: snapshot line %d: iter for %q outside its session block", line, rec.SID)
+			}
+			if err := cur.replay(rec.iterRec); err != nil {
 				return fmt.Errorf("server: snapshot line %d: %w", line, err)
 			}
-			if cur == nil || it.SID != cur.id {
-				return fmt.Errorf("server: snapshot line %d: iter for %q outside its session block", line, it.SID)
-			}
-			if err := cur.replay(it.iterRec); err != nil {
-				return err
-			}
 		default:
-			return fmt.Errorf("server: snapshot line %d: unknown kind %q", line, kind.Kind)
+			return fmt.Errorf("server: snapshot line %d: unknown kind %q", line, rec.Kind)
 		}
 	}
 	if err := sc.Err(); err != nil {
 		return err
 	}
-	if !seen {
+	if broker == nil {
 		return fmt.Errorf("server: snapshot has no daemon header")
 	}
-	// Replay done: attach the live telemetry.
-	for _, sess := range s.sessions.all() {
+
+	s.broker = broker
+	s.nextID.Store(nextID)
+	broker.Instrument(s.tel.Registry)
+	for _, sess := range sessions {
 		sess.installLiveSink(telemetry.WithSession(s.tel, sess.id))
+		s.sessions.put(sess)
+		if sess.reg.Key != "" {
+			s.sessions.setKey(sess.reg.Key, sess.id)
+		}
 	}
 	return nil
 }

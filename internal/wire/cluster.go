@@ -15,9 +15,9 @@
 //	GET  /v1/cluster/wal?from=N    write-ahead-log tail (standby replication)
 //
 // The adopt route is the one coordinator->node call: on failover the
-// coordinator pushes a dead node's sessions (registration + iteration
-// log) to their new owner, which rebuilds them by replay — the
-// cross-node analogue of the snapshot/restore path.
+// coordinator pushes a dead node's sessions (registration + checkpoint
+// and iteration tail) to their new owner, which rebuilds them with the
+// same loop snapshot restore uses.
 package wire
 
 // ClusterBasePath is the versioned prefix of the cluster routes.
@@ -53,14 +53,30 @@ const (
 // IterRec is one completed iteration exactly as the controller consumed
 // it: the client's clocks, its cumulative meter reading and the reported
 // accuracy. It is the unit of the daemon snapshot, of heartbeat session
-// reports, and of cross-node adoption — replaying a log of IterRecs
-// through a fresh governor lands on bit-identical state.
+// reports, and of cross-node adoption.
+//
+// A session's durable form is a log of IterRecs whose first record may
+// carry State: the governor stack's checkpoint taken right after that
+// iteration settled. Rebuilding a session is one loop over the log — a
+// record carrying State restores it into the fresh governor, a record
+// without it steps the governor through the iteration — and lands on
+// bit-identical state either way. A log with no State at all replays
+// from the session's first iteration (short sessions, and every log
+// written before checkpoints existed).
 type IterRec struct {
 	NextNow   float64 `json:"next_now"`
 	DoneNow   float64 `json:"done_now"`
 	EnergyJ   float64 `json:"energy_j"`
 	EnergyErr bool    `json:"energy_err,omitempty"`
 	Accuracy  float64 `json:"accuracy"`
+	// ClientJ is the client's own cumulative reading, logged only by a
+	// metering daemon: there EnergyJ is the meter-attributed series the
+	// controller consumed, and the client's counter is what the next
+	// iteration's stimulus is differenced against.
+	ClientJ float64 `json:"client_j,omitempty"`
+	// State is the checkpoint (jouleguard.OnlineController.MarshalState)
+	// after this iteration; only ever set on the first record of a log.
+	State []byte `json:"state,omitempty"`
 }
 
 // JoinRequest enrolls (or re-enrolls) a node into the fleet. A rejoining
@@ -108,8 +124,9 @@ type JoinResponse struct {
 }
 
 // SessionReport is one session's incremental state in a heartbeat: the
-// coordinator appends NewIters to its copy of the log, which is what
-// failover restores from.
+// coordinator folds NewIters into its copy of the log — appending a
+// plain tail, replacing the copy when the first record carries a
+// checkpoint — which is what failover restores from.
 type SessionReport struct {
 	ID        string          `json:"id"`
 	Key       string          `json:"key"`
@@ -119,9 +136,11 @@ type SessionReport struct {
 	SpentJ    float64         `json:"spent_j"`
 	Done      int             `json:"done"`
 	Complete  bool            `json:"complete,omitempty"`
-	// From is the index NewIters starts at (the node's view of what the
-	// coordinator has acked); the coordinator replies with its own log
-	// length per session so the two re-sync automatically.
+	// From is the absolute iteration index NewIters starts at: the
+	// node's view of what the coordinator has acked, or the node's latest
+	// checkpoint when the coordinator is behind it. The coordinator
+	// replies with the iteration count its copy reaches, so the two
+	// re-sync automatically.
 	From     int       `json:"from"`
 	NewIters []IterRec `json:"new_iters,omitempty"`
 }
@@ -200,8 +219,9 @@ type TenantPolicy struct {
 type HeartbeatResponse struct {
 	LeaseJ float64 `json:"lease_j"`
 	TTLMS  int64   `json:"ttl_ms"`
-	// Acked maps node-local session ids to the coordinator's stored log
-	// length; the node sends iterations from that index next time.
+	// Acked maps node-local session ids to the iteration count the
+	// coordinator's copy of the log reaches; the node sends iterations
+	// from that absolute index next time.
 	Acked map[string]int `json:"acked,omitempty"`
 	// Fence is the coordinator's fencing epoch (see JoinResponse.Fence).
 	Fence int64 `json:"fence,omitempty"`
@@ -235,7 +255,8 @@ type ExtendResponse struct {
 }
 
 // AdoptSession is one migrated session: everything the new owner needs
-// to rebuild it by replay and re-admit its remaining grant.
+// to rebuild it (checkpoint + tail, see IterRec) and re-admit its
+// remaining grant.
 type AdoptSession struct {
 	Key    string          `json:"key"`
 	Reg    RegisterRequest `json:"reg"`

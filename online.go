@@ -52,6 +52,7 @@ type OnlineController struct {
 	guard      *guard.Sensor
 
 	iter       int
+	accSum     float64 // reported accuracies of the completed iterations
 	started    bool
 	startT     float64
 	appCfg     int
@@ -69,7 +70,7 @@ type OnlineController struct {
 	failTotal  int
 	clockBack  int
 	seqErrs    int
-	lastSeqErr error
+	lastSeqErr string // what the latest bracketing violation was; "" = none
 
 	tele telemetry.Sink // per-iteration telemetry; Nop when not instrumented
 }
@@ -226,6 +227,7 @@ func (o *OnlineController) Done(accuracy float64) error {
 		Estimated:      !v.Accepted,
 	})
 	o.iter++
+	o.accSum += accuracy
 	o.tele.IterationDone(dur, !v.Accepted)
 	return nil
 }
@@ -244,7 +246,7 @@ func (o *OnlineController) provisional(dur float64) guard.Verdict {
 // noteSequenceError records a Next/Done bracketing violation.
 func (o *OnlineController) noteSequenceError(what string) {
 	o.seqErrs++
-	o.lastSeqErr = fmt.Errorf("%w: %s", ErrOutOfSequence, what)
+	o.lastSeqErr = what
 }
 
 // SequenceErrors returns how many Next/Done calls arrived out of order.
@@ -252,7 +254,12 @@ func (o *OnlineController) SequenceErrors() int { return o.seqErrs }
 
 // LastSequenceError returns the most recent bracketing violation (nil if
 // none); it wraps ErrOutOfSequence.
-func (o *OnlineController) LastSequenceError() error { return o.lastSeqErr }
+func (o *OnlineController) LastSequenceError() error {
+	if o.lastSeqErr == "" {
+		return nil
+	}
+	return fmt.Errorf("%w: %s", ErrOutOfSequence, o.lastSeqErr)
+}
 
 // InFlight reports whether an iteration is currently bracketed (Next
 // issued, Done pending).
@@ -266,6 +273,15 @@ func (o *OnlineController) EnergyAccounted() float64 { return o.guard.Energy() }
 
 // Iterations returns how many iterations completed.
 func (o *OnlineController) Iterations() int { return o.iter }
+
+// MeanAccuracy returns the mean of the accuracies reported to Done so
+// far (0 before the first).
+func (o *OnlineController) MeanAccuracy() float64 {
+	if o.iter == 0 {
+		return 0
+	}
+	return o.accSum / float64(o.iter)
+}
 
 // HeartRate returns the windowed iteration rate (beats/second).
 func (o *OnlineController) HeartRate() float64 { return o.hb.WindowRate() }
