@@ -164,12 +164,15 @@ bench:
 # Perf regression gate: re-measure the pinned hot-path benchmarks and
 # fail if any got >20% slower than the committed snapshot — or allocates
 # where the snapshot says it must not (the wire codecs and the decision
-# path are pinned at 0 allocs/op).
+# path are pinned at 0 allocs/op). The bandit and telemetry pins are the
+# two cases the decision path was once slow in: an observation that makes
+# the best arm's estimate dip, and every core reporting at once. -p 1: the
+# packages' benchmarks run one after another, not against each other.
 bench-check:
-	$(GO) test -run xxx -bench 'BenchmarkFrame|BenchmarkInprocDecision|BenchmarkSessionLookup' \
-		-benchmem ./internal/wire/ ./internal/server/ \
+	$(GO) test -p 1 -run xxx -bench 'BenchmarkFrame|BenchmarkInprocDecision|BenchmarkSessionLookup|BenchmarkBanditObserveChampion|BenchmarkTelemetryLiveSinkParallel' \
+		-benchmem ./internal/wire/ ./internal/server/ ./internal/learning/ ./internal/telemetry/ \
 		| $(GO) run ./cmd/benchjson -compare BENCH_experiments.json \
-			-pin 'Frame|InprocDecision|SessionLookup'
+			-pin 'Frame|InprocDecision|SessionLookup|BanditObserveChampion|TelemetryLiveSinkParallel'
 
 # CPU + allocation profiles of the decision path into results/profiles/,
 # ready for `go tool pprof`.

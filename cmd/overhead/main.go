@@ -26,7 +26,9 @@ func main() {
 	for _, r := range rows {
 		fmt.Printf("%-8s %12d %14.2f\n", r.Platform, r.SysConfigs, r.LatencyUS)
 	}
-	fmt.Println("\n(The paper's absolute numbers reflect its embedded CPUs; the shape —")
-	fmt.Println(" latency grows with the configuration-space size, and is orders of")
-	fmt.Println(" magnitude below any realistic power-feedback period — is the claim.)")
+	fmt.Println("\n(The paper's absolute numbers reflect its embedded CPUs, and its")
+	fmt.Println(" latency grows with the configuration-space size; here the Eqn 3")
+	fmt.Println(" arg-max is kept in a tournament tree, so it barely does. What")
+	fmt.Println(" carries over is the claim: orders of magnitude below any realistic")
+	fmt.Println(" power-feedback period.)")
 }

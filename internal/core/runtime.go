@@ -523,6 +523,11 @@ func (r *Runtime) ArmEstimate(arm int) (rate, power float64, pulls int) {
 	return r.bandit.Rate(arm), r.bandit.Power(arm), r.bandit.Pulls(arm)
 }
 
+// ArmPulls is ArmEstimate's observation count alone, for callers that
+// want the estimates of measured arms only and would rather not query
+// the filters of the (usually many) arms still at their priors.
+func (r *Runtime) ArmPulls(arm int) int { return r.bandit.Pulls(arm) }
+
 // Degraded reports whether the watchdog currently pins the conservative
 // configuration (broken sensing or a sustained projected overrun).
 func (r *Runtime) Degraded() bool { return r.degraded }

@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"math/rand"
 	"testing"
 
@@ -103,6 +105,19 @@ func TestRestoreStateRejects(t *testing.T) {
 		bad[rng.Intn(len(bad))] ^= 1 << rng.Intn(8)
 		if err := build(Options{Seed: 3}, 40).RestoreState(bad); err == nil {
 			t.Fatal("restored from a blob with a flipped bit")
+		}
+	}
+	// An intact checksum over a wrong answer: the bandit's recorded best
+	// arms (words 8 and 9 of the body: five runtime words, then arm count,
+	// estimator tag and total pulls come first) are checked against the
+	// restored estimates, not trusted.
+	for _, word := range []int{8, 9} {
+		body := bytes.Clone(blob[:len(blob)-4])
+		at := body[3+8*word:]
+		binary.LittleEndian.PutUint64(at, binary.LittleEndian.Uint64(at)^1)
+		forged := binary.LittleEndian.AppendUint32(body, crc32.ChecksumIEEE(body))
+		if err := build(Options{Seed: 3}, 40).RestoreState(forged); err == nil {
+			t.Errorf("restored a resealed blob whose word %d names another best arm", word)
 		}
 	}
 	for name, other := range map[string]*Runtime{

@@ -265,6 +265,12 @@ func TestTable3Sane(t *testing.T) {
 	}
 }
 
+// TestTable4LatencyScalesWithConfigs pins how decision latency scales
+// with the system configuration space: sub-linearly. The paper's runtime
+// (and this one, before the bandit kept its Eqn 3 arg-max in a tournament
+// tree) pays for every configuration on every decision; here Server, with
+// 23 times Tablet's configurations, must cost well under 23 times
+// Tablet's latency — the bound leaves room for a preempted timing loop.
 func TestTable4LatencyScalesWithConfigs(t *testing.T) {
 	rows, err := Table4(300)
 	if err != nil {
@@ -277,8 +283,8 @@ func TestTable4LatencyScalesWithConfigs(t *testing.T) {
 		}
 		lat[r.Platform] = r.LatencyUS
 	}
-	if lat["Server"] <= lat["Tablet"] {
-		t.Errorf("Server (1024 configs) latency %.2f not above Tablet (44) %.2f",
+	if lat["Server"] > 4*lat["Tablet"] {
+		t.Errorf("Server (1024 configs) latency %.2f us is more than 4x Tablet's (44 configs) %.2f us",
 			lat["Server"], lat["Tablet"])
 	}
 }

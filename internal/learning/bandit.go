@@ -126,13 +126,12 @@ type Arm struct {
 type Bandit struct {
 	arms []Arm
 	// eff caches Estimate.Efficiency() per arm. Estimators change only
-	// inside Observe, so the cache — and the running argmax below — stay
-	// exact without ever re-querying the estimator interface. BestArm sat
-	// at the top of the daemon's decision-path profile before this: every
-	// Done rescanned all arms through two interface calls each.
+	// inside Observe, so the cache — and the two argmax trees over it —
+	// stay exact without ever re-querying the estimator interface, and an
+	// Observe pays for the one arm it touched, not for the table.
 	eff        []float64
-	best       int // lowest-index argmax of eff
-	bestPulled int // same, restricted to arms with Pulls > 0; -1 = none
+	all        argmaxTree // every arm
+	pulled     argmaxTree // arms with Pulls > 0
 	totalPulls int
 	rng        *rand.Rand
 	sink       telemetry.Sink
@@ -157,7 +156,8 @@ func NewBanditWithEstimators(n int, factory EstimatorFactory, priors Priors, rng
 	if factory == nil {
 		return nil, fmt.Errorf("learning: nil estimator factory")
 	}
-	b := &Bandit{arms: make([]Arm, n), eff: make([]float64, n), rng: rng, sink: telemetry.Nop{}}
+	b := &Bandit{arms: make([]Arm, n), eff: make([]float64, n),
+		all: newArgmaxTree(n), pulled: newArgmaxTree(n), rng: rng, sink: telemetry.Nop{}}
 	for i := range b.arms {
 		rate, power := priors.Estimate(i)
 		if rate <= 0 || power <= 0 {
@@ -170,8 +170,7 @@ func NewBanditWithEstimators(n int, factory EstimatorFactory, priors Priors, rng
 		b.arms[i].Estimate = est
 		b.eff[i] = est.Efficiency()
 	}
-	b.best = b.rescan()
-	b.bestPulled = -1
+	b.all.fill(b.eff)
 	return b, nil
 }
 
@@ -207,32 +206,11 @@ func (b *Bandit) Observe(arm int, rate, power float64) (effError float64, err er
 	a.Pulls++
 	b.totalPulls++
 
-	// Maintain the cached efficiency and the running argmax. Only this
-	// arm's score moved, so the champion changes in O(1) — except when
-	// the champion itself got worse (or turned NaN), where another arm
-	// may now lead and a rescan is required.
-	newEff := a.Estimate.Efficiency()
-	b.eff[arm] = newEff
-	switch {
-	case arm == b.best:
-		if !(newEff >= prior) {
-			b.best = b.rescan()
-		}
-	case newEff > b.eff[b.best] || (newEff == b.eff[b.best] && arm < b.best):
-		b.best = arm
-	}
-	switch {
-	case b.bestPulled < 0:
-		if !math.IsNaN(newEff) {
-			b.bestPulled = arm
-		}
-	case arm == b.bestPulled:
-		if !(newEff >= prior) {
-			b.bestPulled = b.rescanPulled()
-		}
-	case newEff > b.eff[b.bestPulled] || (newEff == b.eff[b.bestPulled] && arm < b.bestPulled):
-		b.bestPulled = arm
-	}
+	// Only this arm's score moved (and it now counts as pulled): replay
+	// its path in both trees.
+	b.eff[arm] = a.Estimate.Efficiency()
+	b.all.update(b.eff, arm)
+	b.pulled.update(b.eff, arm)
 
 	gain := math.NaN()
 	if g, ok := a.Estimate.(Gainer); ok {
@@ -244,38 +222,16 @@ func (b *Bandit) Observe(arm int, rate, power float64) (effError float64, err er
 
 // BestArm implements Eqn 3: the arm with the highest estimated energy
 // efficiency rate/power. Ties break toward the lower index, which (with our
-// index convention) prefers fewer resources. O(1): the argmax is maintained
-// incrementally by Observe.
-func (b *Bandit) BestArm() int { return b.best }
-
-// rescan recomputes the lowest-index argmax over the cached efficiencies.
-func (b *Bandit) rescan() int {
-	best := 0
-	bestEff := math.Inf(-1)
-	for i, eff := range b.eff {
-		if eff > bestEff {
-			best, bestEff = i, eff
-		}
-	}
-	return best
-}
-
-// rescanPulled recomputes the argmax over arms that have observations.
-func (b *Bandit) rescanPulled() int {
-	best := -1
-	bestEff := math.Inf(-1)
-	for i, eff := range b.eff {
-		if b.arms[i].Pulls > 0 && eff > bestEff {
-			best, bestEff = i, eff
-		}
-	}
-	return best
-}
+// index convention) prefers fewer resources; an arm whose estimate went
+// NaN or -Inf never wins, and arm 0 stands in when every arm has. O(1):
+// Observe keeps the tournament current.
+func (b *Bandit) BestArm() int { return max(b.all.best(), 0) }
 
 // BestMeasuredArm returns the most efficient arm among those with at
-// least one observation, or -1 before any pull. Like BestArm it is O(1):
-// the watchdog's conservative pin consults it every iteration.
-func (b *Bandit) BestMeasuredArm() int { return b.bestPulled }
+// least one observation, or -1 before any pull (or when no pulled arm has
+// a rankable estimate). Like BestArm it is O(1): the watchdog's
+// conservative pin consults it every iteration.
+func (b *Bandit) BestMeasuredArm() int { return b.pulled.best() }
 
 // BestFeasibleArm returns the most efficient arm among those accepted by
 // keep. It returns -1 if keep rejects every arm. The runtime uses this to

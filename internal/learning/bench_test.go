@@ -22,6 +22,26 @@ func BenchmarkBanditObserve(b *testing.B) {
 	}
 }
 
+// BenchmarkBanditObserveChampion is the steady state of a converged run:
+// every observation lands on the best arm and every second one makes its
+// estimate dip (it stays the best). A maintained argmax that rescans when
+// the champion worsens pays for all 1,024 arms on half of these calls;
+// BenchmarkBanditObserve's round-robin never meets that case.
+func BenchmarkBanditObserveChampion(b *testing.B) {
+	bd := benchBandit(b, 1024)
+	const champion = 700
+	for i := 0; i < 8; i++ {
+		bd.Observe(champion, 20, 5)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		bd.Observe(champion, 20+0.1*float64(1-2*(i&1)), 5)
+	}
+	if bd.BestArm() != champion {
+		b.Fatalf("best arm %d, want %d", bd.BestArm(), champion)
+	}
+}
+
 // BenchmarkBestArm1024 is the Eqn 3 arg-max on the Server-sized space —
 // the dominant term in the paper's Table 4 overhead.
 func BenchmarkBestArm1024(b *testing.B) {

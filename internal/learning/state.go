@@ -9,15 +9,14 @@ import (
 // EncodeState appends the bandit's learned state. Only arms that were
 // ever pulled travel: an unpulled arm still holds the prior its
 // constructor computed, and on a 1,024-arm platform those are most of
-// the table for most of a run. The running argmaxes are written rather
-// than recomputed so a restored bandit ranks ties and NaNs exactly as
-// the original's incremental bookkeeping left them.
+// the table for most of a run. The two argmaxes travel as a cross-check
+// only: DecodeState recomputes them from the estimates it restored.
 func (b *Bandit) EncodeState(enc *ckpt.Enc) {
 	enc.Int(len(b.arms))
 	enc.Uint(uint64(estimatorTag(b.arms[0].Estimate)))
 	enc.Int(b.totalPulls)
-	enc.Int(b.best)
-	enc.Int(b.bestPulled)
+	enc.Int(b.BestArm())
+	enc.Int(b.BestMeasuredArm())
 	pulled := 0
 	for i := range b.arms {
 		if b.arms[i].Pulls > 0 {
@@ -68,17 +67,24 @@ func (b *Bandit) DecodeState(d *ckpt.Dec) {
 		b.arms[i].Pulls = pulls
 		b.arms[i].Estimate.DecodeState(d)
 		b.eff[i] = b.arms[i].Estimate.Efficiency()
+		// As the Observe that last touched the arm did: the fresh bandit's
+		// trees already hold every other arm's prior.
+		b.all.update(b.eff, i)
+		b.pulled.update(b.eff, i)
 		sum += pulls
 	}
 	if d.Err() != nil {
 		return
 	}
-	if sum != total || bestPulled < -1 || bestPulled >= n ||
-		(bestPulled >= 0 && b.arms[bestPulled].Pulls == 0) {
-		d.Fail("bandit tallies disagree (%d pulls listed, %d recorded, best pulled arm %d)", sum, total, bestPulled)
+	if sum != total {
+		d.Fail("bandit tallies disagree (%d pulls listed, %d recorded)", sum, total)
 		return
 	}
-	b.totalPulls, b.best, b.bestPulled = total, best, bestPulled
+	b.totalPulls = total
+	if best != b.BestArm() || bestPulled != b.BestMeasuredArm() {
+		d.Fail("recorded best arms (%d, measured %d) disagree with the restored estimates (%d, measured %d)",
+			best, bestPulled, b.BestArm(), b.BestMeasuredArm())
+	}
 }
 
 // estimatorTag names the filter family in a checkpoint, so a blob

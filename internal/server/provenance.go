@@ -24,7 +24,7 @@ import (
 func (s *session) provenanceView() (reg wire.RegisterRequest, grant Grant, spentJ float64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.reg, s.grant, s.ctl.EnergyAccounted()
+	return s.reg, s.grant, s.tallyLocked().spentJ
 }
 
 // sessionIterSpends walks the flight recorder's retained window for one

@@ -65,6 +65,60 @@ func TestRestoreVersion1Snapshot(t *testing.T) {
 	}
 }
 
+// TestRestoreParentCheckpoint pins that the checkpoint blob did not change
+// shape when the bandit's maintained argmax became a pair of tournament
+// trees: testdata/snapshot_v2.jsonl was written by the daemon of the
+// commit before that change (radar on Tablet; s-000001 five settles past
+// its first checkpoint with every ninth meter reading failed, s-000002
+// nine settles in with no checkpoint yet). Both sessions restore at the
+// ledger that daemon reported — the blob's recorded best arms passing the
+// decode-time cross-check — and, driven on, make the decisions it made.
+func TestRestoreParentCheckpoint(t *testing.T) {
+	raw, err := os.ReadFile("testdata/snapshot_v2.jsonl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := cutServer(t, nil)
+	if err := srv.Restore(bytes.NewReader(raw)); err != nil {
+		t.Fatal(err)
+	}
+	// What that daemon's Done responses said at the snapshot and after the
+	// further settles below, and where its simulated machines stood.
+	for _, want := range []struct {
+		key              string
+		done             int
+		spent            float64
+		clockS, energyJ  float64
+		more             int
+		re               cutRegime
+		spentAfter       float64
+		lastApp, lastSys int
+	}{
+		{"fixture-a", checkpointEvery + 5, 92.778788598511781, 13.261164065258834, 92.872805826578087,
+			60, cutRegime{errEvery: 9}, 98.058333898375523, 11, 42},
+		{"fixture-b", 9, 1.0597001184367145, 0.26616623945181511, 1.1537173465030222,
+			31, cutRegime{}, 4.7062003960735579, 11, 39},
+	} {
+		sess := srv.sessions.byKey(want.key)
+		if sess == nil {
+			t.Fatalf("%s: not restored", want.key)
+		}
+		if x := sess.export(0); x.Done != want.done || x.SpentJ != want.spent {
+			t.Fatalf("%s restored at %d iterations / %.17g J, the writing daemon stood at %d / %.17g J",
+				want.key, x.Done, x.SpentJ, want.done, want.spent)
+		}
+		m := newMemoMachine(t, "radar", "Tablet")
+		m.clockS, m.energyJ = want.clockS, want.energyJ
+		var tr cutTrace
+		tr.drive(t, srv, sess, m, want.re, want.done, want.done+want.more)
+		last := tr.decisions[len(tr.decisions)-1]
+		if got := tr.spent[len(tr.spent)-1]; got != want.spentAfter || last != [2]int{want.lastApp, want.lastSys} {
+			t.Errorf("%s after %d more settles: %.17g J, last decision %v; the writing daemon reached %.17g J, %v",
+				want.key, want.more, got, last, want.spentAfter, [2]int{want.lastApp, want.lastSys})
+		}
+	}
+}
+
 // fuzzSource is a daemon holding one session just past a checkpoint: the
 // source of the fuzz targets' seed inputs.
 func fuzzSource(t testing.TB) (*Server, *session) {
@@ -89,9 +143,14 @@ func FuzzRestore(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
+	v2, err := os.ReadFile("testdata/snapshot_v2.jsonl")
+	if err != nil {
+		f.Fatal(err)
+	}
 	f.Add(snap.Bytes())
 	f.Add(snap.Bytes()[:snap.Len()/2])
 	f.Add(v1)
+	f.Add(v2)
 	f.Add([]byte(`{"kind":"daemon","v":2,"global_j":10,"reserve":1.05}` + "\n" + `{"kind":"iter","sid":"s-000001"}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		srv := testServer(t, 1, nil)

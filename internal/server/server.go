@@ -43,7 +43,8 @@ type Config struct {
 	// (nil builds a private one).
 	Telemetry *telemetry.Telemetry
 	// Clock is injectable for tests (nil = time.Now). It paces idle
-	// expiry only; iteration intervals always use client clocks.
+	// expiry and the QoS gate's throttle; iteration intervals always use
+	// client clocks.
 	Clock func() time.Time
 	// Meter switches the daemon to measured-energy mode: every session
 	// iteration is bracketed by an attribution window on this
@@ -95,9 +96,11 @@ type Server struct {
 
 	// Terminal (closed/expired) sessions stay introspectable for a
 	// while, but not forever: a churn-heavy daemon would otherwise grow
-	// the registry without bound. retired is the FIFO eviction queue.
-	retiredMu sync.Mutex
-	retired   []*session
+	// the registry without bound. retired is the FIFO eviction queue: a
+	// ring whose slot retiredHead holds the oldest once it is full.
+	retiredMu   sync.Mutex
+	retired     []*session
+	retiredHead int
 
 	stopSweep chan struct{}
 	sweepDone chan struct{}
@@ -378,8 +381,8 @@ func (s *Server) Register(req wire.RegisterRequest) (wire.RegisterResponse, erro
 		SessionNum: sess.num,
 		GrantJ:     grant.GrantJ,
 		Iterations: req.Iterations,
-		AppConfigs: sess.tb.App.NumConfigs(),
-		SysConfigs: sess.tb.Platform.NumConfigs(),
+		AppConfigs: tb.App.NumConfigs(),
+		SysConfigs: tb.Platform.NumConfigs(),
 	}, nil
 }
 
@@ -614,12 +617,13 @@ const terminalRetainCap = 1024
 // shard or session lock held.
 func (s *Server) retire(sess *session) {
 	s.retiredMu.Lock()
-	s.retired = append(s.retired, sess)
 	var evict *session
-	if len(s.retired) > terminalRetainCap {
-		evict = s.retired[0]
-		copy(s.retired, s.retired[1:])
-		s.retired = s.retired[:len(s.retired)-1]
+	if len(s.retired) < terminalRetainCap {
+		s.retired = append(s.retired, sess)
+	} else {
+		evict = s.retired[s.retiredHead]
+		s.retired[s.retiredHead] = sess
+		s.retiredHead = (s.retiredHead + 1) % terminalRetainCap
 	}
 	s.retiredMu.Unlock()
 	if evict != nil {
@@ -791,22 +795,34 @@ func (s *Server) Next(id string, req wire.NextRequest) (wire.NextResponse, error
 	return s.sessionNext(sess, req)
 }
 
+// stamp reads the clock once for one wire call. wall is real time, what
+// latency samples and span bounds are measured on; now is what the
+// sessions' idle expiry and the QoS gate's throttle pacing see — the same
+// instant unless a test injected Config.Clock.
+func (s *Server) stamp() (wall, now time.Time) {
+	wall = time.Now()
+	if s.cfg.Clock == nil {
+		return wall, wall
+	}
+	return wall, s.cfg.Clock()
+}
+
 func (s *Server) sessionNext(sess *session, req wire.NextRequest) (wire.NextResponse, error) {
+	wall, now := s.stamp()
 	// Tenant-protection gate, shared by v1 and v2 so neither transport
 	// escapes enforcement. reg is immutable post-construction, so the
 	// tenant read needs no lock; while no tenant is enforced the check
 	// is one atomic load.
-	if d := s.qos.CheckNext(sess.reg.Tenant, time.Now().UnixNano()); d != nil {
+	if d := s.qos.CheckNext(sess.reg.Tenant, now.UnixNano()); d != nil {
 		return wire.NextResponse{}, &wireError{d.Code, d.Msg}
 	}
-	start := time.Now()
-	resp, werr := sess.next(req, s.clock())
+	resp, werr := sess.next(req, now)
 	if werr != nil {
 		return wire.NextResponse{}, werr
 	}
-	s.mDecisionS.Observe(time.Since(start).Seconds())
+	s.mDecisionS.ObserveOn(sess.stripe, time.Since(wall).Seconds())
 	if req.TraceID != 0 {
-		s.traceNext(sess.id, req, start, resp.Iter)
+		s.traceNext(sess.id, req, wall, resp.Iter)
 	}
 	return resp, nil
 }
@@ -831,16 +847,13 @@ func (s *Server) Done(id string, req wire.DoneRequest) (wire.DoneResponse, error
 // record identical spans and the traced/untraced settle mutates session
 // state identically (the golden replay test pins this).
 func (s *Server) sessionDone(sess *session, req wire.DoneRequest) (wire.DoneResponse, *wireError) {
-	var start time.Time
-	if req.TraceID != 0 {
-		start = time.Now()
-	}
-	resp, werr := sess.done(req, s.clock())
+	wall, now := s.stamp()
+	resp, werr := sess.done(req, now)
 	if werr != nil {
 		return wire.DoneResponse{}, werr
 	}
 	if req.TraceID != 0 {
-		s.traceDone(sess.id, req, start, resp)
+		s.traceDone(sess.id, req, wall, resp)
 	}
 	return resp, nil
 }

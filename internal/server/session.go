@@ -137,15 +137,21 @@ const checkpointEvery = 1024
 // through the pending sample, so the controller's hardened sensing path
 // (guard, outage reconciliation, model fallback) is reused verbatim.
 type session struct {
-	mu    sync.Mutex
-	id    string
-	num   uint32 // numeric id for v2 frame headers (0 = v1-only)
-	reg   wire.RegisterRequest
-	grant Grant
+	mu     sync.Mutex
+	id     string
+	num    uint32           // numeric id for v2 frame headers (0 = v1-only)
+	stripe telemetry.Stripe // where the daemon's own per-iteration metrics for this session land
+	reg    wire.RegisterRequest
+	grant  Grant
 
-	tb  *jouleguard.Testbed
-	gov *jouleguard.Runtime
-	ctl *jouleguard.OnlineController
+	// The governor stack. A terminal session has none: teardown freezes
+	// what introspection still reports into final and drops the stack,
+	// which is most of a session's memory (~60 KB on a 1,024-arm platform)
+	// and would otherwise sit in the terminal-retention ring.
+	tb    *jouleguard.Testbed
+	gov   *jouleguard.Runtime
+	ctl   *jouleguard.OnlineController
+	final tally
 
 	state   sessionState
 	pending struct {
@@ -201,7 +207,8 @@ func newSession(id string, reg wire.RegisterRequest, grant Grant, meter *meterHo
 	if err != nil {
 		return nil, err
 	}
-	s := &session{id: id, num: sessionNum(id), reg: reg, grant: grant, tb: tb, gov: gov, meter: meter, lastTouch: now}
+	s := &session{id: id, num: sessionNum(id), stripe: telemetry.StripeOf(id),
+		reg: reg, grant: grant, tb: tb, gov: gov, meter: meter, lastTouch: now}
 	ctl, err := jouleguard.NewOnlineGuarded(gov,
 		s.readPendingEnergy, s.readPendingNow,
 		jouleguard.SensorGuardConfig{ModelPower: tb.DefaultPower})
@@ -409,15 +416,57 @@ func (s *session) logLocked(rec iterRec) {
 	s.log = append(s.log[:0], rec)
 }
 
+// tally is what the wire reports of a governor stack's state: the ledger
+// and the learner's standing. estimates is filled only on the frozen copy
+// a terminal session keeps, and there holds only the arms the session
+// measured — an arm never pulled still carries the platform's prior.
+type tally struct {
+	iterDone   int
+	spentJ     float64
+	meanAcc    float64
+	degraded   bool
+	infeasible bool
+	estimates  []wire.ArmEstimate
+}
+
+// tallyLocked reads the tally off the live stack, or returns the one
+// teardown froze; callers hold s.mu.
+func (s *session) tallyLocked() tally {
+	if s.ctl == nil {
+		return s.final
+	}
+	return tally{
+		iterDone:   s.ctl.Iterations(),
+		spentJ:     s.ctl.EnergyAccounted(),
+		meanAcc:    s.ctl.MeanAccuracy(),
+		degraded:   s.gov.Degraded(),
+		infeasible: s.gov.Infeasible(),
+	}
+}
+
+// estimatesLocked lists the live stack's per-arm estimates, every arm or
+// only those with observations; callers hold s.mu.
+func (s *session) estimatesLocked(pulledOnly bool) []wire.ArmEstimate {
+	var out []wire.ArmEstimate
+	for arm := 0; arm < s.gov.NumArms(); arm++ {
+		if pulledOnly && s.gov.ArmPulls(arm) == 0 {
+			continue
+		}
+		rate, power, pulls := s.gov.ArmEstimate(arm)
+		out = append(out, wire.ArmEstimate{Arm: arm, Rate: rate, Power: power, Pulls: pulls})
+	}
+	return out
+}
+
 // doneResponseLocked assembles the ledger view; callers hold s.mu.
 func (s *session) doneResponseLocked() wire.DoneResponse {
-	spent := s.ctl.EnergyAccounted()
+	t := s.tallyLocked()
 	return wire.DoneResponse{
-		IterationsDone:  s.ctl.Iterations(),
-		SpentJ:          spent,
-		GrantRemainingJ: s.grant.GrantJ - spent,
-		Degraded:        s.gov.Degraded(),
-		Infeasible:      s.gov.Infeasible(),
+		IterationsDone:  t.iterDone,
+		SpentJ:          t.spentJ,
+		GrantRemainingJ: s.grant.GrantJ - t.spentJ,
+		Degraded:        t.degraded,
+		Infeasible:      t.infeasible,
 		Complete:        s.state == stateComplete,
 	}
 }
@@ -426,7 +475,7 @@ func (s *session) doneResponseLocked() wire.DoneResponse {
 func (s *session) spent() float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.ctl.EnergyAccounted()
+	return s.tallyLocked().spentJ
 }
 
 // teardown moves the session to a terminal state and reports what the
@@ -443,8 +492,8 @@ func (s *session) teardown(to sessionState) (spentJ float64, release bool) {
 		s.meter.discard(s.id)
 	}
 	s.state = to
-	s.dropLogLocked()
-	return s.ctl.EnergyAccounted(), true
+	s.releaseStackLocked()
+	return s.final.spentJ, true
 }
 
 // shed tears the session down on behalf of the tenant-protection
@@ -463,14 +512,21 @@ func (s *session) shed() (spentJ float64, release bool) {
 	}
 	s.state = stateExpired
 	s.shedded = true
-	s.dropLogLocked()
-	return s.ctl.EnergyAccounted(), true
+	s.releaseStackLocked()
+	return s.final.spentJ, true
 }
 
-// dropLogLocked frees a terminal session's durable form: it is never
-// snapshotted, reported or adopted again, but its record lingers in the
-// registry's terminal-retention ring. Callers hold s.mu.
-func (s *session) dropLogLocked() { s.log, s.ckpt = nil, nil }
+// releaseStackLocked frees a terminal session's governor stack and its
+// durable form: the session is never stepped, snapshotted, reported or
+// adopted again, but its record lingers in the registry's
+// terminal-retention ring, where it answers introspection from the tally
+// frozen here. Callers hold s.mu.
+func (s *session) releaseStackLocked() {
+	s.final = s.tallyLocked()
+	s.final.estimates = s.estimatesLocked(true)
+	s.tb, s.gov, s.ctl = nil, nil, nil
+	s.log, s.ckpt = nil, nil
+}
 
 // idleSince reports the last wire activity; the expiry watchdog compares
 // it against the session's timeout.
@@ -497,6 +553,7 @@ func (s *session) info(includeEstimates bool) wire.SessionInfo {
 	if s.shedded {
 		state = "killed"
 	}
+	t := s.tallyLocked()
 	si := wire.SessionInfo{
 		SessionID:   s.id,
 		Tenant:      s.reg.Tenant,
@@ -505,18 +562,19 @@ func (s *session) info(includeEstimates bool) wire.SessionInfo {
 		Platform:    s.reg.Platform,
 		State:       state,
 		Iterations:  s.reg.Iterations,
-		IterDone:    s.ctl.Iterations(),
+		IterDone:    t.iterDone,
 		GrantJ:      s.grant.GrantJ,
-		SpentJ:      s.ctl.EnergyAccounted(),
+		SpentJ:      t.spentJ,
 		MinAccuracy: s.reg.MinAccuracy,
-		MeanAcc:     s.ctl.MeanAccuracy(),
-		Degraded:    s.gov.Degraded(),
-		Infeasible:  s.gov.Infeasible(),
+		MeanAcc:     t.meanAcc,
+		Degraded:    t.degraded,
+		Infeasible:  t.infeasible,
 	}
 	if includeEstimates {
-		for arm := 0; arm < s.gov.NumArms(); arm++ {
-			rate, power, pulls := s.gov.ArmEstimate(arm)
-			si.Estimates = append(si.Estimates, wire.ArmEstimate{Arm: arm, Rate: rate, Power: power, Pulls: pulls})
+		if s.gov != nil {
+			si.Estimates = s.estimatesLocked(false)
+		} else {
+			si.Estimates = t.estimates
 		}
 	}
 	return si
@@ -621,14 +679,15 @@ type SessionExport struct {
 func (s *session) export(from int) SessionExport {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	t := s.tallyLocked()
 	return SessionExport{
 		ID:        s.id,
 		Key:       s.reg.Key,
 		Reg:       s.reg,
 		GrantJ:    s.grant.GrantJ,
 		ImportedJ: s.grant.ImportedJ,
-		SpentJ:    s.ctl.EnergyAccounted(),
-		Done:      s.ctl.Iterations(),
+		SpentJ:    t.spentJ,
+		Done:      t.iterDone,
 		Live:      s.state == stateIdle || s.state == stateArmed || s.state == stateComplete,
 		Complete:  s.state == stateComplete,
 		NewIters:  s.logFromLocked(from),
@@ -640,7 +699,7 @@ func (s *session) export(from int) SessionExport {
 func (s *session) localSpent() float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	sp := s.ctl.EnergyAccounted() - s.grant.ImportedJ
+	sp := s.tallyLocked().spentJ - s.grant.ImportedJ
 	if sp < 0 {
 		sp = 0
 	}

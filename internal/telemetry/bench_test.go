@@ -1,7 +1,9 @@
 package telemetry
 
 import (
+	"fmt"
 	"io"
+	"sync/atomic"
 	"testing"
 )
 
@@ -38,6 +40,29 @@ func BenchmarkTelemetryLiveSink(b *testing.B) {
 		s.FaultInjected(0)
 		s.IterationDone(0.01, false)
 	}
+}
+
+// BenchmarkTelemetryLiveSinkParallel is the daemon's shape: the same
+// event mix from every core at once, each goroutine reporting through a
+// session sink of its own into one Telemetry. Counters and histograms
+// are striped, so what this still pays over the single-goroutine figure
+// above is the flight recorder's one mutex and the gauges' single cells.
+func BenchmarkTelemetryLiveSinkParallel(b *testing.B) {
+	tel := New(DefaultFlightCapacity)
+	d := Decision{Iter: 1, AppConfig: 2, SysConfig: 3, SEURate: 10, SEUPower: 20}
+	var sessions atomic.Int64
+	b.ReportAllocs()
+	b.RunParallel(func(pb *testing.PB) {
+		s := WithSession(tel, fmt.Sprintf("s-%06d", sessions.Add(1)))
+		for pb.Next() {
+			s.RecordDecision(d)
+			s.ControlStep(12, 11.5, 0.5, 0.1, 1.5)
+			s.EstimatorUpdate(3, 10, 20, 0.85)
+			s.GuardVerdict(true, 0, 20)
+			s.FaultInjected(0)
+			s.IterationDone(0.01, false)
+		}
+	})
 }
 
 // BenchmarkPrometheusExposition measures a full /metrics render of the

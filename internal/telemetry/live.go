@@ -262,18 +262,84 @@ func (t *Telemetry) CounterSummary() (decisions, iterations, guardRejected, watc
 		t.guardRejected.Value(), t.watchdogTrips.Value(), faults
 }
 
+// lane is the Sink implementation proper: the Telemetry, the stripe its
+// counter and histogram writes land on, and the session name stamped on
+// the decisions it records ("" leaves a decision's own tag alone).
+// Telemetry's Sink methods are the lane {stripe 0, no session};
+// WithSession hands each daemon session a lane of its own. Gauges are
+// single cells whatever the lane (last writer wins, as ever) and the
+// flight recorder is one ring with one sequence.
+type lane struct {
+	t       *Telemetry
+	stripe  Stripe
+	session string
+}
+
+// WithSession returns a sink that reports into t on behalf of one
+// governor-daemon session: every decision it records carries the session
+// id — the multiplexing the daemon needs when many tenants share one
+// flight recorder — and its counter and histogram updates go to the
+// session's stripe (StripeOf), so sessions on different cores do not
+// write the same cache lines. Metrics still aggregate across sessions:
+// every reader sums the stripes.
+func WithSession(t *Telemetry, session string) Sink {
+	if t == nil {
+		return Nop{}
+	}
+	return lane{t: t, stripe: StripeOf(session), session: session}
+}
+
 // RecordDecision implements Sink.
-func (t *Telemetry) RecordDecision(d Decision) {
+func (t *Telemetry) RecordDecision(d Decision) { lane{t: t}.RecordDecision(d) }
+
+// ControlStep implements Sink.
+func (t *Telemetry) ControlStep(target, measured, errTerm, pole, speedup float64) {
+	lane{t: t}.ControlStep(target, measured, errTerm, pole, speedup)
+}
+
+// EstimatorUpdate implements Sink.
+func (t *Telemetry) EstimatorUpdate(arm int, rate, power, gain float64) {
+	lane{t: t}.EstimatorUpdate(arm, rate, power, gain)
+}
+
+// GuardVerdict implements Sink.
+func (t *Telemetry) GuardVerdict(accepted bool, reason uint8, power float64) {
+	lane{t: t}.GuardVerdict(accepted, reason, power)
+}
+
+// FaultInjected implements Sink.
+func (t *Telemetry) FaultInjected(channel uint8) { lane{t: t}.FaultInjected(channel) }
+
+// WatchdogTrip implements Sink.
+func (t *Telemetry) WatchdogTrip() { lane{t: t}.WatchdogTrip() }
+
+// IterationDone implements Sink.
+func (t *Telemetry) IterationDone(seconds float64, estimated bool) {
+	lane{t: t}.IterationDone(seconds, estimated)
+}
+
+// JobStart implements Sink.
+func (t *Telemetry) JobStart(queued int) { lane{t: t}.JobStart(queued) }
+
+// JobDone implements Sink.
+func (t *Telemetry) JobDone(failed bool) { lane{t: t}.JobDone(failed) }
+
+// RecordDecision implements Sink, stamping the session id.
+func (l lane) RecordDecision(d Decision) {
+	t, s := l.t, l.stripe
+	if l.session != "" {
+		d.Session = l.session
+	}
 	t.Flight.Record(d)
-	t.decisions.Inc()
+	t.decisions.AddOn(s, 1)
 	if d.Explored {
-		t.explorations.Inc()
+		t.explorations.AddOn(s, 1)
 	}
 	if d.ActuationMiss {
-		t.actMisses.Inc()
+		t.actMisses.AddOn(s, 1)
 	}
 	if d.Estimated {
-		t.estimated.Inc()
+		t.estimated.AddOn(s, 1)
 	}
 	t.degraded.SetBool(d.Degraded)
 	t.infeasible.SetBool(d.Infeasible)
@@ -286,61 +352,63 @@ func (t *Telemetry) RecordDecision(d Decision) {
 }
 
 // ControlStep implements Sink.
-func (t *Telemetry) ControlStep(target, measured, errTerm, pole, speedup float64) {
-	t.ctrlSteps.Inc()
-	t.pole.Set(pole)
-	t.piError.Set(errTerm)
-	t.target.Set(target)
+func (l lane) ControlStep(target, measured, errTerm, pole, speedup float64) {
+	l.t.ctrlSteps.AddOn(l.stripe, 1)
+	l.t.pole.Set(pole)
+	l.t.piError.Set(errTerm)
+	l.t.target.Set(target)
 }
 
 // EstimatorUpdate implements Sink.
-func (t *Telemetry) EstimatorUpdate(arm int, rate, power, gain float64) {
-	t.estUpdates.Inc()
-	t.estGain.Set(gain)
+func (l lane) EstimatorUpdate(arm int, rate, power, gain float64) {
+	l.t.estUpdates.AddOn(l.stripe, 1)
+	l.t.estGain.Set(gain)
 }
 
 // GuardVerdict implements Sink.
-func (t *Telemetry) GuardVerdict(accepted bool, reason uint8, power float64) {
+func (l lane) GuardVerdict(accepted bool, reason uint8, power float64) {
+	t, s := l.t, l.stripe
 	if accepted {
-		t.guardAccepted.Inc()
+		t.guardAccepted.AddOn(s, 1)
 	} else {
-		t.guardRejected.Inc()
+		t.guardRejected.AddOn(s, 1)
 	}
 	if int(reason) < len(t.guardReasons) {
-		t.guardReasons[reason].Inc()
+		t.guardReasons[reason].AddOn(s, 1)
 	}
-	t.guardPower.Observe(power)
+	t.guardPower.ObserveOn(s, power)
 }
 
 // FaultInjected implements Sink.
-func (t *Telemetry) FaultInjected(channel uint8) {
+func (l lane) FaultInjected(channel uint8) {
 	if channel < numFaultChannels {
-		t.faults[channel].Inc()
+		l.t.faults[channel].AddOn(l.stripe, 1)
 	}
 }
 
 // WatchdogTrip implements Sink.
-func (t *Telemetry) WatchdogTrip() { t.watchdogTrips.Inc() }
+func (l lane) WatchdogTrip() { l.t.watchdogTrips.AddOn(l.stripe, 1) }
 
 // IterationDone implements Sink.
-func (t *Telemetry) IterationDone(seconds float64, estimated bool) {
-	t.iterations.Inc()
+func (l lane) IterationDone(seconds float64, estimated bool) {
+	t, s := l.t, l.stripe
+	t.iterations.AddOn(s, 1)
 	if estimated {
-		t.iterEstimated.Inc()
+		t.iterEstimated.AddOn(s, 1)
 	}
-	t.iterSeconds.Observe(seconds)
+	t.iterSeconds.ObserveOn(s, seconds)
 }
 
 // JobStart implements Sink.
-func (t *Telemetry) JobStart(queued int) {
-	t.jobsStarted.Inc()
-	t.queueDepth.Set(float64(queued))
+func (l lane) JobStart(queued int) {
+	l.t.jobsStarted.AddOn(l.stripe, 1)
+	l.t.queueDepth.Set(float64(queued))
 }
 
 // JobDone implements Sink.
-func (t *Telemetry) JobDone(failed bool) {
-	t.jobsDone.Inc()
+func (l lane) JobDone(failed bool) {
+	l.t.jobsDone.AddOn(l.stripe, 1)
 	if failed {
-		t.jobsFailed.Inc()
+		l.t.jobsFailed.AddOn(l.stripe, 1)
 	}
 }

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"fmt"
+	"hash/fnv"
 	"io"
 	"math"
 	"sort"
@@ -24,32 +25,77 @@ type Label struct {
 	Name, Value string
 }
 
-// Counter is a monotonically increasing value. The float64 is stored as
-// atomic bits so Add is lock-free.
-type Counter struct {
-	bits atomic.Uint64
+// numStripes is how many cells a Counter or a Histogram spreads its
+// writes over. Every session of the governor daemon writes the same
+// couple of dozen process-wide counters on every iteration; with one
+// cell each, two sessions on two cores spend more time handing those
+// cache lines back and forth than deciding. A writer bound to a stripe
+// (WithSession) touches only that stripe's line, and readers sum the
+// stripes, so totals are what one cell would hold. It is a constant, not
+// a knob: more stripes than cores that run sessions buy nothing, fewer
+// collide, and 8 lines per counter is small next to one session's state.
+const numStripes = 8
+
+// cacheLine is the padding unit that keeps two stripes off one line.
+const cacheLine = 64
+
+// Stripe selects one of a striped metric's cells. Any value is valid;
+// only its low bits count.
+type Stripe uint8
+
+// StripeOf maps a session id to its stripe (FNV-1a over the id), so the
+// session's sink and anything else that reports on its behalf agree
+// without passing the stripe around.
+func StripeOf(session string) Stripe {
+	h := fnv.New32a()
+	_, _ = h.Write([]byte(session)) // a hash.Hash never fails a Write
+	return Stripe(h.Sum32() % numStripes)
 }
 
-// Inc adds one.
-func (c *Counter) Inc() { c.Add(1) }
-
-// Add adds delta; negative or non-finite deltas are ignored (a counter
-// only goes up).
-func (c *Counter) Add(delta float64) {
-	if !(delta > 0) || math.IsInf(delta, 0) {
-		return
-	}
+// addFloat adds delta to the float64 stored in cell as atomic bits.
+func addFloat(cell *atomic.Uint64, delta float64) {
 	for {
-		old := c.bits.Load()
+		old := cell.Load()
 		next := math.Float64bits(math.Float64frombits(old) + delta)
-		if c.bits.CompareAndSwap(old, next) {
+		if cell.CompareAndSwap(old, next) {
 			return
 		}
 	}
 }
 
-// Value returns the current count.
-func (c *Counter) Value() float64 { return math.Float64frombits(c.bits.Load()) }
+// Counter is a monotonically increasing value, striped: each stripe is a
+// float64 stored as atomic bits on a cache line of its own, so Add is
+// lock-free and writers on different stripes do not contend.
+type Counter struct {
+	stripes [numStripes]struct {
+		bits atomic.Uint64
+		_    [cacheLine - 8]byte
+	}
+}
+
+// Inc adds one.
+func (c *Counter) Inc() { c.AddOn(0, 1) }
+
+// Add adds delta; negative or non-finite deltas are ignored (a counter
+// only goes up).
+func (c *Counter) Add(delta float64) { c.AddOn(0, delta) }
+
+// AddOn is Add on the given stripe.
+func (c *Counter) AddOn(s Stripe, delta float64) {
+	if !(delta > 0) || math.IsInf(delta, 0) {
+		return
+	}
+	addFloat(&c.stripes[s%numStripes].bits, delta)
+}
+
+// Value returns the current count: the sum of the stripes.
+func (c *Counter) Value() float64 {
+	var v float64
+	for i := range c.stripes {
+		v += math.Float64frombits(c.stripes[i].bits.Load())
+	}
+	return v
+}
 
 // Gauge is a value that can go up and down.
 type Gauge struct {
@@ -79,36 +125,72 @@ func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
 // Histogram counts observations into fixed cumulative buckets. Bounds
 // are the inclusive upper edges in ascending order; the +Inf bucket is
-// implicit. Observations are lock-free.
+// implicit. Observations are lock-free and striped like a Counter's: a
+// stripe is a run of whole cache lines in cells holding the stripe's sum
+// (float64 bits) followed by its len(bounds)+1 bucket counts. The
+// observation count is not stored; it is the buckets' total.
 type Histogram struct {
-	bounds  []float64
-	counts  []atomic.Uint64 // len(bounds)+1, the last is +Inf
-	sumBits atomic.Uint64
-	count   atomic.Uint64
+	bounds []float64
+	stride int // cells per stripe
+	cells  []atomic.Uint64
+}
+
+func newHistogram(bounds []float64) *Histogram {
+	const perLine = cacheLine / 8
+	stride := (1 + len(bounds) + 1 + perLine - 1) / perLine * perLine
+	return &Histogram{bounds: bounds, stride: stride, cells: make([]atomic.Uint64, numStripes*stride)}
+}
+
+// stripe returns stripe s's cells: the sum, then the buckets.
+func (h *Histogram) stripe(s int) (sum *atomic.Uint64, buckets []atomic.Uint64) {
+	cells := h.cells[s*h.stride:]
+	return &cells[0], cells[1 : 2+len(h.bounds)]
 }
 
 // Observe records one sample; non-finite samples are dropped.
-func (h *Histogram) Observe(v float64) {
+func (h *Histogram) Observe(v float64) { h.ObserveOn(0, v) }
+
+// ObserveOn is Observe on the given stripe.
+func (h *Histogram) ObserveOn(s Stripe, v float64) {
 	if math.IsNaN(v) || math.IsInf(v, 0) {
 		return
 	}
-	i := sort.SearchFloat64s(h.bounds, v)
-	h.counts[i].Add(1)
-	h.count.Add(1)
-	for {
-		old := h.sumBits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + v)
-		if h.sumBits.CompareAndSwap(old, next) {
-			return
+	sum, buckets := h.stripe(int(s % numStripes))
+	buckets[sort.SearchFloat64s(h.bounds, v)].Add(1)
+	addFloat(sum, v)
+}
+
+// bucketCounts returns the per-bucket (not cumulative) counts, +Inf last,
+// summed over the stripes.
+func (h *Histogram) bucketCounts() []uint64 {
+	out := make([]uint64, len(h.bounds)+1)
+	for s := 0; s < numStripes; s++ {
+		_, buckets := h.stripe(s)
+		for i := range buckets {
+			out[i] += buckets[i].Load()
 		}
 	}
+	return out
 }
 
 // Count returns the total number of observations.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
+func (h *Histogram) Count() uint64 {
+	var n uint64
+	for _, c := range h.bucketCounts() {
+		n += c
+	}
+	return n
+}
 
 // Sum returns the sum of all observations.
-func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
+func (h *Histogram) Sum() float64 {
+	var v float64
+	for s := 0; s < numStripes; s++ {
+		sum, _ := h.stripe(s)
+		v += math.Float64frombits(sum.Load())
+	}
+	return v
+}
 
 // ExpBuckets returns n exponential bucket bounds starting at start and
 // growing by factor — the fixed schema used for duration and power
@@ -184,39 +266,27 @@ func NewRegistry() *Registry {
 // Counter registers (or returns the existing) counter with the given
 // name and constant labels.
 func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
-	c := r.register(name, help, kindCounter, labels)
-	if c.counter == nil {
-		c.counter = &Counter{}
-	}
-	return c.counter
+	return r.register(name, help, kindCounter, labels, nil).counter
 }
 
 // Gauge registers (or returns the existing) gauge.
 func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	c := r.register(name, help, kindGauge, labels)
-	if c.gauge == nil {
-		c.gauge = &Gauge{}
-	}
-	return c.gauge
+	return r.register(name, help, kindGauge, labels, nil).gauge
 }
 
 // Histogram registers (or returns the existing) histogram with the given
 // fixed bucket bounds (ascending upper edges; +Inf is implicit).
 func (r *Registry) Histogram(name, help string, bounds []float64, labels ...Label) *Histogram {
-	c := r.register(name, help, kindHistogram, labels)
-	if c.histogram == nil {
-		b := append([]float64(nil), bounds...)
-		sort.Float64s(b)
-		c.histogram = &Histogram{bounds: b, counts: make([]atomic.Uint64, len(b)+1)}
-	}
-	return c.histogram
+	return r.register(name, help, kindHistogram, labels, bounds).histogram
 }
 
-// register finds or creates the (family, labelset) child. Invalid names
-// and mismatched kinds panic: metric registration happens at
-// construction time with static names, so a violation is a programming
-// error, not a runtime condition.
-func (r *Registry) register(name, help string, kind metricKind, labels []Label) *child {
+// register finds or creates the (family, labelset) child, complete with
+// its metric, under the registry lock — a scrape may be walking the
+// family while a new labelled series is registered. Invalid names and
+// mismatched kinds panic: metric registration happens at construction
+// time with static names, so a violation is a programming error, not a
+// runtime condition. bounds is read for a new histogram only.
+func (r *Registry) register(name, help string, kind metricKind, labels []Label, bounds []float64) *child {
 	if !validMetricName(name) {
 		panic(fmt.Sprintf("telemetry: invalid metric name %q", name))
 	}
@@ -242,6 +312,16 @@ func (r *Registry) register(name, help string, kind metricKind, labels []Label) 
 		}
 	}
 	c := &child{labels: append([]Label(nil), labels...)}
+	switch kind {
+	case kindCounter:
+		c.counter = &Counter{}
+	case kindGauge:
+		c.gauge = &Gauge{}
+	case kindHistogram:
+		b := append([]float64(nil), bounds...)
+		sort.Float64s(b)
+		c.histogram = newHistogram(b)
+	}
 	f.children = append(f.children, c)
 	return c
 }
@@ -305,14 +385,25 @@ func (r *Registry) MetricNames() []string {
 // its samples; histograms expand into cumulative _bucket series plus
 // _sum and _count.
 func (r *Registry) WritePrometheus(w io.Writer) error {
+	// Families and their children are append-only, so the slice headers
+	// copied under the lock are a stable view of everything registered so
+	// far; the values are read lock-free.
+	type view struct {
+		fam      *family
+		children []*child
+	}
 	r.mu.Lock()
-	fams := append([]*family(nil), r.families...)
+	views := make([]view, len(r.families))
+	for i, f := range r.families {
+		views[i] = view{f, f.children}
+	}
 	r.mu.Unlock()
 	var b strings.Builder
-	for _, f := range fams {
+	for _, v := range views {
+		f := v.fam
 		fmt.Fprintf(&b, "# HELP %s %s\n", f.name, escapeHelp(f.help))
 		fmt.Fprintf(&b, "# TYPE %s %s\n", f.name, f.kind)
-		for _, c := range f.children {
+		for _, c := range v.children {
 			switch f.kind {
 			case kindCounter:
 				writeSample(&b, f.name, c.labels, nil, c.counter.Value())
@@ -320,16 +411,17 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 				writeSample(&b, f.name, c.labels, nil, c.gauge.Value())
 			case kindHistogram:
 				h := c.histogram
+				counts := h.bucketCounts()
 				var cum uint64
 				for i, bound := range h.bounds {
-					cum += h.counts[i].Load()
+					cum += counts[i]
 					writeSample(&b, f.name+"_bucket", c.labels,
 						&Label{"le", formatFloat(bound)}, float64(cum))
 				}
-				cum += h.counts[len(h.bounds)].Load()
+				cum += counts[len(h.bounds)]
 				writeSample(&b, f.name+"_bucket", c.labels, &Label{"le", "+Inf"}, float64(cum))
 				writeSample(&b, f.name+"_sum", c.labels, nil, h.Sum())
-				writeSample(&b, f.name+"_count", c.labels, nil, float64(h.Count()))
+				writeSample(&b, f.name+"_count", c.labels, nil, float64(cum))
 			}
 		}
 	}

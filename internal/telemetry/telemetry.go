@@ -180,54 +180,3 @@ func OrNop(s Sink) Sink {
 	}
 	return s
 }
-
-// WithSession wraps a sink so every decision it records carries the
-// given session id — the multiplexing the governor daemon needs when
-// many tenants share one flight recorder. All other events pass through
-// untouched (metrics aggregate across sessions by design).
-func WithSession(inner Sink, session string) Sink {
-	return sessionSink{inner: OrNop(inner), session: session}
-}
-
-type sessionSink struct {
-	inner   Sink
-	session string
-}
-
-// RecordDecision implements Sink, stamping the session id.
-func (s sessionSink) RecordDecision(d Decision) {
-	d.Session = s.session
-	s.inner.RecordDecision(d)
-}
-
-// ControlStep implements Sink.
-func (s sessionSink) ControlStep(target, measured, errTerm, pole, speedup float64) {
-	s.inner.ControlStep(target, measured, errTerm, pole, speedup)
-}
-
-// EstimatorUpdate implements Sink.
-func (s sessionSink) EstimatorUpdate(arm int, rate, power, gain float64) {
-	s.inner.EstimatorUpdate(arm, rate, power, gain)
-}
-
-// GuardVerdict implements Sink.
-func (s sessionSink) GuardVerdict(accepted bool, reason uint8, power float64) {
-	s.inner.GuardVerdict(accepted, reason, power)
-}
-
-// FaultInjected implements Sink.
-func (s sessionSink) FaultInjected(channel uint8) { s.inner.FaultInjected(channel) }
-
-// WatchdogTrip implements Sink.
-func (s sessionSink) WatchdogTrip() { s.inner.WatchdogTrip() }
-
-// IterationDone implements Sink.
-func (s sessionSink) IterationDone(seconds float64, estimated bool) {
-	s.inner.IterationDone(seconds, estimated)
-}
-
-// JobStart implements Sink.
-func (s sessionSink) JobStart(queued int) { s.inner.JobStart(queued) }
-
-// JobDone implements Sink.
-func (s sessionSink) JobDone(failed bool) { s.inner.JobDone(failed) }

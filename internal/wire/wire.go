@@ -204,7 +204,9 @@ type SessionInfo struct {
 	Degraded    bool    `json:"degraded"`
 	Infeasible  bool    `json:"infeasible"`
 	// Estimates exposes the governor's learned per-arm bandit state, the
-	// introspection the snapshot/restore tests pin bit-identically.
+	// introspection the snapshot/restore tests pin bit-identically. A live
+	// session lists every arm; a closed, expired or killed one has let its
+	// governor go and lists only the arms it measured (Pulls > 0).
 	Estimates []ArmEstimate `json:"estimates,omitempty"`
 	// Tier and QoSState expose the tenant's QoS class and current ladder
 	// rung (ok | throttled | degraded | suspended | killed) as the qos
