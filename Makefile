@@ -7,7 +7,7 @@ GO ?= go
 SHELL := /usr/bin/bash
 .SHELLFLAGS := -o pipefail -ec
 
-.PHONY: all build vet lint check test test-race race churn-race fuzz bench bench-check bench-profile replicate examples chaos-smoke serve-smoke cluster-smoke chaos-cluster hotpath-smoke obs-smoke meter-smoke qos-smoke clean
+.PHONY: all build vet lint check test test-race race churn-race fuzz bench bench-check bench-smoke bench-profile replicate examples chaos-smoke serve-smoke cluster-smoke chaos-cluster hotpath-smoke obs-smoke meter-smoke qos-smoke clean
 
 all: build vet test
 
@@ -28,8 +28,8 @@ lint:
 # The pre-merge gate: formatting + vet + the race-detector pass + the
 # full-size shard-churn race test + the time-boxed fuzz targets + the
 # daemon, fleet and hot-path smoke tests + the coordinator-failover
-# chaos run.
-check: lint race churn-race fuzz serve-smoke cluster-smoke hotpath-smoke chaos-cluster obs-smoke meter-smoke qos-smoke
+# chaos run + the benchmark harness's own build, tests and output checks.
+check: lint race churn-race fuzz serve-smoke cluster-smoke hotpath-smoke chaos-cluster obs-smoke meter-smoke qos-smoke bench-smoke
 
 test:
 	$(GO) test ./...
@@ -40,9 +40,11 @@ test-race:
 # Race-detector pass over the packages that share state across the
 # experiment worker pool: the pool itself, the drivers, and the caches —
 # plus the daemon, which shares sessions and the budget broker across
-# request handlers.
+# request handlers, the client, whose sessions share a pool of idle v2
+# streams, and the bandit and runtime, whose instances are copied from
+# shared prior tables.
 race:
-	$(GO) test -race ./internal/par/ ./internal/experiments/ ./internal/platform/ ./internal/server/ ./internal/client/ ./internal/cluster/ ./internal/load/ ./internal/measure/ ./internal/qos/ .
+	$(GO) test -race ./internal/par/ ./internal/experiments/ ./internal/platform/ ./internal/learning/ ./internal/core/ ./internal/server/ ./internal/client/ ./internal/cluster/ ./internal/load/ ./internal/measure/ ./internal/qos/ .
 
 # The full-size (10k-session) shard-churn test under the race detector:
 # the concurrent registry/broker workload the sharded session map exists
@@ -166,13 +168,28 @@ bench:
 # where the snapshot says it must not (the wire codecs and the decision
 # path are pinned at 0 allocs/op). The bandit and telemetry pins are the
 # two cases the decision path was once slow in: an observation that makes
-# the best arm's estimate dip, and every core reporting at once. -p 1: the
-# packages' benchmarks run one after another, not against each other.
+# the best arm's estimate dip, and every core reporting at once. The
+# RegisterClose pin is a session's fixed cost — what a 32-iteration
+# session pays per 32 decisions — in time and in allocations (it was
+# 3,102 per Server registration while every arm was three heap objects).
+# -p 1: the packages' benchmarks run one after another, not against each
+# other.
 bench-check:
-	$(GO) test -p 1 -run xxx -bench 'BenchmarkFrame|BenchmarkInprocDecision|BenchmarkSessionLookup|BenchmarkBanditObserveChampion|BenchmarkTelemetryLiveSinkParallel' \
+	$(GO) test -p 1 -run xxx -bench 'BenchmarkFrame|BenchmarkInprocDecision|BenchmarkSessionLookup|BenchmarkRegisterClose|BenchmarkBanditObserveChampion|BenchmarkTelemetryLiveSinkParallel' \
 		-benchmem ./internal/wire/ ./internal/server/ ./internal/learning/ ./internal/telemetry/ \
 		| $(GO) run ./cmd/benchjson -compare BENCH_experiments.json \
-			-pin 'Frame|InprocDecision|SessionLookup|BanditObserveChampion|TelemetryLiveSinkParallel'
+			-pin 'Frame|InprocDecision|SessionLookup|RegisterClose|BanditObserveChampion|TelemetryLiveSinkParallel'
+
+# The fixed-regime benchmark (bench/, a module of its own that root
+# `go build ./...` never sees) must keep building against this tree and
+# passing its own output checks: vet and test the harness, then run every
+# workload at 1/1000 size. A change that renames something the harness
+# calls, or breaks a digest or conservation check, fails here rather than
+# in the pipeline that measures it.
+bench-smoke:
+	$(GO) vet -C bench ./...
+	$(GO) test -C bench ./...
+	bash bench/run.sh -workload all -smoke
 
 # CPU + allocation profiles of the decision path into results/profiles/,
 # ready for `go tool pprof`.

@@ -223,7 +223,7 @@ type Session struct {
 	closed   bool
 
 	num        uint32    // numeric session id for v2 frame headers (0 = v1 only)
-	v2         *v2Stream // live upgraded stream, nil until first use
+	v2         *v2Stream // the stream this session owns, nil until first use
 	v2Off      bool      // v2 off for the current node (dial failed / closed)
 	v2Disabled bool      // v2 off for the session's lifetime (Options.DisableV2)
 
@@ -545,17 +545,21 @@ func (s *Session) Info(ctx context.Context) (wire.SessionInfo, error) {
 }
 
 // Close tears the session down, releasing its budget grant to the
-// broker. Closing twice is an error (the daemon reports the session
-// gone).
+// broker and its v2 stream to the idle pool. Closing an already closed
+// session does nothing and reports no error; every other call on it
+// fails.
 func (s *Session) Close(ctx context.Context) error {
 	if s.closed {
 		return nil
 	}
-	s.v2Teardown(false)
 	var resp wire.CloseResponse
 	if err := s.call(ctx, "DELETE", s.path(""), nil, &resp); err != nil {
+		// The session stays open, on v1: a daemon that cannot be asked to
+		// close is no daemon to keep streams to.
+		s.v2Teardown(false)
 		return err
 	}
+	s.v2Release()
 	s.closed = true
 	s.lastDone.SpentJ = resp.SpentJ
 	return nil

@@ -26,9 +26,11 @@ import (
 // reimplement it: the stream only ever carries calls that succeed
 // outright.
 
-// v2Stream is one upgraded connection. The Session owns it exclusively
-// (Sessions are single-loop by contract), so no locking.
+// v2Stream is one upgraded connection. While a Session holds it, that
+// Session owns it exclusively (Sessions are single-loop by contract), so
+// no locking; between sessions it rests in the idle pool (pool.go).
 type v2Stream struct {
+	base string // the daemon it was dialled to: its key in the idle pool
 	conn net.Conn
 	enc  *wire.Encoder
 	dec  *wire.Decoder
@@ -36,6 +38,10 @@ type v2Stream struct {
 	// at upgrade; without it the session strips trace contexts from its
 	// frames so an old peer never sees an extended payload.
 	traced bool
+	// clean is true between rounds: the last frame sent has been answered
+	// in full and nothing unread trails the answer. Only a clean stream
+	// may be handed to another session.
+	clean bool
 }
 
 func (v *v2Stream) close() {
@@ -48,9 +54,10 @@ func (v *v2Stream) close() {
 // is unset.
 const v2DialTimeout = 5 * time.Second
 
-// v2Ok reports whether the session can speak v2 right now, dialing the
-// stream on first use. A failed dial turns v2 off for this node; fleet
-// failover re-enables it against the session's new owner.
+// v2Ok reports whether the session can speak v2 right now, on first use
+// checking a stream out of the idle pool or, failing that, dialing one.
+// A failed dial turns v2 off for this node; fleet failover re-enables it
+// against the session's new owner.
 func (s *Session) v2Ok() bool {
 	if s.v2Disabled || s.v2Off || s.num == 0 {
 		return false
@@ -58,24 +65,46 @@ func (s *Session) v2Ok() bool {
 	if s.v2 != nil {
 		return true
 	}
-	v, err := dialV2(s.base, s.timeout)
-	if err != nil {
-		s.v2Off = true
-		return false
+	v := idleStreams.get(s.base)
+	if v == nil {
+		var err error
+		if v, err = dialV2(s.base, s.timeout); err != nil {
+			s.v2Off = true
+			return false
+		}
 	}
 	s.v2 = v
 	return true
 }
 
-// v2Teardown drops the stream (transport error or node switch). reDial
-// keeps v2 eligible — the next call dials fresh — while false pins the
-// session to v1 until failover moves it.
+// v2Teardown closes the stream (transport error or node switch) — a
+// stream that failed, or that leads to a node the session is leaving, is
+// never pooled, and the idle streams to the same daemon go with it.
+// reDial keeps v2 eligible — the next call dials fresh — while false pins
+// the session to v1 until failover moves it.
 func (s *Session) v2Teardown(reDial bool) {
 	if s.v2 != nil {
+		idleStreams.drop(s.v2.base)
 		s.v2.close()
 		s.v2 = nil
 	}
 	s.v2Off = !reDial
+}
+
+// v2Release ends a closed session's use of its stream: checked into the
+// idle pool for the next session if its last round ended cleanly, closed
+// otherwise.
+func (s *Session) v2Release() {
+	v := s.v2
+	if v == nil {
+		return
+	}
+	s.v2 = nil
+	if v.clean {
+		idleStreams.put(v)
+	} else {
+		v.close()
+	}
 }
 
 // dialV2 opens a TCP connection to the daemon and upgrades it to the
@@ -125,7 +154,7 @@ func dialV2(base string, timeout time.Duration) (*v2Stream, error) {
 	// The decoder adopts br: the daemon's first frames may already sit in
 	// its buffer behind the 101 response.
 	return &v2Stream{
-		conn: conn, enc: wire.GetEncoder(conn), dec: wire.GetDecoder(br),
+		base: base, conn: conn, enc: wire.GetEncoder(conn), dec: wire.GetDecoder(br),
 		// A daemon that understands FlagTraced echoes the capability
 		// header; anything else gets strictly base-length frames.
 		traced: resp.Header.Get(wire.V2TraceHeader) == "1",
@@ -137,6 +166,7 @@ func dialV2(base string, timeout time.Duration) (*v2Stream, error) {
 // tears the stream down (reply-less writes are unrecoverable framing
 // loss) and reports !ok so the caller runs the v1 path.
 func (s *Session) v2Round(send func(enc *wire.Encoder) error) (wire.Hdr, []byte, bool) {
+	s.v2.clean = false
 	if s.timeout > 0 {
 		_ = s.v2.conn.SetDeadline(time.Now().Add(s.timeout))
 	}
@@ -156,6 +186,7 @@ func (s *Session) v2Round(send func(enc *wire.Encoder) error) (wire.Hdr, []byte,
 	if s.timeout > 0 {
 		_ = s.v2.conn.SetDeadline(time.Time{})
 	}
+	s.v2.clean = s.v2.dec.Buffered() == 0
 	return h, p, true
 }
 

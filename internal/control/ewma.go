@@ -55,9 +55,15 @@ func (e *EWMA) Observe(x float64) float64 {
 		e.primed = true
 		return e.value
 	}
-	e.value = (1-e.alpha)*e.value + e.alpha*x
+	e.value = Blend(e.alpha, e.value, x)
 	return e.value
 }
+
+// Blend is one step of Eqn 1: the estimate after folding observation x
+// into prev with gain alpha. It is the whole filter for callers that keep
+// their estimates in flat tables (the bandit's per-arm bank) rather than
+// in one EWMA per signal.
+func Blend(alpha, prev, x float64) float64 { return (1-alpha)*prev + alpha*x }
 
 // Prime seeds the filter with an a-priori estimate, as JouleGuard does with
 // its linear-performance / cubic-power initialisation (Sec. 3.2). Subsequent
@@ -78,44 +84,3 @@ func (e *EWMA) Alpha() float64 { return e.alpha }
 
 // ErrNotPrimed is returned by estimator helpers that need a primed filter.
 var ErrNotPrimed = errors.New("control: estimator not primed")
-
-// RatePowerEstimate couples the two per-configuration filters JouleGuard
-// keeps for every system configuration: computation rate r and power p
-// (Eqn 1). Efficiency is their ratio r/p, the bandit reward of Sec. 3.2.
-type RatePowerEstimate struct {
-	Rate  *EWMA
-	Power *EWMA
-}
-
-// NewRatePowerEstimate builds the filter pair with a shared gain and primes
-// both from the supplied priors.
-func NewRatePowerEstimate(alpha, ratePrior, powerPrior float64) (*RatePowerEstimate, error) {
-	r, err := NewEWMA(alpha)
-	if err != nil {
-		return nil, err
-	}
-	p, err := NewEWMA(alpha)
-	if err != nil {
-		return nil, err
-	}
-	r.Prime(ratePrior)
-	p.Prime(powerPrior)
-	return &RatePowerEstimate{Rate: r, Power: p}, nil
-}
-
-// Observe folds one (rate, power) measurement into the pair.
-func (rp *RatePowerEstimate) Observe(rate, power float64) {
-	rp.Rate.Observe(rate)
-	rp.Power.Observe(power)
-}
-
-// Efficiency returns the estimated energy efficiency r/p. A non-positive
-// power estimate yields zero efficiency rather than an infinity so that the
-// bandit's arg-max stays well defined.
-func (rp *RatePowerEstimate) Efficiency() float64 {
-	p := rp.Power.Value()
-	if p <= 0 {
-		return 0
-	}
-	return rp.Rate.Value() / p
-}

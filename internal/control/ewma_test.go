@@ -117,42 +117,6 @@ func TestEWMAAlphaOrderingProperty(t *testing.T) {
 	}
 }
 
-func TestRatePowerEstimateEfficiency(t *testing.T) {
-	rp, err := NewRatePowerEstimate(0.85, 100, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := rp.Efficiency(), 2.0; math.Abs(got-want) > 1e-12 {
-		t.Fatalf("prior efficiency: got %v, want %v", got, want)
-	}
-	for i := 0; i < 200; i++ {
-		rp.Observe(60, 30)
-	}
-	if got, want := rp.Efficiency(), 2.0; math.Abs(got-want) > 1e-6 {
-		t.Fatalf("converged efficiency: got %v, want %v", got, want)
-	}
-	if math.Abs(rp.Rate.Value()-60) > 1e-6 {
-		t.Fatalf("rate estimate: %v", rp.Rate.Value())
-	}
-}
-
-func TestRatePowerEstimateZeroPower(t *testing.T) {
-	rp, err := NewRatePowerEstimate(1, 100, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rp.Observe(100, 0)
-	if got := rp.Efficiency(); got != 0 {
-		t.Fatalf("efficiency with zero power: got %v, want 0", got)
-	}
-}
-
-func TestRatePowerEstimateBadAlpha(t *testing.T) {
-	if _, err := NewRatePowerEstimate(0, 1, 1); err == nil {
-		t.Fatal("want error for alpha=0")
-	}
-}
-
 func TestKalmanConvergesToConstant(t *testing.T) {
 	f := NewKalman1D(0, 10, 1e-4, 0.5)
 	for i := 0; i < 500; i++ {

@@ -126,24 +126,23 @@ func New(workload, budget float64, frontier *knob.Frontier, nSys int, priors lea
 	if alpha == 0 {
 		alpha = control.DefaultAlpha
 	}
+	// A caller that keeps its priors tabulated (a testbed does) passes the
+	// table itself, and the bandit below is a copy of its image.
+	table, err := learning.Tabulate(nSys, priors)
+	if err != nil {
+		return nil, err
+	}
 	if opts.FlatPriors {
-		// Uninformative start: average the informed priors into one flat
-		// value so the ablation isolates the *shape*, not the magnitude.
-		var rSum, pSum float64
-		for i := 0; i < nSys; i++ {
-			r, p := priors.Estimate(i)
-			rSum += r
-			pSum += p
-		}
-		priors = learning.FlatPriors{Rate: rSum / float64(nSys), Power: pSum / float64(nSys)}
+		table = table.Flat()
 	}
 	src := newCountedSource(opts.Seed + 1)
 	rng := rand.New(src)
-	factory := learning.EWMAFactory(alpha)
+	var bandit *learning.Bandit
 	if opts.KalmanEstimator {
-		factory = learning.KalmanFactory()
+		bandit, err = table.NewKalmanBandit(rng)
+	} else {
+		bandit, err = table.NewBandit(alpha, rng)
 	}
-	bandit, err := learning.NewBanditWithEstimators(nSys, factory, priors, rng)
 	if err != nil {
 		return nil, err
 	}

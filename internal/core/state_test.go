@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"hash/crc32"
+	"hash/fnv"
 	"math/rand"
 	"testing"
 
+	"jouleguard/internal/learning"
 	"jouleguard/internal/sim"
 )
 
@@ -134,5 +136,81 @@ func TestRestoreStateRejects(t *testing.T) {
 	used.Observe(sim.Feedback{Duration: 1, Power: 1, Energy: 1, IterationsDone: 1})
 	if err := used.RestoreState(blob); err == nil {
 		t.Error("restored into a runtime that had already observed feedback")
+	}
+}
+
+// stateGolden holds, per stateCases entry, the FNV-1a hash of the checkpoint
+// a fixed 150-iteration history leaves and of the decisions that led to it,
+// as the runtime produced them while every arm's filters were heap objects
+// of their own. The estimator bank and the prior table must reproduce both
+// to the bit under every estimator family, selector and prior variant: a
+// checkpoint written before they existed restores after, and the Kalman
+// and flat-priors ablations still measure what they measured.
+var stateGolden = map[string][2]uint64{
+	"paper":                  {0x6c58611e7e442d8f, 0x770632765fb8139a},
+	"kalman":                 {0x363be8e10e63b77d, 0x73d02625f5eac5cc},
+	"fixed-eps":              {0xfaa4076b45af2bf3, 0x770632765fb8139a},
+	"ucb":                    {0xcad8f0d1ac76402f, 0x770632765fb8139a},
+	"kalman-ucb":             {0x1e33619cc79a272e, 0x73d02625f5eac5cc},
+	"kalman-fixed-eps":       {0x485b5dbf54e4f202, 0x73d02625f5eac5cc},
+	"fixed-pole-flat-priors": {0x930fe996230f81be, 0xf34ee17624d7d26e},
+}
+
+func TestStateMatchesPerArmEstimators(t *testing.T) {
+	f := testFrontier(t)
+	const arms, cut, total = 12, 150, 400
+	for _, tc := range stateCases {
+		w := newFakeWorld(arms)
+		gov, err := New(total, 60, f, arms, optimisticPriors(w), arms-1, tc.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var decisions []byte
+		for i := 0; i < cut; i++ {
+			fb := w.step(gov, f)
+			decisions = append(decisions, byte(fb.AppConfig), byte(fb.SysConfig))
+		}
+		got := [2]uint64{fnv1a(gov.MarshalState()), fnv1a(decisions)}
+		if want := stateGolden[tc.name]; got != want {
+			t.Errorf("%s: checkpoint and decision hashes {%#x, %#x}, want {%#x, %#x}",
+				tc.name, got[0], got[1], want[0], want[1])
+		}
+	}
+}
+
+func fnv1a(b []byte) uint64 {
+	h := fnv.New64a()
+	h.Write(b)
+	return h.Sum64()
+}
+
+// TestRuntimesShareAPriorTable pins what a testbed relies on when it hands
+// every registration the same tabulated priors: a runtime built from the
+// table is the runtime built from the model it tabulates, and a busy
+// sibling built from the same table leaves it so.
+func TestRuntimesShareAPriorTable(t *testing.T) {
+	f := testFrontier(t)
+	const arms, steps = 12, 150
+	for _, tc := range stateCases {
+		model := optimisticPriors(newFakeWorld(arms))
+		table, err := learning.Tabulate(arms, model)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := func(priors learning.Priors) []byte {
+			gov, err := New(400, 60, f, arms, priors, arms-1, tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w := newFakeWorld(arms)
+			for i := 0; i < steps; i++ {
+				w.step(gov, f)
+			}
+			return gov.MarshalState()
+		}
+		want := run(model)
+		if first, second := run(table), run(table); !bytes.Equal(first, want) || !bytes.Equal(second, want) {
+			t.Errorf("%s: runtimes built from one prior table do not reproduce the untabulated run", tc.name)
+		}
 	}
 }

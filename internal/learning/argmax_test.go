@@ -66,15 +66,11 @@ func decodeBandit(b *Bandit, blob []byte) error {
 func TestArgmaxMatchesScan(t *testing.T) {
 	rates := []float64{0, 5, 10, 10, 10, 20, math.NaN(), math.Inf(1), math.Inf(-1)}
 	powers := []float64{0, 5, 5, 5, 10, 2.5}
-	factories := map[string]func() EstimatorFactory{
-		"ewma":   func() EstimatorFactory { return EWMAFactory(0.85) },
-		"kalman": KalmanFactory,
-	}
-	for name, factory := range factories {
+	for name, construct := range banditKinds {
 		for _, n := range []int{1, 2, 3, 7, 1024, 1025} {
 			t.Run(fmt.Sprintf("%s/%d", name, n), func(t *testing.T) {
 				build := func() *Bandit {
-					b, err := NewBanditWithEstimators(n, factory(), FlatPriors{Rate: 10, Power: 5}, rand.New(rand.NewSource(1)))
+					b, err := construct(n, FlatPriors{Rate: 10, Power: 5}, rand.New(rand.NewSource(1)))
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -41,6 +41,20 @@ func optimisticPriors(n int) Priors {
 	})
 }
 
+// banditKinds builds a bandit under each estimator family.
+var banditKinds = map[string]func(n int, priors Priors, rng *rand.Rand) (*Bandit, error){
+	"ewma": func(n int, priors Priors, rng *rand.Rand) (*Bandit, error) {
+		return NewBandit(n, 0.85, priors, rng)
+	},
+	"kalman": func(n int, priors Priors, rng *rand.Rand) (*Bandit, error) {
+		t, err := Tabulate(n, priors)
+		if err != nil {
+			return nil, err
+		}
+		return t.NewKalmanBandit(rng)
+	},
+}
+
 func TestNewBanditValidates(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	if _, err := NewBandit(0, 0.85, FlatPriors{1, 1}, rng); err == nil {
@@ -347,7 +361,7 @@ func TestPriorsMonotoneProperty(t *testing.T) {
 func TestKalmanBanditConverges(t *testing.T) {
 	n := 16
 	fs := newFakeSystem(n)
-	b, err := NewBanditWithEstimators(n, KalmanFactory(), optimisticPriors(n), rand.New(rand.NewSource(21)))
+	b, err := banditKinds["kalman"](n, optimisticPriors(n), rand.New(rand.NewSource(21)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,10 +380,29 @@ func TestKalmanBanditConverges(t *testing.T) {
 	}
 }
 
-func TestNewBanditWithEstimatorsValidates(t *testing.T) {
-	rng := rand.New(rand.NewSource(22))
-	if _, err := NewBanditWithEstimators(3, nil, FlatPriors{1, 1}, rng); err == nil {
-		t.Fatal("want error for nil factory")
+// TestEfficiencyEstimate pins the reward the arg-max ranks: rate/power of
+// the current estimates, from the prior through convergence, and zero —
+// not an infinity — while the power estimate is not positive.
+func TestEfficiencyEstimate(t *testing.T) {
+	for name, construct := range banditKinds {
+		b, err := construct(1, FlatPriors{Rate: 100, Power: 50}, rand.New(rand.NewSource(22)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := b.Efficiency(0); math.Abs(got-2) > 1e-12 {
+			t.Fatalf("%s: prior efficiency %v, want 2", name, got)
+		}
+		for i := 0; i < 400; i++ {
+			b.Observe(0, 60, 30)
+		}
+		if got := b.Efficiency(0); math.Abs(got-2) > 1e-3 || math.Abs(b.Rate(0)-60) > 1e-2 {
+			t.Fatalf("%s: converged to rate %v, efficiency %v; want 60, 2", name, b.Rate(0), got)
+		}
+	}
+	b, _ := NewBandit(1, 1, FlatPriors{Rate: 100, Power: 1}, rand.New(rand.NewSource(22)))
+	b.Observe(0, 100, 0)
+	if got := b.Efficiency(0); got != 0 {
+		t.Fatalf("efficiency with zero power: got %v, want 0", got)
 	}
 }
 

@@ -1,6 +1,15 @@
 package learning
 
-import "math"
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"slices"
+	"sync"
+
+	"jouleguard/internal/control"
+	"jouleguard/internal/telemetry"
+)
 
 // Priors supplies the initial (rate, power) estimate for every bandit arm.
 // JouleGuard does not start from random values: Sec. 3.2 initialises
@@ -73,3 +82,120 @@ type FlatPriors struct {
 
 // Estimate implements Priors.
 func (p FlatPriors) Estimate(arm int) (rate, power float64) { return p.Rate, p.Power }
+
+// PriorTable is a Priors materialised once per configuration space, and
+// with it the image of a bandit that has observed nothing: the priors are
+// the filters' initial estimates, their efficiencies are the initial
+// scores, and the argmax tree over those is already played. A bandit is
+// built from a table by copying that image — a handful of allocations
+// whatever the arm count, no prior evaluated, no match replayed — so the
+// cost of starting a session does not grow with the work the prior model
+// does per arm.
+//
+// A table is immutable once Tabulate returns and safe for concurrent use:
+// every bandit built from it owns copies, never the table's slices.
+// Whoever evaluates a prior model repeatedly (a platform per application
+// profile, a testbed per registration) keeps the table instead and hands
+// it to NewBandit as the Priors.
+type PriorTable struct {
+	rate, power []float64 // the priors; also the EWMA bank before any pull
+	eff         []float64
+	all         argmaxTree // every arm entered, every match played
+
+	kalmanOnce  sync.Once
+	kalmanRate  []control.Kalman1D // the Kalman bank before any pull
+	kalmanPower []control.Kalman1D
+
+	flatOnce sync.Once
+	flat     *PriorTable
+}
+
+// Tabulate evaluates priors over n arms. A table that already covers
+// exactly n arms is returned as it is.
+func Tabulate(n int, priors Priors) (*PriorTable, error) {
+	if t, ok := priors.(*PriorTable); ok && len(t.rate) == n {
+		return t, nil
+	}
+	if n <= 0 {
+		return nil, fmt.Errorf("learning: bandit needs at least one arm, got %d", n)
+	}
+	rate, power := make([]float64, n), make([]float64, n)
+	for i := range rate {
+		rate[i], power[i] = priors.Estimate(i)
+	}
+	return newPriorTable(rate, power)
+}
+
+// newPriorTable takes ownership of the two slices.
+func newPriorTable(rate, power []float64) (*PriorTable, error) {
+	n := len(rate)
+	t := &PriorTable{rate: rate, power: power, eff: make([]float64, n), all: newArgmaxTree(n)}
+	for i := range rate {
+		if rate[i] <= 0 || power[i] <= 0 {
+			return nil, fmt.Errorf("learning: prior for arm %d not positive (rate=%v power=%v)", i, rate[i], power[i])
+		}
+		t.eff[i] = efficiency(rate[i], power[i])
+	}
+	t.all.fill(t.eff)
+	return t, nil
+}
+
+// Estimate implements Priors.
+func (t *PriorTable) Estimate(arm int) (rate, power float64) { return t.rate[arm], t.power[arm] }
+
+// Flat returns the table the priors ablation starts from ("what if we had
+// started from uninformative values?"): every arm at the mean of this
+// table's priors, so the ablation isolates the shape of the informed
+// priors, not their magnitude.
+func (t *PriorTable) Flat() *PriorTable {
+	t.flatOnce.Do(func() {
+		n := len(t.rate)
+		var rSum, pSum float64
+		for i := range t.rate {
+			rSum += t.rate[i]
+			pSum += t.power[i]
+		}
+		flat := FlatPriors{Rate: rSum / float64(n), Power: pSum / float64(n)}
+		rate, power := make([]float64, n), make([]float64, n)
+		for i := range rate {
+			rate[i], power[i] = flat.Rate, flat.Power
+		}
+		// Means of accepted priors are accepted: this cannot fail.
+		t.flat, _ = newPriorTable(rate, power)
+	})
+	return t.flat
+}
+
+// NewBandit builds a bandit over the table's arms with the paper's EWMA
+// estimators of gain alpha.
+func (t *PriorTable) NewBandit(alpha float64, rng *rand.Rand) (*Bandit, error) {
+	if _, err := control.NewEWMA(alpha); err != nil {
+		return nil, err
+	}
+	return t.newBandit(&ewmaBank{alpha: alpha, rates: slices.Clone(t.rate), powers: slices.Clone(t.power)}, rng)
+}
+
+// NewKalmanBandit builds a bandit whose arms are tracked by Kalman
+// filters (the estimator ablation).
+func (t *PriorTable) NewKalmanBandit(rng *rand.Rand) (*Bandit, error) {
+	t.kalmanOnce.Do(func() {
+		t.kalmanRate = make([]control.Kalman1D, len(t.rate))
+		t.kalmanPower = make([]control.Kalman1D, len(t.rate))
+		for i := range t.rate {
+			t.kalmanRate[i] = newKalmanFilter(t.rate[i])
+			t.kalmanPower[i] = newKalmanFilter(t.power[i])
+		}
+	})
+	return t.newBandit(&kalmanBank{rates: slices.Clone(t.kalmanRate), powers: slices.Clone(t.kalmanPower)}, rng)
+}
+
+// newBandit wraps a freshly copied bank in copies of the table's scores
+// and argmax tree.
+func (t *PriorTable) newBandit(est bank, rng *rand.Rand) (*Bandit, error) {
+	if rng == nil {
+		return nil, fmt.Errorf("learning: nil rng")
+	}
+	n := len(t.rate)
+	return &Bandit{est: est, eff: slices.Clone(t.eff), pulls: make([]int, n),
+		all: slices.Clone(t.all), pulled: newArgmaxTree(n), rng: rng, sink: telemetry.Nop{}}, nil
+}

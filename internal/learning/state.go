@@ -8,27 +8,27 @@ import (
 
 // EncodeState appends the bandit's learned state. Only arms that were
 // ever pulled travel: an unpulled arm still holds the prior its
-// constructor computed, and on a 1,024-arm platform those are most of
+// constructor copied in, and on a 1,024-arm platform those are most of
 // the table for most of a run. The two argmaxes travel as a cross-check
 // only: DecodeState recomputes them from the estimates it restored.
 func (b *Bandit) EncodeState(enc *ckpt.Enc) {
-	enc.Int(len(b.arms))
-	enc.Uint(uint64(estimatorTag(b.arms[0].Estimate)))
+	enc.Int(len(b.pulls))
+	enc.Uint(uint64(b.est.tag()))
 	enc.Int(b.totalPulls)
 	enc.Int(b.BestArm())
 	enc.Int(b.BestMeasuredArm())
 	pulled := 0
-	for i := range b.arms {
-		if b.arms[i].Pulls > 0 {
+	for _, p := range b.pulls {
+		if p > 0 {
 			pulled++
 		}
 	}
 	enc.Int(pulled)
-	for i := range b.arms {
-		if a := &b.arms[i]; a.Pulls > 0 {
+	for i, p := range b.pulls {
+		if p > 0 {
 			enc.Int(i)
-			enc.Int(a.Pulls)
-			a.Estimate.EncodeState(enc)
+			enc.Int(p)
+			b.est.encodeArm(enc, i)
 		}
 	}
 }
@@ -42,12 +42,12 @@ func (b *Bandit) DecodeState(d *ckpt.Dec) {
 		d.Fail("bandit already holds %d observations", b.totalPulls)
 		return
 	}
-	n := len(b.arms)
+	n := len(b.pulls)
 	if got := d.Int(); got != n {
 		d.Fail("checkpoint of a %d-arm bandit, this one has %d", got, n)
 		return
 	}
-	if got, want := d.Uint(), uint64(estimatorTag(b.arms[0].Estimate)); got != want {
+	if got, want := d.Uint(), uint64(b.est.tag()); got != want {
 		d.Fail("checkpoint estimator kind %q, this bandit uses %q", rune(got), rune(want))
 		return
 	}
@@ -64,9 +64,9 @@ func (b *Bandit) DecodeState(d *ckpt.Dec) {
 			return
 		}
 		prev = i
-		b.arms[i].Pulls = pulls
-		b.arms[i].Estimate.DecodeState(d)
-		b.eff[i] = b.arms[i].Estimate.Efficiency()
+		b.pulls[i] = pulls
+		b.est.decodeArm(d, i)
+		b.eff[i] = efficiency(b.est.rate(i), b.est.power(i))
 		// As the Observe that last touched the arm did: the fresh bandit's
 		// trees already hold every other arm's prior.
 		b.all.update(b.eff, i)
@@ -85,18 +85,6 @@ func (b *Bandit) DecodeState(d *ckpt.Dec) {
 		d.Fail("recorded best arms (%d, measured %d) disagree with the restored estimates (%d, measured %d)",
 			best, bestPulled, b.BestArm(), b.BestMeasuredArm())
 	}
-}
-
-// estimatorTag names the filter family in a checkpoint, so a blob
-// written under one estimator is never decoded as the other's fields.
-func estimatorTag(e Estimator) byte {
-	switch e.(type) {
-	case ewmaEstimator:
-		return 'E'
-	case kalmanEstimator:
-		return 'K'
-	}
-	return '?'
 }
 
 // expectTag consumes a selector's leading tag word.

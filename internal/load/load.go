@@ -722,6 +722,8 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	close(advStop)
 	advWG.Wait()
 	elapsed := time.Since(start)
+	// Every session is closed; the daemons may be about to go too.
+	client.CloseIdleStreams()
 
 	rep := &Report{Elapsed: elapsed}
 	var nextAll, doneAll, iterAll, failAll []time.Duration

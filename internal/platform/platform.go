@@ -89,10 +89,14 @@ type Platform struct {
 	memo   map[AppProfile]*modelTable
 }
 
-// modelTable holds the fully evaluated speed/power model for one profile.
+// modelTable holds the fully evaluated speed/power model for one profile,
+// and the prior tables governors over that profile start from.
 type modelTable struct {
 	rate  []float64
 	power []float64
+
+	priorsMu sync.Mutex
+	priors   map[float64]learning.Priors // by work units per iteration
 }
 
 // table returns the memoized model for prof, computing it on first use. The
@@ -283,9 +287,44 @@ func (p *Platform) PriorShapes() []learning.ResourceShape {
 }
 
 // Priors returns the paper's linear-performance / cubic-power prior
-// initialisation over this platform for an application profile: a
-// deliberate overestimate of both.
+// initialisation over this platform for an application profile, in work
+// units per second and watts: a deliberate overestimate of both.
 func (p *Platform) Priors(prof AppProfile) learning.Priors {
+	return p.PriorsPerIteration(prof, 1)
+}
+
+// PriorsPerIteration returns Priors(prof) with rates in iterations per
+// second, for an application whose iteration is workPerIter work units —
+// the unit a governor observes. The model is evaluated once per (profile,
+// workPerIter) into a learning.PriorTable, so building a governor copies
+// the table instead of re-deriving 1,024 priors on Server.
+func (p *Platform) PriorsPerIteration(prof AppProfile, workPerIter float64) learning.Priors {
+	t := p.table(prof)
+	t.priorsMu.Lock()
+	defer t.priorsMu.Unlock()
+	if pr, ok := t.priors[workPerIter]; ok {
+		return pr
+	}
+	model := p.priorModel(prof)
+	var pr learning.Priors = learning.PriorsFunc(func(arm int) (float64, float64) {
+		r, w := model.Estimate(arm)
+		return r / workPerIter, w
+	})
+	// A model the bandit would refuse (a profile with no positive rate)
+	// stays unevaluated, so the refusal comes from the constructor it is
+	// handed to.
+	if table, err := learning.Tabulate(len(p.configs), pr); err == nil {
+		pr = table
+	}
+	if t.priors == nil {
+		t.priors = make(map[float64]learning.Priors)
+	}
+	t.priors[workPerIter] = pr
+	return pr
+}
+
+// priorModel is the prior initialisation in closed form.
+func (p *Platform) priorModel(prof AppProfile) learning.LinearCubicPriors {
 	// BaseRate: one max-capability core at full clock, assuming perfect
 	// scaling (the overestimate the paper wants). BasePower: platform idle.
 	var maxIPCf, maxDyn float64

@@ -2,8 +2,11 @@ package platform
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"jouleguard/internal/learning"
 )
 
 func TestConfigurationCounts(t *testing.T) {
@@ -311,6 +314,35 @@ func TestPriorShapesMatchConfigs(t *testing.T) {
 				t.Fatalf("%s shape %d: %+v", p.Name, i, s)
 			}
 		}
+	}
+}
+
+// TestPriorsTabulatedOnce pins the prior cache: the table a platform
+// hands out holds exactly the closed-form model's values (rates divided
+// by the work per iteration), it is the same table on every call, and a
+// profile whose model the bandit would refuse still reaches the bandit.
+func TestPriorsTabulatedOnce(t *testing.T) {
+	p := Server()
+	prof := Profiles["x264"]
+	model := p.priorModel(prof)
+	const work = 3.7
+	perWork, perIter := p.Priors(prof), p.PriorsPerIteration(prof, work)
+	for i := 0; i < p.NumConfigs(); i++ {
+		wantR, wantP := model.Estimate(i)
+		if r, w := perWork.Estimate(i); r != wantR || w != wantP {
+			t.Fatalf("config %d: tabulated prior (%v, %v), model says (%v, %v)", i, r, w, wantR, wantP)
+		}
+		if r, w := perIter.Estimate(i); r != wantR/work || w != wantP {
+			t.Fatalf("config %d: per-iteration prior (%v, %v), want (%v, %v)", i, r, w, wantR/work, wantP)
+		}
+	}
+	if _, ok := perIter.(*learning.PriorTable); !ok || p.PriorsPerIteration(prof, work) != perIter || p.Priors(prof) != perWork {
+		t.Fatalf("priors are not served from one table per (profile, work): %T", perIter)
+	}
+	dead := prof
+	dead.UnitsPerSpeed = 0
+	if _, err := learning.NewBandit(p.NumConfigs(), 0.85, p.Priors(dead), rand.New(rand.NewSource(1))); err == nil {
+		t.Fatal("a profile with no rate built a bandit")
 	}
 }
 

@@ -81,6 +81,32 @@ func BenchmarkSessionLookup(b *testing.B) {
 	}
 }
 
+// BenchmarkRegisterClose is one session's fixed cost on the daemon:
+// admission, building the governor stack (a bandit over every system
+// configuration — 1,024 arms on Server, 44 on Tablet), and teardown. A
+// 32-iteration session pays it once per 32 decisions, so it is pinned
+// in time and in allocations.
+func BenchmarkRegisterClose(b *testing.B) {
+	for _, c := range []struct{ app, platform string }{{"x264", "Server"}, {"radar", "Tablet"}} {
+		b.Run(c.app+"_"+c.platform, func(b *testing.B) {
+			srv := benchServer(b, 1)
+			req := wire.RegisterRequest{Tenant: "bench", App: c.app, Platform: c.platform,
+				Iterations: 32, BudgetJ: 1e3, Seed: 1}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				resp, err := srv.Register(req)
+				if err != nil {
+					b.Fatalf("register %d: %v", i, err)
+				}
+				if _, err := srv.Close(resp.SessionID); err != nil {
+					b.Fatalf("close %d: %v", i, err)
+				}
+			}
+		})
+	}
+}
+
 func benchServer(b *testing.B, sessions int) *Server {
 	b.Helper()
 	srv, err := New(Config{

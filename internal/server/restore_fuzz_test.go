@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"hash/crc32"
 	"os"
 	"strings"
@@ -116,6 +117,40 @@ func TestRestoreParentCheckpoint(t *testing.T) {
 			t.Errorf("%s after %d more settles: %.17g J, last decision %v; the writing daemon reached %.17g J, %v",
 				want.key, want.more, got, last, want.spentAfter, [2]int{want.lastApp, want.lastSys})
 		}
+	}
+}
+
+// TestParentCheckpointReencodes pins the other direction of the same
+// compatibility: the governor stack that blob restores into — its bandit
+// now a flat estimator bank copied from a prior table, where the writing
+// daemon held three heap objects per arm — marshals back to the very bytes
+// that daemon wrote.
+func TestParentCheckpointReencodes(t *testing.T) {
+	raw, err := os.ReadFile("testdata/snapshot_v2.jsonl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Header, fixture-a's session line, and its checkpoint record alone:
+	// restored with no tail, the stack stands exactly where the blob does.
+	lines := bytes.SplitAfterN(raw, []byte("\n"), 4)
+	var rec snapLine
+	if err := json.Unmarshal(lines[2], &rec); err != nil || rec.State == nil {
+		t.Fatalf("third line of the fixture is not a checkpoint record: %v", err)
+	}
+	srv := cutServer(t, nil)
+	if err := srv.Restore(bytes.NewReader(bytes.Join(lines[:3], nil))); err != nil {
+		t.Fatal(err)
+	}
+	sess := srv.sessions.byKey("fixture-a")
+	if sess == nil {
+		t.Fatal("fixture-a: not restored")
+	}
+	again, err := sess.ctl.MarshalState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again, rec.State) {
+		t.Fatalf("the restored stack marshals to %d bytes that differ from the %d the parent daemon wrote", len(again), len(rec.State))
 	}
 }
 

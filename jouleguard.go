@@ -245,12 +245,7 @@ func RegisterProfile(p platform.AppProfile) {
 // priors returns the paper's optimistic initial models in iteration-rate
 // units for this testbed.
 func (tb *Testbed) priors() learning.Priors {
-	base := tb.Platform.Priors(tb.Profile)
-	w := tb.WorkPerIter
-	return learning.PriorsFunc(func(arm int) (float64, float64) {
-		r, p := base.Estimate(arm)
-		return r / w, p
-	})
+	return tb.Platform.PriorsPerIteration(tb.Profile, tb.WorkPerIter)
 }
 
 // Budget converts an energy-reduction factor f into a joule budget for the
@@ -529,12 +524,7 @@ func (tb *HardwareTestbed) NewJouleGuard(f float64, iters int, opts Options) (*H
 	if f <= 0 || iters <= 0 {
 		return nil, fmt.Errorf("jouleguard: invalid factor %v / iterations %d", f, iters)
 	}
-	base := tb.Platform.Priors(tb.profile)
-	w := tb.WorkPerIter
-	priors := learning.PriorsFunc(func(arm int) (float64, float64) {
-		r, p := base.Estimate(arm)
-		return r / w, p
-	})
+	priors := tb.Platform.PriorsPerIteration(tb.profile, tb.WorkPerIter)
 	if opts.Seed == 0 {
 		opts.Seed = tb.Seed
 	}
