@@ -3,14 +3,8 @@
 // machine-readable artefact (BENCH_experiments.json) that CI or a later
 // session can diff against.
 //
-// With -merge FILE, results from an existing snapshot are carried over:
-// entries parsed from stdin replace same-name entries in FILE, everything
-// else is kept. This lets separate smoke runs (e.g. the single-daemon and
-// the cluster loadgen passes) fold into one artefact without clobbering
-// each other.
-//
 // With -compare FILE, the fresh results are checked against a previous
-// snapshot instead of merged: a pinned benchmark that got more than
+// snapshot instead of printed: a pinned benchmark that got more than
 // -threshold slower (ns/op up, or a rate unit like decisions/s down), or
 // that allocates where it previously did not, fails the run with a
 // non-zero exit. -pin restricts the comparison to names matching a
@@ -49,7 +43,6 @@ type Result struct {
 }
 
 func main() {
-	merge := flag.String("merge", "", "existing snapshot whose entries are kept unless replaced by a same-name result from stdin")
 	compare := flag.String("compare", "", "previous snapshot to diff the fresh results against; regressions exit non-zero")
 	pin := flag.String("pin", "", "with -compare: only benchmarks matching this regexp are gated (default: all common names)")
 	threshold := flag.Float64("threshold", 0.20, "with -compare: fractional slowdown tolerated before failing")
@@ -65,13 +58,6 @@ func main() {
 		}
 		fmt.Fprintln(os.Stderr, "benchjson: no pinned regressions")
 		return
-	}
-	if *merge != "" {
-		merged, err := mergeSnapshot(*merge, results)
-		if err != nil {
-			fatal(err)
-		}
-		results = merged
 	}
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")
@@ -134,8 +120,7 @@ func parse(in *os.File) ([]Result, error) {
 				a := int64(v)
 				r.AllocsPerOp = &a
 			default:
-				// Custom testing.B.ReportMetric-style units — the load
-				// generator's "decisions/s" throughput among them.
+				// Custom testing.B.ReportMetric-style units.
 				if r.Metrics == nil {
 					r.Metrics = map[string]float64{}
 				}
@@ -147,35 +132,6 @@ func parse(in *os.File) ([]Result, error) {
 	return results, sc.Err()
 }
 
-// mergeSnapshot keeps every entry of the snapshot at path whose name was
-// not re-measured on stdin, preserving file order, with fresh results
-// appended. A missing file is not an error: the first smoke run of a
-// clean checkout has nothing to merge with.
-func mergeSnapshot(path string, fresh []Result) ([]Result, error) {
-	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return fresh, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("reading %s: %w", path, err)
-	}
-	var old []Result
-	if err := json.Unmarshal(data, &old); err != nil {
-		return nil, fmt.Errorf("parsing %s: %w", path, err)
-	}
-	replaced := make(map[string]bool, len(fresh))
-	for _, r := range fresh {
-		replaced[r.Name] = true
-	}
-	merged := make([]Result, 0, len(old)+len(fresh))
-	for _, r := range old {
-		if !replaced[r.Name] {
-			merged = append(merged, r)
-		}
-	}
-	return append(merged, fresh...), nil
-}
-
 // compareSnapshots gates the fresh results against the snapshot at path.
 // A pinned benchmark regresses when:
 //   - ns/op grew by more than threshold,
@@ -184,7 +140,7 @@ func mergeSnapshot(path string, fresh []Result) ([]Result, error) {
 //     zero-allocation guarantee no timing threshold would catch.
 //
 // Benchmarks present on only one side are reported but never fail the
-// gate: machines differ in which smokes they run.
+// gate.
 func compareSnapshots(path string, fresh []Result, pin string, threshold float64) error {
 	data, err := os.ReadFile(path)
 	if err != nil {

@@ -25,6 +25,12 @@ func main() {
 	csv := flag.Bool("csv", false, "emit CSV rows")
 	quick := flag.Bool("quick", false, "smoke mode: three representative benchmarks at -scale 0.5")
 	flag.Parse()
+	if flag.NArg() > 0 {
+		// `chaos quick` must not quietly run the full matrix.
+		fmt.Fprintf(os.Stderr, "chaos: unexpected argument %q\n", flag.Arg(0))
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	appNames := splitList(*appsFlag)
 	platNames := splitList(*platsFlag)

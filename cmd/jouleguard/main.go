@@ -1,52 +1,150 @@
-// Command jouleguard runs a single experiment — one benchmark, one
-// platform, one energy goal — and reports the run's outcome, plus the
-// Table 2 / Table 3 characterisations and Fig. 4 traces.
+// Command jouleguard is the paper side of the reproduction in one
+// binary.
+//
+//	jouleguard [-app A -platform P -f F ...]   one run: one benchmark, one platform, one energy goal
+//	jouleguard <artefact> [-scale S] [-csv]    print one table or figure of the evaluation
+//	jouleguard replicate [-scale S] [-out DIR] write every artefact to DIR/<name>.txt (and .csv)
+//
+// The artefacts are fig1 table2 table3 fig3 table4 fig4 fig5_6 fig7 fig8
+// ablations robustness disturbance (artefacts.go). Each has one
+// renderer, so what a subcommand prints, what replicate writes and what
+// TestResultsCurrent compares against the committed results/ are the
+// same bytes.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
+	"path/filepath"
+	"strings"
 
 	"jouleguard"
 	"jouleguard/internal/experiments"
 	"jouleguard/internal/trace"
 )
 
-func main() {
-	appName := flag.String("app", "x264", "benchmark (x264, swaptions, bodytrack, swish++, radar, canneal, ferret, streamcluster)")
-	platName := flag.String("platform", "Server", "platform (Mobile, Tablet, Server)")
-	factor := flag.Float64("f", 2.0, "energy reduction factor vs the default configuration")
-	iters := flag.Int("iters", 0, "iterations (0 = platform default)")
-	table2 := flag.Bool("table2", false, "print Table 2 (application characteristics) and exit")
-	table3 := flag.Bool("table3", false, "print Table 3 (system characteristics) and exit")
-	fig4 := flag.Bool("fig4", false, "print Fig. 4 (bodytrack convergence traces) and exit")
-	ablate := flag.String("ablate", "", "run an ablation instead: pole | priors | exploration | estimator | alpha")
-	trials := flag.Int("trials", 1, "repeat the run under different seeds and report mean +/- std")
-	dump := flag.String("dump", "", "write the per-iteration run record to this CSV file")
-	serve := flag.String("serve", "", "serve live telemetry on this address (e.g. :8080) while running the experiment repeatedly: /metrics, /healthz, /decisions, /debug/pprof")
-	runs := flag.Int("runs", 0, "with -serve: stop after this many runs (0 = run until interrupted)")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is main with its arguments, streams and exit status made explicit.
+func run(args []string, stdout, stderr io.Writer) int {
+	if len(args) > 0 && !strings.HasPrefix(args[0], "-") {
+		return runArtefact(args[0], args[1:], stdout, stderr)
+	}
+	fs := flag.NewFlagSet("jouleguard", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	appName := fs.String("app", "x264", "benchmark (x264, swaptions, bodytrack, swish++, radar, canneal, ferret, streamcluster)")
+	platName := fs.String("platform", "Server", "platform (Mobile, Tablet, Server)")
+	factor := fs.Float64("f", 2.0, "energy reduction factor vs the default configuration")
+	iters := fs.Int("iters", 0, "iterations (0 = platform default)")
+	trials := fs.Int("trials", 1, "repeat the run under different seeds and report mean +/- std")
+	dump := fs.String("dump", "", "write the per-iteration run record to this CSV file")
+	serve := fs.String("serve", "", "serve live telemetry on this address (e.g. :8080) while running the experiment repeatedly: /metrics, /healthz, /decisions, /debug/pprof")
+	runs := fs.Int("runs", 0, "with -serve: stop after this many runs (0 = run until interrupted)")
+	if !parseAll(fs, args, stderr) {
+		return 2
+	}
 	dumpPath = *dump
 
 	switch {
 	case *serve != "":
 		runServe(*appName, *platName, *factor, *iters, *serve, *runs)
-	case *table2:
-		runTable2()
-	case *table3:
-		runTable3()
-	case *fig4:
-		runFig4()
-	case *ablate != "":
-		runAblation(*ablate, *appName, *platName, *factor)
 	case *trials > 1:
 		runTrials(*appName, *platName, *factor, *trials)
 	default:
 		runOne(*appName, *platName, *factor, *iters)
 	}
+	return 0
+}
+
+// parseAll parses args and refuses anything left over: a stray word is
+// a mistyped subcommand or flag, and running without it would silently
+// do something else. False means the caller exits 2.
+func parseAll(fs *flag.FlagSet, args []string, stderr io.Writer) bool {
+	if fs.Parse(args) != nil {
+		return false // the flag set has printed the error and its usage
+	}
+	if fs.NArg() > 0 {
+		usageError(stderr, fmt.Sprintf("unexpected argument %q", fs.Arg(0)))
+		return false
+	}
+	return true
+}
+
+// usageError reports a command line this binary will not guess at, with
+// the names it does know.
+func usageError(stderr io.Writer, msg string) {
+	fmt.Fprintf(stderr, "jouleguard: %s\nartefacts: %s, or replicate for all of them\n",
+		msg, strings.Join(artefactNames(), " "))
+}
+
+// runArtefact is `jouleguard <artefact>` and `jouleguard replicate`.
+func runArtefact(name string, args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("jouleguard "+name, flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	scale := fs.Float64("scale", 1.0, "run-length scale (1.0 = the paper's run lengths)")
+	if name == "replicate" {
+		out := fs.String("out", "results", "output directory")
+		if !parseAll(fs, args, stderr) {
+			return 2
+		}
+		if err := replicate(*out, *scale, stdout); err != nil {
+			fail(err)
+		}
+		return 0
+	}
+	a, ok := findArtefact(name)
+	if !ok {
+		usageError(stderr, fmt.Sprintf("unknown artefact %q", name))
+		return 2
+	}
+	csv := fs.Bool("csv", false, "emit CSV instead of text")
+	if !parseAll(fs, args, stderr) {
+		return 2
+	}
+	if *csv && !a.hasCSV {
+		usageError(stderr, name+" has no CSV form")
+		return 2
+	}
+	text, csvBytes, err := a.render(*scale)
+	if err != nil {
+		fail(err)
+	}
+	if *csv {
+		text = csvBytes
+	}
+	if _, err := stdout.Write(text); err != nil {
+		fail(err)
+	}
+	return 0
+}
+
+// replicate walks the artefact table into dir: <name>.txt for every row,
+// <name>.csv where the row has a CSV form. Progress goes to log.
+func replicate(dir string, scale float64, log io.Writer) error {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	for _, a := range artefacts {
+		fmt.Fprintf(log, "replicating %s...\n", a.name)
+		text, csv, err := a.render(scale)
+		if err != nil {
+			return fmt.Errorf("%s: %w", a.name, err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, a.name+".txt"), text, 0o644); err != nil {
+			return err
+		}
+		if a.hasCSV {
+			if err := os.WriteFile(filepath.Join(dir, a.name+".csv"), csv, 0o644); err != nil {
+				return err
+			}
+		}
+	}
+	fmt.Fprintf(log, "done: results in %s/\n", dir)
+	return nil
 }
 
 func runTrials(appName, platName string, factor float64, trials int) {
@@ -180,74 +278,4 @@ func runOne(appName, platName string, factor float64, iters int) {
 	fmt.Print(trace.ASCIIChart(&trace.Series{Name: "energy/iter (normalised to goal)", Values: norm}, 72, 7))
 	fmt.Print(trace.ASCIIChart(&trace.Series{Name: "accuracy", Values: rec.Accuracies}, 72, 7))
 	maybeDump(rec)
-}
-
-func runTable2() {
-	rows, err := experiments.Table2()
-	if err != nil {
-		fail(err)
-	}
-	fmt.Println("Table 2 — approximate application configurations (measured vs paper)")
-	fmt.Printf("%-14s %8s %8s %10s %10s %9s %9s  %s\n",
-		"app", "configs", "(paper)", "speedup", "(paper)", "loss", "(paper)", "metric")
-	for _, r := range rows {
-		fmt.Printf("%-14s %8d %8d %10.2f %10.2f %8.1f%% %8.1f%%  %s\n",
-			r.App, r.Configs, r.PaperConfigs, r.MaxSpeedup, r.PaperMaxSpeedup,
-			r.MaxLoss*100, r.PaperMaxLoss*100, r.Metric)
-	}
-}
-
-func runTable3() {
-	rows, err := experiments.Table3()
-	if err != nil {
-		fail(err)
-	}
-	fmt.Println("Table 3 — system configurations (measured max speedup/powerup across benchmarks)")
-	fmt.Printf("%-8s %-20s %9s %9s %9s\n", "platform", "resource", "settings", "speedup", "powerup")
-	for _, r := range rows {
-		fmt.Printf("%-8s %-20s %9d %9.2f %9.2f\n", r.Platform, r.Resource, r.Settings, r.Speedup, r.Powerup)
-	}
-}
-
-func runFig4() {
-	traces, err := experiments.Fig4(260)
-	if err != nil {
-		fail(err)
-	}
-	fmt.Println("Fig. 4 — bodytrack energy/frame and accuracy (Mobile f=4, Tablet/Server f=3)")
-	for _, tr := range traces {
-		fmt.Printf("\n%s (f=%.0f): rel err %.2f%%, mean accuracy %.4f\n",
-			tr.Platform, tr.Factor, tr.RelativeErr, tr.MeanAccuracy)
-		fmt.Print(trace.ASCIIChart(&trace.Series{Name: "energy/frame (normalised to goal)", Values: tr.NormEnergy}, 72, 7))
-		fmt.Print(trace.ASCIIChart(&trace.Series{Name: "accuracy", Values: tr.Accuracy}, 72, 7))
-	}
-}
-
-func runAblation(kind, appName, platName string, factor float64) {
-	var (
-		res []experiments.AblationResult
-		err error
-	)
-	switch kind {
-	case "pole":
-		res, err = experiments.AblationPole(appName, platName, factor, 1.0)
-	case "priors":
-		res, err = experiments.AblationPriors(appName, platName, factor, 1.0)
-	case "exploration":
-		res, err = experiments.AblationExploration(appName, platName, factor, 1.0)
-	case "estimator":
-		res, err = experiments.AblationEstimator(appName, platName, factor, 1.0)
-	case "alpha":
-		res, err = experiments.AblationAlpha(appName, platName, factor, 1.0)
-	default:
-		fail(fmt.Errorf("unknown ablation %q (pole, priors, exploration, estimator, alpha)", kind))
-	}
-	if err != nil {
-		fail(err)
-	}
-	fmt.Printf("Ablation %q — %s on %s, f=%.2f\n", kind, appName, platName, factor)
-	fmt.Printf("%-28s %12s %12s %12s\n", "variant", "rel err(%)", "eff acc", "mean acc")
-	for _, r := range res {
-		fmt.Printf("%-28s %12.2f %12.3f %12.4f\n", r.Variant, r.RelativeError, r.EffectiveAccuracy, r.MeanAccuracy)
-	}
 }

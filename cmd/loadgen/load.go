@@ -1,18 +1,14 @@
-// Package load drives a jouleguardd daemon with N simulated tenants and
-// measures what the service layer adds on top of the governor: decision
-// latency (wall-clock Next and Done round trips), aggregate throughput,
-// and the fidelity of the budget guarantee across concurrently governed
-// sessions.
-//
-// Each tenant is a faithful stand-in for a governed application: it runs
-// its workload on a virtual clock and energy meter derived from the same
-// platform models the paper's experiments use. When the daemon says
-// (appCfg, sysCfg), the tenant "executes" the iteration by advancing its
-// clock by work/rate(sysCfg) seconds and its meter by power(sysCfg) x
-// that duration — so the governor under test observes exactly the
-// dynamics it would on the modeled machine, while the wire round trips
-// are real HTTP over real sockets.
-package load
+package main
+
+// The tenants and the verdicts. Each tenant is a faithful stand-in for a
+// governed application: it runs its workload on a virtual clock and
+// energy meter derived from the same platform models the paper's
+// experiments use. When the daemon says (appCfg, sysCfg), the tenant
+// "executes" the iteration by advancing its clock by work/rate(sysCfg)
+// seconds and its meter by power(sysCfg) x that duration — so the
+// governor under test observes exactly the dynamics it would on the
+// modeled machine, while the wire round trips are real HTTP over real
+// sockets.
 
 import (
 	"context"
@@ -25,7 +21,6 @@ import (
 
 	"jouleguard"
 	"jouleguard/internal/client"
-	"jouleguard/internal/metrics"
 	"jouleguard/internal/telemetry"
 	"jouleguard/internal/wire"
 )
@@ -39,8 +34,7 @@ type Config struct {
 	Platform   string   // default Server
 	Factor     float64  // >0: per-tenant absolute budget priced from factor
 	Weight     float64  // used when Factor==0 (weighted-share mode)
-	MinAcc     float64
-	Seed       int64 // tenant i runs with Seed+i
+	Seed       int64    // tenant i runs with Seed+i
 	Retry      client.RetryPolicy
 	// Tier is the QoS class honest tenants claim at registration
 	// (guaranteed | standard | best-effort; empty = standard).
@@ -48,16 +42,13 @@ type Config struct {
 
 	// Adversaries converts the last N tenants into deliberately
 	// misbehaving ones: each claims AdversaryWeight times an honest
-	// share, registers under AdversaryTier, and keeps hammering the
+	// share, registers under adversaryTier, and keeps hammering the
 	// daemon — re-registering straight through every enforcement denial
 	// — until the honest tenants finish. Their denials are tallied in
 	// the report instead of counting as run errors; the run's verdict
 	// comes from CheckIsolation, which asserts the honest tenants never
 	// felt them.
 	Adversaries int
-	// AdversaryTier is the QoS class adversaries claim (default
-	// best-effort, the first tier overload shedding sacrifices).
-	AdversaryTier string
 	// AdversaryWeight is the claim multiple an adversary asks for —
 	// AdversaryWeight times an honest tenant's absolute budget in
 	// factor-priced mode, or its weight in weighted mode (default 10:
@@ -66,15 +57,8 @@ type Config struct {
 
 	// WireV2 moves the per-iteration traffic onto the v2 binary frame
 	// stream with the batched DoneNext loop (settle + next decision in
-	// one round trip). False pins tenants to v1 JSON/HTTP, keeping the
-	// baseline measurement honest.
+	// one round trip). False pins tenants to v1 JSON/HTTP.
 	WireV2 bool
-	// Duration switches the run open-loop: tenants issue iterations as
-	// fast as the daemon answers until the wall-clock window closes (or
-	// their workload completes), measuring sustained decisions/s rather
-	// than time-to-complete-N. Set Iterations high enough that no tenant
-	// finishes early.
-	Duration time.Duration
 
 	// CoordinatorURL switches the run to cluster mode: tenants register
 	// through the fleet coordinator (each under a stable session key) and
@@ -84,13 +68,8 @@ type Config struct {
 	// CoordinatorURLs is the ordered failover list clients rotate to when
 	// the primary coordinator is unreachable or deposed (standbys).
 	CoordinatorURLs []string
-	// KillAt arranges a mid-run node failure: once the fleet has
-	// completed KillAt iterations in total, Kill is invoked (once). The
-	// run then measures how tenants ride through the failover.
-	KillAt int
-	Kill   func()
-	// Kills schedules additional mid-run failure injections (e.g. killing
-	// the coordinator itself); each fires once, in iteration order.
+	// Kills schedules mid-run failure injections (a node, the coordinator
+	// itself); each fires once, in iteration order.
 	Kills []Kill
 
 	// TraceEvery head-samples distributed traces on every tenant's
@@ -110,6 +89,10 @@ type Kill struct {
 	At int
 	Do func()
 }
+
+// adversaryTier is the QoS class adversaries claim: best-effort, the
+// first tier overload shedding sacrifices.
+const adversaryTier = "best-effort"
 
 func (c Config) withDefaults() Config {
 	if c.Tenants <= 0 {
@@ -135,9 +118,6 @@ func (c Config) withDefaults() Config {
 	if c.Adversaries < 0 {
 		c.Adversaries = 0
 	}
-	if c.AdversaryTier == "" {
-		c.AdversaryTier = "best-effort"
-	}
 	if c.AdversaryWeight <= 0 {
 		c.AdversaryWeight = 10
 	}
@@ -147,14 +127,10 @@ func (c Config) withDefaults() Config {
 // TenantResult is one simulated tenant's outcome.
 type TenantResult struct {
 	Tenant     string
-	SessionID  string
-	App        string
 	Iterations int
 	GrantJ     float64
 	SpentJ     float64 // daemon's ledger (authoritative)
-	MeteredJ   float64 // tenant's own virtual meter
-	MeanAcc    float64
-	Failovers  int // node migrations the client rode through
+	Failovers  int     // node migrations the client rode through
 	// CoordFailovers counts coordinator rotations: placement lookups the
 	// client had to re-aim at a standby after the primary died or was
 	// deposed.
@@ -189,32 +165,17 @@ func (t TenantResult) OverGrant() float64 {
 // Report aggregates a load run.
 type Report struct {
 	Tenants    []TenantResult
-	Elapsed    time.Duration
 	Iterations int // total completed across tenants
-
-	NextP50, NextP99 time.Duration // Next round-trip latency
-	DoneP50, DoneP99 time.Duration // Done round-trip latency
-	IterP50, IterP99 time.Duration // whole-iteration wire latency
-	Throughput       float64       // governed iterations per wall-clock second
-
-	// Decisions counts the individual decisions the daemon served (each
-	// iteration is one Next plus one Done, however they were framed);
-	// DecisionsPerSec is their sustained rate over the run.
-	Decisions       int
-	DecisionsPerSec float64
 
 	TotalSpentJ  float64
 	TotalGrantJ  float64
 	MaxOverGrant float64 // worst per-tenant spend/grant ratio
 	Errors       int
 
-	// Cluster-mode extras: total node migrations clients rode through,
-	// the coordinator rotations absorbed inside them, and the latency of
-	// the calls that absorbed a migration (placement lookup + re-register
-	// + catch-up replay, end to end as the application felt it).
-	Failovers        int
-	CoordFailovers   int
-	FailP50, FailP99 time.Duration
+	// Cluster-mode extras: total node migrations clients rode through and
+	// the coordinator rotations absorbed inside them.
+	Failovers      int
+	CoordFailovers int
 
 	// Adversarial-mode extras: the enforcement denials adversaries drew
 	// across the run, by wire code.
@@ -228,7 +189,7 @@ func (r *Report) Check(slack float64) error {
 	if r.Errors > 0 {
 		for _, t := range r.Tenants {
 			if t.Err != nil {
-				return fmt.Errorf("load: tenant %s failed: %w", t.Tenant, t.Err)
+				return fmt.Errorf("loadgen: tenant %s failed: %w", t.Tenant, t.Err)
 			}
 		}
 	}
@@ -237,10 +198,10 @@ func (r *Report) Check(slack float64) error {
 			continue // judged by CheckIsolation, not by completion
 		}
 		if t.Iterations == 0 {
-			return fmt.Errorf("load: tenant %s completed no iterations", t.Tenant)
+			return fmt.Errorf("loadgen: tenant %s completed no iterations", t.Tenant)
 		}
 		if og := t.OverGrant(); og > slack {
-			return fmt.Errorf("load: tenant %s spent %.1f J of a %.1f J grant (%.1f%% > %.1f%% slack)",
+			return fmt.Errorf("loadgen: tenant %s spent %.1f J of a %.1f J grant (%.1f%% > %.1f%% slack)",
 				t.Tenant, t.SpentJ, t.GrantJ, og*100, slack*100)
 		}
 	}
@@ -263,66 +224,20 @@ func (r *Report) CheckIsolation(slack float64) error {
 			continue
 		}
 		if n := t.Throttled + t.Suspended + t.Shed; n > 0 {
-			return fmt.Errorf("load: honest tenant %s drew %d enforcement denials (throttled %d, suspended %d, shed %d)",
+			return fmt.Errorf("loadgen: honest tenant %s drew %d enforcement denials (throttled %d, suspended %d, shed %d)",
 				t.Tenant, n, t.Throttled, t.Suspended, t.Shed)
 		}
 	}
 	if advDenials == 0 {
-		return fmt.Errorf("load: adversaries ran unenforced: not one drew an enforcement denial")
+		return fmt.Errorf("loadgen: adversaries ran unenforced: not one drew an enforcement denial")
 	}
 	return nil
 }
 
-// BenchLines renders the latency results in `go test -bench` format so
-// cmd/benchjson can fold them into BENCH_experiments.json. prefix names
-// the scenario ("Serve" for one daemon, "Cluster" for a fleet run).
-func (r *Report) BenchLines(prefix string) []string {
-	if prefix == "" {
-		prefix = "Serve"
-	}
-	lines := []string{
-		fmt.Sprintf("Benchmark%sNextP50\t%d\t%d ns/op", prefix, r.Iterations, r.NextP50.Nanoseconds()),
-		fmt.Sprintf("Benchmark%sNextP99\t%d\t%d ns/op", prefix, r.Iterations, r.NextP99.Nanoseconds()),
-		fmt.Sprintf("Benchmark%sDoneP50\t%d\t%d ns/op", prefix, r.Iterations, r.DoneP50.Nanoseconds()),
-		fmt.Sprintf("Benchmark%sDoneP99\t%d\t%d ns/op", prefix, r.Iterations, r.DoneP99.Nanoseconds()),
-	}
-	if r.IterP50 > 0 {
-		lines = append(lines,
-			fmt.Sprintf("Benchmark%sIterP50\t%d\t%d ns/op", prefix, r.Iterations, r.IterP50.Nanoseconds()),
-			fmt.Sprintf("Benchmark%sIterP99\t%d\t%d ns/op", prefix, r.Iterations, r.IterP99.Nanoseconds()))
-	}
-	if r.Throughput > 0 {
-		lines = append(lines, fmt.Sprintf("Benchmark%sIteration\t%d\t%d ns/op",
-			prefix, r.Iterations, int64(float64(time.Second)/r.Throughput)))
-	}
-	if r.DecisionsPerSec > 0 {
-		lines = append(lines, fmt.Sprintf("Benchmark%sThroughput\t%d\t%.0f decisions/s",
-			prefix, r.Decisions, r.DecisionsPerSec))
-	}
-	if r.Failovers > 0 {
-		lines = append(lines,
-			fmt.Sprintf("Benchmark%sFailoverP50\t%d\t%d ns/op", prefix, r.Failovers, r.FailP50.Nanoseconds()),
-			fmt.Sprintf("Benchmark%sFailoverP99\t%d\t%d ns/op", prefix, r.Failovers, r.FailP99.Nanoseconds()))
-	}
-	if n := r.Throttled + r.Suspended + r.Shed; n > 0 {
-		lines = append(lines,
-			fmt.Sprintf("Benchmark%sDenials\t%d\t%d denials", prefix, n, n),
-			fmt.Sprintf("Benchmark%sThrottled\t%d\t%d denials", prefix, n, r.Throttled),
-			fmt.Sprintf("Benchmark%sSuspended\t%d\t%d denials", prefix, n, r.Suspended),
-			fmt.Sprintf("Benchmark%sShed\t%d\t%d denials", prefix, n, r.Shed))
-	}
-	return lines
-}
-
-// Summary is a one-paragraph human rendering of the report.
+// Summary is a one-line human rendering of the report.
 func (r *Report) Summary() string {
-	return fmt.Sprintf(
-		"%d tenants, %d iterations in %v (%.0f iter/s, %.0f decisions/s); "+
-			"Next p50=%v p99=%v, Done p50=%v p99=%v, iter p50=%v p99=%v; "+
-			"spent %.1f J of %.1f J granted, worst tenant at %.1f%% of grant, %d errors",
-		len(r.Tenants), r.Iterations, r.Elapsed.Round(time.Millisecond), r.Throughput, r.DecisionsPerSec,
-		r.NextP50, r.NextP99, r.DoneP50, r.DoneP99, r.IterP50, r.IterP99,
-		r.TotalSpentJ, r.TotalGrantJ, r.MaxOverGrant*100, r.Errors)
+	return fmt.Sprintf("%d tenants, %d iterations; spent %.1f J of %.1f J granted, worst tenant at %.1f%% of grant, %d errors",
+		len(r.Tenants), r.Iterations, r.TotalSpentJ, r.TotalGrantJ, r.MaxOverGrant*100, r.Errors)
 }
 
 // tenant is the virtual application: clock and meter advance by the
@@ -337,53 +252,25 @@ type tenant struct {
 	clockS  float64 // virtual seconds
 	energyJ float64 // virtual cumulative joules
 
-	nextLat   []time.Duration
-	doneLat   []time.Duration
-	iterLat   []time.Duration // whole-iteration wire latency
-	failLat   []time.Duration // calls that absorbed a node migration
-	wireCalls int             // decisions served (Next + Done, however framed)
-	done      *atomic.Int64   // fleet-wide completed-iteration counter
-	stepMemo  map[int][2]float64
-	res       TenantResult
-}
-
-// step returns the app model's (work, accuracy) for a configuration.
-// Open-loop runs (Duration > 0) memoize per configuration: the frame
-// models cost hundreds of microseconds per simulated iteration, which
-// at saturation would measure the simulator, not the daemon.
-// Closed-loop runs keep the full per-iteration model so accuracy and
-// energy trajectories stay faithful.
-func (t *tenant) step(appCfg, i int) (work, acc float64) {
-	if t.cfg.Duration <= 0 {
-		return t.tb.App.Step(appCfg, i)
-	}
-	if v, ok := t.stepMemo[appCfg]; ok {
-		return v[0], v[1]
-	}
-	if t.stepMemo == nil {
-		t.stepMemo = map[int][2]float64{}
-	}
-	work, acc = t.tb.App.Step(appCfg, i)
-	t.stepMemo[appCfg] = [2]float64{work, acc}
-	return work, acc
+	done *atomic.Int64 // fleet-wide completed-iteration counter
+	res  TenantResult
 }
 
 // run executes the tenant's whole workload against the daemon.
 func (t *tenant) run(ctx context.Context) {
-	t.res = TenantResult{Tenant: t.name, App: t.app}
+	t.res = TenantResult{Tenant: t.name}
 	opts := client.Options{
-		BaseURL:     t.cfg.BaseURL,
-		Tenant:      t.name,
-		Weight:      t.cfg.Weight,
-		App:         t.app,
-		Platform:    t.cfg.Platform,
-		Iterations:  t.cfg.Iterations,
-		MinAccuracy: t.cfg.MinAcc,
-		Tier:        t.cfg.Tier,
-		Retry:       t.cfg.Retry,
-		DisableV2:   !t.cfg.WireV2,
-		TraceEvery:  t.cfg.TraceEvery,
-		Tracer:      t.cfg.Tracer,
+		BaseURL:    t.cfg.BaseURL,
+		Tenant:     t.name,
+		Weight:     t.cfg.Weight,
+		App:        t.app,
+		Platform:   t.cfg.Platform,
+		Iterations: t.cfg.Iterations,
+		Tier:       t.cfg.Tier,
+		Retry:      t.cfg.Retry,
+		DisableV2:  !t.cfg.WireV2,
+		TraceEvery: t.cfg.TraceEvery,
+		Tracer:     t.cfg.Tracer,
 	}
 	if t.cfg.CoordinatorURL != "" {
 		opts.CoordinatorURL = t.cfg.CoordinatorURL
@@ -405,28 +292,13 @@ func (t *tenant) run(ctx context.Context) {
 		t.res.Err = err
 		return
 	}
-	t.res.SessionID = sess.ID()
 	t.res.GrantJ = sess.GrantJ()
-	accSum := 0.0
-	var deadline time.Time
-	if t.cfg.Duration > 0 {
-		deadline = time.Now().Add(t.cfg.Duration)
-	}
 	armed := false
 	var appCfg, sysCfg int
-	var nextLat time.Duration
 	for i := 0; i < t.cfg.Iterations; i++ {
 		if !armed {
-			fo := sess.Failovers()
-			start := time.Now()
 			var err error
 			appCfg, sysCfg, err = sess.Next(ctx)
-			nextLat = time.Since(start)
-			t.nextLat = append(t.nextLat, nextLat)
-			t.wireCalls++
-			if sess.Failovers() > fo {
-				t.failLat = append(t.failLat, nextLat)
-			}
 			if err != nil {
 				if client.IsCode(err, wire.CodeSessionComplete) {
 					// A daemon restart can settle a retried iteration twice,
@@ -441,78 +313,37 @@ func (t *tenant) run(ctx context.Context) {
 			armed = true
 		}
 		// "Execute" the iteration on the modeled machine.
-		work, acc := t.step(appCfg, i)
-		rate := t.tb.Platform.Rate(sysCfg, t.tb.Profile)
-		dur := work / rate
+		work, acc := t.tb.App.Step(appCfg, i)
+		dur := work / t.tb.Platform.Rate(sysCfg, t.tb.Profile)
 		t.clockS += dur
 		t.energyJ += t.tb.Platform.Power(sysCfg, t.tb.Profile) * dur
-		accSum += acc
 
-		last := i == t.cfg.Iterations-1 ||
-			(!deadline.IsZero() && time.Now().After(deadline))
-		if t.cfg.WireV2 && !last {
+		if t.cfg.WireV2 && i < t.cfg.Iterations-1 {
 			// Steady state: settle this iteration and fetch the next
 			// decision in one batched round trip.
-			fo := sess.Failovers()
-			start := time.Now()
 			nextApp, nextSys, err := sess.DoneNext(ctx, acc)
-			lat := time.Since(start)
-			t.iterLat = append(t.iterLat, lat)
-			t.wireCalls += 2
-			if sess.Failovers() > fo {
-				t.failLat = append(t.failLat, lat)
-			}
 			if err != nil {
 				if client.IsCode(err, wire.CodeSessionComplete) {
 					// The Done half settled before the workload completed.
 					t.res.Iterations++
-					if t.done != nil {
-						t.done.Add(1)
-					}
+					t.done.Add(1)
 					break
 				}
 				t.res.Err = fmt.Errorf("iteration %d DoneNext: %w", i, err)
 				break
 			}
 			appCfg, sysCfg = nextApp, nextSys
-			t.res.Iterations++
-			if t.done != nil {
-				t.done.Add(1)
+		} else {
+			if err := sess.Done(ctx, acc); err != nil {
+				t.res.Err = fmt.Errorf("iteration %d Done: %w", i, err)
+				break
 			}
-			continue
+			armed = false
 		}
-		fo := sess.Failovers()
-		start := time.Now()
-		err := sess.Done(ctx, acc)
-		lat := time.Since(start)
-		t.doneLat = append(t.doneLat, lat)
-		if !t.cfg.WireV2 {
-			// One v1 iteration's wire cost is its own Next plus this Done;
-			// in batched mode the DoneNext round trip above is the sample.
-			t.iterLat = append(t.iterLat, nextLat+lat)
-		}
-		t.wireCalls++
-		if sess.Failovers() > fo {
-			t.failLat = append(t.failLat, lat)
-		}
-		if err != nil {
-			t.res.Err = fmt.Errorf("iteration %d Done: %w", i, err)
-			break
-		}
-		armed = false
 		t.res.Iterations++
-		if t.done != nil {
-			t.done.Add(1)
-		}
-		if last {
-			break
-		}
+		t.done.Add(1)
 	}
 	t.res.SpentJ = sess.LastStatus().SpentJ
-	t.res.MeteredJ = t.energyJ
-	if t.res.Iterations > 0 {
-		t.res.MeanAcc = accSum / float64(t.res.Iterations)
-	}
 	t.res.Failovers = sess.Failovers()
 	t.res.CoordFailovers = sess.CoordFailovers()
 	t.res.TraceID = sess.LastTraceID()
@@ -527,34 +358,28 @@ func (t *tenant) run(ctx context.Context) {
 func (t *tenant) readEnergy() (float64, error) { return t.energyJ, nil }
 func (t *tenant) readNow() float64             { return t.clockS }
 
-// noteDenial classifies err as an enforcement denial and tallies it on
-// the result, reporting whether it was one.
-func (t *tenant) noteDenial(err error) bool {
+// noteDenial tallies err on the result if it is an enforcement denial.
+func (t *tenant) noteDenial(err error) {
 	switch {
 	case err == nil:
-		return false
 	case client.IsCode(err, wire.CodeTenantThrottled):
 		t.res.Throttled++
 	case client.IsCode(err, wire.CodeTenantSuspended):
 		t.res.Suspended++
 	case client.IsCode(err, wire.CodeTenantShed):
 		t.res.Shed++
-	default:
-		return false
 	}
-	return true
 }
 
 // runAdversary executes the tenant as a hostile load source: it claims
-// AdversaryWeight honest shares under AdversaryTier and drives
+// AdversaryWeight honest shares under adversaryTier and drives
 // iterations as fast as the daemon answers, re-registering straight
 // through every enforcement denial until stop closes. Denials are
 // tallied, and every other error simply ends the current session — an
 // adversary's job is to be refused, so nothing it experiences fails
-// the run (the honest tenants are the run's verdict). Its latencies
-// are never sampled: hostile traffic must not pollute the quantiles.
+// the run (the honest tenants are the run's verdict).
 func (t *tenant) runAdversary(ctx context.Context, stop <-chan struct{}) {
-	t.res = TenantResult{Tenant: t.name, App: t.app, Adversary: true}
+	t.res = TenantResult{Tenant: t.name, Adversary: true}
 	for {
 		select {
 		case <-stop:
@@ -565,16 +390,15 @@ func (t *tenant) runAdversary(ctx context.Context, stop <-chan struct{}) {
 		// readings are its own, as a restarted application's would be.
 		t.clockS, t.energyJ = 0, 0
 		opts := client.Options{
-			BaseURL:     t.cfg.BaseURL,
-			Tenant:      t.name,
-			App:         t.app,
-			Platform:    t.cfg.Platform,
-			Iterations:  t.cfg.Iterations,
-			MinAccuracy: t.cfg.MinAcc,
-			Tier:        t.cfg.AdversaryTier,
-			Retry:       t.cfg.Retry,
-			DisableV2:   true,
-			Seed:        t.cfg.Seed,
+			BaseURL:    t.cfg.BaseURL,
+			Tenant:     t.name,
+			App:        t.app,
+			Platform:   t.cfg.Platform,
+			Iterations: t.cfg.Iterations,
+			Tier:       adversaryTier,
+			Retry:      t.cfg.Retry,
+			DisableV2:  true,
+			Seed:       t.cfg.Seed,
 		}
 		// Claim AdversaryWeight honest tenants' worth of the pool, in
 		// whichever pricing mode the honest tenants use. Admission is
@@ -609,7 +433,6 @@ func (t *tenant) runAdversary(ctx context.Context, stop <-chan struct{}) {
 			continue
 		}
 		t.res.Registrations++
-		t.res.SessionID = sess.ID()
 		t.res.GrantJ = sess.GrantJ()
 		for i := 0; i < t.cfg.Iterations; i++ {
 			select {
@@ -619,17 +442,15 @@ func (t *tenant) runAdversary(ctx context.Context, stop <-chan struct{}) {
 			default:
 			}
 			appCfg, sysCfg, err := sess.Next(ctx)
-			t.wireCalls++
 			if err != nil {
 				t.noteDenial(err)
 				break
 			}
-			work, acc := t.step(appCfg, i)
+			work, acc := t.tb.App.Step(appCfg, i)
 			dur := work / t.tb.Platform.Rate(sysCfg, t.tb.Profile)
 			t.clockS += dur
 			t.energyJ += t.tb.Platform.Power(sysCfg, t.tb.Profile) * dur
 			err = sess.Done(ctx, acc)
-			t.wireCalls++
 			if err != nil {
 				t.noteDenial(err)
 				break
@@ -670,9 +491,6 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	// and/or coordinator kills) as the fleet-wide iteration count passes
 	// each trigger, in order.
 	kills := append([]Kill(nil), cfg.Kills...)
-	if cfg.KillAt > 0 && cfg.Kill != nil {
-		kills = append(kills, Kill{At: cfg.KillAt, Do: cfg.Kill})
-	}
 	sort.Slice(kills, func(i, j int) bool { return kills[i].At < kills[j].At })
 	killCtx, stopKiller := context.WithCancel(ctx)
 	defer stopKiller()
@@ -696,7 +514,6 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 			}
 		}()
 	}
-	start := time.Now()
 	// Adversaries run until the honest tenants finish: the property
 	// under test is that honest workloads complete while hostile load
 	// is live the whole time, so the adversaries must never finish
@@ -721,21 +538,17 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	wg.Wait()
 	close(advStop)
 	advWG.Wait()
-	elapsed := time.Since(start)
 	// Every session is closed; the daemons may be about to go too.
 	client.CloseIdleStreams()
 
-	rep := &Report{Elapsed: elapsed}
-	var nextAll, doneAll, iterAll, failAll []time.Duration
+	rep := &Report{}
 	for _, t := range tenants {
 		rep.Tenants = append(rep.Tenants, t.res)
 		rep.Iterations += t.res.Iterations
 		rep.TotalSpentJ += t.res.SpentJ
-		rep.Decisions += t.wireCalls
 		if t.res.Adversary {
 			// Hostile traffic is reported (denials, spend) but never
-			// judged: no error count, no grant-fidelity sample, no
-			// latency samples.
+			// judged: no error count, no grant-fidelity sample.
 			rep.Throttled += t.res.Throttled
 			rep.Suspended += t.res.Suspended
 			rep.Shed += t.res.Shed
@@ -748,32 +561,6 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		}
 		rep.Failovers += t.res.Failovers
 		rep.CoordFailovers += t.res.CoordFailovers
-		nextAll = append(nextAll, t.nextLat...)
-		doneAll = append(doneAll, t.doneLat...)
-		iterAll = append(iterAll, t.iterLat...)
-		failAll = append(failAll, t.failLat...)
-	}
-	rep.NextP50, rep.NextP99 = quantiles(nextAll)
-	rep.DoneP50, rep.DoneP99 = quantiles(doneAll)
-	rep.IterP50, rep.IterP99 = quantiles(iterAll)
-	rep.FailP50, rep.FailP99 = quantiles(failAll)
-	if elapsed > 0 {
-		rep.Throughput = float64(rep.Iterations) / elapsed.Seconds()
-		rep.DecisionsPerSec = float64(rep.Decisions) / elapsed.Seconds()
 	}
 	return rep, nil
-}
-
-// quantiles folds a latency sample through the shared metrics summary
-// (interpolating percentiles, same estimator the experiment tables use).
-func quantiles(d []time.Duration) (p50, p99 time.Duration) {
-	if len(d) == 0 {
-		return 0, 0
-	}
-	xs := make([]float64, len(d))
-	for i, v := range d {
-		xs[i] = float64(v)
-	}
-	sum := metrics.Summarize(xs)
-	return time.Duration(sum.P50), time.Duration(sum.P99)
 }

@@ -1,12 +1,13 @@
 // Command loadgen drives a jouleguardd daemon with N simulated tenants
-// and reports service-layer overheads: decision latency (p50/p99 of the
-// Next and Done round trips), throughput, and the aggregate
-// budget-guarantee error across concurrently governed sessions.
+// and judges the run: every assertion a smoke target makes — each tenant
+// within -check of its grant, broker and fleet conservation, failover
+// seen, faults rejected, isolation held — is a non-zero exit when it
+// fails. It measures nothing; latency and throughput are bench/'s.
 //
 // Three modes:
 //
 //   - -addr points it at an external daemon;
-//   - -selfhost (the default when -addr is empty) runs the daemon
+//   - selfhost (the default when -addr is empty) runs the daemon
 //     in-process over a real localhost listener, so one race-detector
 //     run covers server and client together. With -restart-at N the
 //     selfhosted daemon is drained, snapshotted and replaced mid-run
@@ -19,25 +20,16 @@
 //     killed (listener closed, heartbeats stopped) once N iterations
 //     have completed fleet-wide: its lease expires, the coordinator
 //     escrows the unspent budget and fails its sessions over, and the
-//     clients ride through on their failover path. The run then reports
-//     failover latency quantiles alongside the usual decision latency.
+//     clients ride through on their failover path.
 //
 // Cross-cutting switches: -v2 moves the per-iteration traffic onto the
 // v2 binary frame stream (batched DoneNext, one round trip per
-// iteration); -open-loop 5s runs for a fixed wall-clock window at
-// saturation and reports sustained decisions/s; -inproc bypasses
-// sockets entirely and drives the exported Server.Next/Done decision
-// path directly, isolating the governor+session cost from transport.
-// -meter sim (selfhost only) swaps the billed energy source for a
-// calibrated simulated meter — tenants' wire readings become physical
-// stimulus, sessions are debited only what the measurement service
-// attributes — and -meter-faults injects counter spikes to prove the
-// plausibility gate rejects them without billing a single corrupted
+// iteration). -meter sim (selfhost only) swaps the billed energy source
+// for a calibrated simulated meter — tenants' wire readings become
+// physical stimulus, sessions are debited only what the measurement
+// service attributes — and -meter-faults injects counter spikes to prove
+// the plausibility gate rejects them without billing a single corrupted
 // joule.
-//
-// Latency results are printed to stdout in `go test -bench` format so
-// cmd/benchjson can fold them into BENCH_experiments.json; the
-// human-readable summary goes to stderr.
 package main
 
 import (
@@ -49,10 +41,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"runtime"
-	"runtime/pprof"
 	"strings"
-	"sync"
 	"time"
 
 	"jouleguard"
@@ -60,9 +49,7 @@ import (
 	"jouleguard/internal/cluster"
 	"jouleguard/internal/faults"
 	"jouleguard/internal/guard"
-	"jouleguard/internal/load"
 	"jouleguard/internal/measure"
-	"jouleguard/internal/metrics"
 	"jouleguard/internal/qos"
 	"jouleguard/internal/server"
 	"jouleguard/internal/telemetry"
@@ -94,46 +81,26 @@ func main() {
 	expectShed := flag.Bool("expect-shed", false, "fail unless at least one adversary session was shed (requires -adversaries)")
 	seed := flag.Int64("seed", 1, "base seed; tenant i runs with seed+i")
 	v2 := flag.Bool("v2", false, "speak the v2 binary frame stream with the batched DoneNext loop (default: v1 JSON/HTTP)")
-	openLoop := flag.Duration("open-loop", 0, "run for this wall-clock window instead of to workload completion, measuring sustained decisions/s (sizes -iters up automatically)")
-	inproc := flag.Bool("inproc", false, "drive Server.Next/Done directly in-process (no sockets): the decision path alone")
 	meterMode := flag.String("meter", "client", "selfhost energy source: client (tenants' wire-reported readings are debited) or sim (a calibrated simulated meter measures; client reports become physical stimulus)")
 	meterFaults := flag.Bool("meter-faults", false, "with -meter sim: inject seeded counter faults into the meter and assert the plausibility gate rejects them")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memProfile := flag.String("memprofile", "", "write an allocation profile to this file at exit")
 	flag.Parse()
-
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			fail(err)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fail(err)
-		}
-		defer pprof.StopCPUProfile()
-	}
-	if *memProfile != "" {
-		defer func() {
-			f, err := os.Create(*memProfile)
-			if err != nil {
-				fail(err)
-			}
-			defer f.Close()
-			runtime.GC()
-			_ = pprof.WriteHeapProfile(f)
-		}()
+	if flag.NArg() > 0 {
+		// A stray word is a mistyped flag; running without it would
+		// silently test something else.
+		fmt.Fprintf(os.Stderr, "loadgen: unexpected argument %q\n", flag.Arg(0))
+		flag.Usage()
+		os.Exit(2)
 	}
 
 	tracer := telemetry.NewSpanBuffer(0)
 	tracer.SetNode("loadgen")
-	cfg := load.Config{
+	cfg := Config{
 		Tenants:         *tenants,
 		Iterations:      *iters,
 		Apps:            strings.Split(*apps, ","),
 		Platform:        *platName,
 		Seed:            *seed,
 		WireV2:          *v2,
-		Duration:        *openLoop,
 		Tier:            *tier,
 		Adversaries:     *adversaries,
 		AdversaryWeight: *advWeight,
@@ -142,11 +109,6 @@ func main() {
 	}
 	if *expectShed && *adversaries == 0 {
 		fail(fmt.Errorf("loadgen: -expect-shed requires -adversaries"))
-	}
-	if *openLoop > 0 && *iters <= 200 {
-		// Throughput mode must not end by workload completion: give every
-		// tenant more iterations than the window can possibly consume.
-		cfg.Iterations = 1 << 20
 	}
 	if *weighted {
 		cfg.Weight = 1
@@ -160,23 +122,16 @@ func main() {
 			fail(fmt.Errorf("loadgen: -meter-faults requires -meter sim"))
 		}
 	case "sim":
-		if *addr != "" || *clusterMode || *inproc {
-			fail(fmt.Errorf("loadgen: -meter sim runs only against the selfhosted daemon (no -addr, -cluster or -inproc)"))
+		if *addr != "" || *clusterMode {
+			fail(fmt.Errorf("loadgen: -meter sim runs only against the selfhosted daemon (no -addr or -cluster)"))
 		}
 	default:
 		fail(fmt.Errorf("loadgen: unknown -meter mode %q (want client or sim; rapl needs jouleguardd on real hardware)", *meterMode))
 	}
 
-	if *inproc {
-		runInproc(cfg, *budget, *check)
-		return
-	}
-
 	var sh *selfhost
 	var sc *selfcluster
-	prefix := "Serve"
 	if *clusterMode {
-		prefix = "Cluster"
 		fleetJ := *budget
 		if fleetJ <= 0 {
 			// Double the single-daemon sizing: failover permanently escrows
@@ -195,12 +150,11 @@ func main() {
 		// the coordinator for the new owner within the smoke-test window.
 		cfg.Retry = client.RetryPolicy{MaxAttempts: 6, BaseDelay: 30 * time.Millisecond, MaxDelay: 300 * time.Millisecond}
 		if *killAt > 0 {
-			cfg.KillAt = *killAt
-			cfg.Kill = sc.killOne
+			cfg.Kills = append(cfg.Kills, Kill{At: *killAt, Do: sc.killOne})
 		}
 		if *killCoordAt > 0 {
 			cfg.CoordinatorURLs = []string{sc.standbyURL()}
-			cfg.Kills = append(cfg.Kills, load.Kill{At: *killCoordAt, Do: sc.killCoordinator})
+			cfg.Kills = append(cfg.Kills, Kill{At: *killCoordAt, Do: sc.killCoordinator})
 		}
 		fmt.Fprintf(os.Stderr, "selfclustered fleet: coordinator on %s, %d nodes, fleet budget %.0f J\n",
 			cfg.CoordinatorURL, *nodes, fleetJ)
@@ -228,7 +182,6 @@ func main() {
 				inject: *meterFaults,
 				seed:   *seed,
 			}
-			prefix = "Meter"
 		}
 		qcfg := qos.Config{Enabled: *qosEnabled || *adversaries > 0, ShedPressure: *qosShedAt}
 		var err error
@@ -248,23 +201,12 @@ func main() {
 		}
 	}
 
-	if *adversaries > 0 {
-		// Adversarial runs measure enforcement, not the steady-state hot
-		// path; their latency snapshots must not overwrite the baselines.
-		prefix = "Qos"
-	}
-	if *v2 {
-		// Distinct snapshot names: the v2 hot path must not overwrite the
-		// v1 JSON baseline (and vice versa) in BENCH_experiments.json.
-		prefix += "V2"
-	}
-
 	var obs *obsCheck
 	if *obsChk {
 		obs = startObsCheck(sc, tracer, cfg.Tenants)
 	}
 
-	rep, err := load.Run(context.Background(), cfg)
+	rep, err := Run(context.Background(), cfg)
 	if err != nil {
 		fail(err)
 	}
@@ -276,7 +218,7 @@ func main() {
 	}
 	if sh != nil {
 		if sh.rig != nil {
-			if err := sh.rig.report(); err != nil {
+			if err := sh.rig.verify(); err != nil {
 				fail(err)
 			}
 		}
@@ -297,9 +239,6 @@ func main() {
 			}
 		}
 		sc.stop()
-	}
-	for _, line := range rep.BenchLines(prefix) {
-		fmt.Println(line)
 	}
 	if *adversaries > 0 {
 		regs := 0
@@ -331,183 +270,9 @@ func main() {
 	}
 }
 
-// runInproc drives the exported Server.Next/Done decision path directly
-// — no sockets, no codecs — with one goroutine per tenant against one
-// Server. It measures what the daemon itself costs per decision
-// (session shard lookup + session lock + governor), the floor under
-// every wire number.
-func runInproc(cfg load.Config, budget, check float64) {
-	if len(cfg.Apps) == 0 {
-		cfg.Apps = []string{"x264"}
-	}
-	if cfg.Platform == "" {
-		cfg.Platform = "Server"
-	}
-	globalJ := budget
-	if globalJ <= 0 {
-		globalJ = autoBudget(cfg)
-	}
-	srv, err := server.New(server.Config{GlobalBudgetJ: globalJ, SweepInterval: -1})
-	if err != nil {
-		fail(err)
-	}
-	fmt.Fprintf(os.Stderr, "in-process daemon, global budget %.0f J\n", globalJ)
-
-	type result struct {
-		res              load.TenantResult
-		nextLat, doneLat []time.Duration
-	}
-	results := make([]result, cfg.Tenants)
-	start := time.Now()
-	var wg sync.WaitGroup
-	for ti := 0; ti < cfg.Tenants; ti++ {
-		wg.Add(1)
-		go func(ti int) {
-			defer wg.Done()
-			r := &results[ti]
-			app := cfg.Apps[ti%len(cfg.Apps)]
-			r.res = load.TenantResult{Tenant: fmt.Sprintf("tenant-%02d", ti), App: app}
-			tb, err := jouleguard.NewTestbed(app, cfg.Platform)
-			if err != nil {
-				r.res.Err = err
-				return
-			}
-			reg := wire.RegisterRequest{
-				Tenant: r.res.Tenant, App: app, Platform: cfg.Platform,
-				Iterations: cfg.Iterations, Weight: cfg.Weight, Seed: cfg.Seed + int64(ti),
-			}
-			if cfg.Factor > 0 {
-				if reg.BudgetJ, err = tb.Budget(cfg.Factor, cfg.Iterations); err != nil {
-					r.res.Err = err
-					return
-				}
-			}
-			resp, err := srv.Register(reg)
-			if err != nil {
-				r.res.Err = err
-				return
-			}
-			r.res.SessionID = resp.SessionID
-			r.res.GrantJ = resp.GrantJ
-			var deadline time.Time
-			var stepMemo map[int][2]float64
-			if cfg.Duration > 0 {
-				deadline = time.Now().Add(cfg.Duration)
-				stepMemo = map[int][2]float64{} // see load.tenant.step
-			}
-			clockS, energyJ, accSum := 0.0, 0.0, 0.0
-			for i := 0; i < cfg.Iterations; i++ {
-				t0 := time.Now()
-				nresp, err := srv.Next(resp.SessionID, wire.NextRequest{NowS: clockS})
-				r.nextLat = append(r.nextLat, time.Since(t0))
-				if err != nil {
-					r.res.Err = fmt.Errorf("iteration %d Next: %w", i, err)
-					return
-				}
-				var work, acc float64
-				if v, ok := stepMemo[nresp.AppConfig]; ok {
-					work, acc = v[0], v[1]
-				} else {
-					work, acc = tb.App.Step(nresp.AppConfig, i)
-					if stepMemo != nil {
-						stepMemo[nresp.AppConfig] = [2]float64{work, acc}
-					}
-				}
-				dur := work / tb.Platform.Rate(nresp.SysConfig, tb.Profile)
-				clockS += dur
-				energyJ += tb.Platform.Power(nresp.SysConfig, tb.Profile) * dur
-				accSum += acc
-				t0 = time.Now()
-				dresp, err := srv.Done(resp.SessionID, wire.DoneRequest{NowS: clockS, EnergyJ: energyJ, Accuracy: acc})
-				r.doneLat = append(r.doneLat, time.Since(t0))
-				if err != nil {
-					r.res.Err = fmt.Errorf("iteration %d Done: %w", i, err)
-					return
-				}
-				r.res.Iterations++
-				r.res.SpentJ = dresp.SpentJ
-				if dresp.Complete || (!deadline.IsZero() && time.Now().After(deadline)) {
-					break
-				}
-			}
-			r.res.MeteredJ = energyJ
-			if r.res.Iterations > 0 {
-				r.res.MeanAcc = accSum / float64(r.res.Iterations)
-			}
-			if _, err := srv.Close(resp.SessionID); err != nil {
-				r.res.Err = fmt.Errorf("close: %w", err)
-			}
-		}(ti)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-
-	rep := &load.Report{Elapsed: elapsed}
-	var nextAll, doneAll, iterAll []time.Duration
-	for _, r := range results {
-		rep.Tenants = append(rep.Tenants, r.res)
-		rep.Iterations += r.res.Iterations
-		rep.TotalSpentJ += r.res.SpentJ
-		rep.TotalGrantJ += r.res.GrantJ
-		if og := r.res.OverGrant(); og > rep.MaxOverGrant {
-			rep.MaxOverGrant = og
-		}
-		if r.res.Err != nil {
-			rep.Errors++
-			fmt.Fprintf(os.Stderr, "tenant %s: %v\n", r.res.Tenant, r.res.Err)
-		}
-		nextAll = append(nextAll, r.nextLat...)
-		doneAll = append(doneAll, r.doneLat...)
-		for i := range r.nextLat {
-			if i < len(r.doneLat) {
-				iterAll = append(iterAll, r.nextLat[i]+r.doneLat[i])
-			}
-		}
-	}
-	rep.NextP50, rep.NextP99 = inprocQuantiles(nextAll)
-	rep.DoneP50, rep.DoneP99 = inprocQuantiles(doneAll)
-	rep.IterP50, rep.IterP99 = inprocQuantiles(iterAll)
-	rep.Decisions = len(nextAll) + len(doneAll)
-	if elapsed > 0 {
-		rep.Throughput = float64(rep.Iterations) / elapsed.Seconds()
-		rep.DecisionsPerSec = float64(rep.Decisions) / elapsed.Seconds()
-	}
-	fmt.Fprintln(os.Stderr, rep.Summary())
-	info := srv.Broker().Info()
-	if info.CommittedJ+info.ConsumedJ > info.GlobalJ*1.0001 {
-		fail(fmt.Errorf("loadgen: broker over-committed: committed %.1f + consumed %.1f > global %.1f",
-			info.CommittedJ, info.ConsumedJ, info.GlobalJ))
-	}
-	for _, line := range rep.BenchLines("Inproc") {
-		fmt.Println(line)
-	}
-	if check > 0 {
-		if err := rep.Check(check); err != nil {
-			fail(err)
-		}
-		fmt.Fprintf(os.Stderr, "check passed: every tenant within %.0f%% of its grant\n", check*100)
-	} else if rep.Errors > 0 {
-		fail(fmt.Errorf("loadgen: %d tenants reported errors", rep.Errors))
-	}
-}
-
-// inprocQuantiles mirrors load's estimator (metrics.Summarize) for the
-// in-process mode's latency samples.
-func inprocQuantiles(d []time.Duration) (p50, p99 time.Duration) {
-	if len(d) == 0 {
-		return 0, 0
-	}
-	xs := make([]float64, len(d))
-	for i, v := range d {
-		xs[i] = float64(v)
-	}
-	s := metrics.Summarize(xs)
-	return time.Duration(s.P50), time.Duration(s.P99)
-}
-
 // autoBudget sizes the selfhosted global pool so every factor-priced
 // tenant fits under the broker's reserve, with a small admission margin.
-func autoBudget(cfg load.Config) float64 {
+func autoBudget(cfg Config) float64 {
 	total := 0.0
 	for i := 0; i < cfg.Tenants; i++ {
 		app := cfg.Apps[i%len(cfg.Apps)]
@@ -684,7 +449,7 @@ func (sh *selfhost) fleetIterations() (int, error) {
 // verifyBroker asserts the daemon-side global invariant after the run:
 // the broker never over-committed, and the fleet's total spend stayed
 // within the global pool.
-func (sh *selfhost) verifyBroker(rep *load.Report) error {
+func (sh *selfhost) verifyBroker(rep *Report) error {
 	info := sh.srv.Broker().Info()
 	if info.CommittedJ+info.ConsumedJ > info.GlobalJ*1.0001 {
 		return fmt.Errorf("loadgen: broker over-committed: committed %.1f + consumed %.1f > global %.1f",
@@ -769,10 +534,9 @@ func (r *meterRig) stimulus(joules, durS float64) {
 	r.vc.Advance(durS)
 }
 
-// report prints the measurement service's post-run status, asserts the
-// run's meter invariants, and emits the calibration and gate tallies as
-// bench lines for BENCH_experiments.json.
-func (r *meterRig) report() error {
+// verify prints the measurement service's post-run status and asserts
+// the run's meter invariants.
+func (r *meterRig) verify() error {
 	st := r.svc.Status()
 	quarantined := ""
 	if st.Quarantined {
@@ -782,19 +546,22 @@ func (r *meterRig) report() error {
 		"trusted %.1f J (raw %.1f J), attributed %.1f J, unattributed %.1f J\n",
 		st.Samples, st.GateAccepted, st.GateRejected, st.Quarantines, quarantined,
 		st.TrustedJ, st.RawJ, st.AttributedJ, st.UnattributedJ)
+	return checkMeter(st, r.inject)
+}
+
+// checkMeter is the meter rig's verdict: every attribution window
+// closed, injected faults drew gate rejections, and a fault-free run
+// never quarantined the meter.
+func checkMeter(st measure.Status, injected bool) error {
 	if st.OpenWindows != 0 {
 		return fmt.Errorf("loadgen: %d attribution windows left open after the run", st.OpenWindows)
 	}
-	if r.inject && st.GateRejected == 0 {
+	if injected && st.GateRejected == 0 {
 		return fmt.Errorf("loadgen: counter faults were injected but the plausibility gate rejected nothing")
 	}
-	if !r.inject && st.Quarantined {
+	if !injected && st.Quarantined {
 		return fmt.Errorf("loadgen: meter quarantined with no faults injected")
 	}
-	fmt.Printf("BenchmarkMeterCalibrationTrials\t1\t%d trials\n", st.CalibrationTrials)
-	fmt.Printf("BenchmarkMeterCalibrationBaseline\t1\t%.1f mW\n", st.BaselineW*1000)
-	fmt.Printf("BenchmarkMeterCalibrationCV\t1\t%.1f ppm\n", st.CalibrationCV*1e6)
-	fmt.Printf("BenchmarkMeterGateRejected\t%d\t%d rejects\n", st.Samples, st.GateRejected)
 	return nil
 }
 
@@ -983,7 +750,7 @@ func (sc *selfcluster) killOne() {
 
 // verify asserts the coordinator-side fleet invariant after the run,
 // against whichever coordinator holds the ledger after any promotion.
-func (sc *selfcluster) verify(rep *load.Report, killAt, killCoordAt int) error {
+func (sc *selfcluster) verify(rep *Report, killAt, killCoordAt int) error {
 	info := sc.serving().Info(false)
 	if info.InvariantViolations != 0 {
 		return fmt.Errorf("loadgen: %d fleet-ledger invariant violations", info.InvariantViolations)

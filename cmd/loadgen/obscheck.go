@@ -18,7 +18,6 @@ import (
 	"sync"
 	"time"
 
-	"jouleguard/internal/load"
 	"jouleguard/internal/telemetry"
 	"jouleguard/internal/wire"
 )
@@ -57,7 +56,9 @@ func startObsCheck(sc *selfcluster, tracer *telemetry.SpanBuffer, tenants int) *
 // the serving coordinator for the fleet chain.
 func (o *obsCheck) poll() {
 	defer close(o.done)
-	tick := time.NewTicker(50 * time.Millisecond)
+	// The whole obs-smoke run lasts 50-100 ms: poll often enough to sample
+	// before, during and after the coordinator kill, not once.
+	tick := time.NewTicker(5 * time.Millisecond)
 	defer tick.Stop()
 	round := 0
 	for {
@@ -122,7 +123,7 @@ type spanRow struct {
 // provenance conserved to within provTolJ at every sampled instant and
 // in the final fleet chain, and at least one trace joinable across the
 // client, a member daemon and the coordinator.
-func (o *obsCheck) verify(rep *load.Report) error {
+func (o *obsCheck) verify(rep *Report) error {
 	close(o.stop)
 	<-o.done
 
@@ -163,7 +164,7 @@ func (o *obsCheck) verify(rep *load.Report) error {
 // coordinator lease span parented to a member span. Trace refs ride
 // heartbeats, so the coordinator hop can lag the run's end; candidates
 // are retried until the deadline.
-func (o *obsCheck) joinTrace(rep *load.Report) (trace uint64, hops int, err error) {
+func (o *obsCheck) joinTrace(rep *Report) (trace uint64, hops int, err error) {
 	candidates := make([]uint64, 0, len(rep.Tenants)+8)
 	seen := map[uint64]bool{}
 	for _, t := range rep.Tenants {

@@ -37,7 +37,7 @@ var workers atomic.Int64
 // the serial-vs-parallel byte-identity of regenerated results can be
 // demonstrated from the command line without recompiling:
 //
-//	JOULEGUARD_WORKERS=1 go run ./cmd/replicate
+//	JOULEGUARD_WORKERS=1 go run ./cmd/jouleguard replicate -out /tmp/serial
 var envWorkers = func() int {
 	if v, err := strconv.Atoi(os.Getenv("JOULEGUARD_WORKERS")); err == nil && v > 0 {
 		return v
