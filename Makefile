@@ -43,9 +43,10 @@ test-race:
 # plus the daemon, which shares sessions and the budget broker across
 # request handlers, the client, whose sessions share a pool of idle v2
 # streams, the load driver's concurrent tenants, and the bandit and
-# runtime, whose instances are copied from shared prior tables.
+# runtime, whose instances are copied from shared prior tables — and the
+# error contract and the retry loop every one of those hops shares.
 race:
-	$(GO) test -race ./internal/par/ ./internal/experiments/ ./internal/platform/ ./internal/learning/ ./internal/core/ ./internal/server/ ./internal/client/ ./internal/cluster/ ./cmd/loadgen/ ./internal/measure/ ./internal/qos/ .
+	$(GO) test -race ./internal/par/ ./internal/experiments/ ./internal/platform/ ./internal/learning/ ./internal/core/ ./internal/server/ ./internal/client/ ./internal/cluster/ ./cmd/loadgen/ ./internal/measure/ ./internal/qos/ ./internal/wire/ ./internal/backoff/ .
 
 # The full-size (10k-session) shard-churn test under the race detector:
 # the concurrent registry/broker workload the sharded session map exists
@@ -54,15 +55,19 @@ race:
 churn-race:
 	$(GO) test -race -run TestShardChurnRace ./internal/server/
 
-# Time-boxed fuzzing of the recovery parsers, seeded from a real
-# snapshot: damaged snapshot streams into Restore and damaged checkpoint
-# blobs into the session rebuild path. Truncated or bit-flipped input
-# must come back as an error — never a panic, never a live session. (go
-# test takes one -fuzz target per run, hence two steps; a failing input
-# lands in internal/server/testdata/fuzz/ as a regression case.)
+# Time-boxed fuzzing of the parsers that read untrusted bytes. The
+# recovery parsers, seeded from a real snapshot: damaged snapshot streams
+# into Restore and damaged checkpoint blobs into the session rebuild path
+# must come back as an error — never a panic, never a live session. The
+# v2 frame decoder, seeded from the codec tests' frames: no panic, every
+# accepted request frame re-encodes byte for byte, every TErr byte maps
+# through the error table. (go test takes one -fuzz target per run, hence
+# three steps; a failing input lands in the package's testdata/fuzz/ as a
+# regression case.)
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzRestore$$' -fuzztime=10s ./internal/server/
 	$(GO) test -run '^$$' -fuzz '^FuzzRestoreState$$' -fuzztime=10s ./internal/server/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecoder$$' -fuzztime=10s ./internal/wire/
 
 # The smoke targets below assert and print nothing to keep: each is one
 # `go run -race ./cmd/loadgen ... -check 1.05` whose verdict is its exit

@@ -21,10 +21,11 @@
 // each individual attempt.
 //
 // Transient transport failures and daemon restarts are absorbed by
-// capped exponential backoff (the actuation-retry pattern of
-// internal/linuxsys, hardened by the PR1 fault suite): retryable
-// failures — connection errors, 5xx, the daemon's "draining" reply —
-// are retried; protocol errors are not. A daemon restart that loses the
+// capped exponential backoff (internal/backoff, the same loop sysfs
+// actuation runs): connection errors, a 5xx that carries no protocol
+// code, and the refusals wire's error table classes Retry (draining,
+// throttled, ...) are retried against the same node; every other
+// refusal returns at once. A daemon restart that loses the
 // in-flight iteration is re-bracketed transparently: the server's
 // sequencing contract (wire.CodeBadSequence) tells the client exactly
 // which side of the bracket was lost, and the cumulative energy meter
@@ -51,47 +52,18 @@ import (
 	"strings"
 	"time"
 
+	"jouleguard/internal/backoff"
 	"jouleguard/internal/telemetry"
 	"jouleguard/internal/wire"
 )
 
 // RetryPolicy controls how wire calls survive transient failures, with
-// capped exponential backoff between attempts.
-type RetryPolicy struct {
-	MaxAttempts int                 // total attempts per call (default 8)
-	BaseDelay   time.Duration       // delay before the first retry (default 25ms)
-	MaxDelay    time.Duration       // backoff cap (default 1s)
-	Sleep       func(time.Duration) // injectable for tests (default: context-aware sleep)
-}
+// capped exponential backoff between attempts. Unset fields default to
+// 8 attempts, 25ms before the first retry and a 1s cap; a nil Sleep
+// waits on a timer that cancelling the call's context cuts short.
+type RetryPolicy = backoff.Policy
 
-func (p RetryPolicy) withDefaults() RetryPolicy {
-	if p.MaxAttempts <= 0 {
-		p.MaxAttempts = 8
-	}
-	if p.BaseDelay <= 0 {
-		p.BaseDelay = 25 * time.Millisecond
-	}
-	if p.MaxDelay <= 0 {
-		p.MaxDelay = time.Second
-	}
-	return p
-}
-
-// sleep waits out one backoff delay, aborting early on cancellation.
-func (p RetryPolicy) sleep(ctx context.Context, d time.Duration) error {
-	if p.Sleep != nil {
-		p.Sleep(d)
-		return ctx.Err()
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.C:
-		return nil
-	}
-}
+var defaultRetry = RetryPolicy{MaxAttempts: 8, BaseDelay: 25 * time.Millisecond, MaxDelay: time.Second}
 
 // Options configures a remote session; the registration fields mirror
 // wire.RegisterRequest.
@@ -178,11 +150,6 @@ type Error struct {
 func (e *Error) Error() string {
 	return fmt.Sprintf("client: %s (%s, HTTP %d)", e.Message, e.Code, e.Status)
 }
-
-// errExhausted marks a call that burned its whole retry budget; in a
-// fleet that is the cue to ask the coordinator for the session's new
-// home.
-var errExhausted = errors.New("client: retries exhausted")
 
 // iterHist is the client's own record of one completed iteration — the
 // raw observations it reported. It is what failover catch-up replays,
@@ -283,7 +250,7 @@ func Open(ctx context.Context, opts Options, readEnergy func() (float64, error),
 		base:       strings.TrimRight(opts.BaseURL, "/"),
 		coords:     coords,
 		httpc:      httpc,
-		retry:      opts.Retry.withDefaults(),
+		retry:      opts.Retry.Or(defaultRetry),
 		timeout:    opts.RequestTimeout,
 		readEnergy: readEnergy,
 		now:        now,
@@ -577,26 +544,34 @@ func (s *Session) path(op string) string {
 // Fleet failover.
 
 // shouldFailover decides whether an error means "this node no longer
-// serves the session" rather than "this call failed".
+// serves the session" rather than "this call failed": the call burned
+// its whole retry budget, or the node refused it with a Failover-class
+// code (a shed session, for one, is gone from this node; re-placing
+// gives the tenant its one legitimate recovery path, and fleet policy
+// decides whether the new owner will actually have it back).
 func (s *Session) shouldFailover(err error) bool {
 	if err == nil || len(s.coords) == 0 || s.reg.Key == "" {
 		return false
 	}
-	return errors.Is(err, errExhausted) ||
-		IsCode(err, wire.CodeUnknownSession) ||
-		IsCode(err, wire.CodeLeaseExpired) ||
-		IsCode(err, wire.CodeNotOwner) ||
-		// A shed session is gone from this node; re-placing gives the
-		// tenant its one legitimate recovery path (fleet policy decides
-		// whether the new owner will actually have it back).
-		IsCode(err, wire.CodeTenantShed)
+	return errors.Is(err, backoff.ErrExhausted) || classOf(err) == wire.Failover
+}
+
+// classOf is the recovery class of the refusal err carries (Final when
+// it carries none).
+func classOf(err error) wire.Class {
+	var e *Error
+	if errors.As(err, &e) {
+		return wire.ClassOf(e.Code)
+	}
+	return wire.Final
 }
 
 // place asks the coordinators, in order from the one last known to
-// serve, where the session lives. An unreachable coordinator, a standby
-// answering not_primary, and a deposed primary answering stale_epoch
-// all rotate to the next entry; a placement carrying a fence older than
-// the highest one seen is discarded the same way — grants and
+// serve, where the session lives. An unreachable coordinator and a
+// Rotate-class refusal (a standby answering not_primary, a deposed
+// primary answering stale_epoch) both move on to the next entry, the
+// refusal without a single retry; a placement carrying a fence older
+// than the highest one seen is discarded the same way — grants and
 // placements from a deposed reign must never be acted on. The per-entry
 // call retries through the no_nodes window while a failover is still
 // restoring the session on its new owner.
@@ -608,7 +583,7 @@ func (s *Session) place(ctx context.Context) (wire.PlacementResponse, error) {
 		err := s.callTo(ctx, s.coords[idx], "GET", wire.ClusterBasePath+"/sessions/"+s.reg.Key, nil, &place)
 		if err == nil {
 			if place.Fence < s.fence {
-				lastErr = &Error{Code: wire.CodeStaleEpoch, Status: http.StatusConflict,
+				lastErr = &Error{Code: wire.CodeStaleEpoch, Status: wire.Status(wire.CodeStaleEpoch),
 					Message: fmt.Sprintf("placement from fence %d, have seen %d; dropped", place.Fence, s.fence)}
 				continue
 			}
@@ -620,7 +595,7 @@ func (s *Session) place(ctx context.Context) (wire.PlacementResponse, error) {
 			return place, nil
 		}
 		lastErr = err
-		if errors.Is(err, errExhausted) || IsCode(err, wire.CodeNotPrimary) || IsCode(err, wire.CodeStaleEpoch) {
+		if errors.Is(err, backoff.ErrExhausted) || classOf(err) == wire.Rotate {
 			continue
 		}
 		return wire.PlacementResponse{}, err
@@ -639,47 +614,24 @@ func (s *Session) place(ctx context.Context) (wire.PlacementResponse, error) {
 // first placements may still point at the corpse (or answer no_nodes
 // while the reassignment is in flight); the loop re-places with backoff
 // until a live owner takes the session.
+//
+// Only a Final refusal ends the loop early: every other failure —
+// an exhausted call, no_nodes, a coordinator list still waiting for its
+// standby to promote, tenant enforcement on the re-register path (it
+// lifts once the tenant's ladder de-escalates) — resolves with time.
 func (s *Session) failover(ctx context.Context) error {
-	p := s.retry
-	delay := p.BaseDelay
-	var lastErr error
-	for attempt := 0; attempt < p.MaxAttempts; attempt++ {
-		if attempt > 0 {
-			if err := p.sleep(ctx, delay); err != nil {
-				return err
-			}
-			delay *= 2
-			if delay > p.MaxDelay {
-				delay = p.MaxDelay
-			}
-		}
+	_, err := s.retry.DoContext(ctx, func() error {
 		err := s.failoverOnce(ctx)
-		if err == nil {
-			s.failovers++
-			return nil
+		if err != nil && classOf(err) == wire.Final && !errors.Is(err, backoff.ErrExhausted) {
+			return backoff.Permanent(err)
 		}
-		if !retryableFailover(err) {
-			return err
-		}
-		lastErr = err
+		return err
+	})
+	if err != nil {
+		return fmt.Errorf("client: failover of %q: %w", s.reg.Key, err)
 	}
-	return fmt.Errorf("client: failover of %q did not converge after %d rounds: %w",
-		s.reg.Key, p.MaxAttempts, lastErr)
-}
-
-// retryableFailover reports whether a failover round failed for a
-// reason that resolves itself once the coordinator finishes expiring
-// the old owner and restoring the session elsewhere.
-func retryableFailover(err error) bool {
-	return errors.Is(err, errExhausted) ||
-		IsCode(err, wire.CodeNoNodes) ||
-		IsCode(err, wire.CodeNotOwner) ||
-		IsCode(err, wire.CodeLeaseExpired) ||
-		IsCode(err, wire.CodeUnknownSession) ||
-		// Tenant enforcement on the re-register path: keep backing off —
-		// the suspension lifts once the tenant's ladder de-escalates.
-		IsCode(err, wire.CodeTenantSuspended) ||
-		IsCode(err, wire.CodeTenantShed)
+	s.failovers++
+	return nil
 }
 
 func (s *Session) failoverOnce(ctx context.Context) error {
@@ -748,10 +700,11 @@ func (s *Session) call(ctx context.Context, method, path string, body, out any) 
 	return s.callTo(ctx, s.base, method, path, body, out)
 }
 
-// callTo performs one wire call with retry/backoff. Transport failures,
-// 5xx replies and the draining code are retried with capped exponential
-// backoff; protocol errors return immediately as *Error. Cancelling ctx
-// aborts both in-flight requests and the backoff sleeps.
+// callTo performs one wire call with retry/backoff. Transport
+// failures, 5xx replies carrying no protocol code, and Retry-class
+// refusals are retried with capped exponential backoff; every other
+// refusal returns immediately as *Error. Cancelling ctx aborts both
+// in-flight requests and the backoff sleeps.
 func (s *Session) callTo(ctx context.Context, base, method, path string, body, out any) error {
 	var payload []byte
 	if body != nil {
@@ -761,22 +714,7 @@ func (s *Session) callTo(ctx context.Context, base, method, path string, body, o
 			return err
 		}
 	}
-	p := s.retry
-	delay := p.BaseDelay
-	var lastErr error
-	for attempt := 0; attempt < p.MaxAttempts; attempt++ {
-		if attempt > 0 {
-			if err := p.sleep(ctx, delay); err != nil {
-				return err
-			}
-			delay *= 2
-			if delay > p.MaxDelay {
-				delay = p.MaxDelay
-			}
-		}
-		if err := ctx.Err(); err != nil {
-			return err
-		}
+	_, err := s.retry.DoContext(ctx, func() error {
 		attemptCtx, cancel := ctx, context.CancelFunc(func() {})
 		if s.timeout > 0 {
 			attemptCtx, cancel = context.WithTimeout(ctx, s.timeout)
@@ -785,35 +723,35 @@ func (s *Session) callTo(ctx context.Context, base, method, path string, body, o
 		cancel()
 		if err != nil {
 			if ctx.Err() != nil {
-				return ctx.Err() // cancelled mid-request: stop, do not retry
+				return backoff.Permanent(ctx.Err()) // cancelled mid-request: stop, do not retry
 			}
-			lastErr = err // connection refused mid-restart, reset, timeout, ...
-			continue
+			return err // connection refused mid-restart, reset, timeout, ...
 		}
 		if status >= 200 && status < 300 {
 			if out == nil {
 				return nil
 			}
-			return json.Unmarshal(raw, out)
+			if err := json.Unmarshal(raw, out); err != nil {
+				return backoff.Permanent(err)
+			}
+			return nil
 		}
-		var werr wire.ErrorResponse
-		if uerr := json.Unmarshal(raw, &werr); uerr != nil || werr.Code == "" {
-			werr = wire.ErrorResponse{Code: wire.CodeBadRequest, Error: strings.TrimSpace(string(raw))}
+		werr := wire.DecodeError(status, raw)
+		perr := &Error{Code: werr.Code, Message: werr.Msg, Status: status}
+		if werr.Code == "" {
+			// Not a daemon's refusal: a proxy or a daemon dying mid-reply.
+			if perr.Code = wire.CodeBadRequest; status >= 500 {
+				return perr
+			}
+		} else if wire.ClassOf(werr.Code) == wire.Retry {
+			return perr // restarting, unwell, or paced by the qos ladder: back off and retry
 		}
-		perr := &Error{Code: werr.Code, Message: werr.Error, Status: status}
-		if werr.Code == wire.CodeTenantSuspended || werr.Code == wire.CodeTenantShed {
-			// Enforcement verdicts lift on de-escalation timescales
-			// (seconds of clean behavior), not on retry backoff; burning
-			// the attempt budget here would just hammer the daemon.
-			return perr
-		}
-		if status >= 500 || werr.Code == wire.CodeDraining || werr.Code == wire.CodeTenantThrottled {
-			lastErr = perr // restarting, unwell, or paced by the qos ladder: back off and retry
-			continue
-		}
-		return perr
+		return backoff.Permanent(perr)
+	})
+	if errors.Is(err, backoff.ErrExhausted) {
+		return fmt.Errorf("client: %s %s: %w", method, base+path, err)
 	}
-	return fmt.Errorf("%w: %s %s after %d attempts: %w", errExhausted, method, base+path, p.MaxAttempts, lastErr)
+	return err
 }
 
 // do performs a single HTTP attempt.

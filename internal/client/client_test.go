@@ -295,3 +295,43 @@ func TestClientContextCancelsBackoff(t *testing.T) {
 		t.Fatalf("cancellation took %v — backoff was not interrupted", waited)
 	}
 }
+
+// TestClientRotatesPastStandbyAtOnce pins the error contract's Rotate
+// class on the placement path: a coordinator list that starts with a
+// standby answering 503 not_primary moves on to the primary after one
+// request and no backoff sleep — a 503 alone does not mean "retry here".
+func TestClientRotatesPastStandbyAtOnce(t *testing.T) {
+	ctx := context.Background()
+	daemon := httptest.NewServer(newDaemon(t, 10000).Handler())
+	defer daemon.Close()
+	var standbyHits atomic.Int32
+	standby := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		standbyHits.Add(1)
+		wire.WriteError(w, &wire.Error{Code: wire.CodeNotPrimary, Msg: "standby coordinator; retry against the primary"})
+	}))
+	defer standby.Close()
+	primary := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		wire.WriteJSON(w, http.StatusOK, wire.PlacementResponse{Key: "k", Node: "n1", Addr: daemon.URL, Fence: 1})
+	}))
+	defer primary.Close()
+
+	var sleeps atomic.Int32
+	m := newMachine(t)
+	sess, err := client.Open(ctx, client.Options{
+		CoordinatorURL: standby.URL, CoordinatorURLs: []string{primary.URL}, Key: "k",
+		App: "radar", Platform: "Tablet", Iterations: 5, Factor: 2,
+		Retry: client.RetryPolicy{Sleep: func(time.Duration) { sleeps.Add(1) }},
+	}, m.readEnergy, m.readNow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := standbyHits.Load(); n != 1 {
+		t.Errorf("standby saw %d placement requests, want 1", n)
+	}
+	if n := sleeps.Load(); n != 0 {
+		t.Errorf("%d backoff sleeps before rotating, want 0", n)
+	}
+	if sess.CoordFailovers() != 1 || sess.Fence() != 1 {
+		t.Errorf("coordinator failovers %d fence %d, want 1 and 1", sess.CoordFailovers(), sess.Fence())
+	}
+}

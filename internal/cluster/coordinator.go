@@ -310,15 +310,15 @@ func (c *Coordinator) Fence() int64 {
 // one more grant the fleet would have to double-count.
 func (c *Coordinator) gateLocked(peerFence int64) error {
 	if c.follower {
-		return &wireError{wire.CodeNotPrimary, "standby coordinator; retry against the primary"}
+		return &wire.Error{Code: wire.CodeNotPrimary, Msg: "standby coordinator; retry against the primary"}
 	}
 	if peerFence > c.fence {
 		c.fence = peerFence
 		c.deposed = true
 	}
 	if c.deposed {
-		return &wireError{wire.CodeStaleEpoch,
-			fmt.Sprintf("coordinator deposed at fence %d; rejoin the promoted primary", c.fence)}
+		return &wire.Error{Code: wire.CodeStaleEpoch,
+			Msg: fmt.Sprintf("coordinator deposed at fence %d; rejoin the promoted primary", c.fence)}
 	}
 	return nil
 }
@@ -489,7 +489,7 @@ func (c *Coordinator) bookLocked(n *node, consumedJ float64) float64 {
 // the escrow that was actually spent and refunds the rest to the pool.
 func (c *Coordinator) Join(req wire.JoinRequest) (wire.JoinResponse, error) {
 	if req.Node == "" || req.Addr == "" {
-		return wire.JoinResponse{}, &wireError{wire.CodeBadRequest, "join requires node name and address"}
+		return wire.JoinResponse{}, &wire.Error{Code: wire.CodeBadRequest, Msg: "join requires node name and address"}
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -576,8 +576,8 @@ func (c *Coordinator) Heartbeat(req wire.HeartbeatRequest) (wire.HeartbeatRespon
 	}
 	n := c.nodes[req.Node]
 	if n == nil || !n.live || n.epoch != req.Epoch {
-		return wire.HeartbeatResponse{}, &wireError{wire.CodeUnknownNode,
-			fmt.Sprintf("node %q has no live lease at epoch %d; rejoin", req.Node, req.Epoch)}
+		return wire.HeartbeatResponse{}, &wire.Error{Code: wire.CodeUnknownNode,
+			Msg: fmt.Sprintf("node %q has no live lease at epoch %d; rejoin", req.Node, req.Epoch)}
 	}
 	now := c.clock()
 	// dt since the node's previous beat feeds the burn-rate EWMA; captured
@@ -742,11 +742,11 @@ func (c *Coordinator) Extend(req wire.ExtendRequest) (wire.ExtendResponse, error
 	}
 	n := c.nodes[req.Node]
 	if n == nil || !n.live || n.epoch != req.Epoch {
-		return wire.ExtendResponse{}, &wireError{wire.CodeUnknownNode,
-			fmt.Sprintf("node %q has no live lease at epoch %d; rejoin", req.Node, req.Epoch)}
+		return wire.ExtendResponse{}, &wire.Error{Code: wire.CodeUnknownNode,
+			Msg: fmt.Sprintf("node %q has no live lease at epoch %d; rejoin", req.Node, req.Epoch)}
 	}
 	if req.NeedJ <= 0 {
-		return wire.ExtendResponse{}, &wireError{wire.CodeBadRequest, "extension must be positive"}
+		return wire.ExtendResponse{}, &wire.Error{Code: wire.CodeBadRequest, Msg: "extension must be positive"}
 	}
 	g := c.grantLocked(n, req.NeedJ, false)
 	n.targetJ += g
@@ -796,7 +796,8 @@ func (c *Coordinator) rendezvousLocked(key string) *node {
 // coordinator's register redirect and the placement lookup.
 func (c *Coordinator) Place(key string) (wire.PlacementResponse, error) {
 	if key == "" {
-		return wire.PlacementResponse{}, &wireError{wire.CodeBadRequest, "placement requires a session key"}
+		return wire.PlacementResponse{}, &wire.Error{Code: wire.CodeBadRequest,
+			Msg: "placement requires a session key"}
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -806,14 +807,14 @@ func (c *Coordinator) Place(key string) (wire.PlacementResponse, error) {
 	if rec := c.sessions[key]; rec != nil {
 		owner := c.nodes[rec.node]
 		if owner == nil || !owner.live {
-			return wire.PlacementResponse{}, &wireError{wire.CodeNoNodes,
-				fmt.Sprintf("session %q is between nodes (owner down, failover pending); retry", key)}
+			return wire.PlacementResponse{}, &wire.Error{Code: wire.CodeNoNodes,
+				Msg: fmt.Sprintf("session %q is between nodes (owner down, failover pending); retry", key)}
 		}
 		return wire.PlacementResponse{Key: key, Node: owner.id, Addr: owner.addr, SessionID: rec.id, Fence: c.fence}, nil
 	}
 	owner := c.rendezvousLocked(key)
 	if owner == nil {
-		return wire.PlacementResponse{}, &wireError{wire.CodeNoNodes, "no live nodes in the fleet; retry"}
+		return wire.PlacementResponse{}, &wire.Error{Code: wire.CodeNoNodes, Msg: "no live nodes in the fleet; retry"}
 	}
 	c.sessions[key] = &sessRec{key: key, node: owner.id}
 	c.logSessLocked("place", key, owner.id)
@@ -966,7 +967,9 @@ func (c *Coordinator) Reassign() {
 	c.mu.Unlock()
 
 	for _, m := range moves {
-		resp, err := c.pushAdopt(m.addr, wire.AdoptRequest{Sessions: []wire.AdoptSession{m.adopt}, Fence: fence})
+		var resp wire.AdoptResponse
+		err := postJSON(c.httpc, m.addr+wire.ClusterBasePath+"/adopt",
+			wire.AdoptRequest{Sessions: []wire.AdoptSession{m.adopt}, Fence: fence}, &resp)
 		c.mu.Lock()
 		m.rec.moving = false
 		if err != nil {

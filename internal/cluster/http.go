@@ -3,67 +3,23 @@ package cluster
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
+	"io"
 	"net/http"
 	"strconv"
 
 	"jouleguard/internal/wire"
 )
 
-// wireError pairs a stable protocol code with a message (the cluster
-// protocol reuses the session protocol's error envelope).
-type wireError struct {
-	code string
-	msg  string
-}
-
-func (e *wireError) Error() string { return e.msg }
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func writeError(w http.ResponseWriter, err error) {
-	code, msg := wire.CodeBadRequest, err.Error()
-	var werr *wireError
-	if errors.As(err, &werr) {
-		code = werr.code
-	}
-	status := http.StatusBadRequest
-	switch code {
-	case wire.CodeUnknownNode:
-		status = http.StatusConflict
-	case wire.CodeNoNodes, wire.CodeLeaseExpired:
-		status = http.StatusServiceUnavailable
-	case wire.CodeStaleEpoch:
-		// Conflict, not retryable-here: the caller must move to the
-		// coordinator holding the higher fence, never retry this one.
-		status = http.StatusConflict
-	case wire.CodeNotPrimary:
-		status = http.StatusServiceUnavailable
-	}
-	writeJSON(w, status, wire.ErrorResponse{Code: code, Error: msg})
-}
-
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		writeError(w, &wireError{wire.CodeBadRequest, "invalid JSON body: " + err.Error()})
-		return false
-	}
-	return true
-}
-
 // Mount registers the coordinator's routes on mux: the cluster control
 // plane plus a redirecting POST /v1/sessions so clients can point at
 // the coordinator and be steered to the owning node.
 func (c *Coordinator) Mount(mux *http.ServeMux) {
-	mux.HandleFunc("POST "+wire.ClusterBasePath+"/join", c.handleJoin)
-	mux.HandleFunc("POST "+wire.ClusterBasePath+"/heartbeat", c.handleHeartbeat)
-	mux.HandleFunc("POST "+wire.ClusterBasePath+"/lease", c.handleExtend)
+	mux.HandleFunc("POST "+wire.ClusterBasePath+"/join", wire.Handle(http.StatusOK,
+		func(_ string, req wire.JoinRequest) (wire.JoinResponse, error) { return c.Join(req) }))
+	mux.HandleFunc("POST "+wire.ClusterBasePath+"/heartbeat", wire.Handle(http.StatusOK,
+		func(_ string, req wire.HeartbeatRequest) (wire.HeartbeatResponse, error) { return c.Heartbeat(req) }))
+	mux.HandleFunc("POST "+wire.ClusterBasePath+"/lease", wire.Handle(http.StatusOK,
+		func(_ string, req wire.ExtendRequest) (wire.ExtendResponse, error) { return c.Extend(req) }))
 	mux.HandleFunc("GET "+wire.ClusterBasePath, c.handleInfo)
 	mux.HandleFunc("GET "+wire.ClusterBasePath+"/sessions/{key}", c.handlePlacement)
 	mux.HandleFunc("GET "+wire.ClusterBasePath+"/wal", c.handleWAL)
@@ -81,47 +37,8 @@ func (c *Coordinator) Handler() http.Handler {
 	return mux
 }
 
-func (c *Coordinator) handleJoin(w http.ResponseWriter, r *http.Request) {
-	var req wire.JoinRequest
-	if !decodeBody(w, r, &req) {
-		return
-	}
-	resp, err := c.Join(req)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
-	var req wire.HeartbeatRequest
-	if !decodeBody(w, r, &req) {
-		return
-	}
-	resp, err := c.Heartbeat(req)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-func (c *Coordinator) handleExtend(w http.ResponseWriter, r *http.Request) {
-	var req wire.ExtendRequest
-	if !decodeBody(w, r, &req) {
-		return
-	}
-	resp, err := c.Extend(req)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
 func (c *Coordinator) handleInfo(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, c.Info(r.URL.Query().Get("detail") != ""))
+	wire.WriteJSON(w, http.StatusOK, c.Info(r.URL.Query().Get("detail") != ""))
 }
 
 // handleWAL serves the ledger log tail to a replicating standby:
@@ -132,12 +49,12 @@ func (c *Coordinator) handleWAL(w http.ResponseWriter, r *http.Request) {
 	if s := r.URL.Query().Get("from"); s != "" {
 		v, err := strconv.ParseUint(s, 10, 64)
 		if err != nil {
-			writeError(w, &wireError{wire.CodeBadRequest, "invalid from cursor: " + err.Error()})
+			wire.WriteError(w, &wire.Error{Code: wire.CodeBadRequest, Msg: "invalid from cursor: " + err.Error()})
 			return
 		}
 		from = v
 	}
-	writeJSON(w, http.StatusOK, c.wal.Tail(from))
+	wire.WriteJSON(w, http.StatusOK, c.wal.Tail(from))
 }
 
 // handleClusterMetrics serves the fleet-level rollup — member counters
@@ -150,16 +67,16 @@ func (c *Coordinator) handleClusterMetrics(w http.ResponseWriter, _ *http.Reques
 // handleClusterProvenance serves the coordinator's half of the joule
 // custody chain.
 func (c *Coordinator) handleClusterProvenance(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, c.Provenance())
+	wire.WriteJSON(w, http.StatusOK, c.Provenance())
 }
 
 func (c *Coordinator) handlePlacement(w http.ResponseWriter, r *http.Request) {
 	resp, err := c.Place(r.PathValue("key"))
 	if err != nil {
-		writeError(w, err)
+		wire.WriteError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	wire.WriteJSON(w, http.StatusOK, resp)
 }
 
 // handleRegister steers a session registration to its owning node: a
@@ -168,51 +85,42 @@ func (c *Coordinator) handlePlacement(w http.ResponseWriter, r *http.Request) {
 // ones (internal/client reads Addr) find their way.
 func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 	var req wire.RegisterRequest
-	if !decodeBody(w, r, &req) {
+	if !wire.DecodeBody(w, r, &req) {
 		return
 	}
 	if req.Key == "" {
-		writeError(w, &wireError{wire.CodeBadRequest,
-			"registering through the coordinator requires a session key for placement"})
+		wire.WriteError(w, &wire.Error{Code: wire.CodeBadRequest,
+			Msg: "registering through the coordinator requires a session key for placement"})
 		return
 	}
 	place, err := c.Place(req.Key)
 	if err != nil {
-		writeError(w, err)
+		wire.WriteError(w, err)
 		return
 	}
 	w.Header().Set("Location", place.Addr+wire.BasePath)
-	writeJSON(w, http.StatusTemporaryRedirect, wire.ErrorResponse{
+	wire.WriteJSON(w, wire.Status(wire.CodeNotOwner), wire.ErrorResponse{
 		Code:  wire.CodeNotOwner,
 		Error: "session " + req.Key + " is owned by node " + place.Node,
 		Addr:  place.Addr,
 	})
 }
 
-// pushAdopt delivers stranded sessions to their new owner node.
-func (c *Coordinator) pushAdopt(addr string, req wire.AdoptRequest) (wire.AdoptResponse, error) {
-	body, err := json.Marshal(req)
+// postJSON POSTs in as JSON and decodes a 200 reply into out; any other
+// reply comes back as the *wire.Error it carries (wire.DecodeError).
+func postJSON(httpc *http.Client, url string, in, out any) error {
+	body, err := json.Marshal(in)
 	if err != nil {
-		return wire.AdoptResponse{}, err
+		return err
 	}
-	httpReq, err := http.NewRequest(http.MethodPost, addr+wire.ClusterBasePath+"/adopt", bytes.NewReader(body))
+	resp, err := httpc.Post(url, "application/json", bytes.NewReader(body))
 	if err != nil {
-		return wire.AdoptResponse{}, err
-	}
-	httpReq.Header.Set("Content-Type", "application/json")
-	resp, err := c.httpc.Do(httpReq)
-	if err != nil {
-		return wire.AdoptResponse{}, err
+		return err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		var werr wire.ErrorResponse
-		_ = json.NewDecoder(resp.Body).Decode(&werr)
-		return wire.AdoptResponse{}, &wireError{werr.Code, "adopt push: " + werr.Error}
+	if resp.StatusCode == http.StatusOK {
+		return json.NewDecoder(resp.Body).Decode(out)
 	}
-	var out wire.AdoptResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return wire.AdoptResponse{}, err
-	}
-	return out, nil
+	raw, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
+	return wire.DecodeError(resp.StatusCode, raw)
 }

@@ -1,8 +1,7 @@
 package cluster
 
 import (
-	"bytes"
-	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"math/rand"
@@ -10,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"jouleguard/internal/backoff"
 	"jouleguard/internal/server"
 	"jouleguard/internal/telemetry"
 	"jouleguard/internal/wire"
@@ -123,7 +123,7 @@ func (m *Member) Server() *server.Server { return m.srv }
 // alongside the daemon's own wire routes.
 func (m *Member) Mount(mux *http.ServeMux) {
 	m.srv.Mount(mux)
-	mux.HandleFunc("POST "+wire.ClusterBasePath+"/adopt", m.handleAdopt)
+	mux.HandleFunc("POST "+wire.ClusterBasePath+"/adopt", wire.Handle(http.StatusOK, m.adopt))
 }
 
 // Handler returns the node's full surface: wire protocol, adoption
@@ -157,7 +157,7 @@ func (m *Member) Join() error {
 		return err
 	}
 	if !m.acceptFence(resp.Fence) {
-		return &wireError{wire.CodeStaleEpoch, "join answered by a deposed coordinator; grant dropped"}
+		return &wire.Error{Code: wire.CodeStaleEpoch, Msg: "join answered by a deposed coordinator; grant dropped"}
 	}
 	// Sessions that failed over while we were away: their budget was
 	// escrowed and their state restored elsewhere, so the local copies
@@ -248,7 +248,7 @@ func (m *Member) Beat() error {
 	var resp wire.HeartbeatResponse
 	if err := m.post("/heartbeat", req, &resp); err != nil {
 		m.srv.RequeueTraceRefs(traces)
-		if werr, ok := err.(*wireError); ok && werr.code == wire.CodeUnknownNode {
+		if werr, ok := err.(*wire.Error); ok && werr.Code == wire.CodeUnknownNode {
 			m.mu.Lock()
 			m.joined = false
 			m.mu.Unlock()
@@ -258,7 +258,8 @@ func (m *Member) Beat() error {
 	}
 	if !m.acceptFence(resp.Fence) {
 		m.srv.RequeueTraceRefs(traces)
-		return &wireError{wire.CodeStaleEpoch, "heartbeat answered by a deposed coordinator; grant dropped"}
+		return &wire.Error{Code: wire.CodeStaleEpoch,
+			Msg: "heartbeat answered by a deposed coordinator; grant dropped"}
 	}
 
 	m.mu.Lock()
@@ -401,33 +402,27 @@ func (m *Member) acceptFence(fence int64) bool {
 	return true
 }
 
-// handleAdopt restores sessions the coordinator reassigned to this node
-// after their previous owner died: rebuild from the acked log, import
-// the prior spend, resume under the local broker. No ack cursor is
-// seeded: the first heartbeat re-ships the retained log once and the
-// coordinator's reply sets it.
-func (m *Member) handleAdopt(w http.ResponseWriter, r *http.Request) {
-	var req wire.AdoptRequest
-	if !decodeBody(w, r, &req) {
-		return
-	}
+// adopt restores sessions the coordinator reassigned to this node after
+// their previous owner died (POST /v1/cluster/adopt): rebuild from the
+// acked log, import the prior spend, resume under the local broker. No
+// ack cursor is seeded: the first heartbeat re-ships the retained log
+// once and the coordinator's reply sets it.
+func (m *Member) adopt(_ string, req wire.AdoptRequest) (wire.AdoptResponse, error) {
 	// A deposed primary must not seed sessions: its placement decisions
 	// are no longer backed by the ledger the promoted coordinator owns.
 	if !m.acceptFence(req.Fence) {
-		writeError(w, &wireError{wire.CodeStaleEpoch,
-			fmt.Sprintf("adopt push carries fence %d, node has seen %d", req.Fence, m.Fence())})
-		return
+		return wire.AdoptResponse{}, &wire.Error{Code: wire.CodeStaleEpoch,
+			Msg: fmt.Sprintf("adopt push carries fence %d, node has seen %d", req.Fence, m.Fence())}
 	}
 	ids := make(map[string]string, len(req.Sessions))
 	for _, a := range req.Sessions {
 		id, err := m.srv.Adopt(a)
 		if err != nil {
-			writeError(w, err)
-			return
+			return wire.AdoptResponse{}, err
 		}
 		ids[a.Key] = id
 	}
-	writeJSON(w, http.StatusOK, wire.AdoptResponse{IDs: ids})
+	return wire.AdoptResponse{IDs: ids}, nil
 }
 
 // Run joins and then heartbeats until Stop; heartbeat failures are
@@ -450,24 +445,12 @@ func (m *Member) Run() error {
 	m.done = make(chan struct{})
 	stop, done := m.stop, m.done
 	m.mu.Unlock()
-	seed := fnv.New64a()
-	seed.Write([]byte(m.cfg.Node))
-	rng := rand.New(rand.NewSource(int64(seed.Sum64())))
+	rng := beatRand(m.cfg.Node)
 	go func() {
 		defer close(done)
 		fails := 0
 		for {
-			delay := every
-			if fails > 0 {
-				// Exponential in the failure count, capped at 8 beats, with
-				// a uniform [0.5, 1.5) jitter factor.
-				backoff := every << uint(min(fails-1, 3))
-				if max := 8 * every; backoff > max {
-					backoff = max
-				}
-				delay = backoff/2 + time.Duration(rng.Int63n(int64(backoff)))
-			}
-			t := time.NewTimer(delay)
+			t := time.NewTimer(beatDelay(every, fails, rng))
 			select {
 			case <-t.C:
 				if err := m.Beat(); err != nil {
@@ -483,6 +466,26 @@ func (m *Member) Run() error {
 		}
 	}()
 	return nil
+}
+
+// beatRand seeds a node's heartbeat jitter from its name: deterministic
+// per node, different across the fleet.
+func beatRand(node string) *rand.Rand {
+	seed := fnv.New64a()
+	seed.Write([]byte(node))
+	return rand.New(rand.NewSource(int64(seed.Sum64())))
+}
+
+// beatDelay is the wait before the next heartbeat after fails
+// consecutive failures: the cadence itself while healthy, else the
+// back-off doubling per failure up to 8 beats, scaled by a uniform
+// [0.5, 1.5) jitter factor drawn from rng.
+func beatDelay(every time.Duration, fails int, rng *rand.Rand) time.Duration {
+	if fails == 0 {
+		return every
+	}
+	d := backoff.Policy{BaseDelay: every, MaxDelay: 8 * every}.Delay(fails)
+	return d/2 + time.Duration(rng.Int63n(int64(d)))
 }
 
 // Stop halts the heartbeat loop (the lease is left to expire).
@@ -504,12 +507,11 @@ func (m *Member) LeaseJ() float64 {
 	return m.leaseJ
 }
 
-// post sends one coordinator call, rotating through the ordered
-// coordinator list: an unreachable coordinator, a standby answering
-// not_primary, or a deposed primary answering stale_epoch all advance
-// to the next entry; any other protocol answer comes from the serving
-// primary and is returned to the caller. The coordinator that finally
-// answers becomes the member's active one.
+// post sends one coordinator call, moving down the ordered coordinator
+// list past an unreachable coordinator, a reply carrying no protocol
+// code, and a Rotate-class refusal (not_primary, stale_epoch). Any other
+// answer comes from the serving primary, which becomes the member's
+// active coordinator, and is returned to the caller.
 func (m *Member) post(path string, in, out any) error {
 	m.mu.Lock()
 	start, coords := m.cur, m.coords
@@ -517,11 +519,9 @@ func (m *Member) post(path string, in, out any) error {
 	var lastErr error
 	for i := 0; i < len(coords); i++ {
 		idx := (start + i) % len(coords)
-		err := m.postTo(coords[idx], path, in, out)
-		var werr *wireError
-		retryNext := err != nil && (!errorAs(err, &werr) ||
-			werr.code == wire.CodeNotPrimary || werr.code == wire.CodeStaleEpoch)
-		if !retryNext {
+		err := postJSON(m.httpc, coords[idx]+wire.ClusterBasePath+path, in, out)
+		var werr *wire.Error
+		if err == nil || errors.As(err, &werr) && werr.Code != "" && wire.ClassOf(werr.Code) != wire.Rotate {
 			m.mu.Lock()
 			m.cur = idx
 			m.mu.Unlock()
@@ -530,41 +530,4 @@ func (m *Member) post(path string, in, out any) error {
 		lastErr = err
 	}
 	return lastErr
-}
-
-// errorAs is errors.As narrowed to *wireError (post's only sniff).
-func errorAs(err error, target **wireError) bool {
-	if werr, ok := err.(*wireError); ok {
-		*target = werr
-		return true
-	}
-	return false
-}
-
-// postTo sends one coordinator call and decodes the reply, converting
-// protocol error bodies into *wireError so callers can branch on codes.
-func (m *Member) postTo(coord, path string, in, out any) error {
-	body, err := json.Marshal(in)
-	if err != nil {
-		return err
-	}
-	req, err := http.NewRequest(http.MethodPost, coord+wire.ClusterBasePath+path, bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := m.httpc.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		var werr wire.ErrorResponse
-		_ = json.NewDecoder(resp.Body).Decode(&werr)
-		if werr.Code == "" {
-			return fmt.Errorf("cluster: coordinator %s: HTTP %d", path, resp.StatusCode)
-		}
-		return &wireError{werr.Code, werr.Error}
-	}
-	return json.NewDecoder(resp.Body).Decode(out)
 }

@@ -18,7 +18,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"time"
+
+	"jouleguard/internal/backoff"
 )
 
 // Topology describes the actuatable CPU resources found on the host.
@@ -185,54 +186,10 @@ func (a *Actuator) Apply(i int) error {
 // RetryPolicy controls ApplyWithRetry. Sysfs writes fail transiently on
 // real hosts — a contended cpufreq lock returns EBUSY, a governor change
 // races the write — so actuation retries with capped exponential backoff
-// before giving up. The zero value selects the defaults.
-type RetryPolicy struct {
-	MaxAttempts int                 // total attempts including the first (default 4)
-	BaseDelay   time.Duration       // delay before the first retry (default 10ms)
-	MaxDelay    time.Duration       // backoff cap (default 250ms)
-	Sleep       func(time.Duration) // injectable for tests (default time.Sleep)
-}
-
-func (p RetryPolicy) withDefaults() RetryPolicy {
-	if p.MaxAttempts <= 0 {
-		p.MaxAttempts = 4
-	}
-	if p.BaseDelay <= 0 {
-		p.BaseDelay = 10 * time.Millisecond
-	}
-	if p.MaxDelay <= 0 {
-		p.MaxDelay = 250 * time.Millisecond
-	}
-	if p.Sleep == nil {
-		p.Sleep = time.Sleep
-	}
-	return p
-}
-
-// Do runs op under the policy's capped exponential backoff: transient
-// failures are retried until MaxAttempts, with the delay doubling from
-// BaseDelay up to MaxDelay. It is the shared retry primitive behind
-// actuation (ApplyWithRetry) and the RAPL counter reads in
-// internal/sensors — sysfs reads and writes both fail transiently on
-// real hosts, and both paths must survive that without losing a control
-// period or a sample. The returned error is the last attempt's.
-func (p RetryPolicy) Do(op func() error) (attempts int, err error) {
-	p = p.withDefaults()
-	delay := p.BaseDelay
-	for attempts = 1; ; attempts++ {
-		if err = op(); err == nil {
-			return attempts, nil
-		}
-		if attempts >= p.MaxAttempts {
-			return attempts, fmt.Errorf("linuxsys: giving up after %d attempts: %w", attempts, err)
-		}
-		p.Sleep(delay)
-		delay *= 2
-		if delay > p.MaxDelay {
-			delay = p.MaxDelay
-		}
-	}
-}
+// before giving up. Its Do is the retry loop behind actuation and the
+// RAPL counter reads in internal/sensors; the zero value makes 4
+// attempts, backing off from 10ms to at most 250ms.
+type RetryPolicy = backoff.Policy
 
 // ApplyWithRetry actuates configuration index i, retrying transient
 // failures per the policy. An out-of-range index is permanent and fails

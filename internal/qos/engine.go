@@ -89,13 +89,6 @@ type Verdict struct {
 	Kill []string
 }
 
-// Denial is a refused call: Code is the stable wire error code the
-// caller maps onto its transport (HTTP status or v2 frame byte).
-type Denial struct {
-	Code string
-	Msg  string
-}
-
 // tenantState is one tenant's ladder position.
 type tenantState struct {
 	tier   Tier
@@ -247,11 +240,11 @@ func (e *Engine) EffectiveFloor(tenant string, minAccuracy float64) float64 {
 	return minAccuracy * e.TierOf(tenant).Spec().Floor * e.FloorScale(tenant)
 }
 
-// CheckRegister gates a new registration: nil admits, a Denial
+// CheckRegister gates a new registration: nil admits, a refusal
 // carries tenant_suspended while the tenant sits at the suspend rung
 // or above. Existing sessions are unaffected (suspension is rung 3;
 // killing them is rung 4's job, actuated via Observe verdicts).
-func (e *Engine) CheckRegister(tenant string) *Denial {
+func (e *Engine) CheckRegister(tenant string) *wire.Error {
 	if e.enforced.Load() == 0 {
 		return nil
 	}
@@ -264,7 +257,7 @@ func (e *Engine) CheckRegister(tenant string) *Denial {
 	if e.cSuspended != nil {
 		e.cSuspended.Inc()
 	}
-	return &Denial{Code: wire.CodeTenantSuspended,
+	return &wire.Error{Code: wire.CodeTenantSuspended,
 		Msg: "tenant " + tenant + " is " + t.effective().String() + "; new registrations refused until it de-escalates"}
 }
 
@@ -273,7 +266,7 @@ func (e *Engine) CheckRegister(tenant string) *Denial {
 // for a throttled tenant it paces decisions to the tier's SLO rate
 // (excess gets tenant_throttled), and for a killed tenant it returns
 // tenant_shed.
-func (e *Engine) CheckNext(tenant string, nowNS int64) *Denial {
+func (e *Engine) CheckNext(tenant string, nowNS int64) *wire.Error {
 	if e.enforced.Load() == 0 {
 		return nil
 	}
@@ -285,7 +278,7 @@ func (e *Engine) CheckNext(tenant string, nowNS int64) *Denial {
 	}
 	switch st := t.effective(); {
 	case st >= StateKilled:
-		return &Denial{Code: wire.CodeTenantShed,
+		return &wire.Error{Code: wire.CodeTenantShed,
 			Msg: "tenant " + tenant + " was shed; its sessions are killed until it de-escalates"}
 	case st >= StateThrottled:
 		slo := t.tier.Spec().SLO.Nanoseconds()
@@ -293,7 +286,7 @@ func (e *Engine) CheckNext(tenant string, nowNS int64) *Denial {
 			if e.cThrottled != nil {
 				e.cThrottled.Inc()
 			}
-			return &Denial{Code: wire.CodeTenantThrottled,
+			return &wire.Error{Code: wire.CodeTenantThrottled,
 				Msg: "tenant " + tenant + " is " + st.String() + "; decisions paced to the " + t.tier.String() + " SLO"}
 		}
 		t.nextOkNS = nowNS + slo/int64(e.cfg.ThrottleBurst)

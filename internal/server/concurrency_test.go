@@ -47,13 +47,13 @@ func TestConcurrentTenants(t *testing.T) {
 			}, &reg)
 			if status != 201 {
 				mu.Lock()
-				errors = append(errors, &wireError{werr.Code, werr.Error})
+				errors = append(errors, &wire.Error{Code: werr.Code, Msg: werr.Error})
 				mu.Unlock()
 				return
 			}
 			mu.Lock()
 			if ids[reg.SessionID] {
-				errors = append(errors, &wireError{"dup", "session id reused: " + reg.SessionID})
+				errors = append(errors, &wire.Error{Code: "dup", Msg: "session id reused: " + reg.SessionID})
 				mu.Unlock()
 				return
 			}

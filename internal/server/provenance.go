@@ -116,7 +116,7 @@ func layer(name string, expect, sum float64) wire.ProvenanceLayer {
 func (s *Server) handleProvenance(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query().Get("session")
 	if q == "" {
-		writeError(w, &wireError{wire.CodeBadRequest, "provenance requires ?session=<id or key>"})
+		wire.WriteError(w, &wire.Error{Code: wire.CodeBadRequest, Msg: "provenance requires ?session=<id or key>"})
 		return
 	}
 	sess := s.sessions.get(q)
@@ -124,10 +124,10 @@ func (s *Server) handleProvenance(w http.ResponseWriter, r *http.Request) {
 		sess = s.sessions.byKey(q)
 	}
 	if sess == nil {
-		writeError(w, &wireError{wire.CodeUnknownSession, "unknown session or key " + q})
+		wire.WriteError(w, &wire.Error{Code: wire.CodeUnknownSession, Msg: "unknown session or key " + q})
 		return
 	}
-	writeJSON(w, http.StatusOK, s.sessionProvenance(sess))
+	wire.WriteJSON(w, http.StatusOK, s.sessionProvenance(sess))
 }
 
 // auditProvenance is the member's continuous conservation auditor: one

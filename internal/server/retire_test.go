@@ -132,8 +132,8 @@ func TestThrottlePacingFollowsInjectedClock(t *testing.T) {
 		return err
 	}
 	throttled := func(err error) bool {
-		var werr *wireError
-		return errors.As(err, &werr) && werr.code == wire.CodeTenantThrottled
+		var werr *wire.Error
+		return errors.As(err, &werr) && werr.Code == wire.CodeTenantThrottled
 	}
 	if err := iterate(); err != nil {
 		t.Fatalf("first decision of a throttled tenant: %v", err)

@@ -10,7 +10,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -273,11 +272,12 @@ func (s *Server) shedTenant(tenant string) int {
 // endpoints are mounted separately (telemetry.Telemetry.Mount) so both
 // daemons share that wiring.
 func (s *Server) Mount(mux *http.ServeMux) {
-	mux.HandleFunc("POST "+wire.BasePath, s.handleRegister)
+	mux.HandleFunc("POST "+wire.BasePath, wire.Handle(http.StatusCreated,
+		func(_ string, req wire.RegisterRequest) (wire.RegisterResponse, error) { return s.Register(req) }))
 	mux.HandleFunc("GET "+wire.BasePath, s.handleList)
 	mux.HandleFunc("GET "+wire.BasePath+"/{id}", s.handleInfo)
-	mux.HandleFunc("POST "+wire.BasePath+"/{id}/next", s.handleNext)
-	mux.HandleFunc("POST "+wire.BasePath+"/{id}/done", s.handleDone)
+	mux.HandleFunc("POST "+wire.BasePath+"/{id}/next", wire.Handle(http.StatusOK, s.Next))
+	mux.HandleFunc("POST "+wire.BasePath+"/{id}/done", wire.Handle(http.StatusOK, s.Done))
 	mux.HandleFunc("DELETE "+wire.BasePath+"/{id}", s.handleClose)
 	mux.HandleFunc("POST "+wire.V2Path, s.handleV2Stream)
 	mux.HandleFunc("GET "+wire.ProvenancePath, s.handleProvenance)
@@ -298,17 +298,19 @@ func (s *Server) Handler() http.Handler {
 // Register admits a new session (the wire POST /v1/sessions).
 func (s *Server) Register(req wire.RegisterRequest) (wire.RegisterResponse, error) {
 	if req.Iterations <= 0 {
-		return wire.RegisterResponse{}, &wireError{wire.CodeBadRequest,
-			fmt.Sprintf("iterations %d must be positive", req.Iterations)}
+		return wire.RegisterResponse{}, &wire.Error{Code: wire.CodeBadRequest,
+			Msg: fmt.Sprintf("iterations %d must be positive", req.Iterations)}
 	}
 	if req.Factor < 0 || req.BudgetJ < 0 {
-		return wire.RegisterResponse{}, &wireError{wire.CodeBadRequest, "factor and budget_j must be non-negative"}
+		return wire.RegisterResponse{}, &wire.Error{Code: wire.CodeBadRequest,
+			Msg: "factor and budget_j must be non-negative"}
 	}
 	if req.Factor > 0 && req.BudgetJ > 0 {
-		return wire.RegisterResponse{}, &wireError{wire.CodeBadRequest, "set at most one of factor and budget_j"}
+		return wire.RegisterResponse{}, &wire.Error{Code: wire.CodeBadRequest,
+			Msg: "set at most one of factor and budget_j"}
 	}
 	if s.draining.Load() {
-		return wire.RegisterResponse{}, &wireError{wire.CodeDraining, "daemon is draining"}
+		return wire.RegisterResponse{}, &wire.Error{Code: wire.CodeDraining, Msg: "daemon is draining"}
 	}
 	if s.fenced.Load() {
 		return wire.RegisterResponse{}, errLeaseExpired()
@@ -330,13 +332,13 @@ func (s *Server) Register(req wire.RegisterRequest) (wire.RegisterResponse, erro
 	// factor-based request in joules.
 	tb, err := jouleguard.NewTestbed(req.App, req.Platform)
 	if err != nil {
-		return wire.RegisterResponse{}, &wireError{wire.CodeBadRequest, err.Error()}
+		return wire.RegisterResponse{}, &wire.Error{Code: wire.CodeBadRequest, Msg: err.Error()}
 	}
 	request := req.BudgetJ
 	if req.Factor > 0 {
 		request, err = tb.Budget(req.Factor, req.Iterations)
 		if err != nil {
-			return wire.RegisterResponse{}, &wireError{wire.CodeBadRequest, err.Error()}
+			return wire.RegisterResponse{}, &wire.Error{Code: wire.CodeBadRequest, Msg: err.Error()}
 		}
 	}
 	tenant := req.Tenant
@@ -345,15 +347,15 @@ func (s *Server) Register(req wire.RegisterRequest) (wire.RegisterResponse, erro
 		req.Tenant = tenant
 	}
 	if d := s.qos.CheckRegister(tenant); d != nil {
-		return wire.RegisterResponse{}, &wireError{d.Code, d.Msg}
+		return wire.RegisterResponse{}, d
 	}
 	s.qos.SetTier(tenant, qos.ParseTier(req.Tier))
 	grant, err := s.admitWithAssist(tenant, req.Weight, request)
 	if err != nil {
 		if errors.Is(err, ErrBudgetExhausted) {
-			return wire.RegisterResponse{}, &wireError{wire.CodeBudgetExhausted, err.Error()}
+			return wire.RegisterResponse{}, &wire.Error{Code: wire.CodeBudgetExhausted, Msg: err.Error()}
 		}
-		return wire.RegisterResponse{}, &wireError{wire.CodeBadRequest, err.Error()}
+		return wire.RegisterResponse{}, &wire.Error{Code: wire.CodeBadRequest, Msg: err.Error()}
 	}
 
 	now := s.clock()
@@ -361,7 +363,7 @@ func (s *Server) Register(req wire.RegisterRequest) (wire.RegisterResponse, erro
 	sess, err := newSession(id, req, grant, s.meter, telemetry.WithSession(s.tel, id), now)
 	if err != nil {
 		s.broker.Release(grant, 0)
-		return wire.RegisterResponse{}, &wireError{wire.CodeBadRequest, err.Error()}
+		return wire.RegisterResponse{}, &wire.Error{Code: wire.CodeBadRequest, Msg: err.Error()}
 	}
 	sess.noteSpend = s.broker.NoteSpend
 	s.sessions.put(sess)
@@ -370,7 +372,7 @@ func (s *Server) Register(req wire.RegisterRequest) (wire.RegisterResponse, erro
 		// session out so the snapshot never sees a post-drain admission.
 		s.sessions.remove(sess)
 		s.broker.Release(grant, 0)
-		return wire.RegisterResponse{}, &wireError{wire.CodeDraining, "daemon is draining"}
+		return wire.RegisterResponse{}, &wire.Error{Code: wire.CodeDraining, Msg: "daemon is draining"}
 	}
 	if req.Key != "" {
 		s.sessions.setKey(req.Key, id)
@@ -397,7 +399,7 @@ func (s *Server) newID() string {
 // ok=false means no live session holds the key and registration should
 // proceed fresh; a non-nil werr reports an attach that cannot be honored
 // (the key is held by a session with a different shape).
-func (s *Server) attach(req wire.RegisterRequest) (wire.RegisterResponse, *wireError, bool) {
+func (s *Server) attach(req wire.RegisterRequest) (wire.RegisterResponse, *wire.Error, bool) {
 	sess := s.sessions.byKey(req.Key)
 	if sess == nil {
 		return wire.RegisterResponse{}, nil, false
@@ -407,8 +409,8 @@ func (s *Server) attach(req wire.RegisterRequest) (wire.RegisterResponse, *wireE
 		return wire.RegisterResponse{}, nil, false
 	}
 	if reg.App != req.App || reg.Platform != req.Platform || reg.Iterations != req.Iterations {
-		return wire.RegisterResponse{}, &wireError{wire.CodeBadRequest,
-			fmt.Sprintf("key %q is held by a live session with a different workload (%s/%s x%d)",
+		return wire.RegisterResponse{}, &wire.Error{Code: wire.CodeBadRequest,
+			Msg: fmt.Sprintf("key %q is held by a live session with a different workload (%s/%s x%d)",
 				req.Key, reg.App, reg.Platform, reg.Iterations)}, true
 	}
 	return resp, nil, true
@@ -478,13 +480,13 @@ func (s *Server) Fenced() bool { return s.fenced.Load() }
 // an adoption the node already holds returns the existing session id.
 func (s *Server) Adopt(a wire.AdoptSession) (string, error) {
 	if a.Key == "" {
-		return "", &wireError{wire.CodeBadRequest, "adoption requires a session key"}
+		return "", &wire.Error{Code: wire.CodeBadRequest, Msg: "adoption requires a session key"}
 	}
 	if a.Reg.Iterations <= 0 {
-		return "", &wireError{wire.CodeBadRequest, "adoption with non-positive iterations"}
+		return "", &wire.Error{Code: wire.CodeBadRequest, Msg: "adoption with non-positive iterations"}
 	}
 	if s.draining.Load() {
-		return "", &wireError{wire.CodeDraining, "daemon is draining"}
+		return "", &wire.Error{Code: wire.CodeDraining, Msg: "daemon is draining"}
 	}
 	if prev := s.sessions.byKey(a.Key); prev != nil {
 		if _, _, live := prev.attachView(); live {
@@ -499,7 +501,7 @@ func (s *Server) Adopt(a wire.AdoptSession) (string, error) {
 	}
 	sess, err := newSession(id, a.Reg, Grant{Tenant: a.Reg.Tenant, Weight: a.Reg.Weight, GrantJ: a.GrantJ}, s.meter, nil, s.clock())
 	if err != nil {
-		return "", &wireError{wire.CodeBadRequest, err.Error()}
+		return "", &wire.Error{Code: wire.CodeBadRequest, Msg: err.Error()}
 	}
 	for _, rec := range a.Log {
 		if err := sess.replay(rec); err != nil {
@@ -510,7 +512,7 @@ func (s *Server) Adopt(a wire.AdoptSession) (string, error) {
 	grant, err := s.adoptAdmit(a.Reg.Tenant, a.Reg.Weight, a.GrantJ, imported)
 	if err != nil {
 		if errors.Is(err, ErrBudgetExhausted) {
-			return "", &wireError{wire.CodeBudgetExhausted, err.Error()}
+			return "", &wire.Error{Code: wire.CodeBudgetExhausted, Msg: err.Error()}
 		}
 		return "", err
 	}
@@ -578,10 +580,10 @@ func (s *Server) Export(from map[string]int) []SessionExport {
 }
 
 // lookup finds a session by id.
-func (s *Server) lookup(id string) (*session, *wireError) {
+func (s *Server) lookup(id string) (*session, *wire.Error) {
 	sess := s.sessions.get(id)
 	if sess == nil {
-		return nil, &wireError{wire.CodeUnknownSession, fmt.Sprintf("unknown session %q", id)}
+		return nil, &wire.Error{Code: wire.CodeUnknownSession, Msg: fmt.Sprintf("unknown session %q", id)}
 	}
 	return sess, nil
 }
@@ -718,81 +720,32 @@ func (s *Server) anyInFlight() bool {
 // ---------------------------------------------------------------------
 // HTTP surface.
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-// writeError maps protocol codes onto HTTP statuses.
-func writeError(w http.ResponseWriter, err error) {
-	code, msg := wire.CodeBadRequest, err.Error()
-	var werr *wireError
-	if errors.As(err, &werr) {
-		code = werr.code
-	}
-	status := http.StatusBadRequest
-	switch code {
-	case wire.CodeBudgetExhausted:
-		status = http.StatusTooManyRequests
-	case wire.CodeUnknownSession:
-		status = http.StatusNotFound
-	case wire.CodeBadSequence, wire.CodeSessionComplete, wire.CodeUnknownNode:
-		status = http.StatusConflict
-	case wire.CodeSessionClosed:
-		status = http.StatusGone
-	case wire.CodeDraining, wire.CodeLeaseExpired, wire.CodeNoNodes:
-		status = http.StatusServiceUnavailable
-	case wire.CodeTenantThrottled:
-		// Paced, not refused: 429 tells the client to retry this call
-		// after backing off, against this same node.
-		status = http.StatusTooManyRequests
-	case wire.CodeTenantSuspended, wire.CodeTenantShed:
-		status = http.StatusServiceUnavailable
-	}
-	writeJSON(w, status, wire.ErrorResponse{Code: code, Error: msg})
-}
-
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		writeError(w, &wireError{wire.CodeBadRequest, "invalid JSON body: " + err.Error()})
-		return false
-	}
-	return true
-}
-
-func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
-	var req wire.RegisterRequest
-	if !decodeBody(w, r, &req) {
-		return
-	}
-	resp, err := s.Register(req)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusCreated, resp)
-}
-
 // Next arms the session's upcoming iteration and returns its decision.
 // This is the whole per-iteration decision path — shared verbatim by the
 // v1 JSON handler, the v2 frame loop and the in-process benchmark — and
 // it takes no server-wide lock: one shard map read, then the session's
 // own mutex.
 func (s *Server) Next(id string, req wire.NextRequest) (wire.NextResponse, error) {
-	if s.draining.Load() {
-		return wire.NextResponse{}, &wireError{wire.CodeDraining, "daemon is draining; retry against the restarted daemon"}
-	}
-	if s.fenced.Load() {
-		return wire.NextResponse{}, errLeaseExpired()
+	if werr := s.gate(); werr != nil {
+		return wire.NextResponse{}, werr
 	}
 	sess, werr := s.lookup(id)
 	if werr != nil {
 		return wire.NextResponse{}, werr
 	}
 	return s.sessionNext(sess, req)
+}
+
+// gate is the draining/fencing admission check Next passes on every
+// transport (Done deliberately bypasses it).
+func (s *Server) gate() *wire.Error {
+	if s.draining.Load() {
+		return &wire.Error{Code: wire.CodeDraining, Msg: "daemon is draining; retry against the restarted daemon"}
+	}
+	if s.fenced.Load() {
+		return errLeaseExpired()
+	}
+	return nil
 }
 
 // stamp reads the clock once for one wire call. wall is real time, what
@@ -814,7 +767,7 @@ func (s *Server) sessionNext(sess *session, req wire.NextRequest) (wire.NextResp
 	// tenant read needs no lock; while no tenant is enforced the check
 	// is one atomic load.
 	if d := s.qos.CheckNext(sess.reg.Tenant, now.UnixNano()); d != nil {
-		return wire.NextResponse{}, &wireError{d.Code, d.Msg}
+		return wire.NextResponse{}, d
 	}
 	resp, werr := sess.next(req, now)
 	if werr != nil {
@@ -835,18 +788,14 @@ func (s *Server) Done(id string, req wire.DoneRequest) (wire.DoneResponse, error
 	if werr != nil {
 		return wire.DoneResponse{}, werr
 	}
-	resp, werr2 := s.sessionDone(sess, req)
-	if werr2 != nil {
-		return wire.DoneResponse{}, werr2
-	}
-	return resp, nil
+	return s.sessionDone(sess, req)
 }
 
 // sessionDone settles one iteration against its session — the single
 // Done path shared by the v1 handler and the v2 frame loop, so both
 // record identical spans and the traced/untraced settle mutates session
 // state identically (the golden replay test pins this).
-func (s *Server) sessionDone(sess *session, req wire.DoneRequest) (wire.DoneResponse, *wireError) {
+func (s *Server) sessionDone(sess *session, req wire.DoneRequest) (wire.DoneResponse, error) {
 	wall, now := s.stamp()
 	resp, werr := sess.done(req, now)
 	if werr != nil {
@@ -858,48 +807,22 @@ func (s *Server) sessionDone(sess *session, req wire.DoneRequest) (wire.DoneResp
 	return resp, nil
 }
 
-func (s *Server) handleNext(w http.ResponseWriter, r *http.Request) {
-	var req wire.NextRequest
-	if !decodeBody(w, r, &req) {
-		return
-	}
-	resp, err := s.Next(r.PathValue("id"), req)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-func (s *Server) handleDone(w http.ResponseWriter, r *http.Request) {
-	var req wire.DoneRequest
-	if !decodeBody(w, r, &req) {
-		return
-	}
-	resp, err := s.Done(r.PathValue("id"), req)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
 func (s *Server) handleClose(w http.ResponseWriter, r *http.Request) {
 	resp, err := s.Close(r.PathValue("id"))
 	if err != nil {
-		writeError(w, err)
+		wire.WriteError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	wire.WriteJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
 	sess, werr := s.lookup(r.PathValue("id"))
 	if werr != nil {
-		writeError(w, werr)
+		wire.WriteError(w, werr)
 		return
 	}
-	writeJSON(w, http.StatusOK, s.sessionInfo(sess, true))
+	wire.WriteJSON(w, http.StatusOK, s.sessionInfo(sess, true))
 }
 
 func (s *Server) handleList(w http.ResponseWriter, _ *http.Request) {
@@ -909,7 +832,7 @@ func (s *Server) handleList(w http.ResponseWriter, _ *http.Request) {
 	for _, sess := range s.sessions.allSorted() {
 		resp.Sessions = append(resp.Sessions, s.sessionInfo(sess, false))
 	}
-	writeJSON(w, http.StatusOK, resp)
+	wire.WriteJSON(w, http.StatusOK, resp)
 }
 
 // sessionInfo decorates a session's introspection view with its

@@ -261,25 +261,19 @@ func (s *session) installLiveSink(sink telemetry.Sink) {
 	s.ctl.SetTelemetry(sink)
 }
 
-// wireError pairs a stable protocol code with a message.
-type wireError struct {
-	code string
-	msg  string
+func errBadSequence(msg string) *wire.Error { return &wire.Error{Code: wire.CodeBadSequence, Msg: msg} }
+func errSessionClosed(msg string) *wire.Error {
+	return &wire.Error{Code: wire.CodeSessionClosed, Msg: msg}
 }
-
-func (e *wireError) Error() string { return e.msg }
-
-func errBadSequence(msg string) *wireError   { return &wireError{wire.CodeBadSequence, msg} }
-func errSessionClosed(msg string) *wireError { return &wireError{wire.CodeSessionClosed, msg} }
-func errLeaseExpired() *wireError {
-	return &wireError{wire.CodeLeaseExpired, "node budget lease expired; awaiting renewal or failover"}
+func errLeaseExpired() *wire.Error {
+	return &wire.Error{Code: wire.CodeLeaseExpired, Msg: "node budget lease expired; awaiting renewal or failover"}
 }
 
 // checkLive rejects calls on torn-down sessions; callers hold s.mu.
-func (s *session) checkLive() *wireError {
+func (s *session) checkLive() *wire.Error {
 	if s.shedded {
-		return &wireError{wire.CodeTenantShed,
-			"session killed by tenant shedding; wait for the tenant to de-escalate, then re-register"}
+		return &wire.Error{Code: wire.CodeTenantShed,
+			Msg: "session killed by tenant shedding; wait for the tenant to de-escalate, then re-register"}
 	}
 	switch s.state {
 	case stateClosed:
@@ -292,7 +286,7 @@ func (s *session) checkLive() *wireError {
 
 // next runs the wire Next call: decide the upcoming iteration's
 // configurations and start its interval on the client's clock.
-func (s *session) next(req wire.NextRequest, now time.Time) (wire.NextResponse, *wireError) {
+func (s *session) next(req wire.NextRequest, now time.Time) (wire.NextResponse, *wire.Error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if werr := s.checkLive(); werr != nil {
@@ -300,8 +294,8 @@ func (s *session) next(req wire.NextRequest, now time.Time) (wire.NextResponse, 
 	}
 	switch s.state {
 	case stateComplete:
-		return wire.NextResponse{}, &wireError{wire.CodeSessionComplete,
-			fmt.Sprintf("workload of %d iterations already complete; close the session to reclaim its budget", s.reg.Iterations)}
+		return wire.NextResponse{}, &wire.Error{Code: wire.CodeSessionComplete,
+			Msg: fmt.Sprintf("workload of %d iterations already complete; close the session to reclaim its budget", s.reg.Iterations)}
 	case stateArmed:
 		return wire.NextResponse{}, errBadSequence("Next while an iteration is already in flight (Done not yet reported)")
 	}
@@ -324,7 +318,7 @@ func (s *session) next(req wire.NextRequest, now time.Time) (wire.NextResponse, 
 
 // done runs the wire Done call: deliver the client's measurements to the
 // controller and settle the iteration.
-func (s *session) done(req wire.DoneRequest, now time.Time) (wire.DoneResponse, *wireError) {
+func (s *session) done(req wire.DoneRequest, now time.Time) (wire.DoneResponse, *wire.Error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if werr := s.checkLive(); werr != nil {
@@ -341,7 +335,7 @@ func (s *session) done(req wire.DoneRequest, now time.Time) (wire.DoneResponse, 
 	if err := s.ctl.Done(req.Accuracy); err != nil {
 		// The armed check above rules out sequencing errors; anything
 		// else is an internal failure worth surfacing as such.
-		return wire.DoneResponse{}, &wireError{wire.CodeBadRequest, err.Error()}
+		return wire.DoneResponse{}, &wire.Error{Code: wire.CodeBadRequest, Msg: err.Error()}
 	}
 	// The log records what the controller consumed (the meter-attributed
 	// value in meter mode), so a restore replays to bit-identical state.

@@ -74,18 +74,17 @@ func (s *Server) CloseV2Streams() {
 
 func (s *Server) handleV2Stream(w http.ResponseWriter, r *http.Request) {
 	if r.Header.Get("Upgrade") != wire.V2Proto {
-		writeError(w, &wireError{wire.CodeBadRequest,
-			"v2 stream requires Upgrade: " + wire.V2Proto})
+		wire.WriteError(w, &wire.Error{Code: wire.CodeBadRequest, Msg: "v2 stream requires Upgrade: " + wire.V2Proto})
 		return
 	}
 	hj, ok := w.(http.Hijacker)
 	if !ok {
-		writeError(w, &wireError{wire.CodeBadRequest, "transport cannot upgrade to v2 frames"})
+		wire.WriteError(w, &wire.Error{Code: wire.CodeBadRequest, Msg: "transport cannot upgrade to v2 frames"})
 		return
 	}
 	conn, bufrw, err := hj.Hijack()
 	if err != nil {
-		writeError(w, &wireError{wire.CodeBadRequest, "hijack failed: " + err.Error()})
+		wire.WriteError(w, &wire.Error{Code: wire.CodeBadRequest, Msg: "hijack failed: " + err.Error()})
 		return
 	}
 	if !s.trackV2(conn) {
@@ -163,14 +162,14 @@ func (s *Server) dispatchV2(enc *wire.Encoder, h wire.Hdr, p []byte) error {
 		}
 		sess := s.sessions.getNum(h.Session)
 		if sess == nil {
-			return s.v2Err(enc, h.Session, &wireError{wire.CodeUnknownSession, "unknown v2 session"})
+			return enc.Err(h.Session, wire.CodeUnknownSession, "unknown v2 session")
 		}
-		if werr := s.v2Gate(); werr != nil {
-			return s.v2Err(enc, h.Session, werr)
+		if werr := s.gate(); werr != nil {
+			return enc.Err(h.Session, werr.Code, werr.Msg)
 		}
 		resp, err := s.sessionNext(sess, req)
 		if err != nil {
-			return s.v2Err(enc, h.Session, err)
+			return enc.Err(h.Session, wire.CodeOf(err), err.Error())
 		}
 		return enc.NextResp(h.Session, resp)
 
@@ -181,12 +180,12 @@ func (s *Server) dispatchV2(enc *wire.Encoder, h wire.Hdr, p []byte) error {
 		}
 		sess := s.sessions.getNum(h.Session)
 		if sess == nil {
-			return s.v2Err(enc, h.Session, &wireError{wire.CodeUnknownSession, "unknown v2 session"})
+			return enc.Err(h.Session, wire.CodeUnknownSession, "unknown v2 session")
 		}
 		// Done is accepted even while draining or fenced, same as v1.
-		resp, werr := s.sessionDone(sess, req)
-		if werr != nil {
-			return s.v2Err(enc, h.Session, werr)
+		resp, err := s.sessionDone(sess, req)
+		if err != nil {
+			return enc.Err(h.Session, wire.CodeOf(err), err.Error())
 		}
 		return enc.DoneResp(h.Session, resp)
 
@@ -197,14 +196,14 @@ func (s *Server) dispatchV2(enc *wire.Encoder, h wire.Hdr, p []byte) error {
 		}
 		sess := s.sessions.getNum(h.Session)
 		if sess == nil {
-			return s.v2Err(enc, h.Session, &wireError{wire.CodeUnknownSession, "unknown v2 session"})
+			return enc.Err(h.Session, wire.CodeUnknownSession, "unknown v2 session")
 		}
-		doneResp, werr := s.sessionDone(sess, done)
-		if werr != nil {
+		doneResp, err := s.sessionDone(sess, done)
+		if err != nil {
 			// Done failed: nothing was settled, so no partial answer.
-			return s.v2Err(enc, h.Session, werr)
+			return enc.Err(h.Session, wire.CodeOf(err), err.Error())
 		}
-		if werr := s.v2Gate(); werr == nil {
+		if werr := s.gate(); werr == nil {
 			if nextResp, err := s.sessionNext(sess, next); err == nil {
 				return enc.DoneNextResp(h.Session, doneResp, nextResp)
 			}
@@ -219,26 +218,4 @@ func (s *Server) dispatchV2(enc *wire.Encoder, h wire.Hdr, p []byte) error {
 		// stream rather than guess at its payload semantics.
 		return errors.New("server: unknown v2 frame type")
 	}
-}
-
-// v2Gate applies the draining/fencing admission gates the v1 Next
-// handler applies (Done deliberately bypasses it).
-func (s *Server) v2Gate() *wireError {
-	if s.draining.Load() {
-		return &wireError{wire.CodeDraining, "daemon is draining; retry against the restarted daemon"}
-	}
-	if s.fenced.Load() {
-		return errLeaseExpired()
-	}
-	return nil
-}
-
-// v2Err renders any dispatch error as a TErr frame with its stable code.
-func (s *Server) v2Err(enc *wire.Encoder, session uint32, err error) error {
-	code := wire.CodeBadRequest
-	var werr *wireError
-	if errors.As(err, &werr) {
-		code = werr.code
-	}
-	return enc.Err(session, code, err.Error())
 }

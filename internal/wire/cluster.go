@@ -23,33 +23,6 @@ package wire
 // ClusterBasePath is the versioned prefix of the cluster routes.
 const ClusterBasePath = "/" + Version + "/cluster"
 
-// Stable error codes specific to the cluster protocol.
-const (
-	// CodeNotOwner redirects a session call to the owning node; the
-	// ErrorResponse carries the owner's address in Addr.
-	CodeNotOwner = "not_owner"
-	// CodeNoNodes defers a placement because no live node can take the
-	// session yet (retryable: nodes may join or failover may finish).
-	CodeNoNodes = "no_nodes"
-	// CodeUnknownNode rejects a heartbeat from a node the coordinator
-	// does not recognise (expired lease or stale epoch); the node must
-	// rejoin and reconcile.
-	CodeUnknownNode = "unknown_node"
-	// CodeLeaseExpired rejects work on a node whose budget lease lapsed
-	// (self-fencing); retryable — the node renews or failover takes over.
-	CodeLeaseExpired = "lease_expired"
-	// CodeStaleEpoch rejects a message across a coordinator failover: the
-	// sender (a deposed primary, or a peer still talking to one) carries a
-	// fencing epoch older than the receiver's. The cure is to re-join the
-	// coordinator holding the highest fence; grants carrying a stale fence
-	// must be dropped, never applied.
-	CodeStaleEpoch = "stale_epoch"
-	// CodeNotPrimary rejects control-plane calls on a standby coordinator
-	// that has not (yet) promoted; retryable against the next coordinator
-	// in the caller's ordered list.
-	CodeNotPrimary = "not_primary"
-)
-
 // IterRec is one completed iteration exactly as the controller consumed
 // it: the client's clocks, its cumulative meter reading and the reported
 // accuracy. It is the unit of the daemon snapshot, of heartbeat session

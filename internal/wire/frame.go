@@ -120,43 +120,6 @@ const (
 	doneNextRespLen = doneRespLen + nextRespLen
 )
 
-// ErrCode is the single-byte rendering of the stable v1 error codes, so
-// a TErr frame round-trips onto exactly the code a JSON ErrorResponse
-// would have carried.
-var errCodes = []string{
-	1:  CodeBadRequest,
-	2:  CodeUnknownSession,
-	3:  CodeBadSequence,
-	4:  CodeSessionClosed,
-	5:  CodeSessionComplete,
-	6:  CodeDraining,
-	7:  CodeBudgetExhausted,
-	8:  CodeLeaseExpired,
-	9:  CodeNotOwner,
-	10: CodeTenantThrottled,
-	11: CodeTenantSuspended,
-	12: CodeTenantShed,
-}
-
-// ErrCodeByte maps a stable string code onto its wire byte (0 if the
-// code has no v2 rendering; it is sent as bad_request's byte then).
-func ErrCodeByte(code string) byte {
-	for b, c := range errCodes {
-		if c == code {
-			return byte(b)
-		}
-	}
-	return 1 // bad_request
-}
-
-// ErrCodeString maps a wire byte back onto the stable string code.
-func ErrCodeString(b byte) string {
-	if int(b) < len(errCodes) && errCodes[b] != "" {
-		return errCodes[b]
-	}
-	return CodeBadRequest
-}
-
 // Hdr is one decoded frame header.
 type Hdr struct {
 	Type    byte
@@ -396,15 +359,25 @@ func (d *Decoder) ReadFrame() (Hdr, []byte, error) {
 // zero, so a burst of frames gets one write back.
 func (d *Decoder) Buffered() int { return d.r.Buffered() }
 
-// wantLen validates a payload length against its type's base size plus
-// the FlagTraced extension when the flag is set.
-func wantLen(h Hdr, base int) error {
+// checkReq validates a request frame: its flags against the bits its
+// type defines (flags, plus FlagTraced), its payload length against the
+// type's base size plus the FlagTraced extension when the flag is set,
+// and a set FlagTraced against a zero trace id. The encoder produces no
+// other frame, so every request frame a parser accepts re-encodes byte
+// for byte.
+func checkReq(h Hdr, p []byte, base int, flags byte) error {
+	if h.Flags&^(flags|FlagTraced) != 0 {
+		return fmt.Errorf("wire: frame type %d sets undefined flags %#x", h.Type, h.Flags)
+	}
 	want := base
 	if h.Flags&FlagTraced != 0 {
 		want += TraceExtLen
 	}
 	if int(h.Len) != want {
 		return fmt.Errorf("wire: frame type %d payload %d bytes, want %d", h.Type, h.Len, want)
+	}
+	if h.Flags&FlagTraced != 0 && binary.LittleEndian.Uint64(p[base:]) == 0 {
+		return fmt.Errorf("wire: frame type %d is traced with no trace id", h.Type)
 	}
 	return nil
 }
@@ -420,7 +393,7 @@ func getTraceExt(h Hdr, p []byte, base int) (trace, span uint64) {
 
 // ParseNext decodes a TNext payload.
 func ParseNext(h Hdr, p []byte) (NextRequest, error) {
-	if err := wantLen(h, nextLen); err != nil {
+	if err := checkReq(h, p, nextLen, 0); err != nil {
 		return NextRequest{}, err
 	}
 	req := NextRequest{NowS: math.Float64frombits(binary.LittleEndian.Uint64(p[0:8]))}
@@ -438,7 +411,7 @@ func ParseNextResp(h Hdr, p []byte) (NextResponse, error) {
 
 // ParseDone decodes a TDone payload (EnergyErr rides in the header).
 func ParseDone(h Hdr, p []byte) (DoneRequest, error) {
-	if err := wantLen(h, doneLen); err != nil {
+	if err := checkReq(h, p, doneLen, FlagEnergyErr); err != nil {
 		return DoneRequest{}, err
 	}
 	req := getDone(h.Flags, p)
@@ -457,7 +430,7 @@ func ParseDoneResp(h Hdr, p []byte) (DoneResponse, error) {
 // ParseDoneNext decodes the batched TDoneNext payload; the trace
 // context (one extension for the pair) lands on both halves.
 func ParseDoneNext(h Hdr, p []byte) (DoneRequest, NextRequest, error) {
-	if err := wantLen(h, doneNextLen); err != nil {
+	if err := checkReq(h, p, doneNextLen, FlagEnergyErr); err != nil {
 		return DoneRequest{}, NextRequest{}, err
 	}
 	done := getDone(h.Flags, p)

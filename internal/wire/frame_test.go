@@ -204,25 +204,6 @@ func TestEnforcementCodesFrameRoundTrip(t *testing.T) {
 	}
 }
 
-func TestErrCodeBytesRoundTrip(t *testing.T) {
-	for _, code := range []string{
-		CodeBadRequest, CodeUnknownSession, CodeBadSequence, CodeSessionClosed,
-		CodeSessionComplete, CodeDraining, CodeBudgetExhausted, CodeLeaseExpired, CodeNotOwner,
-		CodeTenantThrottled, CodeTenantSuspended, CodeTenantShed,
-	} {
-		if got := ErrCodeString(ErrCodeByte(code)); got != code {
-			t.Errorf("code %q round-tripped to %q", code, got)
-		}
-	}
-	// Unknown codes degrade to bad_request rather than dropping the frame.
-	if got := ErrCodeString(ErrCodeByte("no_such_code")); got != CodeBadRequest {
-		t.Errorf("unknown code mapped to %q", got)
-	}
-	if got := ErrCodeString(0xff); got != CodeBadRequest {
-		t.Errorf("unknown byte mapped to %q", got)
-	}
-}
-
 func TestCodecPoolsReuse(t *testing.T) {
 	var buf bytes.Buffer
 	enc := GetEncoder(&buf)

@@ -24,41 +24,6 @@ const Version = "v1"
 // BasePath is the versioned path prefix every route lives under.
 const BasePath = "/" + Version + "/sessions"
 
-// Stable error codes carried in ErrorResponse.Code.
-const (
-	// CodeBudgetExhausted rejects a registration the broker's remaining
-	// global budget cannot honor (admission control).
-	CodeBudgetExhausted = "budget_exhausted"
-	// CodeUnknownSession names a session id the daemon does not know.
-	CodeUnknownSession = "unknown_session"
-	// CodeBadSequence flags an out-of-order wire call: Done without a
-	// pending Next, or Next while one is already outstanding.
-	CodeBadSequence = "bad_sequence"
-	// CodeSessionClosed flags a call on a session already closed by the
-	// client or expired by the idle watchdog.
-	CodeSessionClosed = "session_closed"
-	// CodeSessionComplete flags Next on a session whose configured
-	// workload has already completed; close it to reclaim the budget.
-	CodeSessionComplete = "session_complete"
-	// CodeDraining rejects work while the daemon shuts down; the call is
-	// safe to retry against the restarted daemon.
-	CodeDraining = "draining"
-	// CodeBadRequest covers malformed bodies and invalid parameters.
-	CodeBadRequest = "bad_request"
-	// CodeTenantThrottled (429) paces a tenant the QoS ladder has
-	// throttled: the decision is still coming, just not at the rate the
-	// tenant is asking for. Clients back off and retry the same call.
-	CodeTenantThrottled = "tenant_throttled"
-	// CodeTenantSuspended (503) rejects a new registration while the
-	// tenant sits at the suspend rung of the ladder; existing sessions
-	// keep running (degraded). Retry after the tenant de-escalates.
-	CodeTenantSuspended = "tenant_suspended"
-	// CodeTenantShed (503) marks a session killed by overload shedding
-	// or the ladder's final rung; its grant was reclaimed for the pool.
-	// Fleet clients may re-place elsewhere, subject to fleet-wide policy.
-	CodeTenantShed = "tenant_shed"
-)
-
 // ErrorResponse is the body of every non-2xx reply. Addr is set only on
 // CodeNotOwner redirects: the base URL of the node that owns the session.
 type ErrorResponse struct {
