@@ -7,7 +7,7 @@ GO ?= go
 SHELL := /usr/bin/bash
 .SHELLFLAGS := -o pipefail -ec
 
-.PHONY: all build vet lint check test test-race race churn-race fuzz bench bench-check bench-smoke bench-profile results examples chaos-smoke serve-smoke cluster-smoke chaos-cluster hotpath-smoke obs-smoke meter-smoke qos-smoke clean
+.PHONY: all build vet lint check test test-race race churn-race fuzz bench bench-check bench-smoke bench-full bench-profile results examples chaos-smoke serve-smoke cluster-smoke chaos-cluster hotpath-smoke obs-smoke meter-smoke qos-smoke clean
 
 all: build vet test
 
@@ -44,9 +44,11 @@ test-race:
 # request handlers, the client, whose sessions share a pool of idle v2
 # streams, the load driver's concurrent tenants, and the bandit and
 # runtime, whose instances are copied from shared prior tables — and the
-# error contract and the retry loop every one of those hops shares.
+# error contract and the retry loop every one of those hops shares, and
+# the telemetry sinks, whose striped metrics, process ring and session
+# decision windows every one of those goroutines writes.
 race:
-	$(GO) test -race ./internal/par/ ./internal/experiments/ ./internal/platform/ ./internal/learning/ ./internal/core/ ./internal/server/ ./internal/client/ ./internal/cluster/ ./cmd/loadgen/ ./internal/measure/ ./internal/qos/ ./internal/wire/ ./internal/backoff/ .
+	$(GO) test -race ./internal/par/ ./internal/experiments/ ./internal/platform/ ./internal/learning/ ./internal/core/ ./internal/server/ ./internal/client/ ./internal/cluster/ ./cmd/loadgen/ ./internal/measure/ ./internal/qos/ ./internal/wire/ ./internal/backoff/ ./internal/telemetry/ .
 
 # The full-size (10k-session) shard-churn test under the race detector:
 # the concurrent registry/broker workload the sharded session map exists
@@ -178,6 +180,13 @@ bench-smoke:
 	$(GO) test -C bench ./...
 	bash bench/run.sh -workload all -smoke
 	bash bench/run.sh -workload all -smoke -trace 1
+
+# Every workload at the size BENCHMARK.json registers, untraced, with the
+# exit code as the verdict: the full-size output checks, including the
+# 10,000 digested decisions a -smoke run is too short to reach. Takes
+# minutes, so it is not part of check.
+bench-full:
+	bash bench/run.sh -workload all -seed 1
 
 # CPU + allocation profiles of the decision path into results/profiles/,
 # ready for `go tool pprof`. (Where the wire path's time goes is

@@ -61,7 +61,6 @@ func main() {
 	reserve := flag.Float64("reserve", 0, "broker commitment multiplier (<=1 selects the default 1.05)")
 	snapshot := flag.String("snapshot", "", "snapshot file: restored at start if present, written on shutdown")
 	idle := flag.Duration("idle-timeout", 2*time.Minute, "expire sessions with no wire activity for this long")
-	flight := flag.Int("flight", 4096, "decision flight-recorder capacity for /decisions")
 	drain := flag.Duration("drain", 10*time.Second, "max time to wait for in-flight iterations on shutdown")
 	coordinator := flag.Bool("coordinator", false, "run the fleet coordinator instead of a governor daemon")
 	leaseTTL := flag.Duration("lease-ttl", 3*time.Second, "coordinator: lease term after which a silent node is expired")
@@ -81,7 +80,7 @@ func main() {
 	flag.Parse()
 
 	if *coordinator {
-		runCoordinator(*addr, *budget, *leaseTTL, *flight, *wal, *standbyOf, *promoteAfter)
+		runCoordinator(*addr, *budget, *leaseTTL, *wal, *standbyOf, *promoteAfter)
 		return
 	}
 
@@ -92,7 +91,7 @@ func main() {
 		// ignored -budget flag before the first lease lands.
 		budgetJ = cluster.MemberSeedBudgetJ
 	}
-	tel := telemetry.New(*flight)
+	tel := telemetry.New(0)
 	msvc, stimulus, err := openMeter(tel, *meterMode, *raplRoot, *meterIdle, *meterModelW)
 	if err != nil {
 		fail(err)
@@ -207,8 +206,8 @@ func main() {
 // start; with standbyOf the coordinator starts as a follower tailing
 // that primary's WAL, promoting on operator demand or after
 // promoteAfter of primary silence.
-func runCoordinator(addr string, fleetJ float64, ttl time.Duration, flight int, walPath, standbyOf string, promoteAfter time.Duration) {
-	tel := telemetry.New(flight)
+func runCoordinator(addr string, fleetJ float64, ttl time.Duration, walPath, standbyOf string, promoteAfter time.Duration) {
+	tel := telemetry.New(0)
 	coord, err := cluster.New(cluster.Config{
 		FleetBudgetJ: fleetJ,
 		LeaseTTL:     ttl,

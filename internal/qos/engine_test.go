@@ -206,30 +206,6 @@ func TestTierAndStateParsing(t *testing.T) {
 	}
 }
 
-func TestPriceFloorMonotone(t *testing.T) {
-	ests := []wire.ArmEstimate{
-		{Arm: 0, Rate: 10, Power: 50, Pulls: 3}, // 5 J/iter
-		{Arm: 1, Rate: 20, Power: 60, Pulls: 2}, // 3 J/iter (cheapest)
-		{Arm: 2, Rate: 1, Power: 100, Pulls: 0}, // unpulled: no evidence
-	}
-	jpi := MinJoulesPerIter(ests)
-	if jpi != 3 {
-		t.Fatalf("MinJoulesPerIter = %v, want 3", jpi)
-	}
-	if MinJoulesPerIter(nil) != 0 {
-		t.Fatal("no-evidence price must be 0")
-	}
-	p1 := PriceFloorJ(jpi, 100, 0.5)
-	p2 := PriceFloorJ(jpi, 100, 0.9)
-	p3 := PriceFloorJ(jpi, 200, 0.9)
-	if !(p1 < p2 && p2 < p3) {
-		t.Fatalf("price not monotone: %v %v %v", p1, p2, p3)
-	}
-	if PriceFloorJ(jpi, 100, 2) != PriceFloorJ(jpi, 100, 1) {
-		t.Fatal("floor must clamp at 1")
-	}
-}
-
 func TestInstrumentCountsEnforcement(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	e := New(Config{Enabled: true, EscalateAfter: 1})

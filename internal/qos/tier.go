@@ -10,8 +10,7 @@
 //     de-escalation on the way down (several consecutive clean
 //     observations per rung), mirroring the runtime watchdog.
 //   - QoS tiers (guaranteed / standard / best-effort), each carrying a
-//     latency SLO and an accuracy-floor fraction, priced in joules via
-//     the bandit's learned efficiency estimates (see PriceFloorJ).
+//     latency SLO, an accuracy-floor fraction and a fair-share weight.
 //   - Overload shedding: when pool pressure exceeds the shed threshold
 //     the engine sacrifices best-effort tenants first (then standard,
 //     never guaranteed) to keep guaranteed tenants within budget.

@@ -11,8 +11,8 @@ import (
 // BenchmarkInprocDecision measures the daemon's decision path alone —
 // Server.Next + Server.Done through the shard map, session lock, and
 // governor — with no HTTP and no codec. This is the floor under every
-// wire-level latency number; BENCH_experiments.json pins its p50 under
-// 100µs.
+// wire-level latency number; BENCH_experiments.json pins its mean ns/op
+// and its 0 allocs/op, and make bench-check fails it past +20%.
 func BenchmarkInprocDecision(b *testing.B) {
 	srv := benchServer(b, 1)
 	id := benchRegister(b, srv, 0, b.N)

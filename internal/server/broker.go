@@ -61,18 +61,55 @@ type Broker struct {
 const burnAlpha = 0.3
 
 // tenantLedger is the broker's per-tenant view: what the qos engine
-// observes. Sessions/committed track live grants; spent and the burn
-// EWMA accumulate from per-iteration settle notes.
+// observes. Sessions/committed track live grants under b.mu; spent and
+// the burn EWMA accumulate from per-iteration settle notes in the
+// tenant's spend cell.
 type tenantLedger struct {
 	sessions  int
 	weight    float64
 	committed float64 // live commitments (incl. reserve)
 	consumedJ float64 // definitively consumed by released sessions (net of imports)
-	spentJ    float64 // cumulative noted spend across all sessions
-	burnW     float64 // EWMA of noted spend over client time
+	spend     *spendCell
+}
+
+// spendCell is one tenant's settle-side books, under a lock of its own:
+// every session of the tenant holds a pointer to it from registration
+// on, so a settle touches only its own tenant's cell — never b.mu, never
+// the tenant map. Lock order b.mu -> cell.mu.
+type spendCell struct {
+	mu     sync.Mutex
+	spentJ float64 // cumulative noted spend across all sessions
+	burnW  float64 // EWMA of noted spend over client time
 
 	gBurn  *telemetry.Gauge
 	cSpent *telemetry.Counter
+}
+
+// note books deltaJ joules of settled spend, folding the burn-rate EWMA
+// over dtS seconds of client time.
+func (c *spendCell) note(deltaJ, dtS float64) {
+	if deltaJ < 0 {
+		deltaJ = 0
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.spentJ += deltaJ
+	if c.cSpent != nil && deltaJ > 0 {
+		c.cSpent.Add(deltaJ)
+	}
+	if dtS > 0 {
+		c.burnW += burnAlpha * (deltaJ/dtS - c.burnW)
+		if c.gBurn != nil {
+			c.gBurn.Set(c.burnW)
+		}
+	}
+}
+
+// read returns the cell's spend and burn rate.
+func (c *spendCell) read() (spentJ, burnW float64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.spentJ, c.burnW
 }
 
 // DefaultReserve is the commitment multiplier covering the runtime's
@@ -127,44 +164,42 @@ func (b *Broker) publish() {
 func (b *Broker) tenantLocked(tenant string) *tenantLedger {
 	t := b.tenants[tenant]
 	if t == nil {
-		t = &tenantLedger{}
+		t = &tenantLedger{spend: &spendCell{}}
 		b.tenants[tenant] = t
 	}
-	if t.gBurn == nil && b.reg != nil {
-		t.gBurn = b.reg.Gauge("jouleguard_tenant_burn_watts",
+	// The series pointers are written only here, under b.mu and the
+	// cell's lock, so reading them under b.mu alone is safe.
+	if c := t.spend; c.gBurn == nil && b.reg != nil {
+		c.mu.Lock()
+		c.gBurn = b.reg.Gauge("jouleguard_tenant_burn_watts",
 			"Per-tenant energy burn rate on this daemon (EWMA over client time).",
 			telemetry.Label{Name: "tenant", Value: tenant})
-		t.cSpent = b.reg.Counter("jouleguard_tenant_spent_joules",
+		c.cSpent = b.reg.Counter("jouleguard_tenant_spent_joules",
 			"Per-tenant cumulative energy spend on this daemon.",
 			telemetry.Label{Name: "tenant", Value: tenant})
-		t.gBurn.Set(t.burnW)
-		t.cSpent.Add(t.spentJ)
+		c.gBurn.Set(c.burnW)
+		c.cSpent.Add(c.spentJ)
+		c.mu.Unlock()
 	}
 	return t
 }
 
-// NoteSpend books deltaJ joules of settled spend against the tenant's
-// running ledger, folding the burn-rate EWMA over dtS seconds of
-// client time. Called from the session settle path on every iteration;
-// it mutates only observation state, never the admission ledger (the
-// authoritative spend still lands via Release).
-func (b *Broker) NoteSpend(tenant string, deltaJ, dtS float64) {
-	if deltaJ < 0 {
-		deltaJ = 0
-	}
+// spendCell returns the tenant's spend cell, creating the tenant's
+// ledger if need be; a session keeps the pointer for its lifetime.
+func (b *Broker) spendCell(tenant string) *spendCell {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	t := b.tenantLocked(tenant)
-	t.spentJ += deltaJ
-	if t.cSpent != nil && deltaJ > 0 {
-		t.cSpent.Add(deltaJ)
-	}
-	if dtS > 0 {
-		t.burnW += burnAlpha * (deltaJ/dtS - t.burnW)
-		if t.gBurn != nil {
-			t.gBurn.Set(t.burnW)
-		}
-	}
+	return b.tenantLocked(tenant).spend
+}
+
+// NoteSpend books deltaJ joules of settled spend against the tenant's
+// running ledger, folding the burn-rate EWMA over dtS seconds of
+// client time. It mutates only observation state, never the admission
+// ledger (the authoritative spend still lands via Release). Sessions
+// settle straight into their tenant's cell; this is the same note for
+// a caller holding only the tenant's name.
+func (b *Broker) NoteSpend(tenant string, deltaJ, dtS float64) {
+	b.spendCell(tenant).note(deltaJ, dtS)
 }
 
 // TenantView is one tenant's observable footprint: what the qos engine
@@ -185,9 +220,10 @@ type TenantView struct {
 // already inside their commitment, so adding spentJ here would
 // double-count it.
 func (b *Broker) viewLocked(name string, t *tenantLedger) TenantView {
+	spentJ, burnW := t.spend.read()
 	v := TenantView{
 		Tenant: name, Sessions: t.sessions, Weight: t.weight,
-		CommitJ: t.committed, SpentJ: t.spentJ, BurnW: t.burnW,
+		CommitJ: t.committed, SpentJ: spentJ, BurnW: burnW,
 		FootprintJ: t.committed + t.consumedJ,
 	}
 	if b.weight > 0 && t.weight > 0 {

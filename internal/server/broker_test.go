@@ -3,7 +3,10 @@ package server
 import (
 	"math"
 	"strings"
+	"sync"
 	"testing"
+
+	"jouleguard/internal/telemetry"
 )
 
 // TestBrokerInvariants pins I1 (committed + consumed never exceeds the
@@ -139,5 +142,91 @@ func TestBrokerDebitBlocksAbsolute(t *testing.T) {
 	// A clean tenant with a smaller ask fits.
 	if _, err := b.Admit("b", 1, 15); err != nil {
 		t.Fatalf("clean tenant rejected: %v", err)
+	}
+}
+
+// TestSpendCellsSumExactly settles several sessions of one tenant at
+// once — half through the spend cell a session holds, half through the
+// public NoteSpend — while a reader observes. Every delta is a small
+// dyadic fraction, so the tenant's noted spend must come out as the
+// exact sum whatever order the notes land in, on Observe, ObserveAll
+// and the tenant's spend counter alike, and another tenant's cell must
+// stay untouched. A cell note must also go through while b.mu is held:
+// the settle path never takes the broker-wide lock.
+func TestSpendCellsSumExactly(t *testing.T) {
+	b, err := NewBroker(1e6, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := telemetry.NewRegistry()
+	b.Instrument(reg)
+	const sessions, settles = 4, 2000
+	for i := 0; i < sessions; i++ {
+		if _, err := b.Admit("a", 1, 10); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := b.Admit("b", 1, 10); err != nil {
+		t.Fatal(err)
+	}
+
+	stop := make(chan struct{})
+	var reader sync.WaitGroup
+	reader.Add(1)
+	go func() {
+		defer reader.Done()
+		var last float64
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			v := b.Observe("a")
+			if v.SpentJ < last {
+				t.Errorf("tenant spend went from %v to %v", last, v.SpentJ)
+				return
+			}
+			last = v.SpentJ
+			b.ObserveAll()
+		}
+	}()
+	var wg sync.WaitGroup
+	for i := 0; i < sessions; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			cell := b.spendCell("a")
+			for k := 0; k < settles; k++ {
+				d := float64(1+k%8) / 64
+				if i%2 == 0 {
+					cell.note(d, 0.25)
+				} else {
+					b.NoteSpend("a", d, 0.25)
+				}
+			}
+		}(i)
+	}
+	wg.Wait()
+	close(stop)
+	reader.Wait()
+
+	cell := b.spendCell("a")
+	b.mu.Lock()
+	cell.note(0.5, 0.25) // would deadlock if a settle took b.mu
+	b.mu.Unlock()
+	want := float64(sessions)*float64(settles/8)*36/64 + 0.5
+	if got := b.Observe("a").SpentJ; got != want {
+		t.Errorf("Observe: tenant spend %v, want exactly %v", got, want)
+	}
+	views, _ := b.ObserveAll()
+	for _, v := range views {
+		if exp := map[string]float64{"a": want, "b": 0}[v.Tenant]; v.SpentJ != exp {
+			t.Errorf("ObserveAll: tenant %s spend %v, want exactly %v", v.Tenant, v.SpentJ, exp)
+		}
+	}
+	spent := reg.Counter("jouleguard_tenant_spent_joules", "", telemetry.Label{Name: "tenant", Value: "a"})
+	if spent.Value() != want {
+		t.Errorf("spend counter %v, want exactly %v", spent.Value(), want)
 	}
 }

@@ -3,43 +3,56 @@ package server
 import (
 	"net/http"
 
+	"jouleguard/internal/telemetry"
 	"jouleguard/internal/wire"
 )
 
 // Joule provenance, member side: /v1/provenance?session= renders the
 // custody chain from the node's lease down to the per-iteration spends
-// the flight recorder still holds, and the conservation auditor
-// (auditProvenance, called from the sweep loop) continuously reconciles
-// the same books into jouleguard_provenance_drift_joules gauges.
+// the session's decision window still holds, and the conservation
+// auditor (auditProvenance, called from the sweep loop) continuously
+// reconciles the same books into jouleguard_provenance_drift_joules
+// gauges.
 //
-// Consistency discipline: a settle mutates the session ledger and the
-// flight recorder under the session's own mutex (RecordDecision fires
-// inside ctl.Done), but a reader takes the two locks separately. So
-// every reconciliation here brackets the flight snapshot with two
-// ledger reads and retries when they disagree — a cheap seqlock built
-// from reads the hot path already pays for.
+// Consistency: a settle moves the session ledger and writes the
+// session's decision window in one critical section (RecordDecision
+// fires inside ctl.Done, under the session mutex), and provenanceView
+// reads both in one critical section, so the iterations layer compares
+// books taken at one instant.
 
-// provenanceView snapshots the registration, grant and ledger spend in
-// one critical section.
-func (s *session) provenanceView() (reg wire.RegisterRequest, grant Grant, spentJ float64) {
+// provenanceView snapshots the registration, grant, ledger spend and
+// decision window in one critical section.
+func (s *session) provenanceView() (reg wire.RegisterRequest, grant Grant, spentJ float64, window []telemetry.Decision) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.reg, s.grant, s.tallyLocked().spentJ
+	if s.sink != nil {
+		window = s.sink.Window().Snapshot()
+	}
+	return s.reg, s.grant, s.tallyLocked().spentJ, window
 }
 
-// sessionIterSpends walks the flight recorder's retained window for one
-// session and differences the cumulative ledger column into
-// per-iteration spends. lastCum is the final cumulative value seen (the
-// "iterations" conservation check compares it against the session
-// ledger); have is false when the window holds no decision for the
-// session. A window that starts mid-session (iter > 0 first) yields its
-// first retained decision as baseline only — the delta to an
-// overwritten predecessor is unknowable.
-func (s *Server) sessionIterSpends(id string) (spends []wire.IterSpend, lastCum float64, have bool) {
-	for _, d := range s.tel.Flight.Snapshot() {
-		if d.Session != id {
-			continue
-		}
+// auditView is what the auditor needs of provenanceView, in one critical
+// section: the grant, the ledger spend and the cumulative spend of the
+// window's newest decision (have is false when the window is empty). It
+// copies one decision, not the window.
+func (s *session) auditView() (grant Grant, spentJ, lastCum float64, have bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var last telemetry.Decision
+	if s.sink != nil {
+		last, have = s.sink.Window().Last()
+	}
+	return s.grant, s.tallyLocked().spentJ, last.EnergyUsedJ, have
+}
+
+// iterSpends differences a session window's cumulative ledger column
+// into per-iteration spends. lastCum is the final cumulative value seen
+// (the "iterations" conservation check compares it against the session
+// ledger); have is false when the window is empty. A window that starts
+// mid-session (iter > 0 first) yields its first decision as baseline
+// only — the delta to an overwritten predecessor is unknowable.
+func iterSpends(window []telemetry.Decision) (spends []wire.IterSpend, lastCum float64, have bool) {
+	for _, d := range window {
 		if !have {
 			if d.Iter == 0 {
 				// The session's first iteration: its cumulative spend is its
@@ -55,25 +68,10 @@ func (s *Server) sessionIterSpends(id string) (spends []wire.IterSpend, lastCum 
 	return spends, lastCum, have
 }
 
-// stableIterSpends is sessionIterSpends under the seqlock discipline:
-// re-read the ledger after the snapshot and retry while a settle moved
-// it. Converges in one pass on an idle session and in a handful under
-// churn (each retry needs a full settle inside a two-read window).
-func (s *Server) stableIterSpends(sess *session) (spentJ float64, spends []wire.IterSpend, lastCum float64, have bool) {
-	for attempt := 0; attempt < 4; attempt++ {
-		spentJ = sess.spent()
-		spends, lastCum, have = s.sessionIterSpends(sess.id)
-		if sess.spent() == spentJ {
-			break
-		}
-	}
-	return spentJ, spends, lastCum, have
-}
-
 // sessionProvenance assembles the full custody chain for one session.
 func (s *Server) sessionProvenance(sess *session) wire.SessionProvenance {
-	reg, grant, _ := sess.provenanceView()
-	spent, spends, lastCum, have := s.stableIterSpends(sess)
+	reg, grant, spent, window := sess.provenanceView()
+	spends, lastCum, have := iterSpends(window)
 	bi := s.broker.Info()
 
 	p := wire.SessionProvenance{
@@ -94,7 +92,7 @@ func (s *Server) sessionProvenance(sess *session) wire.SessionProvenance {
 	if h, ok := s.tel.Health(); ok {
 		p.Fence = h.Fence
 	}
-	// The iterations check only covers what the recorder retains; with no
+	// The iterations check only covers what the window retains; with no
 	// retained decision there is nothing to reconcile against.
 	iterSum := spent
 	if have {
@@ -136,7 +134,7 @@ func (s *Server) handleProvenance(w http.ResponseWriter, r *http.Request) {
 //
 //	pool        broker ledger identity: global = committed + consumed + available
 //	grant       broker's committed total vs the live sessions' commitments
-//	iterations  each session's ledger spend vs its flight-recorder trail
+//	iterations  each session's ledger spend vs its decision window
 //
 // A clean ledger reads 0.0 on every layer; anything past 1e-6 is a
 // bookkeeping bug, not noise (the books are doubles, not sensors).
@@ -149,9 +147,8 @@ func (s *Server) auditProvenance() {
 			continue
 		}
 		liveCount++
-		_, grant, _ := sess.provenanceView()
+		grant, spent, lastCum, have := sess.auditView()
 		commitSum += grant.CommitJ
-		spent, _, lastCum, have := s.stableIterSpends(sess)
 		if have {
 			iterDrift += spent - lastCum
 		}

@@ -3,6 +3,7 @@ package server
 import (
 	"errors"
 	"fmt"
+	"net/http/httptest"
 	"reflect"
 	"testing"
 	"time"
@@ -11,10 +12,11 @@ import (
 )
 
 // TestTerminalSessionReleasesStack pins what a closed or shed session
-// keeps: no governor stack (testbed, runtime, controller, log), and the
+// keeps: no governor stack (testbed, runtime, controller, log), the
 // introspection, export and provenance views answering from the tally
 // frozen at teardown — the same ledger the live session last reported,
-// with the estimates cut down to the arms it measured.
+// with the estimates cut down to the arms it measured — and its decision
+// window, still served by /decisions?session= for a post-mortem.
 func TestTerminalSessionReleasesStack(t *testing.T) {
 	for name, kill := range map[string]func(*testing.T, *Server, *session){
 		"closed": func(t *testing.T, srv *Server, sess *session) {
@@ -30,6 +32,8 @@ func TestTerminalSessionReleasesStack(t *testing.T) {
 	} {
 		t.Run(name, func(t *testing.T) {
 			srv := cutServer(t, nil)
+			ts := httptest.NewServer(srv.Handler())
+			defer ts.Close()
 			sess := cutRegister(t, srv, 5, 50)
 			(&cutTrace{}).drive(t, srv, sess, newMemoMachine(t, "radar", "Tablet"), cutRegime{errEvery: 4}, 0, 12)
 			live := sess.info(true)
@@ -46,10 +50,18 @@ func TestTerminalSessionReleasesStack(t *testing.T) {
 				t.Fatalf("%d of %d arms measured; the test needs some but not all", len(measured), len(live.Estimates))
 			}
 
+			_, _, _, liveWindow := sess.provenanceView()
+			if len(liveWindow) != 12 {
+				t.Fatalf("live window holds %d decisions, want 12", len(liveWindow))
+			}
+
 			kill(t, srv, sess)
 
 			if sess.tb != nil || sess.gov != nil || sess.ctl != nil || sess.log != nil || sess.ckpt != nil {
 				t.Error("terminal session still holds its governor stack or log")
+			}
+			if got := getDecisions(t, ts, "?session="+sess.id); !reflect.DeepEqual(got, liveWindow) {
+				t.Errorf("/decisions?session= after teardown serves %d decisions, want the live window's %d", len(got), len(liveWindow))
 			}
 			dead := sess.info(true)
 			if !reflect.DeepEqual(dead.Estimates, measured) {
@@ -63,8 +75,8 @@ func TestTerminalSessionReleasesStack(t *testing.T) {
 			if x := sess.export(0); x.Done != live.IterDone || x.SpentJ != live.SpentJ || x.Live || len(x.NewIters) != 0 {
 				t.Errorf("terminal export %+v", x)
 			}
-			if _, _, spent := sess.provenanceView(); spent != live.SpentJ {
-				t.Errorf("terminal provenance spend %v, want %v", spent, live.SpentJ)
+			if _, _, spent, window := sess.provenanceView(); spent != live.SpentJ || !reflect.DeepEqual(window, liveWindow) {
+				t.Errorf("terminal provenance spend %v with %d windowed decisions, want %v and the live window", spent, len(window), live.SpentJ)
 			}
 			if sess.localSpent() != live.SpentJ || sess.spent() != live.SpentJ {
 				t.Errorf("terminal spend accessors disagree with %v", live.SpentJ)
@@ -78,11 +90,13 @@ func TestTerminalSessionReleasesStack(t *testing.T) {
 
 // TestRetireEvictsOldestFirst pins the terminal-retention ring's order:
 // past the cap, each close evicts the longest-closed session and nobody
-// else.
+// else; and only the newest terminalWindows terminal sessions keep their
+// decision windows.
 func TestRetireEvictsOldestFirst(t *testing.T) {
 	srv := cutServer(t, nil)
 	const extra = 3
 	ids := make([]string, terminalRetainCap+extra)
+	sessions := make([]*session, len(ids))
 	for i := range ids {
 		resp, err := srv.Register(wire.RegisterRequest{
 			Tenant: fmt.Sprintf("t%04d", i), App: "radar", Platform: "Tablet", Iterations: 1, BudgetJ: 1,
@@ -91,6 +105,7 @@ func TestRetireEvictsOldestFirst(t *testing.T) {
 			t.Fatal(err)
 		}
 		ids[i] = resp.SessionID
+		sessions[i] = srv.sessions.get(resp.SessionID)
 		if _, err := srv.Close(resp.SessionID); err != nil {
 			t.Fatal(err)
 		}
@@ -102,6 +117,9 @@ func TestRetireEvictsOldestFirst(t *testing.T) {
 		_, werr := srv.lookup(id)
 		if gone := werr != nil; gone != (i < extra) {
 			t.Fatalf("session %d of %d (%s): evicted=%v", i, len(ids), id, gone)
+		}
+		if kept := sessions[i].sink != nil; kept != (i >= len(ids)-terminalWindows) {
+			t.Fatalf("session %d of %d (%s): window kept=%v", i, len(ids), id, kept)
 		}
 	}
 }

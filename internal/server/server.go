@@ -360,17 +360,20 @@ func (s *Server) Register(req wire.RegisterRequest) (wire.RegisterResponse, erro
 
 	now := s.clock()
 	id := s.newID()
-	sess, err := newSession(id, req, grant, s.meter, telemetry.WithSession(s.tel, id), now)
+	sink := telemetry.WithSession(s.tel, id, req.Iterations)
+	sess, err := newSession(id, req, grant, s.meter, sink, now)
 	if err != nil {
+		sink.Close()
 		s.broker.Release(grant, 0)
 		return wire.RegisterResponse{}, &wire.Error{Code: wire.CodeBadRequest, Msg: err.Error()}
 	}
-	sess.noteSpend = s.broker.NoteSpend
+	sess.spend = s.broker.spendCell(tenant)
 	s.sessions.put(sess)
 	if s.draining.Load() {
 		// Shutdown flipped the drain bit while we were inserting: back the
 		// session out so the snapshot never sees a post-drain admission.
 		s.sessions.remove(sess)
+		sess.closeWindow()
 		s.broker.Release(grant, 0)
 		return wire.RegisterResponse{}, &wire.Error{Code: wire.CodeDraining, Msg: "daemon is draining"}
 	}
@@ -518,8 +521,8 @@ func (s *Server) Adopt(a wire.AdoptSession) (string, error) {
 	}
 	s.qos.SetTier(a.Reg.Tenant, qos.ParseTier(a.Reg.Tier))
 	sess.setGrant(grant)
-	sess.noteSpend = s.broker.NoteSpend
-	sess.installLiveSink(telemetry.WithSession(s.tel, id))
+	sess.spend = s.broker.spendCell(a.Reg.Tenant)
+	sess.installLiveSink(telemetry.WithSession(s.tel, id, a.Reg.Iterations))
 	s.sessions.put(sess)
 	s.sessions.setKey(a.Key, id)
 	s.mAdopted.Inc()
@@ -614,20 +617,36 @@ func (s *Server) Close(id string) (wire.CloseResponse, error) {
 // instead of growing with every session ever served.
 const terminalRetainCap = 1024
 
-// retire queues a terminal session for bounded retention, evicting the
-// oldest terminal session once the cap is exceeded. Never called with a
-// shard or session lock held.
+// terminalWindows is how many of the newest terminal sessions keep their
+// decision window for a post-mortem (/decisions?session=, the provenance
+// iterations layer). A window holds at most 64 decisions, so terminal
+// windows hold at most 4,096 in all: the size of the process ring that
+// used to carry every session's decisions. Less than terminalRetainCap,
+// so a session has released its window before it is evicted.
+const terminalWindows = 64
+
+// retire queues a terminal session for bounded retention, releasing the
+// decision window of the session that retired terminalWindows
+// retirements earlier and evicting the oldest terminal session once the
+// cap is exceeded. Never called with a shard or session lock held.
 func (s *Server) retire(sess *session) {
 	s.retiredMu.Lock()
-	var evict *session
-	if len(s.retired) < terminalRetainCap {
+	var evict, expire *session
+	if n := len(s.retired); n < terminalRetainCap {
 		s.retired = append(s.retired, sess)
+		if n >= terminalWindows {
+			expire = s.retired[n-terminalWindows]
+		}
 	} else {
 		evict = s.retired[s.retiredHead]
 		s.retired[s.retiredHead] = sess
+		expire = s.retired[(s.retiredHead+terminalRetainCap-terminalWindows)%terminalRetainCap]
 		s.retiredHead = (s.retiredHead + 1) % terminalRetainCap
 	}
 	s.retiredMu.Unlock()
+	if expire != nil {
+		expire.closeWindow()
+	}
 	if evict != nil {
 		s.sessions.remove(evict)
 	}

@@ -181,34 +181,42 @@ type session struct {
 	meterCumJ   float64
 	lastClientJ float64
 
+	// sink is the session's telemetry: its counters' stripe and its own
+	// decision window, which the stack writes inside Done under mu. It is
+	// nil while replaying a snapshot; teardown keeps it, so a terminal
+	// session's last decisions stay readable until retire releases it
+	// (closeWindow).
+	sink *telemetry.SessionSink
+
 	// QoS wiring. shedded marks a session killed by the tenant-protection
 	// engine: introspection reads "killed" and post-mortem wire calls
 	// answer tenant_shed (back off and re-register) instead of
-	// session_closed. noteSpend, when set, streams each settled
-	// iteration's energy delta into the broker's per-tenant ledger;
+	// session_closed. spend, when set, is the tenant's cell in the
+	// broker, into which each settled iteration's energy delta streams;
 	// lastSpentJ is the accounted total at the previous settle.
 	shedded    bool
 	lastSpentJ float64
-	noteSpend  func(tenant string, deltaJ, dtS float64)
+	spend      *spendCell
 }
 
 // newSession builds the governor stack for an admitted registration.
 // sink is the telemetry the session reports into (nil while replaying a
 // snapshot; installLiveSink attaches the real one afterwards).
-func newSession(id string, reg wire.RegisterRequest, grant Grant, meter *meterHook, sink telemetry.Sink, now time.Time) (*session, error) {
+func newSession(id string, reg wire.RegisterRequest, grant Grant, meter *meterHook, sink *telemetry.SessionSink, now time.Time) (*session, error) {
 	tb, err := jouleguard.NewTestbed(reg.App, reg.Platform)
 	if err != nil {
 		return nil, err
 	}
-	gov, err := tb.NewJouleGuardBudget(grant.GrantJ, reg.Iterations, jouleguard.Options{
-		Seed:      reg.Seed,
-		Telemetry: sink,
-	})
+	opts := jouleguard.Options{Seed: reg.Seed}
+	if sink != nil { // a nil *SessionSink must not become a non-nil Sink
+		opts.Telemetry = sink
+	}
+	gov, err := tb.NewJouleGuardBudget(grant.GrantJ, reg.Iterations, opts)
 	if err != nil {
 		return nil, err
 	}
 	s := &session{id: id, num: sessionNum(id), stripe: telemetry.StripeOf(id),
-		reg: reg, grant: grant, tb: tb, gov: gov, meter: meter, lastTouch: now}
+		reg: reg, grant: grant, tb: tb, gov: gov, meter: meter, lastTouch: now, sink: sink}
 	ctl, err := jouleguard.NewOnlineGuarded(gov,
 		s.readPendingEnergy, s.readPendingNow,
 		jouleguard.SensorGuardConfig{ModelPower: tb.DefaultPower})
@@ -254,9 +262,10 @@ func (s *session) readPendingNow() float64 { return s.pending.now }
 // installLiveSink attaches the live telemetry sink after a snapshot
 // replay, so restored state resumes reporting without the replayed
 // iterations having been double-counted.
-func (s *session) installLiveSink(sink telemetry.Sink) {
+func (s *session) installLiveSink(sink *telemetry.SessionSink) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.sink = sink
 	s.gov.SetTelemetry(sink)
 	s.ctl.SetTelemetry(sink)
 }
@@ -344,13 +353,13 @@ func (s *session) done(req wire.DoneRequest, now time.Time) (wire.DoneResponse, 
 		EnergyJ: energyJ, EnergyErr: energyErr, Accuracy: req.Accuracy,
 		ClientJ: s.lastClientJ,
 	})
-	if s.noteSpend != nil {
-		// Stream the settle into the broker's per-tenant ledger (lock
-		// order session.mu -> broker.mu; the broker never takes session
-		// locks). The iteration's wall time comes from the client clock
-		// that also paces the controller.
+	if s.spend != nil {
+		// Stream the settle into the tenant's spend cell (lock order
+		// session.mu -> cell.mu; the broker never takes session locks).
+		// The iteration's wall time comes from the client clock that also
+		// paces the controller.
 		spent := s.ctl.EnergyAccounted()
-		s.noteSpend(s.reg.Tenant, spent-s.lastSpentJ, req.NowS-s.armedNow)
+		s.spend.note(spent-s.lastSpentJ, req.NowS-s.armedNow)
 		s.lastSpentJ = spent
 	}
 	if s.ctl.Iterations() >= s.reg.Iterations {
@@ -514,12 +523,27 @@ func (s *session) shed() (spentJ float64, release bool) {
 // durable form: the session is never stepped, snapshotted, reported or
 // adopted again, but its record lingers in the registry's
 // terminal-retention ring, where it answers introspection from the tally
-// frozen here. Callers hold s.mu.
+// frozen here and its decision window from the decisions it last made.
+// Callers hold s.mu.
 func (s *session) releaseStackLocked() {
 	s.final = s.tallyLocked()
 	s.final.estimates = s.estimatesLocked(true)
 	s.tb, s.gov, s.ctl = nil, nil, nil
 	s.log, s.ckpt = nil, nil
+}
+
+// closeWindow releases the session's decision window: it leaves
+// /decisions and its ring is freed. The server calls it once newer
+// terminal sessions have taken the window's place (retire), or when it
+// backs a registration out.
+func (s *session) closeWindow() {
+	s.mu.Lock()
+	sink := s.sink
+	s.sink = nil
+	s.mu.Unlock()
+	if sink != nil {
+		sink.Close()
+	}
 }
 
 // idleSince reports the last wire activity; the expiry watchdog compares

@@ -237,7 +237,7 @@ func (s *Server) Restore(r io.Reader) error {
 	s.nextID.Store(nextID)
 	broker.Instrument(s.tel.Registry)
 	for _, sess := range sessions {
-		sess.installLiveSink(telemetry.WithSession(s.tel, sess.id))
+		sess.installLiveSink(telemetry.WithSession(s.tel, sess.id, sess.reg.Iterations))
 		s.sessions.put(sess)
 		if sess.reg.Key != "" {
 			s.sessions.setKey(sess.reg.Key, sess.id)

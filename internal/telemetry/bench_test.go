@@ -45,15 +45,16 @@ func BenchmarkTelemetryLiveSink(b *testing.B) {
 // BenchmarkTelemetryLiveSinkParallel is the daemon's shape: the same
 // event mix from every core at once, each goroutine reporting through a
 // session sink of its own into one Telemetry. Counters and histograms
-// are striped, so what this still pays over the single-goroutine figure
-// above is the flight recorder's one mutex and the gauges' single cells.
+// are striped, each session keeps its own decision window and sets no
+// gauges, so the one thing the cores still write in common is the Seq
+// counter.
 func BenchmarkTelemetryLiveSinkParallel(b *testing.B) {
 	tel := New(DefaultFlightCapacity)
 	d := Decision{Iter: 1, AppConfig: 2, SysConfig: 3, SEURate: 10, SEUPower: 20}
 	var sessions atomic.Int64
 	b.ReportAllocs()
 	b.RunParallel(func(pb *testing.PB) {
-		s := WithSession(tel, fmt.Sprintf("s-%06d", sessions.Add(1)))
+		s := WithSession(tel, fmt.Sprintf("s-%06d", sessions.Add(1)), 0)
 		for pb.Next() {
 			s.RecordDecision(d)
 			s.ControlStep(12, 11.5, 0.5, 0.1, 1.5)

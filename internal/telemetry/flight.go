@@ -1,10 +1,13 @@
 package telemetry
 
 import (
+	"cmp"
 	"encoding/json"
 	"io"
 	"math"
+	"slices"
 	"sync"
+	"sync/atomic"
 )
 
 // DefaultFlightCapacity is the decision window kept when no capacity is
@@ -13,50 +16,66 @@ const DefaultFlightCapacity = 4096
 
 // FlightRecorder is a bounded ring buffer of controller decisions — the
 // "black box" a live system can be asked about after the fact. Recording
-// is a mutex-guarded copy into a pre-allocated slot (no allocation, no
-// channel, no goroutine), so it is cheap enough to run on every control
-// iteration; once the window fills, the oldest decision is overwritten.
+// is a mutex-guarded copy into a pre-allocated slot (no channel, no
+// goroutine), so it is cheap enough to run on every control iteration;
+// once the window fills, the oldest decision is overwritten. The ring is
+// allocated by the first Record, so a recorder nothing writes to costs a
+// few words.
 type FlightRecorder struct {
-	mu    sync.Mutex
-	buf   []Decision
-	total uint64 // decisions ever recorded
+	mu     sync.Mutex
+	buf    []Decision // nil until the first Record, and after release
+	size   int        // len(buf) once allocated
+	total  uint64     // decisions ever recorded here
+	closed bool       // released: Record keeps nothing
+	// seq stamps Seq: the counter of the Telemetry the recorder belongs
+	// to, shared by its process ring and every session window, so Seq
+	// orders decisions across all of them.
+	seq *atomic.Uint64
 }
 
-// NewFlightRecorder builds a recorder holding the last capacity
-// decisions (DefaultFlightCapacity if capacity <= 0).
-func NewFlightRecorder(capacity int) *FlightRecorder {
+// newRecorder builds a recorder holding the last capacity decisions
+// (DefaultFlightCapacity if capacity <= 0), stamping Seq from seq.
+func newRecorder(capacity int, seq *atomic.Uint64) *FlightRecorder {
 	if capacity <= 0 {
 		capacity = DefaultFlightCapacity
 	}
-	return &FlightRecorder{buf: make([]Decision, capacity)}
+	return &FlightRecorder{size: capacity, seq: seq}
 }
 
 // Record appends one decision, overwriting the oldest once full, and
-// stamps its sequence number (1-based; the ?since= export cursor).
+// stamps its sequence number (1-based; the ?since= export cursor). A
+// released recorder drops the decision.
 func (f *FlightRecorder) Record(d Decision) {
 	f.mu.Lock()
-	d.Seq = f.total + 1
-	f.buf[f.total%uint64(len(f.buf))] = d
+	if f.buf == nil {
+		if f.closed {
+			f.mu.Unlock()
+			return
+		}
+		f.buf = make([]Decision, f.size)
+	}
+	d.Seq = f.seq.Add(1)
+	f.buf[f.total%uint64(f.size)] = d
 	f.total++
 	f.mu.Unlock()
 }
 
-// Len returns how many decisions the window currently holds.
-func (f *FlightRecorder) Len() int {
+// release drops the ring for good; the recorder reads as empty from then
+// on.
+func (f *FlightRecorder) release() {
 	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.total < uint64(len(f.buf)) {
-		return int(f.total)
-	}
-	return len(f.buf)
+	f.buf, f.closed = nil, true
+	f.mu.Unlock()
 }
 
-// Total returns how many decisions were ever recorded (including those
-// already overwritten).
-func (f *FlightRecorder) Total() uint64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.total
+// retained returns how many decisions the ring holds and the i-th of
+// them, oldest first. Callers hold f.mu.
+func (f *FlightRecorder) retained() (n int, at func(i int) *Decision) {
+	if f.buf != nil {
+		n = int(min(f.total, uint64(f.size)))
+	}
+	oldest := f.total - uint64(n)
+	return n, func(i int) *Decision { return &f.buf[(oldest+uint64(i))%uint64(f.size)] }
 }
 
 // Snapshot returns the recorded window oldest-first. The result is a
@@ -64,59 +83,104 @@ func (f *FlightRecorder) Total() uint64 {
 func (f *FlightRecorder) Snapshot() []Decision {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	n := int(f.total)
-	if n > len(f.buf) {
-		n = len(f.buf)
-	}
+	n, at := f.retained()
 	out := make([]Decision, n)
-	start := f.total - uint64(n)
-	for i := 0; i < n; i++ {
-		out[i] = f.buf[(start+uint64(i))%uint64(len(f.buf))]
+	for i := range out {
+		out[i] = *at(i)
 	}
 	return out
 }
 
-// SnapshotSince returns the windowed decisions with Seq > since,
-// oldest-first — the incremental-tail cursor for /decisions?since=.
-// Decisions already overwritten are gone regardless of the cursor; the
-// caller detects the gap when the first returned Seq is > since+1.
-func (f *FlightRecorder) SnapshotSince(since uint64) []Decision {
+// Last returns the newest retained decision; ok is false when the
+// recorder holds none.
+func (f *FlightRecorder) Last() (d Decision, ok bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	n := int(f.total)
-	if n > len(f.buf) {
-		n = len(f.buf)
+	if n, at := f.retained(); n > 0 {
+		return *at(n - 1), true
 	}
-	start := f.total - uint64(n) // seq of the oldest retained entry is start+1
-	if since > start {
-		if since >= f.total {
-			return nil
-		}
-		start = since
-		n = int(f.total - since)
-	}
-	out := make([]Decision, n)
-	for i := 0; i < n; i++ {
-		out[i] = f.buf[(start+uint64(i))%uint64(len(f.buf))]
-	}
-	return out
+	return Decision{}, false
 }
 
-// WriteJSONL writes the current window oldest-first, one JSON object per
-// line — the /decisions exposition and the offline-analysis dump format.
-// last limits the output to the most recent decisions (0 = the whole
-// window). Non-finite floats are sanitised to 0 before encoding
-// (encoding/json cannot represent them); upstream guards keep the
-// runtime's state finite, so this is a defensive clamp, not a lossy
-// path.
-func (f *FlightRecorder) WriteJSONL(w io.Writer, last int) error {
-	snap := f.Snapshot()
-	if last > 0 && last < len(snap) {
-		snap = snap[len(snap)-last:]
+// offerNewest offers k the retained decisions with since < Seq <= hi
+// (only session's when session is non-empty), newest first, and stops at
+// the first one k turns down: every older one would be turned down too.
+func (f *FlightRecorder) offerNewest(k *newest, session string, since, hi uint64) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	n, at := f.retained()
+	for i := n - 1; i >= 0; i-- {
+		d := at(i)
+		switch {
+		case d.Seq > hi || session != "" && d.Session != session:
+			continue
+		case d.Seq <= since || !k.offer(d):
+			return
+		}
 	}
+}
+
+// newest keeps the n decisions with the highest Seq offered to it, so a
+// read merging many recorders copies at most n decisions. h is a min-heap
+// on Seq: h[0] is the kept decision a newcomer has to beat.
+type newest struct {
+	n int
+	h []Decision
+}
+
+// offer keeps d if it is newer than one of the n kept so far, dropping
+// the oldest kept to make room; it reports whether d was kept.
+func (k *newest) offer(d *Decision) bool {
+	h := k.h
+	if len(h) < k.n {
+		h = append(h, *d)
+		for i := len(h) - 1; i > 0; {
+			p := (i - 1) / 2
+			if h[p].Seq <= h[i].Seq {
+				break
+			}
+			h[p], h[i] = h[i], h[p]
+			i = p
+		}
+		k.h = h
+		return true
+	}
+	if len(h) == 0 || d.Seq <= h[0].Seq {
+		return false
+	}
+	h[0] = *d
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= len(h) {
+			break
+		}
+		if c+1 < len(h) && h[c+1].Seq < h[c].Seq {
+			c++
+		}
+		if h[i].Seq <= h[c].Seq {
+			break
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+	return true
+}
+
+// sorted returns the kept decisions oldest first.
+func (k *newest) sorted() []Decision {
+	slices.SortFunc(k.h, func(a, b Decision) int { return cmp.Compare(a.Seq, b.Seq) })
+	return k.h
+}
+
+// writeJSONL writes ds one JSON object per line — the /decisions
+// exposition and the offline-analysis dump format. Non-finite floats are
+// sanitised to 0 before encoding (encoding/json cannot represent them);
+// upstream guards keep the runtime's state finite, so this is a
+// defensive clamp, not a lossy path.
+func writeJSONL(w io.Writer, ds []Decision) error {
 	enc := json.NewEncoder(w)
-	for i := range snap {
-		if err := enc.Encode(sanitizeDecision(snap[i])); err != nil {
+	for i := range ds {
+		if err := enc.Encode(sanitizeDecision(ds[i])); err != nil {
 			return err
 		}
 	}

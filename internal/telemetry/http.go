@@ -15,8 +15,9 @@ import (
 //
 //	/metrics    Prometheus text exposition of every registered metric
 //	/healthz    liveness probe; JSON role/fence once SetHealth is wired
-//	/decisions  the flight-recorder window as JSONL (?n=K for the last K,
-//	            ?session=ID to filter one daemon session's decisions,
+//	/decisions  the process flight ring merged with every session window
+//	            by Seq, as JSONL, at most max(4096, ring size) a read (?n=K for
+//	            the last K, ?session=ID for one daemon session's window,
 //	            ?since=SEQ to tail incrementally; gzip when accepted)
 //	/traces     the span-buffer window as JSONL (?trace=HEXID to select
 //	            one distributed trace)
@@ -26,7 +27,8 @@ import (
 // and cmd/jouleguardd both call it (the daemon on a mux that also
 // carries the /v1/sessions API), so the exposition surface cannot drift
 // between the binaries. The handlers are safe to serve while experiments
-// run; scrapes read atomics and copy the flight window under its mutex.
+// run; scrapes read atomics and copy each decision window under its
+// mutex.
 func (t *Telemetry) Mount(mux *http.ServeMux) {
 	mux.HandleFunc("/metrics", t.serveMetrics)
 	mux.HandleFunc("/healthz", t.serveHealthz)
@@ -70,12 +72,12 @@ func (t *Telemetry) serveHealthz(w http.ResponseWriter, _ *http.Request) {
 			Decisions uint64     `json:"decisions_recorded"`
 			Meter     *MeterInfo `json:"meter,omitempty"`
 			QoS       *QoSInfo   `json:"qos,omitempty"`
-		}{info, time.Since(t.start).Seconds(), t.Flight.Total(), meterPtr, qosPtr})
+		}{info, time.Since(t.start).Seconds(), t.seq.Load(), meterPtr, qosPtr})
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	fmt.Fprintf(w, "ok\nuptime_seconds %.1f\ndecisions_recorded %d\n",
-		time.Since(t.start).Seconds(), t.Flight.Total())
+		time.Since(t.start).Seconds(), t.seq.Load())
 }
 
 func (t *Telemetry) serveDecisions(w http.ResponseWriter, r *http.Request) {
@@ -89,49 +91,18 @@ func (t *Telemetry) serveDecisions(w http.ResponseWriter, r *http.Request) {
 		last = n
 	}
 	var since uint64
-	haveSince := false
 	if s := r.URL.Query().Get("since"); s != "" {
 		n, err := strconv.ParseUint(s, 10, 64)
 		if err != nil {
 			http.Error(w, "since must be a non-negative integer sequence number", http.StatusBadRequest)
 			return
 		}
-		since, haveSince = n, true
+		since = n
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	out := compressed(w, r)
 	defer out.close()
-	session := r.URL.Query().Get("session")
-	if haveSince || session != "" {
-		var snap []Decision
-		if haveSince {
-			snap = t.Flight.SnapshotSince(since)
-		} else {
-			snap = t.Flight.Snapshot()
-		}
-		if session != "" {
-			kept := snap[:0]
-			for _, d := range snap {
-				if d.Session == session {
-					kept = append(kept, d)
-				}
-			}
-			snap = kept
-		}
-		// ?n= tails the filtered stream, so it means "the last n of what
-		// the other filters kept".
-		if last > 0 && last < len(snap) {
-			snap = snap[len(snap)-last:]
-		}
-		enc := json.NewEncoder(out)
-		for i := range snap {
-			if err := enc.Encode(sanitizeDecision(snap[i])); err != nil {
-				return
-			}
-		}
-		return
-	}
-	_ = t.Flight.WriteJSONL(out, last)
+	_ = writeJSONL(out, t.Decisions(r.URL.Query().Get("session"), since, last))
 }
 
 func (t *Telemetry) serveTraces(w http.ResponseWriter, r *http.Request) {

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -50,17 +51,29 @@ type QoSInfo struct {
 // Telemetry serves a whole process — its methods are safe for
 // concurrent use by the experiment worker pool — and its Handler
 // (http.go) exposes everything over HTTP.
+//
+// Decisions made through Telemetry itself (the library path) land in
+// Flight, the process ring; a daemon session's land in the window of its
+// SessionSink. One counter stamps Seq on both, so /decisions can merge
+// them into one stream.
 type Telemetry struct {
 	Registry *Registry
 	Flight   *FlightRecorder
 	Spans    *SpanBuffer
+
+	seq     atomic.Uint64 // Seq source: decisions ever recorded, process-wide
+	winMu   sync.Mutex
+	windows map[*SessionSink]struct{} // session windows, from WithSession until Close
 
 	start  time.Time
 	health atomic.Value // func() HealthInfo, nil until SetHealth
 	meter  atomic.Value // func() MeterInfo, nil until SetMeter
 	qos    atomic.Value // func() QoSInfo, nil until SetQoS
 
-	// Decision stream.
+	// Decision stream. The gauges here and under the PI controller and
+	// the estimators describe the last unbound decision; they stay unset
+	// (exported without a sample) until one arrives, so a daemon, whose
+	// sessions set none of them, exports no reading nothing wrote.
 	decisions    *Counter
 	explorations *Counter
 	actMisses    *Counter
@@ -133,8 +146,8 @@ func New(flightCapacity int) *Telemetry {
 	r := NewRegistry()
 	t := &Telemetry{
 		Registry: r,
-		Flight:   NewFlightRecorder(flightCapacity),
 		Spans:    NewSpanBuffer(0),
+		windows:  map[*SessionSink]struct{}{},
 		start:    time.Now(),
 
 		decisions:    r.Counter("jouleguard_decisions_total", "Control decisions recorded by the runtime."),
@@ -183,6 +196,11 @@ func New(flightCapacity int) *Telemetry {
 			"Faults injected into the measurement and actuation channels.",
 			Label{"channel", FaultChannelName(ch)})
 	}
+	for _, g := range []*Gauge{t.degraded, t.infeasible, t.epsilon, t.speedupCmd, t.bestArm,
+		t.energyUsed, t.budgetLeft, t.allowedPer, t.pole, t.piError, t.target, t.estGain} {
+		g.unset()
+	}
+	t.Flight = newRecorder(flightCapacity, &t.seq)
 	return t
 }
 
@@ -262,44 +280,149 @@ func (t *Telemetry) CounterSummary() (decisions, iterations, guardRejected, watc
 		t.guardRejected.Value(), t.watchdogTrips.Value(), faults
 }
 
-// lane is the Sink implementation proper: the Telemetry, the stripe its
-// counter and histogram writes land on, and the session name stamped on
-// the decisions it records ("" leaves a decision's own tag alone).
-// Telemetry's Sink methods are the lane {stripe 0, no session};
-// WithSession hands each daemon session a lane of its own. Gauges are
-// single cells whatever the lane (last writer wins, as ever) and the
-// flight recorder is one ring with one sequence.
-type lane struct {
-	t       *Telemetry
-	stripe  Stripe
-	session string
+// Decisions returns the retained decisions with Seq > since, oldest
+// first: the process ring merged with every listed session window. A
+// non-empty session keeps only that session's decisions; last > 0 keeps
+// only the newest last of what the other filters kept. A read returns
+// at most maxRead decisions however many windows are listed, and copies
+// no more than it returns, so a scrape of a daemon with thousands of
+// sessions costs what one of the process ring does.
+//
+// The read is bounded by the Seq counter as loaded on entry, so a
+// decision stamped while the sources are being read is left for the next
+// read instead of being returned ahead of a lower Seq still being
+// written: polling with since set to the last Seq returned never skips a
+// decision that is still retained, as long as fewer than maxRead arrive
+// between polls.
+func (t *Telemetry) Decisions(session string, since uint64, last int) []Decision {
+	limit := t.maxRead()
+	if last <= 0 || last > limit {
+		last = limit
+	}
+	hi := t.seq.Load()
+	k := &newest{n: last}
+	t.Flight.offerNewest(k, session, since, hi)
+	for _, w := range t.sessionWindows(session) {
+		w.offerNewest(k, "", since, hi)
+	}
+	return k.sorted()
 }
 
-// WithSession returns a sink that reports into t on behalf of one
-// governor-daemon session: every decision it records carries the session
-// id — the multiplexing the daemon needs when many tenants share one
-// flight recorder — and its counter and histogram updates go to the
-// session's stripe (StripeOf), so sessions on different cores do not
-// write the same cache lines. Metrics still aggregate across sessions:
-// every reader sums the stripes.
-func WithSession(t *Telemetry, session string) Sink {
-	if t == nil {
-		return Nop{}
+// maxRead bounds one Decisions read: what the process ring holds, and at
+// least DefaultFlightCapacity.
+func (t *Telemetry) maxRead() int { return max(t.Flight.size, DefaultFlightCapacity) }
+
+// sessionWindows lists the session windows (only session's when it is
+// non-empty). The list is copied so no window lock is taken under winMu.
+func (t *Telemetry) sessionWindows(session string) []*FlightRecorder {
+	t.winMu.Lock()
+	defer t.winMu.Unlock()
+	var out []*FlightRecorder
+	for s := range t.windows {
+		if session == "" || s.session == session {
+			out = append(out, &s.window)
+		}
 	}
-	return lane{t: t, stripe: StripeOf(session), session: session}
+	return out
+}
+
+// lane is the part of a Sink every writer shares: the counter and
+// histogram updates, landing on one stripe. Telemetry's Sink methods are
+// the lane on stripe 0 plus the process ring and the decision gauges;
+// SessionSink is a session's lane plus its own decision window.
+type lane struct {
+	t      *Telemetry
+	stripe Stripe
+}
+
+// sessionWindow bounds a session's decision window: the last
+// min(sessionWindow, declared iterations) decisions, ~14 KB at most
+// where the process ring's DefaultFlightCapacity is ~0.9 MB. It is a
+// constant, not a knob: every live session holds one, so window memory
+// grows with the number of live sessions.
+const sessionWindow = 64
+
+// SessionSink is the sink one governor-daemon session reports into.
+// Its counter and histogram updates go to the session's stripe
+// (StripeOf), so sessions on different cores do not write the same cache
+// lines; metrics still aggregate, since every reader sums the stripes.
+// Its decisions, stamped with the session id, go to a window of the
+// session's own rather than the process ring, so sessions share nothing
+// per decision but the Seq counter; the window's ring is allocated by
+// the first decision and released by Close. It sets none of the process
+// decision gauges (energy used, budget remaining, epsilon, pole, ...): in
+// a multi-tenant daemon they would describe whichever session settled
+// last. /decisions?session= is where a session's state is read.
+type SessionSink struct {
+	lane
+	session string
+	window  FlightRecorder
+}
+
+// WithSession returns the sink one session of t reports into, keeping
+// the session's last min(sessionWindow, iterations) decisions
+// (sessionWindow when iterations <= 0). The window is listed in t's
+// reads from here until Close, so it is listed before its first decision
+// is stamped: a reader that loads the Seq counter and then lists the
+// windows finds every decision at or below what it loaded.
+func WithSession(t *Telemetry, session string, iterations int) *SessionSink {
+	if iterations <= 0 || iterations > sessionWindow {
+		iterations = sessionWindow
+	}
+	s := &SessionSink{lane: lane{t: t, stripe: StripeOf(session)}, session: session}
+	s.window.size, s.window.seq = iterations, &t.seq
+	t.winMu.Lock()
+	t.windows[s] = struct{}{}
+	t.winMu.Unlock()
+	return s
+}
+
+// Window returns the session's decision window.
+func (s *SessionSink) Window() *FlightRecorder { return &s.window }
+
+// RecordDecision implements Sink, stamping the session id.
+func (s *SessionSink) RecordDecision(d Decision) {
+	s.decided(d)
+	d.Session = s.session
+	s.window.Record(d)
+}
+
+// Close unlists the session's window and releases its ring; later
+// decisions are counted but not kept. The daemon closes a session's sink
+// when the session leaves its registry.
+func (s *SessionSink) Close() {
+	s.t.winMu.Lock()
+	delete(s.t.windows, s)
+	s.t.winMu.Unlock()
+	s.window.release()
 }
 
 // RecordDecision implements Sink.
-func (t *Telemetry) RecordDecision(d Decision) { lane{t: t}.RecordDecision(d) }
+func (t *Telemetry) RecordDecision(d Decision) {
+	t.Flight.Record(d)
+	lane{t: t}.decided(d)
+	t.degraded.SetBool(d.Degraded)
+	t.infeasible.SetBool(d.Infeasible)
+	t.epsilon.Set(d.Epsilon)
+	t.speedupCmd.Set(d.SpeedupCmd)
+	t.bestArm.Set(float64(d.BestArm))
+	t.energyUsed.Set(d.EnergyUsedJ)
+	t.budgetLeft.Set(d.BudgetRemainingJ)
+	t.allowedPer.Set(d.AllowedJPerIter)
+}
 
 // ControlStep implements Sink.
 func (t *Telemetry) ControlStep(target, measured, errTerm, pole, speedup float64) {
 	lane{t: t}.ControlStep(target, measured, errTerm, pole, speedup)
+	t.pole.Set(pole)
+	t.piError.Set(errTerm)
+	t.target.Set(target)
 }
 
 // EstimatorUpdate implements Sink.
 func (t *Telemetry) EstimatorUpdate(arm int, rate, power, gain float64) {
 	lane{t: t}.EstimatorUpdate(arm, rate, power, gain)
+	t.estGain.Set(gain)
 }
 
 // GuardVerdict implements Sink.
@@ -324,13 +447,9 @@ func (t *Telemetry) JobStart(queued int) { lane{t: t}.JobStart(queued) }
 // JobDone implements Sink.
 func (t *Telemetry) JobDone(failed bool) { lane{t: t}.JobDone(failed) }
 
-// RecordDecision implements Sink, stamping the session id.
-func (l lane) RecordDecision(d Decision) {
+// decided counts one decision.
+func (l lane) decided(d Decision) {
 	t, s := l.t, l.stripe
-	if l.session != "" {
-		d.Session = l.session
-	}
-	t.Flight.Record(d)
 	t.decisions.AddOn(s, 1)
 	if d.Explored {
 		t.explorations.AddOn(s, 1)
@@ -341,28 +460,16 @@ func (l lane) RecordDecision(d Decision) {
 	if d.Estimated {
 		t.estimated.AddOn(s, 1)
 	}
-	t.degraded.SetBool(d.Degraded)
-	t.infeasible.SetBool(d.Infeasible)
-	t.epsilon.Set(d.Epsilon)
-	t.speedupCmd.Set(d.SpeedupCmd)
-	t.bestArm.Set(float64(d.BestArm))
-	t.energyUsed.Set(d.EnergyUsedJ)
-	t.budgetLeft.Set(d.BudgetRemainingJ)
-	t.allowedPer.Set(d.AllowedJPerIter)
 }
 
 // ControlStep implements Sink.
 func (l lane) ControlStep(target, measured, errTerm, pole, speedup float64) {
 	l.t.ctrlSteps.AddOn(l.stripe, 1)
-	l.t.pole.Set(pole)
-	l.t.piError.Set(errTerm)
-	l.t.target.Set(target)
 }
 
 // EstimatorUpdate implements Sink.
 func (l lane) EstimatorUpdate(arm int, rate, power, gain float64) {
 	l.t.estUpdates.AddOn(l.stripe, 1)
-	l.t.estGain.Set(gain)
 }
 
 // GuardVerdict implements Sink.

@@ -247,7 +247,8 @@ func TestRegistryScrapeWhileUpdateRace(t *testing.T) {
 // cursor, and export JSONL — the scrape-under-load pattern the
 // observability endpoints serve. Run under -race.
 func TestFlightAndSpanChurnRace(t *testing.T) {
-	f := NewFlightRecorder(64)
+	tel := New(64)
+	f := tel.Flight
 	sp := NewSpanBuffer(64)
 	sp.SetNode("churn")
 	var wg sync.WaitGroup
@@ -274,12 +275,12 @@ func TestFlightAndSpanChurnRace(t *testing.T) {
 			defer rg.Done()
 			var cursor uint64
 			for i := 0; i < 200; i++ {
-				for _, d := range f.SnapshotSince(cursor) {
+				for _, d := range tel.Decisions("", cursor, 0) {
 					if d.Seq > cursor {
 						cursor = d.Seq
 					}
 				}
-				_ = f.WriteJSONL(io.Discard, 16)
+				_ = writeJSONL(io.Discard, tel.Decisions("", 0, 16))
 				_ = sp.Snapshot(uint64(i%10 + 1))
 				_ = sp.WriteJSONL(io.Discard, 0)
 			}
@@ -288,7 +289,7 @@ func TestFlightAndSpanChurnRace(t *testing.T) {
 	rg.Wait()
 	close(stop)
 	wg.Wait()
-	if f.Total() == 0 || sp.Total() == 0 {
+	if tel.seq.Load() == 0 || sp.Total() == 0 {
 		t.Fatal("churn recorded nothing")
 	}
 }

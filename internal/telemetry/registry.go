@@ -120,8 +120,14 @@ func (g *Gauge) SetBool(b bool) {
 	}
 }
 
-// Value returns the current value.
+// Value returns the current value (NaN while unset).
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
+
+// unset returns the gauge to the state of one never set: the exposition
+// carries its family's HELP and TYPE lines but no sample, so a reading
+// nothing wrote is not taken for a zero. Set never stores a NaN, so the
+// marker cannot collide with a value.
+func (g *Gauge) unset() { g.bits.Store(math.Float64bits(math.NaN())) }
 
 // Histogram counts observations into fixed cumulative buckets. Bounds
 // are the inclusive upper edges in ascending order; the +Inf bucket is
@@ -408,7 +414,9 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			case kindCounter:
 				writeSample(&b, f.name, c.labels, nil, c.counter.Value())
 			case kindGauge:
-				writeSample(&b, f.name, c.labels, nil, c.gauge.Value())
+				if v := c.gauge.Value(); !math.IsNaN(v) {
+					writeSample(&b, f.name, c.labels, nil, v)
+				}
 			case kindHistogram:
 				h := c.histogram
 				counts := h.bucketCounts()

@@ -180,21 +180,21 @@ func TestCounterGaugeHistogram(t *testing.T) {
 }
 
 func TestFlightRecorderWindow(t *testing.T) {
-	f := NewFlightRecorder(4)
+	f := New(4).Flight
 	for i := 0; i < 10; i++ {
 		f.Record(Decision{Iter: i})
 	}
-	if f.Total() != 10 || f.Len() != 4 {
-		t.Fatalf("total=%d len=%d, want 10/4", f.Total(), f.Len())
-	}
 	snap := f.Snapshot()
+	if f.total != 10 || len(snap) != 4 {
+		t.Fatalf("total=%d len=%d, want 10/4", f.total, len(snap))
+	}
 	for i, d := range snap {
 		if want := 6 + i; d.Iter != want {
 			t.Fatalf("snapshot[%d].Iter = %d, want %d (oldest-first window)", i, d.Iter, want)
 		}
 	}
 	var buf bytes.Buffer
-	if err := f.WriteJSONL(&buf, 2); err != nil {
+	if err := writeJSONL(&buf, snap[len(snap)-2:]); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
@@ -211,10 +211,10 @@ func TestFlightRecorderWindow(t *testing.T) {
 }
 
 func TestJSONLSanitisesNonFinite(t *testing.T) {
-	f := NewFlightRecorder(2)
+	f := New(2).Flight
 	f.Record(Decision{Iter: 1, PIError: math.NaN(), TargetRate: math.Inf(1)})
 	var buf bytes.Buffer
-	if err := f.WriteJSONL(&buf, 0); err != nil {
+	if err := writeJSONL(&buf, f.Snapshot()); err != nil {
 		t.Fatalf("non-finite fields must not break JSONL export: %v", err)
 	}
 	var d Decision
