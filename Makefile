@@ -45,17 +45,24 @@ test-race:
 # streams, the load driver's concurrent tenants, and the bandit and
 # runtime, whose instances are copied from shared prior tables — and the
 # error contract and the retry loop every one of those hops shares, and
-# the telemetry sinks, whose striped metrics, process ring and session
-# decision windows every one of those goroutines writes.
+# the telemetry sinks: the unbound sink's striped metrics and process
+# ring, which any goroutine writes, and the session sinks' tallies and
+# decision windows, which their sessions write under the session mutex
+# while scrapes fold and read them.
 race:
 	$(GO) test -race ./internal/par/ ./internal/experiments/ ./internal/platform/ ./internal/learning/ ./internal/core/ ./internal/server/ ./internal/client/ ./internal/cluster/ ./cmd/loadgen/ ./internal/measure/ ./internal/qos/ ./internal/wire/ ./internal/backoff/ ./internal/telemetry/ .
 
 # The full-size (10k-session) shard-churn test under the race detector:
 # the concurrent registry/broker workload the sharded session map exists
 # for. `race` above already runs it at -short scale; this is the
-# pre-merge full run.
+# pre-merge full run. Then ten runs each of the tests that interleave
+# session writers with readers of their telemetry (scrapes folding the
+# tallies, /decisions and provenance reading the windows), since the
+# session mutex is the only lock those writes take.
 churn-race:
 	$(GO) test -race -run TestShardChurnRace ./internal/server/
+	$(GO) test -race -count=10 -run 'TestSessionDecisionWindows|TestSessionTalliesExactOnRead' \
+		./internal/server/ ./internal/telemetry/
 
 # Time-boxed fuzzing of the parsers that read untrusted bytes. The
 # recovery parsers, seeded from a real snapshot: damaged snapshot streams

@@ -118,7 +118,7 @@ func (tr *cutTrace) drive(t testing.TB, srv *Server, sess *session, m *memoMachi
 		if re.errEvery > 0 && k%re.errEvery == re.errEvery-1 {
 			req = wire.DoneRequest{NowS: m.clockS, EnergyErr: true, Accuracy: acc}
 		}
-		done, werr := sess.done(req, srv.clock())
+		done, werr := sess.done(req)
 		if werr != nil {
 			t.Fatalf("done %d: %v", k, werr)
 		}

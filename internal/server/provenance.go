@@ -26,7 +26,7 @@ func (s *session) provenanceView() (reg wire.RegisterRequest, grant Grant, spent
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.sink != nil {
-		window = s.sink.Window().Snapshot()
+		window = s.sink.WindowLocked()
 	}
 	return s.reg, s.grant, s.tallyLocked().spentJ, window
 }
@@ -40,7 +40,7 @@ func (s *session) auditView() (grant Grant, spentJ, lastCum float64, have bool) 
 	defer s.mu.Unlock()
 	var last telemetry.Decision
 	if s.sink != nil {
-		last, have = s.sink.Window().Last()
+		last, have = s.sink.LastLocked()
 	}
 	return s.grant, s.tallyLocked().spentJ, last.EnergyUsedJ, have
 }
@@ -143,7 +143,7 @@ func (s *Server) auditProvenance() {
 	var commitSum, iterDrift float64
 	liveCount := 0
 	for _, sess := range s.sessions.all() {
-		if _, live := sess.idleSince(); !live {
+		if !sess.live() {
 			continue
 		}
 		liveCount++

@@ -224,7 +224,7 @@ func FuzzRestoreState(f *testing.F) {
 			binary.LittleEndian.PutUint32(resealed[n:], crc32.ChecksumIEEE(resealed[:n]))
 		}
 		for _, state := range [][]byte{data, resealed} {
-			sess, err := newSession("s-000001", reg, grant, nil, nil, src.lastTouch)
+			sess, err := newSession("s-000001", reg, grant, nil, src.lastTouch)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -358,15 +358,13 @@ func (s *Server) Register(req wire.RegisterRequest) (wire.RegisterResponse, erro
 		return wire.RegisterResponse{}, &wire.Error{Code: wire.CodeBadRequest, Msg: err.Error()}
 	}
 
-	now := s.clock()
 	id := s.newID()
-	sink := telemetry.WithSession(s.tel, id, req.Iterations)
-	sess, err := newSession(id, req, grant, s.meter, sink, now)
+	sess, err := newSession(id, req, grant, s.meter, s.clock())
 	if err != nil {
-		sink.Close()
 		s.broker.Release(grant, 0)
 		return wire.RegisterResponse{}, &wire.Error{Code: wire.CodeBadRequest, Msg: err.Error()}
 	}
+	sess.installLiveSink(s.tel)
 	sess.spend = s.broker.spendCell(tenant)
 	s.sessions.put(sess)
 	if s.draining.Load() {
@@ -471,9 +469,6 @@ func (s *Server) SetAdmitAssist(f func(needJ float64) bool) {
 // it keeps the ledger truthful.
 func (s *Server) SetFenced(fenced bool) { s.fenced.Store(fenced) }
 
-// Fenced reports the self-fence state.
-func (s *Server) Fenced() bool { return s.fenced.Load() }
-
 // Adopt rebuilds a migrated session from its registration and its log
 // (checkpoint + iteration tail) — the cross-node analogue of snapshot
 // restore, through the same session.replay: the governor stack is
@@ -502,7 +497,7 @@ func (s *Server) Adopt(a wire.AdoptSession) (string, error) {
 	if a.Reg.Tenant == "" {
 		a.Reg.Tenant = "default"
 	}
-	sess, err := newSession(id, a.Reg, Grant{Tenant: a.Reg.Tenant, Weight: a.Reg.Weight, GrantJ: a.GrantJ}, s.meter, nil, s.clock())
+	sess, err := newSession(id, a.Reg, Grant{Tenant: a.Reg.Tenant, Weight: a.Reg.Weight, GrantJ: a.GrantJ}, s.meter, s.clock())
 	if err != nil {
 		return "", &wire.Error{Code: wire.CodeBadRequest, Msg: err.Error()}
 	}
@@ -522,7 +517,7 @@ func (s *Server) Adopt(a wire.AdoptSession) (string, error) {
 	s.qos.SetTier(a.Reg.Tenant, qos.ParseTier(a.Reg.Tier))
 	sess.setGrant(grant)
 	sess.spend = s.broker.spendCell(a.Reg.Tenant)
-	sess.installLiveSink(telemetry.WithSession(s.tel, id, a.Reg.Iterations))
+	sess.installLiveSink(s.tel)
 	s.sessions.put(sess)
 	s.sessions.setKey(a.Key, id)
 	s.mAdopted.Inc()
@@ -561,7 +556,7 @@ func (s *Server) adoptAdmit(tenant string, weight, grantJ, importedJ float64) (G
 func (s *Server) TotalSpentJ() float64 {
 	total := s.broker.Consumed()
 	for _, sess := range s.sessions.all() {
-		if _, live := sess.idleSince(); live {
+		if sess.live() {
 			total += sess.localSpent()
 		}
 	}
@@ -659,7 +654,7 @@ func (s *Server) ExpireIdle() int {
 	now := s.clock()
 	expired := 0
 	for _, sess := range s.sessions.all() {
-		last, live := sess.idleSince()
+		last, live := sess.idleSince(now)
 		if !live {
 			continue
 		}
@@ -768,8 +763,8 @@ func (s *Server) gate() *wire.Error {
 }
 
 // stamp reads the clock once for one wire call. wall is real time, what
-// latency samples and span bounds are measured on; now is what the
-// sessions' idle expiry and the QoS gate's throttle pacing see — the same
+// latency samples and span bounds are measured on; now is what the QoS
+// gate's throttle pacing and the idle stamp of Next see — the same
 // instant unless a test injected Config.Clock.
 func (s *Server) stamp() (wall, now time.Time) {
 	wall = time.Now()
@@ -814,9 +809,15 @@ func (s *Server) Done(id string, req wire.DoneRequest) (wire.DoneResponse, error
 // Done path shared by the v1 handler and the v2 frame loop, so both
 // record identical spans and the traced/untraced settle mutates session
 // state identically (the golden replay test pins this).
+//
+// An untraced Done reads no clock: its only use of one would be the idle
+// stamp, which the expiry sweep supplies instead (session.idleSince).
 func (s *Server) sessionDone(sess *session, req wire.DoneRequest) (wire.DoneResponse, error) {
-	wall, now := s.stamp()
-	resp, werr := sess.done(req, now)
+	var wall time.Time
+	if req.TraceID != 0 {
+		wall, _ = s.stamp()
+	}
+	resp, werr := sess.done(req)
 	if werr != nil {
 		return wire.DoneResponse{}, werr
 	}

@@ -298,6 +298,47 @@ func TestIdleExpiry(t *testing.T) {
 	}
 }
 
+// TestIdleExpiryAfterDone pins idle expiry's resolution now that Done
+// reads no clock: the expiry sweep dates a Done, so with a sweep every
+// interval a session whose last call was a Done at t is never expired by
+// a sweep at or before t+timeout, and is by the first sweep after
+// t+timeout+interval. Next is stamped 10 s before the Done, so a Done the
+// sweep failed to date would expire the session 10 s early.
+func TestIdleExpiryAfterDone(t *testing.T) {
+	const timeout, interval = 30 * time.Second, time.Second
+	now := time.Unix(1000, 0)
+	srv := testServer(t, 1000, &now)
+	defer shutdown(srv)
+	resp, err := srv.Register(wire.RegisterRequest{
+		App: "radar", Platform: "Tablet", Iterations: 10, BudgetJ: 100,
+		IdleTimeoutS: timeout.Seconds(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sweep := func(until time.Time) {
+		t.Helper()
+		for ; !now.After(until); now = now.Add(interval) {
+			if n := srv.ExpireIdle(); n != 0 {
+				t.Fatalf("sweep at %v expired %d sessions", now, n)
+			}
+		}
+	}
+	if _, err := srv.Next(resp.SessionID, wire.NextRequest{NowS: 0}); err != nil {
+		t.Fatal(err)
+	}
+	sweep(now.Add(10 * time.Second))
+	done := now
+	if _, err := srv.Done(resp.SessionID, wire.DoneRequest{NowS: 10, EnergyJ: 10, Accuracy: 1}); err != nil {
+		t.Fatal(err)
+	}
+	sweep(done.Add(timeout))
+	now = done.Add(timeout + interval + time.Nanosecond)
+	if n := srv.ExpireIdle(); n != 1 {
+		t.Fatalf("sweep one interval after the timeout expired %d sessions, want 1", n)
+	}
+}
+
 // TestMetricsAndSessionDecisions pins the observability wiring: broker
 // and session metrics appear on /metrics, and /decisions?session=
 // filters the flight recorder by the session tag.

@@ -165,10 +165,15 @@ type session struct {
 	// checkpoint, log[0].State (backed by ckpt, rewritten in place) is
 	// the stack's state right after iteration base. Anything that hands
 	// the log out copies the State bytes.
-	log       []iterRec
-	base      int
-	ckpt      []byte
+	log  []iterRec
+	base int
+	ckpt []byte
+
+	// Idle expiry. Next stamps lastTouch; Done reads no clock and sets
+	// touched instead, which the next expiry sweep turns into a stamp at
+	// its own time (idleSince).
 	lastTouch time.Time
+	touched   bool
 
 	// Meter mode (nil hook = client-supplied readings). meterCumJ is the
 	// session's synthesized cumulative counter — the sum of every closed
@@ -181,11 +186,12 @@ type session struct {
 	meterCumJ   float64
 	lastClientJ float64
 
-	// sink is the session's telemetry: its counters' stripe and its own
-	// decision window, which the stack writes inside Done under mu. It is
-	// nil while replaying a snapshot; teardown keeps it, so a terminal
-	// session's last decisions stay readable until retire releases it
-	// (closeWindow).
+	// sink is the session's telemetry, owned by mu: the tally of its
+	// counter and histogram events and its own decision window, which the
+	// stack writes inside Next and Done under mu. It is nil until
+	// installLiveSink (so a replayed log is not counted); teardown keeps
+	// it, so a terminal session's last decisions stay readable until
+	// retire releases it (closeWindow).
 	sink *telemetry.SessionSink
 
 	// QoS wiring. shedded marks a session killed by the tenant-protection
@@ -199,32 +205,24 @@ type session struct {
 	spend      *spendCell
 }
 
-// newSession builds the governor stack for an admitted registration.
-// sink is the telemetry the session reports into (nil while replaying a
-// snapshot; installLiveSink attaches the real one afterwards).
-func newSession(id string, reg wire.RegisterRequest, grant Grant, meter *meterHook, sink *telemetry.SessionSink, now time.Time) (*session, error) {
+// newSession builds the governor stack for an admitted registration,
+// reporting no telemetry until installLiveSink attaches its sink.
+func newSession(id string, reg wire.RegisterRequest, grant Grant, meter *meterHook, now time.Time) (*session, error) {
 	tb, err := jouleguard.NewTestbed(reg.App, reg.Platform)
 	if err != nil {
 		return nil, err
 	}
-	opts := jouleguard.Options{Seed: reg.Seed}
-	if sink != nil { // a nil *SessionSink must not become a non-nil Sink
-		opts.Telemetry = sink
-	}
-	gov, err := tb.NewJouleGuardBudget(grant.GrantJ, reg.Iterations, opts)
+	gov, err := tb.NewJouleGuardBudget(grant.GrantJ, reg.Iterations, jouleguard.Options{Seed: reg.Seed})
 	if err != nil {
 		return nil, err
 	}
 	s := &session{id: id, num: sessionNum(id), stripe: telemetry.StripeOf(id),
-		reg: reg, grant: grant, tb: tb, gov: gov, meter: meter, lastTouch: now, sink: sink}
+		reg: reg, grant: grant, tb: tb, gov: gov, meter: meter, lastTouch: now}
 	ctl, err := jouleguard.NewOnlineGuarded(gov,
 		s.readPendingEnergy, s.readPendingNow,
 		jouleguard.SensorGuardConfig{ModelPower: tb.DefaultPower})
 	if err != nil {
 		return nil, err
-	}
-	if sink != nil {
-		ctl.SetTelemetry(sink)
 	}
 	s.ctl = ctl
 	return s, nil
@@ -259,10 +257,11 @@ func (s *session) readPendingEnergy() (float64, error) {
 
 func (s *session) readPendingNow() float64 { return s.pending.now }
 
-// installLiveSink attaches the live telemetry sink after a snapshot
-// replay, so restored state resumes reporting without the replayed
-// iterations having been double-counted.
-func (s *session) installLiveSink(sink *telemetry.SessionSink) {
+// installLiveSink attaches the session's live telemetry sink, owned by
+// s.mu: a new session's before it is published, a rebuilt one's after
+// its log has replayed, so replayed iterations are not counted twice.
+func (s *session) installLiveSink(tel *telemetry.Telemetry) {
+	sink := telemetry.WithSession(tel, s.id, s.reg.Iterations, &s.mu)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.sink = sink
@@ -312,7 +311,7 @@ func (s *session) next(req wire.NextRequest, now time.Time) (wire.NextResponse, 
 	app, sys := s.ctl.Next()
 	s.armedNow = req.NowS
 	s.state = stateArmed
-	s.lastTouch = now
+	s.lastTouch, s.touched = now, false
 	if s.meter != nil {
 		// The attribution weight is the CHOSEN operating point's model
 		// draw, not the app default: concurrent windows split each
@@ -327,7 +326,7 @@ func (s *session) next(req wire.NextRequest, now time.Time) (wire.NextResponse, 
 
 // done runs the wire Done call: deliver the client's measurements to the
 // controller and settle the iteration.
-func (s *session) done(req wire.DoneRequest, now time.Time) (wire.DoneResponse, *wire.Error) {
+func (s *session) done(req wire.DoneRequest) (wire.DoneResponse, *wire.Error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if werr := s.checkLive(); werr != nil {
@@ -367,7 +366,7 @@ func (s *session) done(req wire.DoneRequest, now time.Time) (wire.DoneResponse, 
 	} else {
 		s.state = stateIdle
 	}
-	s.lastTouch = now
+	s.touched = true
 	return s.doneResponseLocked(), nil
 }
 
@@ -546,13 +545,30 @@ func (s *session) closeWindow() {
 	}
 }
 
-// idleSince reports the last wire activity; the expiry watchdog compares
-// it against the session's timeout.
-func (s *session) idleSince() (time.Time, bool) {
+// idleSince reports the last wire activity as of a sweep at now, and
+// whether the session is live; the expiry watchdog compares it against
+// the session's timeout. A Done since the last sweep is dated now: Done
+// reads no clock, so a session expires no earlier than its timeout after
+// its last call and at most one sweep interval later.
+func (s *session) idleSince(now time.Time) (time.Time, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	live := s.state == stateIdle || s.state == stateArmed || s.state == stateComplete
-	return s.lastTouch, live
+	if s.touched {
+		s.lastTouch, s.touched = now, false
+	}
+	return s.lastTouch, s.liveLocked()
+}
+
+// live reports whether the session still holds budget.
+func (s *session) live() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.liveLocked()
+}
+
+// liveLocked is live for a caller holding s.mu.
+func (s *session) liveLocked() bool {
+	return s.state == stateIdle || s.state == stateArmed || s.state == stateComplete
 }
 
 // inFlight reports whether a wire iteration is bracketed (armed); the

@@ -7,7 +7,6 @@ import (
 	"io"
 	"os"
 
-	"jouleguard/internal/telemetry"
 	"jouleguard/internal/wire"
 )
 
@@ -208,7 +207,7 @@ func (s *Server) Restore(r io.Reader) error {
 				return fmt.Errorf("server: snapshot line %d: session before daemon header", line)
 			}
 			grant := Grant{Tenant: rec.Reg.Tenant, Weight: rec.Weight, GrantJ: rec.GrantJ, CommitJ: rec.CommitJ, ImportedJ: rec.ImportedJ}
-			sess, err := newSession(rec.ID, rec.Reg, grant, s.meter, nil, s.clock())
+			sess, err := newSession(rec.ID, rec.Reg, grant, s.meter, s.clock())
 			if err != nil {
 				return fmt.Errorf("server: snapshot line %d: rebuilding session %s: %w", line, rec.ID, err)
 			}
@@ -237,7 +236,8 @@ func (s *Server) Restore(r io.Reader) error {
 	s.nextID.Store(nextID)
 	broker.Instrument(s.tel.Registry)
 	for _, sess := range sessions {
-		sess.installLiveSink(telemetry.WithSession(s.tel, sess.id, sess.reg.Iterations))
+		sess.spend = broker.spendCell(sess.grant.Tenant)
+		sess.installLiveSink(s.tel)
 		s.sessions.put(sess)
 		if sess.reg.Key != "" {
 			s.sessions.setKey(sess.reg.Key, sess.id)

@@ -22,7 +22,7 @@ func driveIters(t *testing.T, srv *Server, id string, m *simMachine, start, n in
 			t.Fatalf("next %d: %v", k, werr)
 		}
 		acc := m.step(next.AppConfig, next.SysConfig, k)
-		if _, werr := sess.done(wire.DoneRequest{NowS: m.clockS, EnergyJ: m.energyJ, Accuracy: acc}, srv.clock()); werr != nil {
+		if _, werr := sess.done(wire.DoneRequest{NowS: m.clockS, EnergyJ: m.energyJ, Accuracy: acc}); werr != nil {
 			t.Fatalf("done %d: %v", k, werr)
 		}
 	}
@@ -98,8 +98,8 @@ func TestSnapshotRestoreBitIdentical(t *testing.T) {
 		}
 		a1 := m1.step(n1.AppConfig, n1.SysConfig, k)
 		a2 := m2.step(n2.AppConfig, n2.SysConfig, k)
-		d1, werr1 := s1.done(wire.DoneRequest{NowS: m1.clockS, EnergyJ: m1.energyJ, Accuracy: a1}, srv1.clock())
-		d2, werr2 := s2.done(wire.DoneRequest{NowS: m2.clockS, EnergyJ: m2.energyJ, Accuracy: a2}, srv2.clock())
+		d1, werr1 := s1.done(wire.DoneRequest{NowS: m1.clockS, EnergyJ: m1.energyJ, Accuracy: a1})
+		d2, werr2 := s2.done(wire.DoneRequest{NowS: m2.clockS, EnergyJ: m2.energyJ, Accuracy: a2})
 		if werr1 != nil || werr2 != nil {
 			t.Fatalf("done %d: %v / %v", k, werr1, werr2)
 		}
@@ -109,6 +109,63 @@ func TestSnapshotRestoreBitIdentical(t *testing.T) {
 	}
 	if !s1.info(false).Degraded && s1.info(true).IterDone != 120 {
 		t.Fatalf("workload did not complete: %+v", s1.info(false))
+	}
+}
+
+// TestRestoredSessionNotesSpend pins that a restored session streams its
+// settles into its tenant's spend cell, as a registered or adopted one
+// does, so the broker's per-tenant spend (and the QoS engine reading it)
+// sees a restored tenant burn. After k post-restore iterations the
+// tenant's SpentJ must be exactly the sum of the ledger's post-restore
+// deltas: not 0 (no cell), and not the pre-restore total (replayed
+// joules booked twice).
+func TestRestoredSessionNotesSpend(t *testing.T) {
+	const before, k = 60, 25
+	srv1 := testServer(t, 10000, nil)
+	defer shutdown(srv1)
+	resp, err := srv1.Register(wire.RegisterRequest{
+		Tenant: "t1", App: "radar", Platform: "Tablet", Iterations: 120, Factor: 2, Seed: 7,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := newSimMachine(t, "radar", "Tablet")
+	driveIters(t, srv1, resp.SessionID, m, 0, before)
+	var snap bytes.Buffer
+	if err := srv1.Snapshot(&snap); err != nil {
+		t.Fatal(err)
+	}
+
+	srv2 := testServer(t, 1, nil)
+	defer shutdown(srv2)
+	if err := srv2.Restore(&snap); err != nil {
+		t.Fatal(err)
+	}
+	if got := srv2.Broker().Observe("t1").SpentJ; got != 0 {
+		t.Fatalf("restore booked %v J of replayed spend", got)
+	}
+	sess, werr := srv2.lookup(resp.SessionID)
+	if werr != nil {
+		t.Fatal(werr)
+	}
+	prev := sess.spent()
+	var delta float64
+	for i := before; i < before+k; i++ {
+		next, werr := sess.next(wire.NextRequest{NowS: m.clockS}, srv2.clock())
+		if werr != nil {
+			t.Fatalf("next %d: %v", i, werr)
+		}
+		acc := m.step(next.AppConfig, next.SysConfig, i)
+		done, werr := sess.done(wire.DoneRequest{NowS: m.clockS, EnergyJ: m.energyJ, Accuracy: acc})
+		if werr != nil {
+			t.Fatalf("done %d: %v", i, werr)
+		}
+		delta += done.SpentJ - prev
+		prev = done.SpentJ
+	}
+	if got := srv2.Broker().Observe("t1").SpentJ; delta <= 0 || got != delta {
+		t.Errorf("tenant spend after %d restored iterations is %.17g J, want the post-restore delta %.17g J (pre-restore total %.17g J)",
+			k, got, delta, srv1.Broker().Observe("t1").SpentJ)
 	}
 }
 

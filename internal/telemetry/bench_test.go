@@ -3,6 +3,7 @@ package telemetry
 import (
 	"fmt"
 	"io"
+	"sync"
 	"sync/atomic"
 	"testing"
 )
@@ -44,24 +45,28 @@ func BenchmarkTelemetryLiveSink(b *testing.B) {
 
 // BenchmarkTelemetryLiveSinkParallel is the daemon's shape: the same
 // event mix from every core at once, each goroutine reporting through a
-// session sink of its own into one Telemetry. Counters and histograms
-// are striped, each session keeps its own decision window and sets no
-// gauges, so the one thing the cores still write in common is the Seq
-// counter.
+// session sink of its own into one Telemetry, holding its session's
+// owner mutex around one iteration's six calls as the daemon holds the
+// session mutex. The sink tallies under that mutex and keeps its own
+// decision window, so the one thing the cores still write in common is
+// the Seq counter.
 func BenchmarkTelemetryLiveSinkParallel(b *testing.B) {
 	tel := New(DefaultFlightCapacity)
 	d := Decision{Iter: 1, AppConfig: 2, SysConfig: 3, SEURate: 10, SEUPower: 20}
 	var sessions atomic.Int64
 	b.ReportAllocs()
 	b.RunParallel(func(pb *testing.PB) {
-		s := WithSession(tel, fmt.Sprintf("s-%06d", sessions.Add(1)), 0)
+		var owner sync.Mutex
+		s := WithSession(tel, fmt.Sprintf("s-%06d", sessions.Add(1)), 0, &owner)
 		for pb.Next() {
+			owner.Lock()
 			s.RecordDecision(d)
 			s.ControlStep(12, 11.5, 0.5, 0.1, 1.5)
 			s.EstimatorUpdate(3, 10, 20, 0.85)
 			s.GuardVerdict(true, 0, 20)
 			s.FaultInjected(0)
 			s.IterationDone(0.01, false)
+			owner.Unlock()
 		}
 	})
 }

@@ -16,17 +16,21 @@ const DefaultFlightCapacity = 4096
 
 // FlightRecorder is a bounded ring buffer of controller decisions — the
 // "black box" a live system can be asked about after the fact. Recording
-// is a mutex-guarded copy into a pre-allocated slot (no channel, no
+// is a guarded copy into a pre-allocated slot (no channel, no
 // goroutine), so it is cheap enough to run on every control iteration;
 // once the window fills, the oldest decision is overwritten. The ring is
 // allocated by the first Record, so a recorder nothing writes to costs a
 // few words.
+//
+// The process ring is guarded by its own mu. A session window is guarded
+// by its session's owner lock instead (WithSession), which every writer
+// already holds, so its record is a plain write; its mu is never taken.
 type FlightRecorder struct {
 	mu     sync.Mutex
-	buf    []Decision // nil until the first Record, and after release
+	buf    []Decision // nil until the first Record, and once closed
 	size   int        // len(buf) once allocated
 	total  uint64     // decisions ever recorded here
-	closed bool       // released: Record keeps nothing
+	closed bool       // its session sink closed: Record keeps nothing
 	// seq stamps Seq: the counter of the Telemetry the recorder belongs
 	// to, shared by its process ring and every session window, so Seq
 	// orders decisions across all of them.
@@ -47,9 +51,14 @@ func newRecorder(capacity int, seq *atomic.Uint64) *FlightRecorder {
 // released recorder drops the decision.
 func (f *FlightRecorder) Record(d Decision) {
 	f.mu.Lock()
+	f.record(d)
+	f.mu.Unlock()
+}
+
+// record is Record for a caller holding the recorder's guard.
+func (f *FlightRecorder) record(d Decision) {
 	if f.buf == nil {
 		if f.closed {
-			f.mu.Unlock()
 			return
 		}
 		f.buf = make([]Decision, f.size)
@@ -57,19 +66,10 @@ func (f *FlightRecorder) Record(d Decision) {
 	d.Seq = f.seq.Add(1)
 	f.buf[f.total%uint64(f.size)] = d
 	f.total++
-	f.mu.Unlock()
-}
-
-// release drops the ring for good; the recorder reads as empty from then
-// on.
-func (f *FlightRecorder) release() {
-	f.mu.Lock()
-	f.buf, f.closed = nil, true
-	f.mu.Unlock()
 }
 
 // retained returns how many decisions the ring holds and the i-th of
-// them, oldest first. Callers hold f.mu.
+// them, oldest first. Callers hold the recorder's guard.
 func (f *FlightRecorder) retained() (n int, at func(i int) *Decision) {
 	if f.buf != nil {
 		n = int(min(f.total, uint64(f.size)))
@@ -83,6 +83,11 @@ func (f *FlightRecorder) retained() (n int, at func(i int) *Decision) {
 func (f *FlightRecorder) Snapshot() []Decision {
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	return f.snapshot()
+}
+
+// snapshot is Snapshot for a caller holding the recorder's guard.
+func (f *FlightRecorder) snapshot() []Decision {
 	n, at := f.retained()
 	out := make([]Decision, n)
 	for i := range out {
@@ -91,11 +96,9 @@ func (f *FlightRecorder) Snapshot() []Decision {
 	return out
 }
 
-// Last returns the newest retained decision; ok is false when the
-// recorder holds none.
-func (f *FlightRecorder) Last() (d Decision, ok bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
+// last returns the newest retained decision; ok is false when the
+// recorder holds none. Callers hold the recorder's guard.
+func (f *FlightRecorder) last() (d Decision, ok bool) {
 	if n, at := f.retained(); n > 0 {
 		return *at(n - 1), true
 	}
@@ -105,9 +108,8 @@ func (f *FlightRecorder) Last() (d Decision, ok bool) {
 // offerNewest offers k the retained decisions with since < Seq <= hi
 // (only session's when session is non-empty), newest first, and stops at
 // the first one k turns down: every older one would be turned down too.
+// Callers hold the recorder's guard.
 func (f *FlightRecorder) offerNewest(k *newest, session string, since, hi uint64) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	n, at := f.retained()
 	for i := n - 1; i >= 0; i-- {
 		d := at(i)

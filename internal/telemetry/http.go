@@ -27,8 +27,9 @@ import (
 // and cmd/jouleguardd both call it (the daemon on a mux that also
 // carries the /v1/sessions API), so the exposition surface cannot drift
 // between the binaries. The handlers are safe to serve while experiments
-// run; scrapes read atomics and copy each decision window under its
-// mutex.
+// run; a scrape folds each session's tally, and a /decisions read copies
+// each session's window, under that session's lock, one session at a
+// time.
 func (t *Telemetry) Mount(mux *http.ServeMux) {
 	mux.HandleFunc("/metrics", t.serveMetrics)
 	mux.HandleFunc("/healthz", t.serveHealthz)

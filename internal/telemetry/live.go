@@ -1,6 +1,8 @@
 package telemetry
 
 import (
+	"math"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -56,14 +58,18 @@ type QoSInfo struct {
 // Flight, the process ring; a daemon session's land in the window of its
 // SessionSink. One counter stamps Seq on both, so /decisions can merge
 // them into one stream.
+//
+// Lock rule: no telemetry lock is held while a session sink's owner lock
+// is taken, and a reader holds one owner lock at a time. Readers list the
+// sinks under winMu, release it, then visit each sink under its owner.
 type Telemetry struct {
 	Registry *Registry
 	Flight   *FlightRecorder
 	Spans    *SpanBuffer
 
-	seq     atomic.Uint64 // Seq source: decisions ever recorded, process-wide
-	winMu   sync.Mutex
-	windows map[*SessionSink]struct{} // session windows, from WithSession until Close
+	seq   atomic.Uint64 // Seq source: decisions ever recorded, process-wide
+	winMu sync.Mutex
+	sinks map[*SessionSink]struct{} // session sinks, from WithSession until Close
 
 	start  time.Time
 	health atomic.Value // func() HealthInfo, nil until SetHealth
@@ -101,7 +107,7 @@ type Telemetry struct {
 	// rejection reason (indexed by guard.Reason, a stable uint8 enum).
 	guardAccepted *Counter
 	guardRejected *Counter
-	guardReasons  []*Counter
+	guardReasons  [numGuardReasons]*Counter
 	guardPower    *Histogram
 
 	// Fault injection, per channel.
@@ -126,9 +132,12 @@ type Telemetry struct {
 // package cannot be imported here (it imports telemetry), so the enum's
 // stable numeric values are the contract. TestGuardReasonNames in
 // telemetry_guard_test.go (package guard) pins the correspondence.
-var guardReasonNames = []string{
+var guardReasonNames = [...]string{
 	"ok", "missing", "non-finite", "negative", "stuck", "implausible", "outlier",
 }
+
+// numGuardReasons is how many guard rejection reasons have a counter.
+const numGuardReasons = len(guardReasonNames)
 
 // GuardReasonName returns the metric label used for a guard rejection
 // reason code, so the guard package can pin the correspondence between
@@ -147,7 +156,7 @@ func New(flightCapacity int) *Telemetry {
 	t := &Telemetry{
 		Registry: r,
 		Spans:    NewSpanBuffer(0),
-		windows:  map[*SessionSink]struct{}{},
+		sinks:    map[*SessionSink]struct{}{},
 		start:    time.Now(),
 
 		decisions:    r.Counter("jouleguard_decisions_total", "Control decisions recorded by the runtime."),
@@ -186,7 +195,6 @@ func New(flightCapacity int) *Telemetry {
 		jobsFailed:  r.Counter("jouleguard_par_jobs_failed_total", "Experiment-runner jobs that returned an error."),
 		queueDepth:  r.Gauge("jouleguard_par_queue_depth", "Experiment-runner jobs waiting for a worker."),
 	}
-	t.guardReasons = make([]*Counter, len(guardReasonNames))
 	for i, name := range guardReasonNames {
 		t.guardReasons[i] = r.Counter("jouleguard_guard_verdicts_total",
 			"Sensing-guard rulings by reason.", Label{"reason", name})
@@ -201,6 +209,7 @@ func New(flightCapacity int) *Telemetry {
 		g.unset()
 	}
 	t.Flight = newRecorder(flightCapacity, &t.seq)
+	r.collect = t.fold
 	return t
 }
 
@@ -271,8 +280,10 @@ func (t *Telemetry) RecordCalibration(backend string, baselineW, cv float64, tri
 // CounterSummary snapshots the cumulative counters a cluster member
 // ships on its heartbeats for the coordinator's fleet rollup. Values
 // are cumulative, not deltas: the coordinator differences successive
-// reports itself, so a lost heartbeat loses nothing.
+// reports itself, so a lost heartbeat loses nothing. Session tallies are
+// folded in first, so the values are exact.
 func (t *Telemetry) CounterSummary() (decisions, iterations, guardRejected, watchdogTrips, faults float64) {
+	t.fold()
 	for i := range t.faults {
 		faults += t.faults[i].Value()
 	}
@@ -301,9 +312,13 @@ func (t *Telemetry) Decisions(session string, since uint64, last int) []Decision
 	}
 	hi := t.seq.Load()
 	k := &newest{n: last}
+	t.Flight.mu.Lock()
 	t.Flight.offerNewest(k, session, since, hi)
-	for _, w := range t.sessionWindows(session) {
-		w.offerNewest(k, "", since, hi)
+	t.Flight.mu.Unlock()
+	for _, s := range t.listed(session) {
+		s.owner.Lock()
+		s.window.offerNewest(k, "", since, hi)
+		s.owner.Unlock()
 	}
 	return k.sorted()
 }
@@ -312,27 +327,30 @@ func (t *Telemetry) Decisions(session string, since uint64, last int) []Decision
 // least DefaultFlightCapacity.
 func (t *Telemetry) maxRead() int { return max(t.Flight.size, DefaultFlightCapacity) }
 
-// sessionWindows lists the session windows (only session's when it is
-// non-empty). The list is copied so no window lock is taken under winMu.
-func (t *Telemetry) sessionWindows(session string) []*FlightRecorder {
+// listed lists the session sinks (only session's when it is non-empty).
+// The list is copied so no owner lock is taken under winMu.
+func (t *Telemetry) listed(session string) []*SessionSink {
 	t.winMu.Lock()
 	defer t.winMu.Unlock()
-	var out []*FlightRecorder
-	for s := range t.windows {
+	var out []*SessionSink
+	for s := range t.sinks {
 		if session == "" || s.session == session {
-			out = append(out, &s.window)
+			out = append(out, s)
 		}
 	}
 	return out
 }
 
-// lane is the part of a Sink every writer shares: the counter and
-// histogram updates, landing on one stripe. Telemetry's Sink methods are
-// the lane on stripe 0 plus the process ring and the decision gauges;
-// SessionSink is a session's lane plus its own decision window.
-type lane struct {
-	t      *Telemetry
-	stripe Stripe
+// fold moves every listed session sink's tally into the registry's
+// cells, one owner at a time, so a read that follows sees every event
+// recorded before the fold began. Registry.WritePrometheus and
+// CounterSummary call it.
+func (t *Telemetry) fold() {
+	for _, s := range t.listed("") {
+		s.owner.Lock()
+		s.fold()
+		s.owner.Unlock()
+	}
 }
 
 // sessionWindow bounds a session's decision window: the last
@@ -342,65 +360,257 @@ type lane struct {
 // grows with the number of live sessions.
 const sessionWindow = 64
 
+// maxTallyBuckets is room for the buckets of the histograms a session
+// tallies: MicroDurationBuckets' 14 bounds plus +Inf, PowerBuckets' 11
+// plus +Inf.
+const maxTallyBuckets = 15
+
+// histTally is one histogram's share of a tally: per-bucket counts (+Inf
+// last; only the first len(bounds)+1 are used) and the samples' sum.
+type histTally struct {
+	buckets [maxTallyBuckets]uint64
+	sum     float64
+}
+
+// observe counts v into its bucket; non-finite samples are dropped, as
+// Histogram.Observe drops them.
+func (h *histTally) observe(bounds []float64, v float64) {
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return
+	}
+	h.buckets[sort.SearchFloat64s(bounds, v)]++
+	h.sum += v
+}
+
+// tally is what a session sink has counted since its last fold: one
+// plain integer per counter it feeds and the samples of its two
+// histograms, written under the sink's owner lock.
+type tally struct {
+	decisions, explorations, actMisses, estimated uint64
+	ctrlSteps, estUpdates                         uint64
+	guardAccepted, guardRejected                  uint64
+	guardReasons                                  [numGuardReasons]uint64
+	faults                                        [numFaultChannels]uint64
+	watchdogTrips                                 uint64
+	iterations, iterEstimated                     uint64
+	jobsStarted, jobsDone, jobsFailed             uint64
+	guardPower, iterSeconds                       histTally
+}
+
 // SessionSink is the sink one governor-daemon session reports into.
-// Its counter and histogram updates go to the session's stripe
-// (StripeOf), so sessions on different cores do not write the same cache
-// lines; metrics still aggregate, since every reader sums the stripes.
-// Its decisions, stamped with the session id, go to a window of the
-// session's own rather than the process ring, so sessions share nothing
-// per decision but the Seq counter; the window's ring is allocated by
-// the first decision and released by Close. It sets none of the process
-// decision gauges (energy used, budget remaining, epsilon, pole, ...): in
-// a multi-tenant daemon they would describe whichever session settled
-// last. /decisions?session= is where a session's state is read.
+// Unlike other Sinks it is not safe for concurrent use on its own: every
+// method must be called under the session's owner lock, which the daemon
+// already holds around each call into the session's governor stack. It
+// writes only what that lock guards: a tally of the session's counter
+// increments and histogram samples, and a decision window of the
+// session's own. So a session takes no lock of its own and writes no
+// cell another session writes; the one shared write per decision is the
+// Seq counter. Readers fold the tallies into the registry's cells
+// (Telemetry.fold) before they read them, so totals are exact.
+//
+// Decisions are stamped with the session id. The window's ring is
+// allocated by the first decision and released by Close. The sink sets
+// none of the process decision gauges (energy used, budget remaining,
+// epsilon, pole, ...): in a multi-tenant daemon they would describe
+// whichever session settled last. /decisions?session= is where a
+// session's state is read.
 type SessionSink struct {
-	lane
+	t       *Telemetry
+	owner   sync.Locker
 	session string
+	stripe  Stripe // where folds land
 	window  FlightRecorder
+	tally   tally
 }
 
 // WithSession returns the sink one session of t reports into, keeping
 // the session's last min(sessionWindow, iterations) decisions
-// (sessionWindow when iterations <= 0). The window is listed in t's
-// reads from here until Close, so it is listed before its first decision
-// is stamped: a reader that loads the Seq counter and then lists the
-// windows finds every decision at or below what it loaded.
-func WithSession(t *Telemetry, session string, iterations int) *SessionSink {
+// (sessionWindow when iterations <= 0). owner is the lock every call
+// into the sink is made under; readers take it to fold the sink's tally
+// and to read its window, so the caller must not hold it here or in
+// Close. The sink is listed in t's reads from here until Close, so it is
+// listed before its first decision is stamped: a reader that loads the
+// Seq counter and then lists the windows finds every decision at or
+// below what it loaded.
+func WithSession(t *Telemetry, session string, iterations int, owner sync.Locker) *SessionSink {
 	if iterations <= 0 || iterations > sessionWindow {
 		iterations = sessionWindow
 	}
-	s := &SessionSink{lane: lane{t: t, stripe: StripeOf(session)}, session: session}
+	s := &SessionSink{t: t, owner: owner, session: session, stripe: StripeOf(session)}
 	s.window.size, s.window.seq = iterations, &t.seq
 	t.winMu.Lock()
-	t.windows[s] = struct{}{}
+	t.sinks[s] = struct{}{}
 	t.winMu.Unlock()
 	return s
 }
 
-// Window returns the session's decision window.
-func (s *SessionSink) Window() *FlightRecorder { return &s.window }
+// WindowLocked returns a copy of the session's decision window, oldest
+// first. Callers hold the owner lock.
+func (s *SessionSink) WindowLocked() []Decision { return s.window.snapshot() }
+
+// LastLocked returns the newest decision in the session's window; ok is
+// false when it holds none. Callers hold the owner lock.
+func (s *SessionSink) LastLocked() (d Decision, ok bool) { return s.window.last() }
+
+// Close unlists the sink, folds its tally and releases its window's
+// ring. Later events are folded as they are recorded and their decisions
+// are not kept. The daemon closes a session's sink when the session
+// leaves its registry.
+func (s *SessionSink) Close() {
+	s.t.winMu.Lock()
+	delete(s.t.sinks, s)
+	s.t.winMu.Unlock()
+	s.owner.Lock()
+	s.fold()
+	s.window.buf, s.window.closed = nil, true
+	s.owner.Unlock()
+}
+
+// fold moves the tally into the registry's cells on the sink's stripe
+// and zeroes it. Callers hold the owner lock.
+func (s *SessionSink) fold() {
+	c := &s.tally
+	if *c == (tally{}) {
+		return
+	}
+	t, st := s.t, s.stripe
+	add := func(m *Counter, n uint64) {
+		if n > 0 {
+			m.AddOn(st, float64(n))
+		}
+	}
+	add(t.decisions, c.decisions)
+	add(t.explorations, c.explorations)
+	add(t.actMisses, c.actMisses)
+	add(t.estimated, c.estimated)
+	add(t.ctrlSteps, c.ctrlSteps)
+	add(t.estUpdates, c.estUpdates)
+	add(t.guardAccepted, c.guardAccepted)
+	add(t.guardRejected, c.guardRejected)
+	for i, n := range c.guardReasons {
+		add(t.guardReasons[i], n)
+	}
+	for i, n := range c.faults {
+		add(t.faults[i], n)
+	}
+	add(t.watchdogTrips, c.watchdogTrips)
+	add(t.iterations, c.iterations)
+	add(t.iterEstimated, c.iterEstimated)
+	add(t.jobsStarted, c.jobsStarted)
+	add(t.jobsDone, c.jobsDone)
+	add(t.jobsFailed, c.jobsFailed)
+	t.guardPower.merge(st, c.guardPower.buckets[:], c.guardPower.sum)
+	t.iterSeconds.merge(st, c.iterSeconds.buckets[:], c.iterSeconds.sum)
+	*c = tally{}
+}
+
+// foldIfClosed ends every event: a closed sink has no reader left to
+// fold its tally, so it folds it itself.
+func (s *SessionSink) foldIfClosed() {
+	if s.window.closed {
+		s.fold()
+	}
+}
 
 // RecordDecision implements Sink, stamping the session id.
 func (s *SessionSink) RecordDecision(d Decision) {
-	s.decided(d)
+	c := &s.tally
+	c.decisions++
+	if d.Explored {
+		c.explorations++
+	}
+	if d.ActuationMiss {
+		c.actMisses++
+	}
+	if d.Estimated {
+		c.estimated++
+	}
 	d.Session = s.session
-	s.window.Record(d)
+	s.window.record(d)
+	s.foldIfClosed()
 }
 
-// Close unlists the session's window and releases its ring; later
-// decisions are counted but not kept. The daemon closes a session's sink
-// when the session leaves its registry.
-func (s *SessionSink) Close() {
-	s.t.winMu.Lock()
-	delete(s.t.windows, s)
-	s.t.winMu.Unlock()
-	s.window.release()
+// ControlStep implements Sink.
+func (s *SessionSink) ControlStep(target, measured, errTerm, pole, speedup float64) {
+	s.tally.ctrlSteps++
+	s.foldIfClosed()
+}
+
+// EstimatorUpdate implements Sink.
+func (s *SessionSink) EstimatorUpdate(arm int, rate, power, gain float64) {
+	s.tally.estUpdates++
+	s.foldIfClosed()
+}
+
+// GuardVerdict implements Sink.
+func (s *SessionSink) GuardVerdict(accepted bool, reason uint8, power float64) {
+	c := &s.tally
+	if accepted {
+		c.guardAccepted++
+	} else {
+		c.guardRejected++
+	}
+	if int(reason) < numGuardReasons {
+		c.guardReasons[reason]++
+	}
+	c.guardPower.observe(s.t.guardPower.bounds, power)
+	s.foldIfClosed()
+}
+
+// FaultInjected implements Sink.
+func (s *SessionSink) FaultInjected(channel uint8) {
+	if channel < numFaultChannels {
+		s.tally.faults[channel]++
+	}
+	s.foldIfClosed()
+}
+
+// WatchdogTrip implements Sink.
+func (s *SessionSink) WatchdogTrip() {
+	s.tally.watchdogTrips++
+	s.foldIfClosed()
+}
+
+// IterationDone implements Sink.
+func (s *SessionSink) IterationDone(seconds float64, estimated bool) {
+	c := &s.tally
+	c.iterations++
+	if estimated {
+		c.iterEstimated++
+	}
+	c.iterSeconds.observe(s.t.iterSeconds.bounds, seconds)
+	s.foldIfClosed()
+}
+
+// JobStart implements Sink.
+func (s *SessionSink) JobStart(queued int) {
+	s.tally.jobsStarted++
+	s.t.queueDepth.Set(float64(queued))
+	s.foldIfClosed()
+}
+
+// JobDone implements Sink.
+func (s *SessionSink) JobDone(failed bool) {
+	s.tally.jobsDone++
+	if failed {
+		s.tally.jobsFailed++
+	}
+	s.foldIfClosed()
 }
 
 // RecordDecision implements Sink.
 func (t *Telemetry) RecordDecision(d Decision) {
 	t.Flight.Record(d)
-	lane{t: t}.decided(d)
+	t.decisions.Inc()
+	if d.Explored {
+		t.explorations.Inc()
+	}
+	if d.ActuationMiss {
+		t.actMisses.Inc()
+	}
+	if d.Estimated {
+		t.estimated.Inc()
+	}
 	t.degraded.SetBool(d.Degraded)
 	t.infeasible.SetBool(d.Infeasible)
 	t.epsilon.Set(d.Epsilon)
@@ -413,7 +623,7 @@ func (t *Telemetry) RecordDecision(d Decision) {
 
 // ControlStep implements Sink.
 func (t *Telemetry) ControlStep(target, measured, errTerm, pole, speedup float64) {
-	lane{t: t}.ControlStep(target, measured, errTerm, pole, speedup)
+	t.ctrlSteps.Inc()
 	t.pole.Set(pole)
 	t.piError.Set(errTerm)
 	t.target.Set(target)
@@ -421,101 +631,52 @@ func (t *Telemetry) ControlStep(target, measured, errTerm, pole, speedup float64
 
 // EstimatorUpdate implements Sink.
 func (t *Telemetry) EstimatorUpdate(arm int, rate, power, gain float64) {
-	lane{t: t}.EstimatorUpdate(arm, rate, power, gain)
+	t.estUpdates.Inc()
 	t.estGain.Set(gain)
 }
 
 // GuardVerdict implements Sink.
 func (t *Telemetry) GuardVerdict(accepted bool, reason uint8, power float64) {
-	lane{t: t}.GuardVerdict(accepted, reason, power)
+	if accepted {
+		t.guardAccepted.Inc()
+	} else {
+		t.guardRejected.Inc()
+	}
+	if int(reason) < numGuardReasons {
+		t.guardReasons[reason].Inc()
+	}
+	t.guardPower.Observe(power)
 }
 
 // FaultInjected implements Sink.
-func (t *Telemetry) FaultInjected(channel uint8) { lane{t: t}.FaultInjected(channel) }
+func (t *Telemetry) FaultInjected(channel uint8) {
+	if channel < numFaultChannels {
+		t.faults[channel].Inc()
+	}
+}
 
 // WatchdogTrip implements Sink.
-func (t *Telemetry) WatchdogTrip() { lane{t: t}.WatchdogTrip() }
+func (t *Telemetry) WatchdogTrip() { t.watchdogTrips.Inc() }
 
 // IterationDone implements Sink.
 func (t *Telemetry) IterationDone(seconds float64, estimated bool) {
-	lane{t: t}.IterationDone(seconds, estimated)
-}
-
-// JobStart implements Sink.
-func (t *Telemetry) JobStart(queued int) { lane{t: t}.JobStart(queued) }
-
-// JobDone implements Sink.
-func (t *Telemetry) JobDone(failed bool) { lane{t: t}.JobDone(failed) }
-
-// decided counts one decision.
-func (l lane) decided(d Decision) {
-	t, s := l.t, l.stripe
-	t.decisions.AddOn(s, 1)
-	if d.Explored {
-		t.explorations.AddOn(s, 1)
-	}
-	if d.ActuationMiss {
-		t.actMisses.AddOn(s, 1)
-	}
-	if d.Estimated {
-		t.estimated.AddOn(s, 1)
-	}
-}
-
-// ControlStep implements Sink.
-func (l lane) ControlStep(target, measured, errTerm, pole, speedup float64) {
-	l.t.ctrlSteps.AddOn(l.stripe, 1)
-}
-
-// EstimatorUpdate implements Sink.
-func (l lane) EstimatorUpdate(arm int, rate, power, gain float64) {
-	l.t.estUpdates.AddOn(l.stripe, 1)
-}
-
-// GuardVerdict implements Sink.
-func (l lane) GuardVerdict(accepted bool, reason uint8, power float64) {
-	t, s := l.t, l.stripe
-	if accepted {
-		t.guardAccepted.AddOn(s, 1)
-	} else {
-		t.guardRejected.AddOn(s, 1)
-	}
-	if int(reason) < len(t.guardReasons) {
-		t.guardReasons[reason].AddOn(s, 1)
-	}
-	t.guardPower.ObserveOn(s, power)
-}
-
-// FaultInjected implements Sink.
-func (l lane) FaultInjected(channel uint8) {
-	if channel < numFaultChannels {
-		l.t.faults[channel].AddOn(l.stripe, 1)
-	}
-}
-
-// WatchdogTrip implements Sink.
-func (l lane) WatchdogTrip() { l.t.watchdogTrips.AddOn(l.stripe, 1) }
-
-// IterationDone implements Sink.
-func (l lane) IterationDone(seconds float64, estimated bool) {
-	t, s := l.t, l.stripe
-	t.iterations.AddOn(s, 1)
+	t.iterations.Inc()
 	if estimated {
-		t.iterEstimated.AddOn(s, 1)
+		t.iterEstimated.Inc()
 	}
-	t.iterSeconds.ObserveOn(s, seconds)
+	t.iterSeconds.Observe(seconds)
 }
 
 // JobStart implements Sink.
-func (l lane) JobStart(queued int) {
-	l.t.jobsStarted.AddOn(l.stripe, 1)
-	l.t.queueDepth.Set(float64(queued))
+func (t *Telemetry) JobStart(queued int) {
+	t.jobsStarted.Inc()
+	t.queueDepth.Set(float64(queued))
 }
 
 // JobDone implements Sink.
-func (l lane) JobDone(failed bool) {
-	l.t.jobsDone.AddOn(l.stripe, 1)
+func (t *Telemetry) JobDone(failed bool) {
+	t.jobsDone.Inc()
 	if failed {
-		l.t.jobsFailed.AddOn(l.stripe, 1)
+		t.jobsFailed.Inc()
 	}
 }

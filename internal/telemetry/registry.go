@@ -16,8 +16,11 @@ import (
 // runtime needs — counters, gauges and fixed-bucket histograms, with
 // optional constant labels — and renders the text exposition format
 // (version 0.0.4) that any Prometheus-compatible scraper ingests.
-// Metric updates are lock-free atomics so the hot control path never
-// contends with a scrape.
+// Metric updates are lock-free atomics on striped cells. A daemon
+// session's sink does not write the cells per event: it tallies under
+// its session's lock, and a scrape folds the tallies into the cells
+// before it reads them (the collect hook), so a scrape contends with a
+// session for that session's lock only, one session at a time.
 
 // Label is one constant name="value" pair attached to a metric at
 // registration time.
@@ -166,6 +169,21 @@ func (h *Histogram) ObserveOn(s Stripe, v float64) {
 	addFloat(sum, v)
 }
 
+// merge adds a batch of observations to stripe s: counts holds how many
+// fell in each bucket (+Inf last; entries past it are ignored) and sum
+// their total.
+func (h *Histogram) merge(s Stripe, counts []uint64, sum float64) {
+	cellSum, buckets := h.stripe(int(s % numStripes))
+	for i := range buckets {
+		if counts[i] > 0 {
+			buckets[i].Add(counts[i])
+		}
+	}
+	if sum != 0 {
+		addFloat(cellSum, sum)
+	}
+}
+
 // bucketCounts returns the per-bucket (not cumulative) counts, +Inf last,
 // summed over the stripes.
 func (h *Histogram) bucketCounts() []uint64 {
@@ -214,16 +232,9 @@ func ExpBuckets(start, factor float64, n int) []float64 {
 	return out
 }
 
-// DurationBuckets is the fixed schema for iteration durations, spanning
-// 100µs to ~100s.
-func DurationBuckets() []float64 { return ExpBuckets(1e-4, math.Sqrt(10), 13) }
-
-// MicroDurationBuckets is the duration schema for the v2-era hot path,
-// spanning 1µs to ~3s in half-decade steps. The original
-// DurationBuckets start at 100µs — chosen for millisecond-scale v1 JSON
-// round trips — which collapses the entire ~1.5µs in-process / ~99µs v2
-// decision distribution into the first bucket; decision and iteration
-// histograms use this schema instead.
+// MicroDurationBuckets is the duration schema for decision and iteration
+// histograms, spanning 1µs to ~3s in half-decade steps: fine enough to
+// resolve the ~1.5µs in-process and ~99µs v2 decision distributions.
 func MicroDurationBuckets() []float64 { return ExpBuckets(1e-6, math.Sqrt(10), 14) }
 
 // PowerBuckets is the fixed schema for power samples, spanning 0.25W to
@@ -262,6 +273,9 @@ type Registry struct {
 	mu       sync.Mutex
 	families []*family
 	byName   map[string]*family
+	// collect, when set, brings the metric cells up to date before a
+	// render: Telemetry installs its fold of the session tallies.
+	collect func()
 }
 
 // NewRegistry builds an empty registry.
@@ -391,6 +405,9 @@ func (r *Registry) MetricNames() []string {
 // its samples; histograms expand into cumulative _bucket series plus
 // _sum and _count.
 func (r *Registry) WritePrometheus(w io.Writer) error {
+	if r.collect != nil {
+		r.collect()
+	}
 	// Families and their children are append-only, so the slice headers
 	// copied under the lock are a stable view of everything registered so
 	// far; the values are read lock-free.

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -15,9 +16,14 @@ import (
 // with every float a small multiple of a power of two: sums of them are
 // exact in any order, so a total does not depend on which goroutine's
 // add landed first or on which stripe took it, and expositions can be
-// compared byte for byte.
-func dyadicEvents(s Sink, iters int) {
+// compared byte for byte. When owner is non-nil each iteration's calls
+// are made under it, as the daemon makes a session's calls under the
+// session mutex.
+func dyadicEvents(s Sink, owner sync.Locker, iters int) {
 	for i := 0; i < iters; i++ {
+		if owner != nil {
+			owner.Lock()
+		}
 		s.RecordDecision(Decision{
 			Iter: i, AppConfig: i % 3, SysConfig: i % 5, BestArm: 1, Explored: i%4 == 0, Epsilon: 0.25,
 			SpeedupCmd: 1.5, EnergyUsedJ: float64(i), BudgetRemainingJ: float64(100 - i), AllowedJPerIter: 0.5,
@@ -32,6 +38,9 @@ func dyadicEvents(s Sink, iters int) {
 		s.JobDone(i%13 == 0)
 		if i%11 == 0 {
 			s.WatchdogTrip()
+		}
+		if owner != nil {
+			owner.Unlock()
 		}
 	}
 }
@@ -61,14 +70,20 @@ func summedFamilies(t *testing.T, r *Registry) string {
 }
 
 // TestStripedTotalsMatchSerial runs the same events through 16
-// goroutines sharing 8 session sinks (plus the daemon-side histogram
-// observing on each session's stripe) while a scraper reads, and through
-// one goroutine on the unstriped path. Every counter and histogram series
-// must come out equal; the heartbeat summary must too, and must never be
-// seen going backwards. Run under -race.
+// goroutines sharing 8 session sinks, each call made under its sink's
+// owner lock (plus the daemon-side histogram observing on each session's
+// stripe) while a scraper reads, and through one goroutine on the
+// unstriped path. Every counter and histogram series must come out
+// equal; the heartbeat summary must too, and must never be seen going
+// backwards. Run under -race.
 func TestStripedTotalsMatchSerial(t *testing.T) {
 	const writers, sinks, iters = 16, 8, 400
 	tel, serial := New(64), New(64)
+	owners := make([]sync.Mutex, sinks)
+	shared := make([]*SessionSink, sinks)
+	for i := range shared {
+		shared[i] = WithSession(tel, fmt.Sprintf("s-%06d", i+1), iters, &owners[i])
+	}
 	lat := tel.Registry.Histogram("daemon_seconds", "h", MicroDurationBuckets())
 	latSerial := serial.Registry.Histogram("daemon_seconds", "h", MicroDurationBuckets())
 
@@ -100,10 +115,10 @@ func TestStripedTotalsMatchSerial(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			id := fmt.Sprintf("s-%06d", w%sinks+1)
-			dyadicEvents(WithSession(tel, id, iters), iters)
+			sink := shared[w%sinks]
+			dyadicEvents(sink, &owners[w%sinks], iters)
 			for i := 0; i < iters; i++ {
-				lat.ObserveOn(StripeOf(id), float64(1+i%9)/(1<<19))
+				lat.ObserveOn(StripeOf(sink.session), float64(1+i%9)/(1<<19))
 			}
 		}(w)
 	}
@@ -112,7 +127,7 @@ func TestStripedTotalsMatchSerial(t *testing.T) {
 	<-scraped
 
 	for w := 0; w < writers; w++ {
-		dyadicEvents(serial, iters)
+		dyadicEvents(serial, nil, iters)
 		for i := 0; i < iters; i++ {
 			latSerial.Observe(float64(1+i%9) / (1 << 19))
 		}
@@ -127,6 +142,95 @@ func TestStripedTotalsMatchSerial(t *testing.T) {
 	}
 	if lat.Count() != latSerial.Count() || lat.Sum() != latSerial.Sum() {
 		t.Errorf("histogram count/sum %d/%v, serial %d/%v", lat.Count(), lat.Sum(), latSerial.Count(), latSerial.Sum())
+	}
+}
+
+// decisionsTotal reads jouleguard_decisions_total off an exposition.
+func decisionsTotal(t *testing.T, expo string) float64 {
+	t.Helper()
+	for _, line := range strings.Split(expo, "\n") {
+		if v, ok := strings.CutPrefix(line, "jouleguard_decisions_total "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Error(err)
+			}
+			return f
+		}
+	}
+	t.Error("exposition carries no jouleguard_decisions_total sample")
+	return 0
+}
+
+// TestSessionTalliesExactOnRead has 4 session sinks decide concurrently,
+// each under its own owner lock, while a reader scrapes and calls
+// CounterSummary. Each read folds the sinks' tallies into the cells, so
+// the decision total a read sees never goes backwards; once the writers
+// return and record a last batch, one scrape (before any Close) must
+// match the serial registry's counter and histogram series line for
+// line, and closing the sinks must then change no total. Run under -race.
+func TestSessionTalliesExactOnRead(t *testing.T) {
+	const sinks, iters, tail = 4, 600, 50
+	tel, serial := New(64), New(64)
+	owners := make([]sync.Mutex, sinks)
+	all := make([]*SessionSink, sinks)
+	for i := range all {
+		all[i] = WithSession(tel, fmt.Sprintf("s-%06d", i+1), iters, &owners[i])
+	}
+
+	stop := make(chan struct{})
+	read := make(chan struct{})
+	go func() {
+		defer close(read)
+		var last float64
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			var buf bytes.Buffer
+			if err := tel.Registry.WritePrometheus(&buf); err != nil {
+				t.Error(err)
+				return
+			}
+			scraped := decisionsTotal(t, buf.String())
+			summed, _, _, _, _ := tel.CounterSummary()
+			if scraped < last || summed < scraped {
+				t.Errorf("decisions total read %v, then %v, then %v", last, scraped, summed)
+				return
+			}
+			last = summed
+		}
+	}()
+	var wg sync.WaitGroup
+	for i := range all {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			dyadicEvents(all[i], &owners[i], iters)
+		}(i)
+	}
+	wg.Wait()
+	close(stop)
+	<-read
+	// A last batch no read has folded yet: the scrape below must.
+	for i := range all {
+		dyadicEvents(all[i], &owners[i], tail)
+	}
+
+	for range all {
+		dyadicEvents(serial, nil, iters)
+		dyadicEvents(serial, nil, tail)
+	}
+	want := summedFamilies(t, serial.Registry)
+	if got := summedFamilies(t, tel.Registry); got != want {
+		t.Fatalf("totals read before Close differ from the serial run's:\n%s\nserial:\n%s", got, want)
+	}
+	for _, s := range all {
+		s.Close()
+	}
+	if got := summedFamilies(t, tel.Registry); got != want {
+		t.Errorf("Close changed the totals:\n%s\nserial:\n%s", got, want)
 	}
 }
 
@@ -154,9 +258,10 @@ func TestSessionStripesSpread(t *testing.T) {
 func goldenExposition(t *testing.T) []byte {
 	t.Helper()
 	tel := New(8)
-	dyadicEvents(tel, 50)
-	dyadicEvents(WithSession(tel, "s-000001", 30), 30)
-	dyadicEvents(WithSession(tel, "s-000002", 21), 21)
+	var owner1, owner2 sync.Mutex
+	dyadicEvents(tel, nil, 50)
+	dyadicEvents(WithSession(tel, "s-000001", 30, &owner1), &owner1, 30)
+	dyadicEvents(WithSession(tel, "s-000002", 21, &owner2), &owner2, 21)
 	c := tel.Registry.Counter("golden_joules_total", "A float counter.", Label{"tenant", "a\"b"})
 	c.Add(0.5)
 	c.Add(2.25)

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"bytes"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -13,20 +14,26 @@ import (
 // stays unallocated until an unbound decision arrives; Seq comes from the
 // one process counter; and only the unbound sink sets the decision
 // gauges, which the exposition leaves without a sample until it does.
+// Every call into a session sink is made under its owner lock.
 func TestSessionWindowLifecycle(t *testing.T) {
 	tel := New(0)
-	a, b := WithSession(tel, "s-a", 10), WithSession(tel, "s-b", 1<<20)
-	if got := b.Window().size; got != sessionWindow {
+	var ownA, ownB sync.Mutex
+	a, b := WithSession(tel, "s-a", 10, &ownA), WithSession(tel, "s-b", 1<<20, &ownB)
+	if got := b.window.size; got != sessionWindow {
 		t.Fatalf("window of a long session holds %d, want %d", got, sessionWindow)
 	}
-	if len(tel.sessionWindows("")) != 2 || a.Window().buf != nil {
+	if len(tel.listed("")) != 2 || a.window.buf != nil {
 		t.Fatal("a new session's window is unlisted, or allocated before its first decision")
 	}
 	for i := 0; i < 25; i++ {
+		ownA.Lock()
 		a.RecordDecision(Decision{Iter: i, Epsilon: 0.5, EnergyUsedJ: float64(i)})
-		b.RecordDecision(Decision{Iter: i})
 		a.ControlStep(1, 1, 1, 0.5, 1)
 		a.EstimatorUpdate(0, 1, 1, 0.5)
+		ownA.Unlock()
+		ownB.Lock()
+		b.RecordDecision(Decision{Iter: i})
+		ownB.Unlock()
 	}
 	if tel.Flight.buf != nil {
 		t.Error("session decisions allocated the process ring")
@@ -40,12 +47,15 @@ func TestSessionWindowLifecycle(t *testing.T) {
 			t.Errorf("%s: want its family without a sample while only session sinks have written", name)
 		}
 	}
-	got := a.Window().Snapshot()
+	ownA.Lock()
+	got := a.WindowLocked()
+	last, ok := a.LastLocked()
+	ownA.Unlock()
 	if len(got) != 10 || got[0].Iter != 15 || got[9].Iter != 24 || got[9].Session != "s-a" {
 		t.Fatalf("window of s-a holds %d decisions, iters %d..%d, want the last 10 of 25", len(got), got[0].Iter, got[len(got)-1].Iter)
 	}
-	if last, ok := a.Window().Last(); !ok || last != got[9] {
-		t.Errorf("Last() = %+v, %v, want the newest windowed decision", last, ok)
+	if !ok || last != got[9] {
+		t.Errorf("LastLocked() = %+v, %v, want the newest windowed decision", last, ok)
 	}
 
 	tel.RecordDecision(Decision{Iter: 99, Epsilon: 0.25})
@@ -72,11 +82,14 @@ func TestSessionWindowLifecycle(t *testing.T) {
 	}
 
 	a.Close()
+	ownA.Lock()
 	a.RecordDecision(Decision{Iter: 25})
-	if n := len(tel.Decisions("s-a", 0, 0)); n != 0 || len(a.Window().Snapshot()) != 0 {
+	kept := len(a.WindowLocked())
+	ownA.Unlock()
+	if n := len(tel.Decisions("s-a", 0, 0)); n != 0 || kept != 0 {
 		t.Errorf("closed window still serves %d decisions", n)
 	}
-	if len(tel.sessionWindows("")) != 1 {
+	if len(tel.listed("")) != 1 {
 		t.Error("a closed window is still listed")
 	}
 	if dec, _, _, _, _ := tel.CounterSummary(); dec != 25+25+1+1 {
@@ -91,11 +104,14 @@ func TestSessionWindowLifecycle(t *testing.T) {
 func TestDecisionsReadIsBounded(t *testing.T) {
 	tel := New(0)
 	sessions := DefaultFlightCapacity/sessionWindow + 3
+	owners := make([]sync.Mutex, sessions)
 	for i := 0; i < sessions; i++ {
-		s := WithSession(tel, "s-"+strings.Repeat("x", i+1), 0)
+		s := WithSession(tel, "s-"+strings.Repeat("x", i+1), 0, &owners[i])
+		owners[i].Lock()
 		for k := 0; k < sessionWindow; k++ {
 			s.RecordDecision(Decision{Iter: k})
 		}
+		owners[i].Unlock()
 	}
 	total := tel.seq.Load()
 	for _, n := range []int{0, DefaultFlightCapacity + 1, 1 << 30} {
