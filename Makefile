@@ -45,10 +45,10 @@ test-race:
 # streams, the load driver's concurrent tenants, and the bandit and
 # runtime, whose instances are copied from shared prior tables — and the
 # error contract and the retry loop every one of those hops shares, and
-# the telemetry sinks: the unbound sink's striped metrics and process
-# ring, which any goroutine writes, and the session sinks' tallies and
-# decision windows, which their sessions write under the session mutex
-# while scrapes fold and read them.
+# the telemetry sinks: the unbound sink, whose tally and process ring any
+# goroutine writes under its one mutex, and the session sinks' tallies
+# and decision windows, which their sessions write under the session
+# mutex, while scrapes fold and read them all.
 race:
 	$(GO) test -race ./internal/par/ ./internal/experiments/ ./internal/platform/ ./internal/learning/ ./internal/core/ ./internal/server/ ./internal/client/ ./internal/cluster/ ./cmd/loadgen/ ./internal/measure/ ./internal/qos/ ./internal/wire/ ./internal/backoff/ ./internal/telemetry/ .
 
@@ -58,10 +58,10 @@ race:
 # pre-merge full run. Then ten runs each of the tests that interleave
 # session writers with readers of their telemetry (scrapes folding the
 # tallies, /decisions and provenance reading the windows), since the
-# session mutex is the only lock those writes take.
+# sink's owner mutex is the only lock those writes take.
 churn-race:
 	$(GO) test -race -run TestShardChurnRace ./internal/server/
-	$(GO) test -race -count=10 -run 'TestSessionDecisionWindows|TestSessionTalliesExactOnRead' \
+	$(GO) test -race -count=10 -run 'TestSessionDecisionWindows|TestSessionTalliesExactOnRead|TestSinkTotalsMatchSerial|TestCloseLeavesNoUncountedGap|TestDecisionSecondsExactOnRead' \
 		./internal/server/ ./internal/telemetry/
 
 # Time-boxed fuzzing of the parsers that read untrusted bytes. The

@@ -234,12 +234,6 @@ func (e *Engine) FloorScale(tenant string) float64 {
 	return 1
 }
 
-// EffectiveFloor composes the tenant's requested accuracy floor with
-// its tier contract and the ladder's current degradation.
-func (e *Engine) EffectiveFloor(tenant string, minAccuracy float64) float64 {
-	return minAccuracy * e.TierOf(tenant).Spec().Floor * e.FloorScale(tenant)
-}
-
 // CheckRegister gates a new registration: nil admits, a refusal
 // carries tenant_suspended while the tenant sits at the suspend rung
 // or above. Existing sessions are unaffected (suspension is rung 3;

@@ -173,20 +173,19 @@ func TestRemotePolicyOverlay(t *testing.T) {
 	}
 }
 
-func TestEffectiveFloorComposesTierAndLadder(t *testing.T) {
+func TestFloorScaleFollowsLadder(t *testing.T) {
 	e := New(Config{Enabled: true, EscalateAfter: 1, DegradeFloorScale: 0.8})
-	e.SetTier("g", Guaranteed)
 	e.SetTier("be", BestEffort)
-	if got, want := e.EffectiveFloor("g", 0.9), 0.9; got != want {
-		t.Fatalf("guaranteed floor = %v, want %v", got, want)
-	}
-	if got, want := e.EffectiveFloor("be", 0.9), 0.9*0.7; got != want {
-		t.Fatalf("best-effort floor = %v, want %v", got, want)
+	if got := e.FloorScale("be"); got != 1 {
+		t.Fatalf("floor scale before the ladder = %v, want 1", got)
 	}
 	tick(e, "be", 2, 0)
 	tick(e, "be", 2, 0) // -> degraded
-	if got, want := e.EffectiveFloor("be", 0.9), 0.9*0.7*0.8; got != want {
-		t.Fatalf("degraded best-effort floor = %v, want %v", got, want)
+	if st := e.StateOf("be"); st != StateDegraded {
+		t.Fatalf("state after two overrun ticks = %v, want degraded", st)
+	}
+	if got := e.FloorScale("be"); got != 0.8 {
+		t.Fatalf("degraded floor scale = %v, want DegradeFloorScale 0.8", got)
 	}
 }
 

@@ -10,7 +10,7 @@
 //     de-escalation on the way down (several consecutive clean
 //     observations per rung), mirroring the runtime watchdog.
 //   - QoS tiers (guaranteed / standard / best-effort), each carrying a
-//     latency SLO, an accuracy-floor fraction and a fair-share weight.
+//     latency SLO, a shedding order and a fair-share weight.
 //   - Overload shedding: when pool pressure exceeds the shed threshold
 //     the engine sacrifices best-effort tenants first (then standard,
 //     never guaranteed) to keep guaranteed tenants within budget.
@@ -35,26 +35,21 @@ const (
 	// Standard is the default class: moderate SLO, shed only after
 	// every best-effort tenant already was.
 	Standard Tier = iota
-	// BestEffort runs on leftover capacity: loosest SLO, reduced floor,
-	// first against the wall under overload.
+	// BestEffort runs on leftover capacity: loosest SLO, first against
+	// the wall under overload.
 	BestEffort
-	// Guaranteed is the premium class: tightest SLO, full accuracy
-	// floor, never shed.
+	// Guaranteed is the premium class: tightest SLO, never shed.
 	Guaranteed
 )
 
-// TierSpec is the contract a tier defends: the decision-latency SLO
-// and the fraction of the tenant's requested accuracy floor the
-// engine protects (degradation scales down from there).
+// TierSpec is the contract a tier defends: the decision-latency SLO,
+// the shedding order and the fair-share weight.
 type TierSpec struct {
 	Name string
 	// SLO is the per-decision latency objective. The ladder's throttle
 	// interval never paces a tenant below its SLO rate — throttling
 	// slows a tenant toward its contract, not below it.
 	SLO time.Duration
-	// Floor is the fraction of the tenant's requested MinAccuracy this
-	// tier defends (1 = the full request).
-	Floor float64
 	// ShedOrder sorts tenants for overload shedding: lower sheds
 	// first; negative means never shed.
 	ShedOrder int
@@ -69,9 +64,9 @@ type TierSpec struct {
 // specs indexes the tier table. Order here is documentation; shedding
 // uses ShedOrder.
 var specs = map[Tier]TierSpec{
-	Guaranteed: {Name: "guaranteed", SLO: 10 * time.Millisecond, Floor: 1.0, ShedOrder: -1, FairWeight: 2},
-	Standard:   {Name: "standard", SLO: 50 * time.Millisecond, Floor: 0.9, ShedOrder: 1, FairWeight: 1},
-	BestEffort: {Name: "best-effort", SLO: 250 * time.Millisecond, Floor: 0.7, ShedOrder: 0, FairWeight: 0.5},
+	Guaranteed: {Name: "guaranteed", SLO: 10 * time.Millisecond, ShedOrder: -1, FairWeight: 2},
+	Standard:   {Name: "standard", SLO: 50 * time.Millisecond, ShedOrder: 1, FairWeight: 1},
+	BestEffort: {Name: "best-effort", SLO: 250 * time.Millisecond, ShedOrder: 0, FairWeight: 0.5},
 }
 
 // Spec returns the tier's contract.

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"jouleguard/internal/telemetry"
 )
@@ -142,6 +143,38 @@ func TestBrokerDebitBlocksAbsolute(t *testing.T) {
 	// A clean tenant with a smaller ask fits.
 	if _, err := b.Admit("b", 1, 15); err != nil {
 		t.Fatalf("clean tenant rejected: %v", err)
+	}
+}
+
+// TestTenantCellsOwnTheirLines pins the layout the settle path relies
+// on: every settle writes its tenant's spend counter and burn gauge from
+// whichever core the session runs on, so two tenants' cells must not
+// share a 64-byte cache line. Each of the four must start a line and
+// fill it.
+func TestTenantCellsOwnTheirLines(t *testing.T) {
+	b, err := NewBroker(1e6, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.Instrument(telemetry.NewRegistry())
+	lines := map[uintptr]string{}
+	for _, tenant := range []string{"a", "b"} {
+		c := b.spendCell(tenant)
+		for name, cell := range map[string]struct {
+			addr, size uintptr
+		}{
+			"burn gauge":    {uintptr(unsafe.Pointer(c.gBurn)), unsafe.Sizeof(*c.gBurn)},
+			"spend counter": {uintptr(unsafe.Pointer(c.cSpent)), unsafe.Sizeof(*c.cSpent)},
+		} {
+			what := tenant + "'s " + name
+			if cell.addr%64 != 0 || cell.size != 64 {
+				t.Errorf("%s at %#x spans %d bytes, want one whole 64-byte line", what, cell.addr, cell.size)
+			}
+			if other, dup := lines[cell.addr/64]; dup {
+				t.Errorf("%s shares a cache line with %s", what, other)
+			}
+			lines[cell.addr/64] = what
+		}
 	}
 }
 

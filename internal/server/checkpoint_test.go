@@ -109,7 +109,7 @@ type cutTrace struct {
 func (tr *cutTrace) drive(t testing.TB, srv *Server, sess *session, m *memoMachine, re cutRegime, from, to int) {
 	t.Helper()
 	for k := from; k < to; k++ {
-		next, werr := sess.next(wire.NextRequest{NowS: m.clockS}, srv.clock())
+		next, werr := sess.next(wire.NextRequest{NowS: m.clockS}, time.Now(), srv.clock())
 		if werr != nil {
 			t.Fatalf("next %d: %v", k, werr)
 		}
@@ -226,7 +226,7 @@ func TestCheckpointCutPointsBitIdentical(t *testing.T) {
 					if c.armed {
 						// The bracket opened here is lost with the daemon; the
 						// client opens it again on the far side at the same time.
-						if _, werr := sess.next(wire.NextRequest{NowS: m.clockS}, src.clock()); werr != nil {
+						if _, werr := sess.next(wire.NextRequest{NowS: m.clockS}, time.Now(), src.clock()); werr != nil {
 							t.Fatal(werr)
 						}
 					}

@@ -81,7 +81,7 @@ func TestTerminalSessionReleasesStack(t *testing.T) {
 			if sess.localSpent() != live.SpentJ || sess.spent() != live.SpentJ {
 				t.Errorf("terminal spend accessors disagree with %v", live.SpentJ)
 			}
-			if _, werr := sess.next(wire.NextRequest{}, time.Time{}); werr == nil {
+			if _, werr := sess.next(wire.NextRequest{}, time.Now(), time.Time{}); werr == nil {
 				t.Error("Next on a terminal session succeeded")
 			}
 		})

@@ -364,7 +364,7 @@ func (s *Server) Register(req wire.RegisterRequest) (wire.RegisterResponse, erro
 		s.broker.Release(grant, 0)
 		return wire.RegisterResponse{}, &wire.Error{Code: wire.CodeBadRequest, Msg: err.Error()}
 	}
-	sess.installLiveSink(s.tel)
+	sess.installLiveSink(s.tel, s.mDecisionS)
 	sess.spend = s.broker.spendCell(tenant)
 	s.sessions.put(sess)
 	if s.draining.Load() {
@@ -517,7 +517,7 @@ func (s *Server) Adopt(a wire.AdoptSession) (string, error) {
 	s.qos.SetTier(a.Reg.Tenant, qos.ParseTier(a.Reg.Tier))
 	sess.setGrant(grant)
 	sess.spend = s.broker.spendCell(a.Reg.Tenant)
-	sess.installLiveSink(s.tel)
+	sess.installLiveSink(s.tel, s.mDecisionS)
 	s.sessions.put(sess)
 	s.sessions.setKey(a.Key, id)
 	s.mAdopted.Inc()
@@ -783,11 +783,10 @@ func (s *Server) sessionNext(sess *session, req wire.NextRequest) (wire.NextResp
 	if d := s.qos.CheckNext(sess.reg.Tenant, now.UnixNano()); d != nil {
 		return wire.NextResponse{}, d
 	}
-	resp, werr := sess.next(req, now)
+	resp, werr := sess.next(req, wall, now)
 	if werr != nil {
 		return wire.NextResponse{}, werr
 	}
-	s.mDecisionS.ObserveOn(sess.stripe, time.Since(wall).Seconds())
 	if req.TraceID != 0 {
 		s.traceNext(sess.id, req, wall, resp.Iter)
 	}

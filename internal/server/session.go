@@ -137,12 +137,11 @@ const checkpointEvery = 1024
 // through the pending sample, so the controller's hardened sensing path
 // (guard, outage reconciliation, model fallback) is reused verbatim.
 type session struct {
-	mu     sync.Mutex
-	id     string
-	num    uint32           // numeric id for v2 frame headers (0 = v1-only)
-	stripe telemetry.Stripe // where the daemon's own per-iteration metrics for this session land
-	reg    wire.RegisterRequest
-	grant  Grant
+	mu    sync.Mutex
+	id    string
+	num   uint32 // numeric id for v2 frame headers (0 = v1-only)
+	reg   wire.RegisterRequest
+	grant Grant
 
 	// The governor stack. A terminal session has none: teardown freezes
 	// what introspection still reports into final and drops the stack,
@@ -187,8 +186,9 @@ type session struct {
 	lastClientJ float64
 
 	// sink is the session's telemetry, owned by mu: the tally of its
-	// counter and histogram events and its own decision window, which the
-	// stack writes inside Next and Done under mu. It is nil until
+	// counter and histogram events (the daemon's decision latency among
+	// them) and its own decision window, which the stack writes inside
+	// Next and Done under mu. It is nil until
 	// installLiveSink (so a replayed log is not counted); teardown keeps
 	// it, so a terminal session's last decisions stay readable until
 	// retire releases it (closeWindow).
@@ -216,7 +216,7 @@ func newSession(id string, reg wire.RegisterRequest, grant Grant, meter *meterHo
 	if err != nil {
 		return nil, err
 	}
-	s := &session{id: id, num: sessionNum(id), stripe: telemetry.StripeOf(id),
+	s := &session{id: id, num: sessionNum(id),
 		reg: reg, grant: grant, tb: tb, gov: gov, meter: meter, lastTouch: now}
 	ctl, err := jouleguard.NewOnlineGuarded(gov,
 		s.readPendingEnergy, s.readPendingNow,
@@ -258,10 +258,11 @@ func (s *session) readPendingEnergy() (float64, error) {
 func (s *session) readPendingNow() float64 { return s.pending.now }
 
 // installLiveSink attaches the session's live telemetry sink, owned by
-// s.mu: a new session's before it is published, a rebuilt one's after
-// its log has replayed, so replayed iterations are not counted twice.
-func (s *session) installLiveSink(tel *telemetry.Telemetry) {
-	sink := telemetry.WithSession(tel, s.id, s.reg.Iterations, &s.mu)
+// s.mu, whose decision-latency samples fold into latency: a new
+// session's before it is published, a rebuilt one's after its log has
+// replayed, so replayed iterations are not counted twice.
+func (s *session) installLiveSink(tel *telemetry.Telemetry, latency *telemetry.Histogram) {
+	sink := telemetry.WithSession(tel, s.id, s.reg.Iterations, &s.mu, latency)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.sink = sink
@@ -293,8 +294,10 @@ func (s *session) checkLive() *wire.Error {
 }
 
 // next runs the wire Next call: decide the upcoming iteration's
-// configurations and start its interval on the client's clock.
-func (s *session) next(req wire.NextRequest, now time.Time) (wire.NextResponse, *wire.Error) {
+// configurations and start its interval on the client's clock. wall is
+// the call's stamp: the decision latency the sink tallies runs from it
+// to the end of the call, the meter window's open included.
+func (s *session) next(req wire.NextRequest, wall, now time.Time) (wire.NextResponse, *wire.Error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if werr := s.checkLive(); werr != nil {
@@ -320,6 +323,9 @@ func (s *session) next(req wire.NextRequest, now time.Time) (wire.NextResponse, 
 		// session must not keep paying the fleet-average rate.
 		s.meterW = s.tb.Platform.Power(sys, s.tb.Profile)
 		s.meter.open(s.id, s.meterW)
+	}
+	if s.sink != nil {
+		s.sink.ObserveLatency(time.Since(wall).Seconds())
 	}
 	return wire.NextResponse{Iter: s.ctl.Iterations(), AppConfig: app, SysConfig: sys}, nil
 }

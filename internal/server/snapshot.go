@@ -237,7 +237,7 @@ func (s *Server) Restore(r io.Reader) error {
 	broker.Instrument(s.tel.Registry)
 	for _, sess := range sessions {
 		sess.spend = broker.spendCell(sess.grant.Tenant)
-		sess.installLiveSink(s.tel)
+		sess.installLiveSink(s.tel, s.mDecisionS)
 		s.sessions.put(sess)
 		if sess.reg.Key != "" {
 			s.sessions.setKey(sess.reg.Key, sess.id)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"reflect"
 	"testing"
+	"time"
 
 	"jouleguard/internal/wire"
 )
@@ -17,7 +18,7 @@ func driveIters(t *testing.T, srv *Server, id string, m *simMachine, start, n in
 		t.Fatalf("lookup %s: %v", id, werr)
 	}
 	for k := start; k < start+n; k++ {
-		next, werr := sess.next(wire.NextRequest{NowS: m.clockS}, srv.clock())
+		next, werr := sess.next(wire.NextRequest{NowS: m.clockS}, time.Now(), srv.clock())
 		if werr != nil {
 			t.Fatalf("next %d: %v", k, werr)
 		}
@@ -87,8 +88,8 @@ func TestSnapshotRestoreBitIdentical(t *testing.T) {
 	// decision must agree, or the restored RNG/controller state differs.
 	m2 := &simMachine{tb: m1.tb, clockS: m1.clockS, energyJ: m1.energyJ}
 	for k := 60; k < 120; k++ {
-		n1, werr1 := s1.next(wire.NextRequest{NowS: m1.clockS}, srv1.clock())
-		n2, werr2 := s2.next(wire.NextRequest{NowS: m2.clockS}, srv2.clock())
+		n1, werr1 := s1.next(wire.NextRequest{NowS: m1.clockS}, time.Now(), srv1.clock())
+		n2, werr2 := s2.next(wire.NextRequest{NowS: m2.clockS}, time.Now(), srv2.clock())
 		if werr1 != nil || werr2 != nil {
 			t.Fatalf("next %d: %v / %v", k, werr1, werr2)
 		}
@@ -151,7 +152,7 @@ func TestRestoredSessionNotesSpend(t *testing.T) {
 	prev := sess.spent()
 	var delta float64
 	for i := before; i < before+k; i++ {
-		next, werr := sess.next(wire.NextRequest{NowS: m.clockS}, srv2.clock())
+		next, werr := sess.next(wire.NextRequest{NowS: m.clockS}, time.Now(), srv2.clock())
 		if werr != nil {
 			t.Fatalf("next %d: %v", i, werr)
 		}

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 
@@ -190,4 +192,93 @@ func TestSessionDecisionWindows(t *testing.T) {
 		}
 	}
 	t.Logf("settled %v iterations over %d polls; tail cursor at seq %d", done, polls, cursor)
+}
+
+// TestDecisionSecondsExactOnRead has two sessions decide while a reader
+// polls MetricSummary. Each session tallies its decision latency under
+// its own lock and every read folds the tallies first, so the decision
+// count a read sees never goes backwards, and once the writers stop —
+// before any session closes — both the summary and /metrics count
+// exactly the Next calls that succeeded.
+func TestDecisionSecondsExactOnRead(t *testing.T) {
+	const sessions, iters = 2, 300
+	srv := testServer(t, 1e9, nil)
+	defer shutdown(srv)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	ids := make([]string, sessions)
+	for i := range ids {
+		resp, err := srv.Register(wire.RegisterRequest{Tenant: fmt.Sprintf("t%d", i), App: "radar",
+			Platform: "Tablet", Iterations: iters, BudgetJ: 1e6, Seed: int64(i + 1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids[i] = resp.SessionID
+	}
+
+	stop := make(chan struct{})
+	polled := make(chan struct{})
+	go func() {
+		defer close(polled)
+		var last float64
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			n := srv.MetricSummary().DecisionCount
+			if n < last {
+				t.Errorf("decision count went from %v to %v", last, n)
+				return
+			}
+			last = n
+		}
+	}()
+	nexts := make([]int, sessions)
+	var workers sync.WaitGroup
+	for i := range ids {
+		m := newSimMachine(t, "radar", "Tablet")
+		workers.Add(1)
+		go func(i int) {
+			defer workers.Done()
+			for k := 0; k < iters; k++ {
+				next, err := srv.Next(ids[i], wire.NextRequest{NowS: m.clockS})
+				if err != nil {
+					t.Errorf("%s next %d: %v", ids[i], k, err)
+					return
+				}
+				nexts[i]++
+				acc := m.step(next.AppConfig, next.SysConfig, k)
+				if _, err := srv.Done(ids[i], wire.DoneRequest{NowS: m.clockS, EnergyJ: m.energyJ, Accuracy: acc}); err != nil {
+					t.Errorf("%s done %d: %v", ids[i], k, err)
+					return
+				}
+			}
+		}(i)
+	}
+	workers.Wait()
+	close(stop)
+	<-polled
+
+	want := float64(nexts[0] + nexts[1])
+	if got := srv.MetricSummary().DecisionCount; got != want {
+		t.Errorf("MetricSummary counts %v decisions, want the %v Next calls that succeeded", got, want)
+	}
+	resp, err := ts.Client().Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var scraped string
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		if v, ok := strings.CutPrefix(sc.Text(), "jouleguardd_decision_seconds_count "); ok {
+			scraped = v
+		}
+	}
+	if scraped != strconv.FormatFloat(want, 'g', -1, 64) {
+		t.Errorf("/metrics jouleguardd_decision_seconds_count %q, want %v", scraped, want)
+	}
 }

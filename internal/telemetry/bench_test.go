@@ -28,7 +28,7 @@ func BenchmarkTelemetryNopSink(b *testing.B) {
 }
 
 // BenchmarkTelemetryLiveSink is the enabled-path counterpart: the same
-// event mix against the live registry and flight recorder.
+// event mix through the unbound Telemetry, into its process sink.
 func BenchmarkTelemetryLiveSink(b *testing.B) {
 	var s Sink = New(DefaultFlightCapacity)
 	d := Decision{Iter: 1, AppConfig: 2, SysConfig: 3, SEURate: 10, SEUPower: 20}
@@ -57,7 +57,7 @@ func BenchmarkTelemetryLiveSinkParallel(b *testing.B) {
 	b.ReportAllocs()
 	b.RunParallel(func(pb *testing.PB) {
 		var owner sync.Mutex
-		s := WithSession(tel, fmt.Sprintf("s-%06d", sessions.Add(1)), 0, &owner)
+		s := WithSession(tel, fmt.Sprintf("s-%06d", sessions.Add(1)), 0, &owner, nil)
 		for pb.Next() {
 			owner.Lock()
 			s.RecordDecision(d)

@@ -6,7 +6,6 @@ import (
 	"io"
 	"math"
 	"slices"
-	"sync"
 	"sync/atomic"
 )
 
@@ -16,46 +15,28 @@ const DefaultFlightCapacity = 4096
 
 // FlightRecorder is a bounded ring buffer of controller decisions — the
 // "black box" a live system can be asked about after the fact. Recording
-// is a guarded copy into a pre-allocated slot (no channel, no
-// goroutine), so it is cheap enough to run on every control iteration;
-// once the window fills, the oldest decision is overwritten. The ring is
-// allocated by the first Record, so a recorder nothing writes to costs a
-// few words.
+// is a copy into a pre-allocated slot (no channel, no goroutine), so it
+// is cheap enough to run on every control iteration; once the window
+// fills, the oldest decision is overwritten. The ring is allocated by
+// the first record, so a recorder nothing writes to costs a few words.
 //
-// The process ring is guarded by its own mu. A session window is guarded
-// by its session's owner lock instead (WithSession), which every writer
-// already holds, so its record is a plain write; its mu is never taken.
+// A recorder is the window of one sink and has no lock of its own: it is
+// guarded by its sink's owner lock (WithSession; Telemetry.mu for the
+// process ring), which every writer already holds.
 type FlightRecorder struct {
-	mu     sync.Mutex
-	buf    []Decision // nil until the first Record, and once closed
+	buf    []Decision // nil until the first record, and once closed
 	size   int        // len(buf) once allocated
 	total  uint64     // decisions ever recorded here
-	closed bool       // its session sink closed: Record keeps nothing
+	closed bool       // its sink closed: record keeps nothing
 	// seq stamps Seq: the counter of the Telemetry the recorder belongs
 	// to, shared by its process ring and every session window, so Seq
 	// orders decisions across all of them.
 	seq *atomic.Uint64
 }
 
-// newRecorder builds a recorder holding the last capacity decisions
-// (DefaultFlightCapacity if capacity <= 0), stamping Seq from seq.
-func newRecorder(capacity int, seq *atomic.Uint64) *FlightRecorder {
-	if capacity <= 0 {
-		capacity = DefaultFlightCapacity
-	}
-	return &FlightRecorder{size: capacity, seq: seq}
-}
-
-// Record appends one decision, overwriting the oldest once full, and
+// record appends one decision, overwriting the oldest once full, and
 // stamps its sequence number (1-based; the ?since= export cursor). A
-// released recorder drops the decision.
-func (f *FlightRecorder) Record(d Decision) {
-	f.mu.Lock()
-	f.record(d)
-	f.mu.Unlock()
-}
-
-// record is Record for a caller holding the recorder's guard.
+// closed recorder drops the decision. Callers hold the recorder's guard.
 func (f *FlightRecorder) record(d Decision) {
 	if f.buf == nil {
 		if f.closed {
@@ -78,15 +59,8 @@ func (f *FlightRecorder) retained() (n int, at func(i int) *Decision) {
 	return n, func(i int) *Decision { return &f.buf[(oldest+uint64(i))%uint64(f.size)] }
 }
 
-// Snapshot returns the recorded window oldest-first. The result is a
-// copy; the recorder keeps running.
-func (f *FlightRecorder) Snapshot() []Decision {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.snapshot()
-}
-
-// snapshot is Snapshot for a caller holding the recorder's guard.
+// snapshot returns a copy of the retained decisions, oldest first.
+// Callers hold the recorder's guard.
 func (f *FlightRecorder) snapshot() []Decision {
 	n, at := f.retained()
 	out := make([]Decision, n)

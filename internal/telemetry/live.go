@@ -48,28 +48,33 @@ type QoSInfo struct {
 }
 
 // Telemetry is the live Sink: it maintains a metric registry covering
-// the whole control path, feeds every decision into a flight recorder,
-// and keeps the process's span buffer for distributed traces. One
-// Telemetry serves a whole process — its methods are safe for
-// concurrent use by the experiment worker pool — and its Handler
-// (http.go) exposes everything over HTTP.
+// the whole control path, keeps the recent decisions, and keeps the
+// process's span buffer for distributed traces. One Telemetry serves a
+// whole process — its methods are safe for concurrent use by the
+// experiment worker pool — and its Handler (http.go) exposes everything
+// over HTTP.
 //
-// Decisions made through Telemetry itself (the library path) land in
-// Flight, the process ring; a daemon session's land in the window of its
-// SessionSink. One counter stamps Seq on both, so /decisions can merge
-// them into one stream.
+// Every event is counted by a SessionSink, and only there. Events sent to
+// Telemetry itself (the library path) are those of its process sink,
+// proc, whose owner lock is mu and whose window is the process ring; a
+// daemon session's are those of the sink WithSession made for it. One
+// counter stamps Seq on every window, so /decisions can merge them into
+// one stream. Besides delegating, the unbound path stores the decision,
+// controller and estimator gauges from its arguments, which no session
+// sink sets (SessionSink).
 //
-// Lock rule: no telemetry lock is held while a session sink's owner lock
-// is taken, and a reader holds one owner lock at a time. Readers list the
+// Lock rule: no telemetry lock is held while a sink's owner lock is
+// taken, and a reader holds one owner lock at a time. Readers list the
 // sinks under winMu, release it, then visit each sink under its owner.
 type Telemetry struct {
 	Registry *Registry
-	Flight   *FlightRecorder
 	Spans    *SpanBuffer
 
 	seq   atomic.Uint64 // Seq source: decisions ever recorded, process-wide
+	mu    sync.Mutex    // proc's owner lock
+	proc  *SessionSink  // the library path's sink; its window is the process ring
 	winMu sync.Mutex
-	sinks map[*SessionSink]struct{} // session sinks, from WithSession until Close
+	sinks map[*SessionSink]struct{} // proc, and session sinks from WithSession until Close
 
 	start  time.Time
 	health atomic.Value // func() HealthInfo, nil until SetHealth
@@ -149,8 +154,8 @@ func GuardReasonName(reason uint8) string {
 	return "unknown"
 }
 
-// New builds a live telemetry sink with a flight recorder holding the
-// last flightCapacity decisions (DefaultFlightCapacity if <= 0).
+// New builds a live telemetry sink whose process ring holds the last
+// flightCapacity decisions (DefaultFlightCapacity if <= 0).
 func New(flightCapacity int) *Telemetry {
 	r := NewRegistry()
 	t := &Telemetry{
@@ -208,7 +213,10 @@ func New(flightCapacity int) *Telemetry {
 		t.energyUsed, t.budgetLeft, t.allowedPer, t.pole, t.piError, t.target, t.estGain} {
 		g.unset()
 	}
-	t.Flight = newRecorder(flightCapacity, &t.seq)
+	if flightCapacity <= 0 {
+		flightCapacity = DefaultFlightCapacity
+	}
+	t.proc = t.newSink("", flightCapacity, &t.mu, nil)
 	r.collect = t.fold
 	return t
 }
@@ -221,13 +229,7 @@ func (t *Telemetry) SetHealth(provider func() HealthInfo) {
 
 // Health returns the current role/fence report and whether a provider
 // is installed.
-func (t *Telemetry) Health() (HealthInfo, bool) {
-	p, _ := t.health.Load().(func() HealthInfo)
-	if p == nil {
-		return HealthInfo{}, false
-	}
-	return p(), true
-}
+func (t *Telemetry) Health() (HealthInfo, bool) { return provided[HealthInfo](&t.health) }
 
 // SetMeter installs the /healthz measurement-service provider; the
 // probe omits the meter section until one is set (client-supplied
@@ -238,13 +240,7 @@ func (t *Telemetry) SetMeter(provider func() MeterInfo) {
 
 // Meter returns the current measurement-service report and whether a
 // provider is installed.
-func (t *Telemetry) Meter() (MeterInfo, bool) {
-	p, _ := t.meter.Load().(func() MeterInfo)
-	if p == nil {
-		return MeterInfo{}, false
-	}
-	return p(), true
-}
+func (t *Telemetry) Meter() (MeterInfo, bool) { return provided[MeterInfo](&t.meter) }
 
 // SetQoS installs the /healthz tenant-protection provider; the probe
 // omits the qos section until one is set.
@@ -254,19 +250,26 @@ func (t *Telemetry) SetQoS(provider func() QoSInfo) {
 
 // QoS returns the current tenant-protection report and whether a
 // provider is installed.
-func (t *Telemetry) QoS() (QoSInfo, bool) {
-	p, _ := t.qos.Load().(func() QoSInfo)
+func (t *Telemetry) QoS() (QoSInfo, bool) { return provided[QoSInfo](&t.qos) }
+
+// provided calls the provider func() T stored in v; ok is false while
+// none is installed.
+func provided[T any](v *atomic.Value) (report T, ok bool) {
+	p, _ := v.Load().(func() T)
 	if p == nil {
-		return QoSInfo{}, false
+		return report, false
 	}
 	return p(), true
 }
 
-// RecordCalibration files a meter-calibration summary in the flight
-// recorder, tagged with the reserved session name "meter-calibration",
-// so exported decision streams carry their measurement provenance.
+// RecordCalibration files a meter-calibration summary in the process
+// ring, tagged with the reserved session name "meter-calibration", so
+// exported decision streams carry their measurement provenance. It is
+// not a decision: nothing counts it.
 func (t *Telemetry) RecordCalibration(backend string, baselineW, cv float64, trials int, earlyStopped bool) {
-	t.Flight.Record(Decision{
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.proc.window.record(Decision{
 		Session:       "meter-calibration",
 		Sane:          true,
 		GuardAccepted: earlyStopped,
@@ -292,12 +295,12 @@ func (t *Telemetry) CounterSummary() (decisions, iterations, guardRejected, watc
 }
 
 // Decisions returns the retained decisions with Seq > since, oldest
-// first: the process ring merged with every listed session window. A
-// non-empty session keeps only that session's decisions; last > 0 keeps
-// only the newest last of what the other filters kept. A read returns
-// at most maxRead decisions however many windows are listed, and copies
-// no more than it returns, so a scrape of a daemon with thousands of
-// sessions costs what one of the process ring does.
+// first: the windows of every listed sink, merged. A non-empty session
+// keeps only that session's decisions; last > 0 keeps only the newest
+// last of what the other filters kept. A read returns at most maxRead
+// decisions however many windows are listed, and copies no more than it
+// returns, so a scrape of a daemon with thousands of sessions costs what
+// one of the process ring does.
 //
 // The read is bounded by the Seq counter as loaded on entry, so a
 // decision stamped while the sources are being read is left for the next
@@ -312,12 +315,9 @@ func (t *Telemetry) Decisions(session string, since uint64, last int) []Decision
 	}
 	hi := t.seq.Load()
 	k := &newest{n: last}
-	t.Flight.mu.Lock()
-	t.Flight.offerNewest(k, session, since, hi)
-	t.Flight.mu.Unlock()
 	for _, s := range t.listed(session) {
 		s.owner.Lock()
-		s.window.offerNewest(k, "", since, hi)
+		s.window.offerNewest(k, session, since, hi)
 		s.owner.Unlock()
 	}
 	return k.sorted()
@@ -325,26 +325,28 @@ func (t *Telemetry) Decisions(session string, since uint64, last int) []Decision
 
 // maxRead bounds one Decisions read: what the process ring holds, and at
 // least DefaultFlightCapacity.
-func (t *Telemetry) maxRead() int { return max(t.Flight.size, DefaultFlightCapacity) }
+func (t *Telemetry) maxRead() int { return max(t.proc.window.size, DefaultFlightCapacity) }
 
-// listed lists the session sinks (only session's when it is non-empty).
+// listed lists the sinks whose windows can hold session's decisions:
+// every sink when session is empty, else session's and proc, whose ring
+// holds decisions of any session name (meter-calibration's among them).
 // The list is copied so no owner lock is taken under winMu.
 func (t *Telemetry) listed(session string) []*SessionSink {
 	t.winMu.Lock()
 	defer t.winMu.Unlock()
 	var out []*SessionSink
 	for s := range t.sinks {
-		if session == "" || s.session == session {
+		if session == "" || s.session == session || s == t.proc {
 			out = append(out, s)
 		}
 	}
 	return out
 }
 
-// fold moves every listed session sink's tally into the registry's
-// cells, one owner at a time, so a read that follows sees every event
-// recorded before the fold began. Registry.WritePrometheus and
-// CounterSummary call it.
+// fold moves every listed sink's tally into the registry's cells, one
+// owner at a time, so a read that follows sees every event recorded
+// before the fold began. Registry.WritePrometheus and CounterSummary
+// call it.
 func (t *Telemetry) fold() {
 	for _, s := range t.listed("") {
 		s.owner.Lock()
@@ -382,9 +384,9 @@ func (h *histTally) observe(bounds []float64, v float64) {
 	h.sum += v
 }
 
-// tally is what a session sink has counted since its last fold: one
-// plain integer per counter it feeds and the samples of its two
-// histograms, written under the sink's owner lock.
+// tally is what a sink has counted since its last fold: one plain
+// integer per counter it feeds and the samples of its histograms,
+// written under the sink's owner lock.
 type tally struct {
 	decisions, explorations, actMisses, estimated uint64
 	ctrlSteps, estUpdates                         uint64
@@ -394,31 +396,32 @@ type tally struct {
 	watchdogTrips                                 uint64
 	iterations, iterEstimated                     uint64
 	jobsStarted, jobsDone, jobsFailed             uint64
-	guardPower, iterSeconds                       histTally
+	guardPower, iterSeconds, latency              histTally
 }
 
-// SessionSink is the sink one governor-daemon session reports into.
+// SessionSink is the code that counts: the sink one governor-daemon
+// session reports into, and (as Telemetry's proc) the library path's.
 // Unlike other Sinks it is not safe for concurrent use on its own: every
-// method must be called under the session's owner lock, which the daemon
+// method must be called under the sink's owner lock, which the daemon
 // already holds around each call into the session's governor stack. It
-// writes only what that lock guards: a tally of the session's counter
-// increments and histogram samples, and a decision window of the
-// session's own. So a session takes no lock of its own and writes no
-// cell another session writes; the one shared write per decision is the
-// Seq counter. Readers fold the tallies into the registry's cells
-// (Telemetry.fold) before they read them, so totals are exact.
+// writes only what that lock guards: a tally of the sink's counter
+// increments and histogram samples, and a decision window of its own. So
+// a session takes no lock of its own and writes no cell another session
+// writes; the one shared write per decision is the Seq counter. Readers
+// fold the tallies into the registry's cells (Telemetry.fold) before
+// they read them, so totals are exact.
 //
-// Decisions are stamped with the session id. The window's ring is
-// allocated by the first decision and released by Close. The sink sets
-// none of the process decision gauges (energy used, budget remaining,
-// epsilon, pole, ...): in a multi-tenant daemon they would describe
-// whichever session settled last. /decisions?session= is where a
-// session's state is read.
+// Decisions are stamped with the session id (proc, session "", keeps
+// each decision's own). The window's ring is allocated by the first
+// decision and released by Close. The sink sets none of the process
+// decision gauges (energy used, budget remaining, epsilon, pole, ...):
+// in a multi-tenant daemon they would describe whichever session settled
+// last. /decisions?session= is where a session's state is read.
 type SessionSink struct {
 	t       *Telemetry
 	owner   sync.Locker
 	session string
-	stripe  Stripe // where folds land
+	latency *Histogram // what ObserveLatency's samples fold into (nil: it takes none)
 	window  FlightRecorder
 	tally   tally
 }
@@ -428,16 +431,27 @@ type SessionSink struct {
 // (sessionWindow when iterations <= 0). owner is the lock every call
 // into the sink is made under; readers take it to fold the sink's tally
 // and to read its window, so the caller must not hold it here or in
-// Close. The sink is listed in t's reads from here until Close, so it is
-// listed before its first decision is stamped: a reader that loads the
-// Seq counter and then lists the windows finds every decision at or
-// below what it loaded.
-func WithSession(t *Telemetry, session string, iterations int, owner sync.Locker) *SessionSink {
+// Close. latency, when non-nil, is the histogram ObserveLatency's
+// samples fold into; a tally has room for at most maxTallyBuckets-1
+// bounds, so WithSession panics on a histogram with more. The
+// sink is listed in t's reads from here until Close, so it is listed
+// before its first decision is stamped: a reader that loads the Seq
+// counter and then lists the windows finds every decision at or below
+// what it loaded.
+func WithSession(t *Telemetry, session string, iterations int, owner sync.Locker, latency *Histogram) *SessionSink {
+	if latency != nil && len(latency.bounds) >= maxTallyBuckets {
+		panic("telemetry: latency histogram has more buckets than a session tally holds")
+	}
 	if iterations <= 0 || iterations > sessionWindow {
 		iterations = sessionWindow
 	}
-	s := &SessionSink{t: t, owner: owner, session: session, stripe: StripeOf(session)}
-	s.window.size, s.window.seq = iterations, &t.seq
+	return t.newSink(session, iterations, owner, latency)
+}
+
+// newSink builds a sink keeping the last size decisions and lists it.
+func (t *Telemetry) newSink(session string, size int, owner sync.Locker, latency *Histogram) *SessionSink {
+	s := &SessionSink{t: t, owner: owner, session: session, latency: latency}
+	s.window.size, s.window.seq = size, &t.seq
 	t.winMu.Lock()
 	t.sinks[s] = struct{}{}
 	t.winMu.Unlock()
@@ -452,33 +466,30 @@ func (s *SessionSink) WindowLocked() []Decision { return s.window.snapshot() }
 // false when it holds none. Callers hold the owner lock.
 func (s *SessionSink) LastLocked() (d Decision, ok bool) { return s.window.last() }
 
-// Close unlists the sink, folds its tally and releases its window's
-// ring. Later events are folded as they are recorded and their decisions
-// are not kept. The daemon closes a session's sink when the session
-// leaves its registry.
+// Close folds the sink's tally, releases its window's ring, and only
+// then unlists it, so no read can miss the tally: it is in the cells
+// before the sink leaves the list. Later events are folded as they are
+// recorded and their decisions are not kept. The daemon closes a
+// session's sink when the session leaves its registry.
 func (s *SessionSink) Close() {
-	s.t.winMu.Lock()
-	delete(s.t.sinks, s)
-	s.t.winMu.Unlock()
 	s.owner.Lock()
 	s.fold()
 	s.window.buf, s.window.closed = nil, true
 	s.owner.Unlock()
+	s.t.winMu.Lock()
+	delete(s.t.sinks, s)
+	s.t.winMu.Unlock()
 }
 
-// fold moves the tally into the registry's cells on the sink's stripe
-// and zeroes it. Callers hold the owner lock.
+// fold moves the tally into the registry's cells and zeroes it. Callers
+// hold the owner lock.
 func (s *SessionSink) fold() {
 	c := &s.tally
 	if *c == (tally{}) {
 		return
 	}
-	t, st := s.t, s.stripe
-	add := func(m *Counter, n uint64) {
-		if n > 0 {
-			m.AddOn(st, float64(n))
-		}
-	}
+	t := s.t
+	add := func(m *Counter, n uint64) { m.Add(float64(n)) }
 	add(t.decisions, c.decisions)
 	add(t.explorations, c.explorations)
 	add(t.actMisses, c.actMisses)
@@ -499,8 +510,11 @@ func (s *SessionSink) fold() {
 	add(t.jobsStarted, c.jobsStarted)
 	add(t.jobsDone, c.jobsDone)
 	add(t.jobsFailed, c.jobsFailed)
-	t.guardPower.merge(st, c.guardPower.buckets[:], c.guardPower.sum)
-	t.iterSeconds.merge(st, c.iterSeconds.buckets[:], c.iterSeconds.sum)
+	t.guardPower.merge(c.guardPower.buckets[:], c.guardPower.sum)
+	t.iterSeconds.merge(c.iterSeconds.buckets[:], c.iterSeconds.sum)
+	if s.latency != nil {
+		s.latency.merge(c.latency.buckets[:], c.latency.sum)
+	}
 	*c = tally{}
 }
 
@@ -514,6 +528,9 @@ func (s *SessionSink) foldIfClosed() {
 
 // RecordDecision implements Sink, stamping the session id.
 func (s *SessionSink) RecordDecision(d Decision) {
+	if s.session != "" {
+		d.Session = s.session
+	}
 	c := &s.tally
 	c.decisions++
 	if d.Explored {
@@ -525,7 +542,6 @@ func (s *SessionSink) RecordDecision(d Decision) {
 	if d.Estimated {
 		c.estimated++
 	}
-	d.Session = s.session
 	s.window.record(d)
 	s.foldIfClosed()
 }
@@ -598,19 +614,21 @@ func (s *SessionSink) JobDone(failed bool) {
 	s.foldIfClosed()
 }
 
+// ObserveLatency tallies one decision-latency sample (seconds) for the
+// histogram WithSession was given; a sink given none drops it.
+func (s *SessionSink) ObserveLatency(seconds float64) {
+	if s.latency == nil {
+		return
+	}
+	s.tally.latency.observe(s.latency.bounds, seconds)
+	s.foldIfClosed()
+}
+
 // RecordDecision implements Sink.
 func (t *Telemetry) RecordDecision(d Decision) {
-	t.Flight.Record(d)
-	t.decisions.Inc()
-	if d.Explored {
-		t.explorations.Inc()
-	}
-	if d.ActuationMiss {
-		t.actMisses.Inc()
-	}
-	if d.Estimated {
-		t.estimated.Inc()
-	}
+	t.mu.Lock()
+	t.proc.RecordDecision(d)
+	t.mu.Unlock()
 	t.degraded.SetBool(d.Degraded)
 	t.infeasible.SetBool(d.Infeasible)
 	t.epsilon.Set(d.Epsilon)
@@ -623,7 +641,9 @@ func (t *Telemetry) RecordDecision(d Decision) {
 
 // ControlStep implements Sink.
 func (t *Telemetry) ControlStep(target, measured, errTerm, pole, speedup float64) {
-	t.ctrlSteps.Inc()
+	t.mu.Lock()
+	t.proc.ControlStep(target, measured, errTerm, pole, speedup)
+	t.mu.Unlock()
 	t.pole.Set(pole)
 	t.piError.Set(errTerm)
 	t.target.Set(target)
@@ -631,52 +651,50 @@ func (t *Telemetry) ControlStep(target, measured, errTerm, pole, speedup float64
 
 // EstimatorUpdate implements Sink.
 func (t *Telemetry) EstimatorUpdate(arm int, rate, power, gain float64) {
-	t.estUpdates.Inc()
+	t.mu.Lock()
+	t.proc.EstimatorUpdate(arm, rate, power, gain)
+	t.mu.Unlock()
 	t.estGain.Set(gain)
 }
 
 // GuardVerdict implements Sink.
 func (t *Telemetry) GuardVerdict(accepted bool, reason uint8, power float64) {
-	if accepted {
-		t.guardAccepted.Inc()
-	} else {
-		t.guardRejected.Inc()
-	}
-	if int(reason) < numGuardReasons {
-		t.guardReasons[reason].Inc()
-	}
-	t.guardPower.Observe(power)
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.proc.GuardVerdict(accepted, reason, power)
 }
 
 // FaultInjected implements Sink.
 func (t *Telemetry) FaultInjected(channel uint8) {
-	if channel < numFaultChannels {
-		t.faults[channel].Inc()
-	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.proc.FaultInjected(channel)
 }
 
 // WatchdogTrip implements Sink.
-func (t *Telemetry) WatchdogTrip() { t.watchdogTrips.Inc() }
+func (t *Telemetry) WatchdogTrip() {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.proc.WatchdogTrip()
+}
 
 // IterationDone implements Sink.
 func (t *Telemetry) IterationDone(seconds float64, estimated bool) {
-	t.iterations.Inc()
-	if estimated {
-		t.iterEstimated.Inc()
-	}
-	t.iterSeconds.Observe(seconds)
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.proc.IterationDone(seconds, estimated)
 }
 
 // JobStart implements Sink.
 func (t *Telemetry) JobStart(queued int) {
-	t.jobsStarted.Inc()
-	t.queueDepth.Set(float64(queued))
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.proc.JobStart(queued)
 }
 
 // JobDone implements Sink.
 func (t *Telemetry) JobDone(failed bool) {
-	t.jobsDone.Inc()
-	if failed {
-		t.jobsFailed.Inc()
-	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.proc.JobDone(failed)
 }

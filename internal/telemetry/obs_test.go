@@ -51,7 +51,7 @@ func TestHealthzRoleFence(t *testing.T) {
 func TestDecisionsSinceCursor(t *testing.T) {
 	tel := New(16)
 	for i := 0; i < 10; i++ {
-		tel.Flight.Record(Decision{Iter: i})
+		tel.RecordDecision(Decision{Iter: i})
 	}
 	srv := httptest.NewServer(tel.Handler())
 	defer srv.Close()
@@ -90,7 +90,7 @@ func TestDecisionsSinceCursor(t *testing.T) {
 func TestDecisionsGzip(t *testing.T) {
 	tel := New(16)
 	for i := 0; i < 5; i++ {
-		tel.Flight.Record(Decision{Iter: i})
+		tel.RecordDecision(Decision{Iter: i})
 	}
 	srv := httptest.NewServer(tel.Handler())
 	defer srv.Close()
@@ -242,13 +242,12 @@ func TestRegistryScrapeWhileUpdateRace(t *testing.T) {
 	}
 }
 
-// TestFlightAndSpanChurnRace churns the flight recorder and the span
+// TestFlightAndSpanChurnRace churns the process ring and the span
 // buffer from concurrent writers while readers snapshot, tail with a
 // cursor, and export JSONL — the scrape-under-load pattern the
 // observability endpoints serve. Run under -race.
 func TestFlightAndSpanChurnRace(t *testing.T) {
 	tel := New(64)
-	f := tel.Flight
 	sp := NewSpanBuffer(64)
 	sp.SetNode("churn")
 	var wg sync.WaitGroup
@@ -263,7 +262,7 @@ func TestFlightAndSpanChurnRace(t *testing.T) {
 					return
 				default:
 				}
-				f.Record(Decision{Iter: i, Session: "s", EnergyUsedJ: float64(i)})
+				tel.RecordDecision(Decision{Iter: i, Session: "s", EnergyUsedJ: float64(i)})
 				sp.Record(Span{Trace: uint64(w*1000 + i%10 + 1), ID: sp.NextID(), Name: SpanDecision})
 			}
 		}(w)

@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"fmt"
-	"hash/fnv"
 	"io"
 	"math"
 	"sort"
@@ -16,11 +15,11 @@ import (
 // runtime needs — counters, gauges and fixed-bucket histograms, with
 // optional constant labels — and renders the text exposition format
 // (version 0.0.4) that any Prometheus-compatible scraper ingests.
-// Metric updates are lock-free atomics on striped cells. A daemon
-// session's sink does not write the cells per event: it tallies under
-// its session's lock, and a scrape folds the tallies into the cells
-// before it reads them (the collect hook), so a scrape contends with a
-// session for that session's lock only, one session at a time.
+// Every metric is one cell (a histogram one row of cells), updated with
+// lock-free atomics. The runtime's own events do not write the cells as
+// they happen: each sink tallies under its owner's lock, and a read
+// folds the tallies into the cells first (the collect hook), so a
+// scrape contends with one owner at a time and totals are exact.
 
 // Label is one constant name="value" pair attached to a metric at
 // registration time.
@@ -28,31 +27,16 @@ type Label struct {
 	Name, Value string
 }
 
-// numStripes is how many cells a Counter or a Histogram spreads its
-// writes over. Every session of the governor daemon writes the same
-// couple of dozen process-wide counters on every iteration; with one
-// cell each, two sessions on two cores spend more time handing those
-// cache lines back and forth than deciding. A writer bound to a stripe
-// (WithSession) touches only that stripe's line, and readers sum the
-// stripes, so totals are what one cell would hold. It is a constant, not
-// a knob: more stripes than cores that run sessions buy nothing, fewer
-// collide, and 8 lines per counter is small next to one session's state.
-const numStripes = 8
-
-// cacheLine is the padding unit that keeps two stripes off one line.
+// cacheLine is the padding unit that keeps two cells off one line:
+// a busy tenant's spend counter and burn gauge are written on every
+// settle, from whichever core its session runs on, and would otherwise
+// share a line with another tenant's.
 const cacheLine = 64
 
-// Stripe selects one of a striped metric's cells. Any value is valid;
-// only its low bits count.
-type Stripe uint8
-
-// StripeOf maps a session id to its stripe (FNV-1a over the id), so the
-// session's sink and anything else that reports on its behalf agree
-// without passing the stripe around.
-func StripeOf(session string) Stripe {
-	h := fnv.New32a()
-	_, _ = h.Write([]byte(session)) // a hash.Hash never fails a Write
-	return Stripe(h.Sum32() % numStripes)
+// cell is one float64 stored as atomic bits on a cache line of its own.
+type cell struct {
+	bits atomic.Uint64
+	_    [cacheLine - 8]byte
 }
 
 // addFloat adds delta to the float64 stored in cell as atomic bits.
@@ -66,44 +50,26 @@ func addFloat(cell *atomic.Uint64, delta float64) {
 	}
 }
 
-// Counter is a monotonically increasing value, striped: each stripe is a
-// float64 stored as atomic bits on a cache line of its own, so Add is
-// lock-free and writers on different stripes do not contend.
-type Counter struct {
-	stripes [numStripes]struct {
-		bits atomic.Uint64
-		_    [cacheLine - 8]byte
-	}
-}
+// Counter is a monotonically increasing value: one lock-free cell.
+type Counter struct{ c cell }
 
 // Inc adds one.
-func (c *Counter) Inc() { c.AddOn(0, 1) }
+func (c *Counter) Inc() { c.Add(1) }
 
 // Add adds delta; negative or non-finite deltas are ignored (a counter
 // only goes up).
-func (c *Counter) Add(delta float64) { c.AddOn(0, delta) }
-
-// AddOn is Add on the given stripe.
-func (c *Counter) AddOn(s Stripe, delta float64) {
+func (c *Counter) Add(delta float64) {
 	if !(delta > 0) || math.IsInf(delta, 0) {
 		return
 	}
-	addFloat(&c.stripes[s%numStripes].bits, delta)
+	addFloat(&c.c.bits, delta)
 }
 
-// Value returns the current count: the sum of the stripes.
-func (c *Counter) Value() float64 {
-	var v float64
-	for i := range c.stripes {
-		v += math.Float64frombits(c.stripes[i].bits.Load())
-	}
-	return v
-}
+// Value returns the current count.
+func (c *Counter) Value() float64 { return math.Float64frombits(c.c.bits.Load()) }
 
 // Gauge is a value that can go up and down.
-type Gauge struct {
-	bits atomic.Uint64
-}
+type Gauge struct{ c cell }
 
 // Set replaces the gauge value; non-finite values are ignored so a NaN
 // from a degenerate iteration cannot corrupt the exposition.
@@ -111,7 +77,7 @@ func (g *Gauge) Set(v float64) {
 	if math.IsNaN(v) || math.IsInf(v, 0) {
 		return
 	}
-	g.bits.Store(math.Float64bits(v))
+	g.c.bits.Store(math.Float64bits(v))
 }
 
 // SetBool sets the gauge to 1 or 0.
@@ -124,75 +90,56 @@ func (g *Gauge) SetBool(b bool) {
 }
 
 // Value returns the current value (NaN while unset).
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
+func (g *Gauge) Value() float64 { return math.Float64frombits(g.c.bits.Load()) }
 
 // unset returns the gauge to the state of one never set: the exposition
 // carries its family's HELP and TYPE lines but no sample, so a reading
 // nothing wrote is not taken for a zero. Set never stores a NaN, so the
 // marker cannot collide with a value.
-func (g *Gauge) unset() { g.bits.Store(math.Float64bits(math.NaN())) }
+func (g *Gauge) unset() { g.c.bits.Store(math.Float64bits(math.NaN())) }
 
 // Histogram counts observations into fixed cumulative buckets. Bounds
 // are the inclusive upper edges in ascending order; the +Inf bucket is
-// implicit. Observations are lock-free and striped like a Counter's: a
-// stripe is a run of whole cache lines in cells holding the stripe's sum
-// (float64 bits) followed by its len(bounds)+1 bucket counts. The
-// observation count is not stored; it is the buckets' total.
+// implicit. Observations are lock-free: cells holds the sum (float64
+// bits) followed by the len(bounds)+1 bucket counts. The observation
+// count is not stored; it is the buckets' total.
 type Histogram struct {
 	bounds []float64
-	stride int // cells per stripe
 	cells  []atomic.Uint64
 }
 
 func newHistogram(bounds []float64) *Histogram {
-	const perLine = cacheLine / 8
-	stride := (1 + len(bounds) + 1 + perLine - 1) / perLine * perLine
-	return &Histogram{bounds: bounds, stride: stride, cells: make([]atomic.Uint64, numStripes*stride)}
-}
-
-// stripe returns stripe s's cells: the sum, then the buckets.
-func (h *Histogram) stripe(s int) (sum *atomic.Uint64, buckets []atomic.Uint64) {
-	cells := h.cells[s*h.stride:]
-	return &cells[0], cells[1 : 2+len(h.bounds)]
+	return &Histogram{bounds: bounds, cells: make([]atomic.Uint64, 2+len(bounds))}
 }
 
 // Observe records one sample; non-finite samples are dropped.
-func (h *Histogram) Observe(v float64) { h.ObserveOn(0, v) }
-
-// ObserveOn is Observe on the given stripe.
-func (h *Histogram) ObserveOn(s Stripe, v float64) {
+func (h *Histogram) Observe(v float64) {
 	if math.IsNaN(v) || math.IsInf(v, 0) {
 		return
 	}
-	sum, buckets := h.stripe(int(s % numStripes))
-	buckets[sort.SearchFloat64s(h.bounds, v)].Add(1)
-	addFloat(sum, v)
+	h.cells[1+sort.SearchFloat64s(h.bounds, v)].Add(1)
+	addFloat(&h.cells[0], v)
 }
 
-// merge adds a batch of observations to stripe s: counts holds how many
-// fell in each bucket (+Inf last; entries past it are ignored) and sum
-// their total.
-func (h *Histogram) merge(s Stripe, counts []uint64, sum float64) {
-	cellSum, buckets := h.stripe(int(s % numStripes))
-	for i := range buckets {
+// merge adds a batch of observations: counts holds how many fell in
+// each bucket (+Inf last; entries past it are ignored) and sum their
+// total.
+func (h *Histogram) merge(counts []uint64, sum float64) {
+	for i := range h.cells[1:] {
 		if counts[i] > 0 {
-			buckets[i].Add(counts[i])
+			h.cells[1+i].Add(counts[i])
 		}
 	}
 	if sum != 0 {
-		addFloat(cellSum, sum)
+		addFloat(&h.cells[0], sum)
 	}
 }
 
-// bucketCounts returns the per-bucket (not cumulative) counts, +Inf last,
-// summed over the stripes.
+// bucketCounts returns the per-bucket (not cumulative) counts, +Inf last.
 func (h *Histogram) bucketCounts() []uint64 {
 	out := make([]uint64, len(h.bounds)+1)
-	for s := 0; s < numStripes; s++ {
-		_, buckets := h.stripe(s)
-		for i := range buckets {
-			out[i] += buckets[i].Load()
-		}
+	for i := range out {
+		out[i] = h.cells[1+i].Load()
 	}
 	return out
 }
@@ -207,14 +154,7 @@ func (h *Histogram) Count() uint64 {
 }
 
 // Sum returns the sum of all observations.
-func (h *Histogram) Sum() float64 {
-	var v float64
-	for s := 0; s < numStripes; s++ {
-		sum, _ := h.stripe(s)
-		v += math.Float64frombits(sum.Load())
-	}
-	return v
-}
+func (h *Histogram) Sum() float64 { return math.Float64frombits(h.cells[0].Load()) }
 
 // ExpBuckets returns n exponential bucket bounds starting at start and
 // growing by factor — the fixed schema used for duration and power

@@ -27,8 +27,9 @@ package telemetry
 // matches the run's Record exactly. NextApp and NextSys are the
 // configurations chosen for the following iteration.
 type Decision struct {
-	// Seq is the running sequence number Record stamps — one counter per
-	// Telemetry, shared by its process ring and every session window —
+	// Seq is the running sequence number a sink's window stamps — one
+	// counter per Telemetry, shared by its process ring and every session
+	// window —
 	// and the ?since= cursor that lets a long chaos run be tailed
 	// incrementally from /decisions. 1-based; 0 means "not yet recorded".
 	Seq uint64 `json:"seq,omitempty"`

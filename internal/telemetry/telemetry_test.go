@@ -180,13 +180,13 @@ func TestCounterGaugeHistogram(t *testing.T) {
 }
 
 func TestFlightRecorderWindow(t *testing.T) {
-	f := New(4).Flight
+	tel := New(4)
 	for i := 0; i < 10; i++ {
-		f.Record(Decision{Iter: i})
+		tel.RecordDecision(Decision{Iter: i})
 	}
-	snap := f.Snapshot()
-	if f.total != 10 || len(snap) != 4 {
-		t.Fatalf("total=%d len=%d, want 10/4", f.total, len(snap))
+	snap := tel.Decisions("", 0, 0)
+	if total := tel.proc.window.total; total != 10 || len(snap) != 4 {
+		t.Fatalf("total=%d len=%d, want 10/4", total, len(snap))
 	}
 	for i, d := range snap {
 		if want := 6 + i; d.Iter != want {
@@ -211,10 +211,10 @@ func TestFlightRecorderWindow(t *testing.T) {
 }
 
 func TestJSONLSanitisesNonFinite(t *testing.T) {
-	f := New(2).Flight
-	f.Record(Decision{Iter: 1, PIError: math.NaN(), TargetRate: math.Inf(1)})
+	tel := New(2)
+	tel.RecordDecision(Decision{Iter: 1, PIError: math.NaN(), TargetRate: math.Inf(1)})
 	var buf bytes.Buffer
-	if err := writeJSONL(&buf, f.Snapshot()); err != nil {
+	if err := writeJSONL(&buf, tel.Decisions("", 0, 0)); err != nil {
 		t.Fatalf("non-finite fields must not break JSONL export: %v", err)
 	}
 	var d Decision

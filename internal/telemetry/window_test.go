@@ -18,11 +18,11 @@ import (
 func TestSessionWindowLifecycle(t *testing.T) {
 	tel := New(0)
 	var ownA, ownB sync.Mutex
-	a, b := WithSession(tel, "s-a", 10, &ownA), WithSession(tel, "s-b", 1<<20, &ownB)
+	a, b := WithSession(tel, "s-a", 10, &ownA, nil), WithSession(tel, "s-b", 1<<20, &ownB, nil)
 	if got := b.window.size; got != sessionWindow {
 		t.Fatalf("window of a long session holds %d, want %d", got, sessionWindow)
 	}
-	if len(tel.listed("")) != 2 || a.window.buf != nil {
+	if len(tel.listed("")) != 3 || a.window.buf != nil {
 		t.Fatal("a new session's window is unlisted, or allocated before its first decision")
 	}
 	for i := 0; i < 25; i++ {
@@ -35,7 +35,7 @@ func TestSessionWindowLifecycle(t *testing.T) {
 		b.RecordDecision(Decision{Iter: i})
 		ownB.Unlock()
 	}
-	if tel.Flight.buf != nil {
+	if tel.proc.window.buf != nil {
 		t.Error("session decisions allocated the process ring")
 	}
 	var expo bytes.Buffer
@@ -59,7 +59,7 @@ func TestSessionWindowLifecycle(t *testing.T) {
 	}
 
 	tel.RecordDecision(Decision{Iter: 99, Epsilon: 0.25})
-	if ring := tel.Flight.Snapshot(); tel.epsilon.Value() != 0.25 || len(ring) != 1 {
+	if ring := tel.proc.window.snapshot(); tel.epsilon.Value() != 0.25 || len(ring) != 1 {
 		t.Errorf("unbound decision: epsilon gauge %v, process ring %d", tel.epsilon.Value(), len(ring))
 	}
 	all := tel.Decisions("", 0, 0)
@@ -89,7 +89,7 @@ func TestSessionWindowLifecycle(t *testing.T) {
 	if n := len(tel.Decisions("s-a", 0, 0)); n != 0 || kept != 0 {
 		t.Errorf("closed window still serves %d decisions", n)
 	}
-	if len(tel.listed("")) != 1 {
+	if len(tel.listed("")) != 2 {
 		t.Error("a closed window is still listed")
 	}
 	if dec, _, _, _, _ := tel.CounterSummary(); dec != 25+25+1+1 {
@@ -106,7 +106,7 @@ func TestDecisionsReadIsBounded(t *testing.T) {
 	sessions := DefaultFlightCapacity/sessionWindow + 3
 	owners := make([]sync.Mutex, sessions)
 	for i := 0; i < sessions; i++ {
-		s := WithSession(tel, "s-"+strings.Repeat("x", i+1), 0, &owners[i])
+		s := WithSession(tel, "s-"+strings.Repeat("x", i+1), 0, &owners[i], nil)
 		owners[i].Lock()
 		for k := 0; k < sessionWindow; k++ {
 			s.RecordDecision(Decision{Iter: k})
