@@ -14,8 +14,11 @@ all: build vet test
 build:
 	$(GO) build ./...
 
+# vet covers the benchmark harness too: bench/ is a module of its own
+# that compiles against this tree, so a change that breaks it fails here.
 vet:
 	$(GO) vet ./...
+	$(GO) vet -C bench ./...
 
 # Lint: gofmt must leave no file unformatted, and vet must be clean.
 lint:

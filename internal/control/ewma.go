@@ -6,7 +6,6 @@
 package control
 
 import (
-	"errors"
 	"fmt"
 	"math"
 )
@@ -81,6 +80,3 @@ func (e *EWMA) Primed() bool { return e.primed }
 
 // Alpha returns the filter gain.
 func (e *EWMA) Alpha() float64 { return e.alpha }
-
-// ErrNotPrimed is returned by estimator helpers that need a primed filter.
-var ErrNotPrimed = errors.New("control: estimator not primed")

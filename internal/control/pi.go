@@ -3,8 +3,6 @@ package control
 import (
 	"fmt"
 	"math"
-
-	"jouleguard/internal/telemetry"
 )
 
 // SpeedupController is JouleGuard's proportional-integral controller
@@ -26,8 +24,7 @@ type SpeedupController struct {
 	adaptive bool    // whether AdaptPole updates are applied
 	lastErr  float64 // most recent error, for observability
 	lastDelt float64 // most recent multiplicative model error delta(t)
-
-	sink telemetry.Sink // per-step telemetry; Nop when not instrumented
+	steps    int     // Steps taken that moved the integrator; not checkpointed
 }
 
 // ControllerOption configures a SpeedupController.
@@ -53,20 +50,10 @@ func WithInitialSpeedup(s float64) ControllerOption {
 	return func(c *SpeedupController) { c.speedup = s }
 }
 
-// WithSink streams every control step into a telemetry sink.
-func WithSink(s telemetry.Sink) ControllerOption {
-	return func(c *SpeedupController) { c.sink = telemetry.OrNop(s) }
-}
-
-// SetSink swaps the telemetry sink after construction (nil = no-op sink).
-// The governor daemon replays snapshot logs through a silent sink and
-// installs the live one once the restored state is current.
-func (c *SpeedupController) SetSink(s telemetry.Sink) { c.sink = telemetry.OrNop(s) }
-
 // NewSpeedupController returns a controller with state s(0)=1, pole 0 (the
 // deadbeat, most aggressive setting) and adaptation enabled.
 func NewSpeedupController(opts ...ControllerOption) *SpeedupController {
-	c := &SpeedupController{speedup: 1, minS: 1, maxS: math.Inf(1), adaptive: true, sink: telemetry.Nop{}}
+	c := &SpeedupController{speedup: 1, minS: 1, maxS: math.Inf(1), adaptive: true}
 	for _, o := range opts {
 		o(c)
 	}
@@ -121,6 +108,7 @@ func (c *SpeedupController) Step(target, measured, rbestsys float64) float64 {
 	}
 	err := target - measured
 	c.lastErr = err
+	c.steps++
 	c.speedup += (1 - c.pole) * err / rbestsys
 	if c.speedup < c.minS {
 		c.speedup = c.minS
@@ -128,9 +116,13 @@ func (c *SpeedupController) Step(target, measured, rbestsys float64) float64 {
 	if c.speedup > c.maxS {
 		c.speedup = c.maxS
 	}
-	c.sink.ControlStep(target, measured, err, c.pole, c.speedup)
 	return c.speedup
 }
+
+// Steps returns how many Steps moved the integrator: a Step that holds
+// for want of a usable rbestsys does not count. A caller compares two
+// readings to learn whether a step happened in between.
+func (c *SpeedupController) Steps() int { return c.steps }
 
 // Speedup returns the current control signal without advancing the loop.
 func (c *SpeedupController) Speedup() float64 { return c.speedup }

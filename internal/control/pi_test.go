@@ -170,6 +170,13 @@ func TestStepHoldsOnDegenerateGain(t *testing.T) {
 	if got := c.Step(10, 5, math.NaN()); got != 2 {
 		t.Fatalf("Step with NaN gain moved the state: %v", got)
 	}
+	if n := c.Steps(); n != 0 {
+		t.Fatalf("Steps() = %d after two held steps, want 0", n)
+	}
+	c.Step(10, 5, 1)
+	if n := c.Steps(); n != 1 {
+		t.Fatalf("Steps() = %d after one step, want 1", n)
+	}
 }
 
 func TestSetPoleValidates(t *testing.T) {

@@ -61,8 +61,6 @@ func NewHardware(workload, budget float64, frontier []hwapprox.FrontierPoint, nS
 	if err != nil {
 		return nil, err
 	}
-	sink := telemetry.OrNop(opts.Telemetry)
-	bandit.SetSink(sink)
 	pts := append([]hwapprox.FrontierPoint(nil), frontier...)
 	sort.Slice(pts, func(i, j int) bool { return pts[i].PowerScale > pts[j].PowerScale })
 	h := &HardwareRuntime{
@@ -76,10 +74,9 @@ func NewHardware(workload, budget float64, frontier []hwapprox.FrontierPoint, nS
 		ctrl: control.NewSpeedupController(
 			control.WithSpeedupBounds(pts[len(pts)-1].PowerScale, 1),
 			control.WithInitialSpeedup(1),
-			control.WithSink(sink),
 		),
 		lastScale: 1,
-		sink:      sink,
+		sink:      telemetry.OrNop(opts.Telemetry),
 		traced:    opts.Telemetry != nil,
 	}
 	h.nextSys = bandit.BestArm()
@@ -104,7 +101,7 @@ func (h *HardwareRuntime) scaleOf(level int) float64 {
 func (h *HardwareRuntime) Observe(fb sim.Feedback) {
 	h.lastMiss = fb.SysConfig != h.nextSys || fb.AppConfig != h.nextLevel
 	if h.traced {
-		defer h.record(fb)
+		defer h.record(fb, h.ctrl.Steps(), h.bandit.TotalPulls())
 	}
 	if !fb.Sane() || fb.Estimated {
 		return // corrupt or model-estimated sample: never learn from it
@@ -178,11 +175,12 @@ func (h *HardwareRuntime) Observe(fb sim.Feedback) {
 }
 
 // record assembles the flight-recorder Decision for one hardware-mode
-// Observe; deferred so NextApp/NextSys reflect the decision produced.
+// Observe; deferred so NextApp/NextSys reflect the decision produced,
+// with the controller's step and the bandit's pull counts at entry.
 // SpeedupCmd carries the commanded power scale and TargetRate the power
 // target — the hardware loop's analogues of speedup and rate.
-func (h *HardwareRuntime) record(fb sim.Feedback) {
-	h.sink.RecordDecision(telemetry.Decision{
+func (h *HardwareRuntime) record(fb sim.Feedback, steps, pulls int) {
+	d := telemetry.Decision{
 		Iter:      fb.Iter,
 		AppConfig: fb.AppConfig,
 		SysConfig: fb.SysConfig,
@@ -209,7 +207,14 @@ func (h *HardwareRuntime) record(fb sim.Feedback) {
 		Estimated:     fb.Estimated,
 		ActuationMiss: h.lastMiss,
 		Infeasible:    h.infeasible,
-	})
+
+		Stepped: h.ctrl.Steps() != steps,
+		Updated: h.bandit.TotalPulls() != pulls,
+	}
+	if d.Updated {
+		d.UpdatedGain = h.bandit.Gain(fb.SysConfig)
+	}
+	h.sink.RecordDecision(d)
 }
 
 // Infeasible reports whether the goal exceeds the hardware's power range.

@@ -146,8 +146,6 @@ func New(workload, budget float64, frontier *knob.Frontier, nSys int, priors lea
 	if err != nil {
 		return nil, err
 	}
-	sink := telemetry.OrNop(opts.Telemetry)
-	bandit.SetSink(sink)
 	var sel learning.Selector
 	switch opts.Selector {
 	case "", SelectVDBE:
@@ -168,7 +166,6 @@ func New(workload, budget float64, frontier *knob.Frontier, nSys int, priors lea
 	ctrlOpts := []control.ControllerOption{
 		control.WithSpeedupBounds(frontier.MinSpeedup(), frontier.MaxSpeedup()),
 		control.WithInitialSpeedup(frontier.MinSpeedup()),
-		control.WithSink(sink),
 	}
 	if opts.FixedPoleSet {
 		ctrlOpts = append(ctrlOpts, control.WithFixedPole(opts.FixedPole))
@@ -192,7 +189,7 @@ func New(workload, budget float64, frontier *knob.Frontier, nSys int, priors lea
 		defSys:       defaultSys,
 		slack:        slack,
 		degradeAfter: degradeAfter,
-		sink:         sink,
+		sink:         telemetry.OrNop(opts.Telemetry),
 		traced:       opts.Telemetry != nil,
 	}
 	// Before any feedback: most accurate application configuration, and the
@@ -218,10 +215,12 @@ func (r *Runtime) Observe(fb sim.Feedback) {
 	r.iters++
 	// The trace is recorded on the way out so it captures the *next*
 	// decision alongside the feedback that produced it — including every
-	// early-return path (corrupt, estimated, degraded, budget-spent).
+	// early-return path (corrupt, estimated, degraded, budget-spent). The
+	// step, pull and trip counts are read here, at entry, so the record
+	// can tell what this Observe did.
 	r.lastMiss = fb.SysConfig != r.nextSys || fb.AppConfig != r.nextApp.Config
 	if r.traced {
-		defer r.record(fb)
+		defer r.record(fb, r.ctrl.Steps(), r.bandit.TotalPulls(), r.degradeEvents)
 	}
 	if !fb.Sane() {
 		r.noteRejected()
@@ -425,9 +424,10 @@ func (r *Runtime) Observe(fb sim.Feedback) {
 // record assembles the flight-recorder Decision for one completed
 // Observe. Deferred from Observe's entry when tracing is on, it runs
 // after the body has chosen the next configurations, so NextApp/NextSys
-// are the decision this feedback produced.
-func (r *Runtime) record(fb sim.Feedback) {
-	r.sink.RecordDecision(telemetry.Decision{
+// are the decision this feedback produced; steps, pulls and trips are
+// the controller, bandit and watchdog counts at entry.
+func (r *Runtime) record(fb sim.Feedback, steps, pulls, trips int) {
+	d := telemetry.Decision{
 		Iter:      fb.Iter,
 		AppConfig: fb.AppConfig,
 		SysConfig: fb.SysConfig,
@@ -457,7 +457,15 @@ func (r *Runtime) record(fb sim.Feedback) {
 		ActuationMiss: r.lastMiss,
 		Degraded:      r.degraded,
 		Infeasible:    r.infeasible,
-	})
+
+		Stepped: r.ctrl.Steps() != steps,
+		Updated: r.bandit.TotalPulls() != pulls,
+		Tripped: r.degradeEvents != trips,
+	}
+	if d.Updated {
+		d.UpdatedGain = r.bandit.Gain(fb.SysConfig)
+	}
+	r.sink.RecordDecision(d)
 }
 
 // noteRejected advances the watchdog for an observation that carried no
@@ -478,7 +486,6 @@ func (r *Runtime) degrade() {
 	if !r.degraded {
 		r.degraded = true
 		r.degradeEvents++
-		r.sink.WatchdogTrip()
 	}
 	r.healStreak = 0
 	r.nextSys = r.conservativeArm()
@@ -499,15 +506,13 @@ func (r *Runtime) conservativeArm() int {
 	return r.bandit.BestArm()
 }
 
-// SetTelemetry swaps the runtime's telemetry sink after construction,
-// propagating it to the bandit estimators and the PI controller. Passing
-// nil silences instrumentation. The governor daemon uses this to replay
-// snapshot logs without re-counting metrics, then attach the live sink.
+// SetTelemetry swaps the runtime's telemetry sink after construction.
+// Passing nil silences instrumentation. The governor daemon uses this to
+// replay snapshot logs without re-counting metrics, then attach the live
+// sink.
 func (r *Runtime) SetTelemetry(s telemetry.Sink) {
 	r.sink = telemetry.OrNop(s)
 	r.traced = s != nil
-	r.bandit.SetSink(r.sink)
-	r.ctrl.SetSink(r.sink)
 }
 
 // NumArms returns the number of system configurations the SEO learns over.

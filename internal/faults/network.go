@@ -119,13 +119,6 @@ func (f *Fabric) Heal(a, b string) {
 	f.mu.Unlock()
 }
 
-// HealAll removes every partition.
-func (f *Fabric) HealAll() {
-	f.mu.Lock()
-	f.parts = map[string]bool{}
-	f.mu.Unlock()
-}
-
 // Stats reports how many requests the fabric perturbed, by kind.
 func (f *Fabric) Stats() (drops, dups, delays, blocked int) {
 	f.mu.Lock()

@@ -21,7 +21,6 @@ import (
 	"sort"
 
 	"jouleguard/internal/ckpt"
-	"jouleguard/internal/telemetry"
 )
 
 // Reason classifies a sample verdict.
@@ -119,8 +118,6 @@ type Sensor struct {
 
 	rejectStreak       int
 	accepted, rejected int
-
-	sink telemetry.Sink // per-verdict telemetry; Nop when not instrumented
 }
 
 // medianMAD is the Sensor's allocation-free variant: the guard runs once
@@ -136,11 +133,8 @@ func (s *Sensor) medianMAD(xs []float64) (med, mad float64) {
 // New builds a Sensor; zero-value Config fields take the defaults.
 func New(cfg Config) *Sensor {
 	cfg = cfg.withDefaults()
-	return &Sensor{cfg: cfg, model: cfg.ModelPower, sink: telemetry.Nop{}}
+	return &Sensor{cfg: cfg, model: cfg.ModelPower}
 }
-
-// SetSink streams every verdict into a telemetry sink.
-func (s *Sensor) SetSink(sink telemetry.Sink) { s.sink = telemetry.OrNop(sink) }
 
 // SetModelPower registers the current model-based power estimate used as
 // the fallback for rejected or missing samples.
@@ -303,7 +297,6 @@ func (s *Sensor) accept(power, dur float64) Verdict {
 	s.accepted++
 	s.rejectStreak = 0
 	s.integrate(power, dur)
-	s.sink.GuardVerdict(true, uint8(OK), power)
 	return Verdict{Power: power, Energy: s.energy, Accepted: true, Reason: OK}
 }
 
@@ -312,7 +305,6 @@ func (s *Sensor) reject(why Reason, dur float64) Verdict {
 	s.rejectStreak++
 	est := s.Estimate()
 	s.integrate(est, dur)
-	s.sink.GuardVerdict(false, uint8(why), est)
 	return Verdict{Power: est, Energy: s.energy, Accepted: false, Reason: why}
 }
 

@@ -45,9 +45,6 @@ func NewSpace(knobs ...Knob) (*Space, error) {
 // Size returns the number of configurations in the space.
 func (s *Space) Size() int { return s.size }
 
-// Knobs returns the knob definitions.
-func (s *Space) Knobs() []Knob { return append([]Knob(nil), s.knobs...) }
-
 // Settings decodes configuration id into one value per knob, in knob order.
 func (s *Space) Settings(id int) ([]float64, error) {
 	if id < 0 || id >= s.size {

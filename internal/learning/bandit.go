@@ -12,7 +12,6 @@ import (
 	"math/rand"
 
 	"jouleguard/internal/ckpt"
-	"jouleguard/internal/telemetry"
 )
 
 // Bandit tracks per-configuration estimates and selects configurations.
@@ -34,7 +33,6 @@ type Bandit struct {
 	pulled     argmaxTree // arms with pulls > 0
 	totalPulls int
 	rng        *rand.Rand
-	sink       telemetry.Sink
 }
 
 // NewBandit creates a bandit with one arm per configuration, using the
@@ -52,9 +50,6 @@ func NewBandit(n int, alpha float64, priors Priors, rng *rand.Rand) (*Bandit, er
 // NumArms returns the number of configurations.
 func (b *Bandit) NumArms() int { return len(b.eff) }
 
-// SetSink streams estimator updates into a telemetry sink.
-func (b *Bandit) SetSink(s telemetry.Sink) { b.sink = telemetry.OrNop(s) }
-
 // Gain returns the filter gain of an arm's estimator: the EWMA alpha or
 // the Kalman gain of its last update.
 func (b *Bandit) Gain(arm int) float64 { return b.est.gain(arm) }
@@ -71,7 +66,7 @@ func (b *Bandit) Observe(arm int, rate, power float64) (effError float64, err er
 	if power > 0 {
 		measured = rate / power
 	}
-	estRate, estPower, gain := b.est.observe(arm, rate, power)
+	estRate, estPower := b.est.observe(arm, rate, power)
 	b.pulls[arm]++
 	b.totalPulls++
 
@@ -80,8 +75,6 @@ func (b *Bandit) Observe(arm int, rate, power float64) (effError float64, err er
 	b.eff[arm] = efficiency(estRate, estPower)
 	b.all.update(b.eff, arm)
 	b.pulled.update(b.eff, arm)
-
-	b.sink.EstimatorUpdate(arm, estRate, estPower, gain)
 	return math.Abs(measured - prior), nil
 }
 

@@ -15,11 +15,12 @@ import (
 // path whichever filter runs.
 type bank interface {
 	// observe folds one (rate, power) measurement into arm's filters and
-	// returns the updated estimates and the filter gain applied — the
-	// EWMA alpha or the Kalman gain.
-	observe(arm int, rate, power float64) (estRate, estPower, gain float64)
+	// returns the updated estimates.
+	observe(arm int, rate, power float64) (estRate, estPower float64)
 	rate(arm int) float64
 	power(arm int) float64
+	// gain is the filter gain of arm's last update: the EWMA alpha or
+	// the Kalman gain.
 	gain(arm int) float64
 	// tag names the filter family in a checkpoint, so a blob written
 	// under one estimator is never decoded as the other's fields.
@@ -48,10 +49,10 @@ type ewmaBank struct {
 	powers []float64
 }
 
-func (b *ewmaBank) observe(arm int, rate, power float64) (float64, float64, float64) {
+func (b *ewmaBank) observe(arm int, rate, power float64) (float64, float64) {
 	b.rates[arm] = control.Blend(b.alpha, b.rates[arm], rate)
 	b.powers[arm] = control.Blend(b.alpha, b.powers[arm], power)
-	return b.rates[arm], b.powers[arm], b.alpha
+	return b.rates[arm], b.powers[arm]
 }
 func (b *ewmaBank) rate(arm int) float64  { return b.rates[arm] }
 func (b *ewmaBank) power(arm int) float64 { return b.powers[arm] }
@@ -82,9 +83,8 @@ type kalmanBank struct {
 	powers []control.Kalman1D
 }
 
-func (b *kalmanBank) observe(arm int, rate, power float64) (float64, float64, float64) {
-	r := &b.rates[arm]
-	return r.Observe(rate), b.powers[arm].Observe(power), r.Gain()
+func (b *kalmanBank) observe(arm int, rate, power float64) (float64, float64) {
+	return b.rates[arm].Observe(rate), b.powers[arm].Observe(power)
 }
 func (b *kalmanBank) rate(arm int) float64  { return b.rates[arm].Value() }
 func (b *kalmanBank) power(arm int) float64 { return b.powers[arm].Value() }

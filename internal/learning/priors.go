@@ -8,7 +8,6 @@ import (
 	"sync"
 
 	"jouleguard/internal/control"
-	"jouleguard/internal/telemetry"
 )
 
 // Priors supplies the initial (rate, power) estimate for every bandit arm.
@@ -197,5 +196,5 @@ func (t *PriorTable) newBandit(est bank, rng *rand.Rand) (*Bandit, error) {
 	}
 	n := len(t.rate)
 	return &Bandit{est: est, eff: slices.Clone(t.eff), pulls: make([]int, n),
-		all: slices.Clone(t.all), pulled: newArgmaxTree(n), rng: rng, sink: telemetry.Nop{}}, nil
+		all: slices.Clone(t.all), pulled: newArgmaxTree(n), rng: rng}, nil
 }

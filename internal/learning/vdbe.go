@@ -31,16 +31,6 @@ type VDBE struct {
 // VDBEOption configures the VDBE policy.
 type VDBEOption func(*VDBE)
 
-// WithSigma sets the inverse sensitivity of the Boltzmann value-difference
-// term. The paper divides the weighted value difference by 5.
-func WithSigma(sigma float64) VDBEOption {
-	return func(v *VDBE) {
-		if sigma > 0 {
-			v.sigma = sigma
-		}
-	}
-}
-
 // WithInitialEpsilon overrides eps(0) = 1.
 func WithInitialEpsilon(eps float64) VDBEOption {
 	return func(v *VDBE) { v.eps = clamp01(eps) }

@@ -37,24 +37,3 @@ func (m *RAPLMeter) Zones() int { return m.rd.Zones() }
 func (m *RAPLMeter) ReadJoules() (float64, error) {
 	return m.rd.ReadEnergyAt(time.Since(m.start).Seconds())
 }
-
-// OpenBackend resolves a -meter flag value to a constructed meter.
-// "rapl" tries the powercap interface first and falls back to the
-// simulator when it is unavailable (non-Linux, containers, unprivileged
-// hosts) — fellBack reports that so the daemon can log it and /healthz
-// can show the backend that actually runs. "sim" is the simulator
-// directly. Anything else is nil (client-supplied readings).
-func OpenBackend(name, raplRoot string, fixedW float64, sim SimConfig) (m Meter, fellBack bool, err error) {
-	switch name {
-	case "rapl":
-		r, rerr := NewRAPLMeter(raplRoot, fixedW)
-		if rerr != nil {
-			return NewSimMeter(sim), true, rerr
-		}
-		return r, false, nil
-	case "sim":
-		return NewSimMeter(sim), false, nil
-	default:
-		return nil, false, nil
-	}
-}

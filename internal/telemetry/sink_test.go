@@ -13,7 +13,9 @@ import (
 )
 
 // dyadicEvents is one iteration's worth of every Sink event, repeated,
-// with every float a small multiple of a power of two: sums of them are
+// each decision stepping the controller and updating an estimate and
+// every 11th tripping the watchdog, with every float a small multiple of
+// a power of two: sums of them are
 // exact in any order, so a total does not depend on which goroutine's
 // add or which sink's fold landed first, and expositions can be compared
 // byte for byte. When owner is non-nil each iteration's calls
@@ -26,19 +28,15 @@ func dyadicEvents(s Sink, owner sync.Locker, iters int) {
 		}
 		s.RecordDecision(Decision{
 			Iter: i, AppConfig: i % 3, SysConfig: i % 5, BestArm: 1, Explored: i%4 == 0, Epsilon: 0.25,
-			SpeedupCmd: 1.5, EnergyUsedJ: float64(i), BudgetRemainingJ: float64(100 - i), AllowedJPerIter: 0.5,
+			SpeedupCmd: 1.5, TargetRate: 12, PIError: 0.5, Pole: 0.125,
+			EnergyUsedJ: float64(i), BudgetRemainingJ: float64(100 - i), AllowedJPerIter: 0.5,
 			Sane: true, GuardAccepted: i%7 != 0, Estimated: i%7 == 0, ActuationMiss: i%9 == 0,
+			Stepped: true, Updated: true, UpdatedGain: 0.75, Tripped: i%11 == 0,
 		})
-		s.ControlStep(12, 11.5, 0.5, 0.125, 1.5)
-		s.EstimatorUpdate(i%5, 10, 20, 0.75)
-		s.GuardVerdict(i%7 != 0, uint8(i%7), 0.25*float64(1+i%640))
 		s.FaultInjected(uint8(i % 4))
-		s.IterationDone(float64(1+i%37)/(1<<20), i%7 == 0)
+		s.IterationDone(float64(1+i%37)/(1<<20), i%7 != 0, uint8(i%7), 0.25*float64(1+i%640))
 		s.JobStart(10 - i%10)
 		s.JobDone(i%13 == 0)
-		if i%11 == 0 {
-			s.WatchdogTrip()
-		}
 		if owner != nil {
 			owner.Unlock()
 		}
@@ -351,10 +349,10 @@ func goldenExposition(t *testing.T) []byte {
 // Two gauge values moved since: session sinks stopped setting the
 // decision gauges, so jouleguard_energy_used_joules and
 // jouleguard_budget_remaining_joules hold the unbound sink's last
-// decision (49, 51) rather than the second session's (20, 80). The
-// unbound gauges are stored from the event arguments, not derived from
-// the ring: pole, pi_error, target_rate and estimator_gain come from
-// ControlStep and EstimatorUpdate, which no decision here carries.
+// decision (49, 51) rather than the second session's (20, 80). The step,
+// update and trip counters and the pole, pi_error, target_rate and
+// estimator_gain gauges come from the decisions' flags and values, the
+// guard series from IterationDone's verdicts.
 func TestExpositionGolden(t *testing.T) {
 	want, err := os.ReadFile("testdata/exposition.golden")
 	if err != nil {

@@ -13,28 +13,25 @@ import (
 	"testing"
 )
 
-// exercise drives every Sink method so each registered metric carries
-// state.
+// exercise drives every Sink method, with decisions carrying every
+// flag, so each registered metric carries state.
 func exercise(s Sink, iters int) {
 	for i := 0; i < iters; i++ {
 		s.RecordDecision(Decision{
 			Iter: i, AppConfig: i % 3, SysConfig: i % 5, NextApp: i % 3, NextSys: i % 5,
 			SEURate: 10, SEUPower: 20, SEUEfficiency: 0.5, EstimatorGain: 0.85,
 			BestArm: 1, Explored: i%4 == 0, Epsilon: 0.3,
-			SpeedupCmd: 1.5, TargetRate: 12, PIError: -0.5, Pole: 0.1,
+			SpeedupCmd: 1.5, TargetRate: 12, PIError: 0.5, Pole: 0.1,
 			EnergyUsedJ: float64(i), BudgetRemainingJ: float64(100 - i), AllowedJPerIter: 0.9,
 			Sane: true, GuardAccepted: i%7 != 0, Estimated: i%7 == 0,
 			ActuationMiss: i%9 == 0, Degraded: false, Infeasible: false,
+			Stepped: true, Updated: true, UpdatedGain: 0.85, Tripped: i == iters-1,
 		})
-		s.ControlStep(12, 11.5, 0.5, 0.1, 1.5)
-		s.EstimatorUpdate(i%5, 10, 20, 0.85)
-		s.GuardVerdict(i%7 != 0, uint8(i%7), 20+float64(i%10))
 		s.FaultInjected(uint8(i % 3))
-		s.IterationDone(0.01*float64(1+i%5), i%7 == 0)
+		s.IterationDone(0.01*float64(1+i%5), i%7 != 0, uint8(i%7), 20+float64(i%10))
 		s.JobStart(10 - i%10)
 		s.JobDone(i%13 == 0)
 	}
-	s.WatchdogTrip()
 }
 
 var (
@@ -301,12 +298,8 @@ func TestNopSinkZeroAlloc(t *testing.T) {
 	d := Decision{Iter: 1, SEURate: 10, SEUPower: 20}
 	allocs := testing.AllocsPerRun(1000, func() {
 		s.RecordDecision(d)
-		s.ControlStep(1, 2, 3, 4, 5)
-		s.EstimatorUpdate(1, 2, 3, 4)
-		s.GuardVerdict(true, 0, 20)
 		s.FaultInjected(0)
-		s.WatchdogTrip()
-		s.IterationDone(0.01, false)
+		s.IterationDone(0.01, true, 0, 20)
 		s.JobStart(3)
 		s.JobDone(false)
 	})
@@ -323,11 +316,8 @@ func TestLiveSinkZeroAlloc(t *testing.T) {
 	d := Decision{Iter: 1, SEURate: 10, SEUPower: 20}
 	allocs := testing.AllocsPerRun(1000, func() {
 		s.RecordDecision(d)
-		s.ControlStep(1, 2, 3, 4, 5)
-		s.EstimatorUpdate(1, 2, 3, 4)
-		s.GuardVerdict(true, 0, 20)
 		s.FaultInjected(0)
-		s.IterationDone(0.01, false)
+		s.IterationDone(0.01, true, 0, 20)
 	})
 	if allocs != 0 {
 		t.Fatalf("live sink allocates %v per iteration, want 0", allocs)

@@ -27,9 +27,8 @@ func TestSessionWindowLifecycle(t *testing.T) {
 	}
 	for i := 0; i < 25; i++ {
 		ownA.Lock()
-		a.RecordDecision(Decision{Iter: i, Epsilon: 0.5, EnergyUsedJ: float64(i)})
-		a.ControlStep(1, 1, 1, 0.5, 1)
-		a.EstimatorUpdate(0, 1, 1, 0.5)
+		a.RecordDecision(Decision{Iter: i, Epsilon: 0.5, EnergyUsedJ: float64(i),
+			Pole: 0.5, Stepped: true, Updated: true, UpdatedGain: 0.5})
 		ownA.Unlock()
 		ownB.Lock()
 		b.RecordDecision(Decision{Iter: i})

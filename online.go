@@ -100,14 +100,11 @@ func NewOnlineGuarded(gov Governor, readEnergy func() (float64, error), now func
 		guard: guard.New(gcfg), tele: telemetry.Nop{}}, nil
 }
 
-// SetTelemetry streams per-iteration events — iteration durations and the
-// sensing guard's verdicts — into a telemetry sink. To also trace the
-// governor's decisions, pass the same sink through Options.Telemetry when
-// building the runtime.
-func (o *OnlineController) SetTelemetry(s TelemetrySink) {
-	o.tele = telemetry.OrNop(s)
-	o.guard.SetSink(o.tele)
-}
+// SetTelemetry streams one event per completed iteration — its duration
+// and the sensing guard's verdict on its measurement — into a telemetry
+// sink. To also trace the governor's decisions, pass the same sink
+// through Options.Telemetry when building the runtime.
+func (o *OnlineController) SetTelemetry(s TelemetrySink) { o.tele = telemetry.OrNop(s) }
 
 // Next returns the configurations for the upcoming iteration and starts its
 // timer. Calling Next again while an iteration is already in flight is a
@@ -228,7 +225,7 @@ func (o *OnlineController) Done(accuracy float64) error {
 	})
 	o.iter++
 	o.accSum += accuracy
-	o.tele.IterationDone(dur, !v.Accepted)
+	o.tele.IterationDone(dur, v.Accepted, uint8(v.Reason), v.Power)
 	return nil
 }
 
