@@ -138,8 +138,7 @@ meter-smoke:
 # honest tenants' worth of the pool under the best-effort tier. Asserts
 # the adversary drew enforcement denials (including at least one shed —
 # best-effort is sacrificed first, the guaranteed honest tenants never)
-# while every honest tenant landed within 105% of its grant with its
-# accuracy floor untouched.
+# while every honest tenant landed within 105% of its grant.
 qos-smoke:
 	$(GO) run -race ./cmd/loadgen -tenants 6 -adversaries 1 -tier guaranteed -iters 300 \
 		-qos-shed-at 0.5 -check 1.05 -expect-shed

@@ -90,3 +90,14 @@ func TestNewOracleMemoised(t *testing.T) {
 		t.Fatal("NewOracle rebuilt the oracle for an unchanged testbed")
 	}
 }
+
+// resetExperimentCaches drops the testbed and oracle caches (benchmarks
+// measuring cold-path construction cost).
+func resetExperimentCaches() {
+	testbedMu.Lock()
+	testbedCache = map[[2]string]*Testbed{}
+	testbedMu.Unlock()
+	oracleMu.Lock()
+	oracleCache = map[oracleKey]*Oracle{}
+	oracleMu.Unlock()
+}

@@ -54,16 +54,6 @@ var Table2 = []Spec{
 	{Name: "streamcluster", Configs: 7, MaxSpeedup: 5.52, MaxLoss: 0.0055, Metric: "quality of clustering", Framework: "LoopPerforation"},
 }
 
-// SpecFor returns the Table 2 row for a benchmark name.
-func SpecFor(name string) (Spec, error) {
-	for _, s := range Table2 {
-		if s.Name == name {
-			return s, nil
-		}
-	}
-	return Spec{}, fmt.Errorf("apps: unknown benchmark %q", name)
-}
-
 // ProfileApp measures every configuration of an application over calibIters
 // calibration iterations and returns the resulting performance/accuracy
 // profile, with speedups anchored at the default configuration. This is the

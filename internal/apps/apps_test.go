@@ -42,7 +42,7 @@ func TestTable2Calibration(t *testing.T) {
 // TestDefaultConfigFullAccuracy: by construction, the default configuration
 // reproduces the reference output exactly on every iteration.
 func TestDefaultConfigFullAccuracy(t *testing.T) {
-	all, err := All()
+	all, err := allApps()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestDefaultConfigFullAccuracy(t *testing.T) {
 
 // TestStepDeterminism: Step is a pure function of (config, iteration).
 func TestStepDeterminism(t *testing.T) {
-	all, err := All()
+	all, err := allApps()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestStepDeterminism(t *testing.T) {
 // TestStepOutputsValid: work is positive and accuracy in [0,1] for every
 // benchmark across a spread of configurations and iterations.
 func TestStepOutputsValid(t *testing.T) {
-	all, err := All()
+	all, err := allApps()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestStepOutputsValid(t *testing.T) {
 // TestStepToleratesBadInputs: out-of-range configs and negative iterations
 // must not panic (the runtime may probe during exploration).
 func TestStepToleratesBadInputs(t *testing.T) {
-	all, err := All()
+	all, err := allApps()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestStepToleratesBadInputs(t *testing.T) {
 // TestFrontierMonotone: along every benchmark's frontier, accuracy is
 // non-increasing in speedup — the structure Eqn 6's binary search needs.
 func TestFrontierMonotone(t *testing.T) {
-	all, err := All()
+	all, err := allApps()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,16 +180,6 @@ func TestCalibratedFrontierMemoised(t *testing.T) {
 	}
 	if f1 != f2 {
 		t.Fatal("frontier not memoised per instance")
-	}
-}
-
-func TestSpecFor(t *testing.T) {
-	s, err := SpecFor("radar")
-	if err != nil || s.Configs != 26 {
-		t.Fatalf("SpecFor(radar): %+v, %v", s, err)
-	}
-	if _, err := SpecFor("nope"); err == nil {
-		t.Fatal("want error for unknown benchmark")
 	}
 }
 
@@ -260,4 +250,17 @@ func TestNewX264WithPhases(t *testing.T) {
 	if speed < 1.1 || speed > 2.5 {
 		t.Errorf("easy-scene speedup %v outside the plausible 1.1-2.5x band (paper: ~1.4x)", speed)
 	}
+}
+
+// allApps constructs every benchmark.
+func allApps() ([]App, error) {
+	out := make([]App, 0, len(Table2))
+	for _, s := range Table2 {
+		a, err := New(s.Name)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, a)
+	}
+	return out, nil
 }

@@ -222,9 +222,6 @@ func (a *Annealer) NumConfigs() int { return len(rates) }
 // DefaultConfig implements the App interface.
 func (a *Annealer) DefaultConfig() int { return 0 }
 
-// Rates exposes the perforation ladder.
-func (a *Annealer) Rates() []float64 { return append([]float64(nil), rates...) }
-
 // Step implements the App interface: anneal one netlist instance.
 func (a *Annealer) Step(cfg, iter int) (work, accuracy float64) {
 	if cfg < 0 || cfg >= len(rates) {

@@ -10,7 +10,7 @@ func TestConfigLadder(t *testing.T) {
 	if a.NumConfigs() != 3 {
 		t.Fatalf("configs: %d", a.NumConfigs())
 	}
-	r := a.Rates()
+	r := rates
 	if r[0] != 0 {
 		t.Fatalf("default rate: %v", r[0])
 	}
@@ -57,7 +57,7 @@ func TestPerforationTradesWireLengthForWork(t *testing.T) {
 	var wlFull, wlPerf, wFull, wPerf float64
 	for inst := 0; inst < instances; inst++ {
 		wl0, w0 := a.anneal(inst, 0)
-		wl2, w2 := a.anneal(inst, a.Rates()[2])
+		wl2, w2 := a.anneal(inst, rates[2])
 		wlFull += wl0
 		wlPerf += wl2
 		wFull += w0

@@ -179,9 +179,6 @@ func (s *Searcher) NumConfigs() int { return numConfigs }
 // DefaultConfig implements the App interface.
 func (s *Searcher) DefaultConfig() int { return 0 }
 
-// Rates exposes the perforation ladder.
-func (s *Searcher) Rates() []float64 { return append([]float64(nil), s.rates...) }
-
 // Step implements the App interface: answer one batch of similarity
 // queries.
 func (s *Searcher) Step(cfg, iter int) (work, accuracy float64) {

@@ -6,7 +6,7 @@ import (
 
 func TestRatesLadder(t *testing.T) {
 	s := New()
-	r := s.Rates()
+	r := s.rates
 	if len(r) != numConfigs || r[0] != 0 {
 		t.Fatalf("rates: %v", r)
 	}

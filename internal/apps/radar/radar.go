@@ -163,9 +163,6 @@ func (d *DSP) NumConfigs() int { return numConfigs }
 // DefaultConfig implements the App interface.
 func (d *DSP) DefaultConfig() int { return 0 }
 
-// Taps exposes the knob ladder.
-func (d *DSP) Taps() []int { return append([]int(nil), d.taps...) }
-
 // Step implements the App interface: filter one pulse return and measure
 // the detection SNR against the default filter's output.
 func (d *DSP) Step(cfg, iter int) (work, accuracy float64) {

@@ -7,7 +7,7 @@ import (
 
 func TestTapsLadder(t *testing.T) {
 	d := New()
-	taps := d.Taps()
+	taps := d.taps
 	if len(taps) != numConfigs {
 		t.Fatalf("ladder size: %d", len(taps))
 	}

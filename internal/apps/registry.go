@@ -120,16 +120,3 @@ func New(name string) (App, error) {
 func NewX264WithPhases(difficulty func(iter int) float64) App {
 	return memoizeSteps(x264.New(difficulty))
 }
-
-// All constructs every benchmark.
-func All() ([]App, error) {
-	out := make([]App, 0, len(Table2))
-	for _, s := range Table2 {
-		a, err := New(s.Name)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, a)
-	}
-	return out, nil
-}

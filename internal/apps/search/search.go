@@ -222,9 +222,6 @@ func (e *Engine) NumConfigs() int { return len(resultCaps) }
 // DefaultConfig implements the App interface.
 func (e *Engine) DefaultConfig() int { return 0 }
 
-// ResultCaps exposes the knob ladder.
-func (e *Engine) ResultCaps() []int { return append([]int(nil), resultCaps...) }
-
 // Step implements the App interface: answer one batch of queries.
 func (e *Engine) Step(cfg, iter int) (work, accuracy float64) {
 	if cfg < 0 || cfg >= len(resultCaps) {

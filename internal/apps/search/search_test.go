@@ -13,14 +13,6 @@ func newEngine(t *testing.T) *Engine {
 	return e
 }
 
-func TestResultCapsLadder(t *testing.T) {
-	e := newEngine(t)
-	caps := e.ResultCaps()
-	if len(caps) != 6 || caps[0] != 0 || caps[5] != 5 {
-		t.Fatalf("caps: %v", caps)
-	}
-}
-
 func TestCapTruncatesRanking(t *testing.T) {
 	e := newEngine(t)
 	for q := 0; q < 10; q++ {

@@ -162,9 +162,6 @@ func (c *Clusterer) NumConfigs() int { return numConfigs }
 // DefaultConfig implements the App interface.
 func (c *Clusterer) DefaultConfig() int { return 0 }
 
-// Rates exposes the perforation ladder.
-func (c *Clusterer) Rates() []float64 { return append([]float64(nil), c.rates...) }
-
 // Step implements the App interface: cluster one point batch.
 func (c *Clusterer) Step(cfg, iter int) (work, accuracy float64) {
 	if cfg < 0 || cfg >= numConfigs {

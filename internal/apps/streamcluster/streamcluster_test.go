@@ -7,7 +7,7 @@ import (
 
 func TestRatesLadder(t *testing.T) {
 	c := New()
-	r := c.Rates()
+	r := c.rates
 	if len(r) != numConfigs || r[0] != 0 {
 		t.Fatalf("rates: %v", r)
 	}

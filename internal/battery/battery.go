@@ -73,12 +73,6 @@ func (b *Battery) StateOfCharge() float64 { return b.remaining / b.capacityJ }
 // RemainingJ returns the remaining extractable energy at the rated draw.
 func (b *Battery) RemainingJ() float64 { return b.remaining }
 
-// Delivered returns the useful joules delivered so far.
-func (b *Battery) Delivered() float64 { return b.drawnJ }
-
-// Wasted returns the joules lost to rate effects.
-func (b *Battery) Wasted() float64 { return b.wastedJ }
-
 // Empty reports whether the battery is exhausted.
 func (b *Battery) Empty() bool { return b.remaining <= 0 }
 

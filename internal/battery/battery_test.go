@@ -30,8 +30,8 @@ func TestIdealBatteryCountsJoules(t *testing.T) {
 	if err != nil || got != 40 {
 		t.Fatalf("draw: %v, %v", got, err)
 	}
-	if b.RemainingJ() != 60 || b.Wasted() != 0 {
-		t.Fatalf("remaining %v wasted %v", b.RemainingJ(), b.Wasted())
+	if b.RemainingJ() != 60 || b.wastedJ != 0 {
+		t.Fatalf("remaining %v wasted %v", b.RemainingJ(), b.wastedJ)
 	}
 	if math.Abs(b.StateOfCharge()-0.6) > 1e-12 {
 		t.Fatalf("soc: %v", b.StateOfCharge())
@@ -51,7 +51,7 @@ func TestHeavyDrawWastesCharge(t *testing.T) {
 	if math.Abs((100-b.RemainingJ())-wantDepletion) > 1e-9 {
 		t.Fatalf("depletion: %v, want %v", 100-b.RemainingJ(), wantDepletion)
 	}
-	if b.Wasted() <= 0 {
+	if b.wastedJ <= 0 {
 		t.Fatal("no waste recorded")
 	}
 }
@@ -59,8 +59,8 @@ func TestHeavyDrawWastesCharge(t *testing.T) {
 func TestLightDrawNoPenalty(t *testing.T) {
 	b, _ := New(100, 5, 1.5)
 	b.Draw(2, 10) // under rated
-	if b.Wasted() != 0 {
-		t.Fatalf("light draw wasted %v", b.Wasted())
+	if b.wastedJ != 0 {
+		t.Fatalf("light draw wasted %v", b.wastedJ)
 	}
 }
 
@@ -126,7 +126,7 @@ func TestConservationProperty(t *testing.T) {
 				break
 			}
 		}
-		total := b.Delivered() + b.Wasted() + b.RemainingJ()
+		total := b.drawnJ + b.wastedJ + b.RemainingJ()
 		return math.Abs(total-1000) < 1e-6
 	}
 	if err := quick.Check(f, nil); err != nil {

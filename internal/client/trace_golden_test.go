@@ -14,7 +14,7 @@ import (
 // daemon's snapshot taken right after the final settle — the full
 // event-sourced daemon state (ledger header, session, iteration log) as
 // bytes — plus how many spans the daemon recorded.
-func runTracedWorkload(t *testing.T, traceEvery int, tracer *telemetry.SpanBuffer) ([]byte, uint64) {
+func runTracedWorkload(t *testing.T, traceEvery int, tracer *telemetry.SpanBuffer) ([]byte, int) {
 	t.Helper()
 	const iters = 40
 	srv := newDaemon(t, 20000)
@@ -57,7 +57,7 @@ func runTracedWorkload(t *testing.T, traceEvery int, tracer *telemetry.SpanBuffe
 	if err := srv.Snapshot(&snap); err != nil {
 		t.Fatal(err)
 	}
-	spans := srv.Telemetry().Spans.Total()
+	spans := len(srv.Telemetry().Spans.Snapshot(0))
 	if err := sess.Close(ctx); err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestTracedExchangeGoldenState(t *testing.T) {
 	if untracedSpans != 0 {
 		t.Fatalf("untraced run recorded %d daemon spans", untracedSpans)
 	}
-	if tracer.Total() == 0 {
+	if len(tracer.Snapshot(0)) == 0 {
 		t.Fatal("traced run recorded no client root spans")
 	}
 	if !bytes.Equal(traced, untraced) {

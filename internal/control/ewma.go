@@ -75,8 +75,5 @@ func (e *EWMA) Prime(x float64) {
 // Value returns the current estimate (the prior if nothing was observed yet).
 func (e *EWMA) Value() float64 { return e.value }
 
-// Primed reports whether the filter holds any estimate at all.
-func (e *EWMA) Primed() bool { return e.primed }
-
 // Alpha returns the filter gain.
 func (e *EWMA) Alpha() float64 { return e.alpha }

@@ -28,13 +28,13 @@ func TestMustEWMAPanics(t *testing.T) {
 
 func TestEWMAFirstObservationPrimes(t *testing.T) {
 	e := MustEWMA(0.85)
-	if e.Primed() {
+	if e.primed {
 		t.Fatal("fresh EWMA reports primed")
 	}
 	if got := e.Observe(42); got != 42 {
 		t.Fatalf("first observation: got %v, want 42", got)
 	}
-	if !e.Primed() {
+	if !e.primed {
 		t.Fatal("EWMA not primed after observation")
 	}
 }
@@ -141,12 +141,12 @@ func TestKalmanIgnoresNonFinite(t *testing.T) {
 
 func TestKalmanVarianceShrinks(t *testing.T) {
 	f := NewKalman1D(0, 100, 1e-6, 1)
-	v0 := f.Variance()
+	v0 := f.p
 	for i := 0; i < 50; i++ {
 		f.Observe(0)
 	}
-	if f.Variance() >= v0 {
-		t.Fatalf("variance did not shrink: %v -> %v", v0, f.Variance())
+	if f.p >= v0 {
+		t.Fatalf("variance did not shrink: %v -> %v", v0, f.p)
 	}
 }
 

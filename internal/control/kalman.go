@@ -56,9 +56,6 @@ func (f *Kalman1D) Observe(z float64) float64 {
 // Value returns the current state estimate.
 func (f *Kalman1D) Value() float64 { return f.x }
 
-// Variance returns the current estimate variance.
-func (f *Kalman1D) Variance() float64 { return f.p }
-
 // Gain returns the Kalman gain applied at the last update.
 func (f *Kalman1D) Gain() float64 { return f.k }
 

@@ -1,9 +1,6 @@
 package control
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // SpeedupController is JouleGuard's proportional-integral controller
 // (Sec. 3.3). It converts the error between required and measured
@@ -18,7 +15,7 @@ import (
 // control system without the oscillation shown in Fig. 1.
 type SpeedupController struct {
 	speedup  float64 // s(t-1), the integrator state
-	pole     float64 // pole(t), updated via AdaptPole or set via SetPole
+	pole     float64 // pole(t), updated via AdaptPole
 	minS     float64 // lower clamp for the speedup signal
 	maxS     float64 // upper clamp for the speedup signal
 	adaptive bool    // whether AdaptPole updates are applied
@@ -130,21 +127,8 @@ func (c *SpeedupController) Speedup() float64 { return c.speedup }
 // Pole returns the current pole.
 func (c *SpeedupController) Pole() float64 { return c.pole }
 
-// SetPole overrides the pole; the value must satisfy 0 <= pole < 1 for the
-// closed loop to be stable (Sec. 3.4.1).
-func (c *SpeedupController) SetPole(pole float64) error {
-	if pole < 0 || pole >= 1 || math.IsNaN(pole) {
-		return fmt.Errorf("control: pole %v outside [0, 1)", pole)
-	}
-	c.pole = pole
-	return nil
-}
-
 // LastError returns error(t) from the most recent Step.
 func (c *SpeedupController) LastError() float64 { return c.lastErr }
-
-// LastDelta returns delta(t) from the most recent AdaptPole.
-func (c *SpeedupController) LastDelta() float64 { return c.lastDelt }
 
 // Reset restores the integrator to the given speedup and zeroes the pole,
 // as on a workload phase change forced by the caller.

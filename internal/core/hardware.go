@@ -222,6 +222,3 @@ func (h *HardwareRuntime) Infeasible() bool { return h.infeasible }
 
 // Scale returns the current commanded power scale.
 func (h *HardwareRuntime) Scale() float64 { return h.lastScale }
-
-// TargetPower returns the controller's current power target.
-func (h *HardwareRuntime) TargetPower() float64 { return h.lastTarget }

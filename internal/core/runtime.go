@@ -539,16 +539,9 @@ func (r *Runtime) Degraded() bool { return r.degraded }
 // DegradeEvents returns how many times the watchdog tripped.
 func (r *Runtime) DegradeEvents() int { return r.degradeEvents }
 
-// RejectedStreak returns the current run of consecutive rejected or
-// missing observations.
-func (r *Runtime) RejectedStreak() int { return r.badStreak }
-
 // Infeasible reports whether the runtime has concluded the energy goal
 // cannot be met (Sec. 3.4.3).
 func (r *Runtime) Infeasible() bool { return r.infeasible }
-
-// Exploring reports whether the most recent system choice was exploratory.
-func (r *Runtime) Exploring() bool { return r.explored }
 
 // Epsilon returns the VDBE exploration rate (0 for other selectors).
 func (r *Runtime) Epsilon() float64 { return r.lastEps }
@@ -561,13 +554,6 @@ func (r *Runtime) Speedup() float64 { return r.ctrl.Speedup() }
 
 // TargetRate returns the controller's current performance target.
 func (r *Runtime) TargetRate() float64 { return r.lastTarget }
-
-// BestSystemArm returns the SEO's current best configuration estimate.
-func (r *Runtime) BestSystemArm() int { return r.bandit.BestArm() }
-
-// EnergyPerIterAllowed returns the current per-iteration energy allowance
-// (the budget's derivative target).
-func (r *Runtime) EnergyPerIterAllowed() float64 { return r.lastF }
 
 // Done reports whether the configured workload has completed.
 func (r *Runtime) Done() bool { return r.done }

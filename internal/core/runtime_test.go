@@ -262,7 +262,7 @@ func TestFlatPriorsOption(t *testing.T) {
 		w.step(gov, f)
 	}
 	// With flat priors it must still find a reasonable configuration.
-	if gov.BestSystemArm() < 0 {
+	if gov.bandit.BestArm() < 0 {
 		t.Fatal("no best arm")
 	}
 }
@@ -333,8 +333,8 @@ func TestCorruptFeedbackDoesNotPoison(t *testing.T) {
 			t.Fatalf("corrupt feedback %d moved the speedup demand", i)
 		}
 	}
-	if gov.RejectedStreak() != len(bad) {
-		t.Fatalf("rejected streak: %d, want %d", gov.RejectedStreak(), len(bad))
+	if gov.badStreak != len(bad) {
+		t.Fatalf("rejected streak: %d, want %d", gov.badStreak, len(bad))
 	}
 }
 
@@ -366,7 +366,7 @@ func TestWatchdogDegradesAndRecovers(t *testing.T) {
 	if appCfg != 4 {
 		t.Fatalf("degraded mode should pin max speedup (most conservative), got app %d", appCfg)
 	}
-	if sysCfg != gov.BestSystemArm() {
+	if sysCfg != gov.bandit.BestArm() {
 		t.Fatalf("degraded mode should pin the best known arm, got %d", sysCfg)
 	}
 	// One healthy sample must NOT release the pin (sticky recovery:
@@ -382,7 +382,7 @@ func TestWatchdogDegradesAndRecovers(t *testing.T) {
 	if gov.Degraded() {
 		t.Fatal("sustained healthy feedback did not release the degraded state")
 	}
-	if gov.RejectedStreak() != 0 {
+	if gov.badStreak != 0 {
 		t.Fatal("streak survived recovery")
 	}
 }
@@ -435,7 +435,7 @@ func TestExhaustedBudgetPinsMinEnergy(t *testing.T) {
 	if appCfg != 4 {
 		t.Fatalf("blown budget should pin max speedup, got app %d", appCfg)
 	}
-	if sysCfg != gov.BestSystemArm() {
+	if sysCfg != gov.bandit.BestArm() {
 		t.Fatalf("blown budget should pin best system arm, got %d", sysCfg)
 	}
 }

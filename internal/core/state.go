@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 
@@ -11,20 +10,16 @@ import (
 // Checkpointing. A Runtime's whole mutable state is small — the pulled
 // arms' estimates, the exploration policy, the PI integrator, the
 // watchdog counters and the position of its random stream — and
-// MarshalState writes it as one ckpt blob that RestoreState loads into a
-// Runtime freshly built by New with the same arguments. Everything New
-// derives from its arguments (priors, gains, clamps, the frontier) is
-// rebuilt, not restored; the blob carries the workload, budget, seed and
-// table shapes only to refuse a runtime built differently.
+// EncodeState appends it to the ckpt blob the online controller builds;
+// DecodeState loads it into a Runtime freshly built by New with the same
+// arguments. Everything New derives from its arguments (priors, gains,
+// clamps, the frontier) is rebuilt, not restored; the blob carries the
+// workload, budget, seed and table shapes only to refuse a runtime built
+// differently.
 //
 // The round trip is exact: a restored Runtime makes, from the next
 // Observe on, the decisions the original would have made, bit for bit,
-// and MarshalState of the two is byte-equal.
-
-const (
-	stateKind    = 'R'
-	stateVersion = 1
-)
+// and EncodeState of the two is byte-equal.
 
 // countedSource is the Runtime's random source with a draw counter, which
 // is how a checkpoint records the stream's position: math/rand exposes no
@@ -56,30 +51,6 @@ func (c *countedSource) skipTo(draws uint64) {
 		c.src.Uint64()
 		c.draws++
 	}
-}
-
-// MarshalState returns the runtime's state as a checkpoint blob.
-func (r *Runtime) MarshalState() []byte {
-	enc := ckpt.NewEnc(nil, stateKind, stateVersion)
-	r.EncodeState(enc)
-	return enc.Seal()
-}
-
-// RestoreState loads a MarshalState blob into a Runtime fresh from New.
-// On error the runtime may be partly written and must be discarded.
-func (r *Runtime) RestoreState(blob []byte) error {
-	d, version, err := ckpt.Open(blob, stateKind)
-	if err != nil {
-		return fmt.Errorf("core: restoring runtime state: %w", err)
-	}
-	if version != stateVersion {
-		return fmt.Errorf("core: runtime state version %d, want %d", version, stateVersion)
-	}
-	r.DecodeState(d)
-	if err := d.Close(); err != nil {
-		return fmt.Errorf("core: restoring runtime state: %w", err)
-	}
-	return nil
 }
 
 // EncodeState appends the runtime's fields to a blob an enclosing layer

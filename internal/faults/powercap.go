@@ -111,15 +111,6 @@ func (f *FakePowercap) Advance(joules float64) error {
 	return nil
 }
 
-// RemoveZone deletes a zone directory mid-run — the hot-unplug /
-// driver-reload event ErrZoneSetChanged exists for.
-func (f *FakePowercap) RemoveZone(z int) error {
-	if z < 0 || z >= len(f.zones) {
-		return fmt.Errorf("faults: zone %d out of range", z)
-	}
-	return os.RemoveAll(f.zones[z])
-}
-
 func (f *FakePowercap) writeZone(z int, uj uint64) error {
 	path := filepath.Join(f.zones[z], "energy_uj")
 	return os.WriteFile(path, []byte(strconv.FormatUint(uj, 10)+"\n"), 0o644)

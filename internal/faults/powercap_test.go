@@ -101,20 +101,3 @@ func TestFakePowercapSpikeFault(t *testing.T) {
 		t.Fatalf("TrueJoules = %v, want 1 (spikes are lies, not energy)", got)
 	}
 }
-
-func TestFakePowercapRemoveZone(t *testing.T) {
-	dir := t.TempDir()
-	f, err := NewFakePowercap(dir, 2, 1<<40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := f.RemoveZone(1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "intel-rapl:1")); !os.IsNotExist(err) {
-		t.Fatalf("zone 1 should be gone, stat err = %v", err)
-	}
-	if err := f.RemoveZone(5); err == nil {
-		t.Fatal("want error for out-of-range zone")
-	}
-}

@@ -120,7 +120,7 @@ type Sensor struct {
 	accepted, rejected int
 }
 
-// medianMAD is the Sensor's allocation-free variant: the guard runs once
+// medianMAD is medianMADInto on the Sensor's own scratch: the guard runs once
 // per governed iteration on the daemon's decision path, and a fresh
 // scratch slice per call was the path's dominant allocator.
 func (s *Sensor) medianMAD(xs []float64) (med, mad float64) {
@@ -271,9 +271,6 @@ func (s *Sensor) Missing(dur float64) Verdict {
 // ConsecutiveRejects returns the current rejection streak.
 func (s *Sensor) ConsecutiveRejects() int { return s.rejectStreak }
 
-// Healthy reports whether the most recent sample was accepted.
-func (s *Sensor) Healthy() bool { return s.rejectStreak == 0 }
-
 // Counts returns the total accepted and rejected sample counts.
 func (s *Sensor) Counts() (accepted, rejected int) { return s.accepted, s.rejected }
 
@@ -330,13 +327,8 @@ func slideAppend(win []float64, x float64, max int) []float64 {
 	return win
 }
 
-// medianMAD returns the median and the median absolute deviation of xs.
-func medianMAD(xs []float64) (med, mad float64) {
-	return medianMADInto(make([]float64, len(xs)), xs)
-}
-
-// medianMADInto computes medianMAD using tmp (len(tmp) == len(xs)) as
-// scratch; xs is left untouched.
+// medianMADInto returns the median and the median absolute deviation of
+// xs, using tmp (len(tmp) == len(xs)) as scratch; xs is left untouched.
 func medianMADInto(tmp, xs []float64) (med, mad float64) {
 	n := len(xs)
 	if n == 0 {

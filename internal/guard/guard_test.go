@@ -29,7 +29,7 @@ func TestAcceptsCleanStream(t *testing.T) {
 	if acc != 50 || rej != 0 {
 		t.Fatalf("counts: %d/%d", acc, rej)
 	}
-	if !s.Healthy() {
+	if s.rejectStreak != 0 {
 		t.Fatal("clean stream should be healthy")
 	}
 }
@@ -270,4 +270,9 @@ func TestIntervalPassesThroughGrossFaults(t *testing.T) {
 			t.Fatalf("gross fault %v altered to %v; plausibility is the caller's job", d, got)
 		}
 	}
+}
+
+// medianMAD returns the median and the median absolute deviation of xs.
+func medianMAD(xs []float64) (med, mad float64) {
+	return medianMADInto(make([]float64, len(xs)), xs)
 }

@@ -85,39 +85,6 @@ func (m *Monitor) WindowRate() float64 {
 	return float64(m.count-1) / dt
 }
 
-// InstantRate returns the rate implied by the two most recent beats.
-func (m *Monitor) InstantRate() float64 {
-	if m.count < 2 {
-		return 0
-	}
-	dt := m.at(0).Time - m.at(1).Time
-	if dt <= 0 {
-		return 0
-	}
-	return 1 / dt
-}
-
-// LatencyStats returns the min, mean and max inter-beat latency over the
-// window (zeros until two beats exist).
-func (m *Monitor) LatencyStats() (min, mean, max float64) {
-	if m.count < 2 {
-		return 0, 0, 0
-	}
-	min = math.Inf(1)
-	for i := 0; i < m.count-1; i++ {
-		d := m.at(i).Time - m.at(i+1).Time
-		if d < min {
-			min = d
-		}
-		if d > max {
-			max = d
-		}
-		mean += d
-	}
-	mean /= float64(m.count - 1)
-	return min, mean, max
-}
-
 // Window returns the configured window size.
 func (m *Monitor) Window() int { return m.window }
 

@@ -46,19 +46,12 @@ func TestRatesSteadyBeats(t *testing.T) {
 	if got := m.WindowRate(); math.Abs(got-10) > 1e-9 {
 		t.Fatalf("window rate: %v, want 10", got)
 	}
-	if got := m.InstantRate(); math.Abs(got-10) > 1e-9 {
-		t.Fatalf("instant rate: %v, want 10", got)
-	}
-	min, mean, max := m.LatencyStats()
-	if math.Abs(min-0.1) > 1e-9 || math.Abs(mean-0.1) > 1e-9 || math.Abs(max-0.1) > 1e-9 {
-		t.Fatalf("latency stats: %v %v %v", min, mean, max)
-	}
 }
 
 func TestRatesBeforeTwoBeats(t *testing.T) {
 	m, _ := NewMonitor(4)
-	if m.WindowRate() != 0 || m.InstantRate() != 0 {
-		t.Fatal("rates must be 0 before two beats")
+	if m.WindowRate() != 0 {
+		t.Fatal("rate must be 0 before two beats")
 	}
 	m.Beat(1, 0)
 	if m.WindowRate() != 0 {
@@ -79,23 +72,12 @@ func TestWindowSlides(t *testing.T) {
 	}
 }
 
-func TestInstantVsWindowDisagreeDuringTransition(t *testing.T) {
-	m, _ := NewMonitor(8)
-	for i := 0; i < 8; i++ {
-		m.Beat(float64(i), 0)
-	}
-	m.Beat(7.05, 0) // sudden speedup
-	if m.InstantRate() <= m.WindowRate() {
-		t.Fatal("instant rate should lead the window rate on a speedup")
-	}
-}
-
 func TestZeroTimeSpanRate(t *testing.T) {
 	m, _ := NewMonitor(4)
 	m.Beat(1, 0)
 	m.Beat(1, 0) // same timestamp is allowed (non-decreasing)
-	if m.WindowRate() != 0 || m.InstantRate() != 0 {
-		t.Fatal("zero-span rates must be 0, not Inf")
+	if m.WindowRate() != 0 {
+		t.Fatal("zero-span rate must be 0, not Inf")
 	}
 }
 

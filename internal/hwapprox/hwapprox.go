@@ -75,9 +75,6 @@ func NewUnit(n int, minPowerScale float64, seed int64) (*Unit, error) {
 // NumLevels returns the number of approximation levels.
 func (u *Unit) NumLevels() int { return len(u.levels) }
 
-// Levels returns a copy of the level ladder.
-func (u *Unit) Levels() []Level { return append([]Level(nil), u.levels...) }
-
 // PowerScale returns the dynamic-power multiplier of a level.
 func (u *Unit) PowerScale(level int) float64 {
 	if level < 0 || level >= len(u.levels) {

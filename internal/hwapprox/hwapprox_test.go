@@ -22,7 +22,7 @@ func TestLevelLadderShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lv := u.Levels()
+	lv := u.levels
 	if lv[0].PowerScale != 1 || lv[0].BitErrProb != 0 {
 		t.Fatalf("level 0 must be exact at full power: %+v", lv[0])
 	}

@@ -89,29 +89,6 @@ type Profile struct {
 	Points []Point
 }
 
-// Measure profiles every configuration with the supplied evaluator, which
-// returns the work performed (abstract operation count — lower is faster)
-// and accuracy for one calibration run of configuration id. defaultConfig
-// anchors speedup = 1.
-func Measure(space *Space, defaultConfig int, eval func(id int) (work, accuracy float64)) (*Profile, error) {
-	if defaultConfig < 0 || defaultConfig >= space.Size() {
-		return nil, fmt.Errorf("knob: default config %d out of range", defaultConfig)
-	}
-	defWork, _ := eval(defaultConfig)
-	if defWork <= 0 {
-		return nil, fmt.Errorf("knob: default configuration reported non-positive work %v", defWork)
-	}
-	p := &Profile{Points: make([]Point, space.Size())}
-	for id := 0; id < space.Size(); id++ {
-		w, a := eval(id)
-		if w <= 0 {
-			return nil, fmt.Errorf("knob: config %d reported non-positive work %v", id, w)
-		}
-		p.Points[id] = Point{Config: id, Speedup: defWork / w, Accuracy: a}
-	}
-	return p, nil
-}
-
 // Frontier is the Pareto-optimal subset of a profile sorted by ascending
 // speedup: no retained configuration is dominated (another configuration at
 // least as fast and strictly more accurate, or faster and at least as
@@ -188,12 +165,4 @@ func (f *Frontier) SpeedupOf(config int) (float64, bool) {
 		}
 	}
 	return 0, false
-}
-
-// Dominates reports whether point a Pareto-dominates point b.
-func Dominates(a, b Point) bool {
-	if a.Speedup >= b.Speedup && a.Accuracy >= b.Accuracy {
-		return a.Speedup > b.Speedup || a.Accuracy > b.Accuracy
-	}
-	return false
 }

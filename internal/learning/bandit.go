@@ -91,23 +91,6 @@ func (b *Bandit) BestArm() int { return max(b.all.best(), 0) }
 // conservative pin consults it every iteration.
 func (b *Bandit) BestMeasuredArm() int { return b.pulled.best() }
 
-// BestFeasibleArm returns the most efficient arm among those accepted by
-// keep. It returns -1 if keep rejects every arm. The runtime uses this to
-// honour caps (e.g. a power cap in approximate-hardware mode).
-func (b *Bandit) BestFeasibleArm(keep func(arm int) bool) int {
-	best := -1
-	bestEff := math.Inf(-1)
-	for i, eff := range b.eff {
-		if !keep(i) {
-			continue
-		}
-		if eff > bestEff {
-			best, bestEff = i, eff
-		}
-	}
-	return best
-}
-
 // RandomArm returns a uniformly random arm index.
 func (b *Bandit) RandomArm() int { return b.rng.Intn(len(b.eff)) }
 

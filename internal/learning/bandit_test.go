@@ -105,27 +105,6 @@ func TestBestArmTracksObservations(t *testing.T) {
 	}
 }
 
-func TestBestFeasibleArm(t *testing.T) {
-	n := 8
-	fs := newFakeSystem(n)
-	b, _ := NewBandit(n, 1, FlatPriors{1, 1}, rand.New(rand.NewSource(3)))
-	for i := 0; i < n; i++ {
-		b.Observe(i, fs.rates[i], fs.powers[i])
-	}
-	all := b.BestFeasibleArm(func(int) bool { return true })
-	if all != b.BestArm() {
-		t.Fatalf("unrestricted BestFeasibleArm %d != BestArm %d", all, b.BestArm())
-	}
-	// Restrict to high-power arms only.
-	only7 := b.BestFeasibleArm(func(a int) bool { return a == 7 })
-	if only7 != 7 {
-		t.Fatalf("restricted arm: %d", only7)
-	}
-	if got := b.BestFeasibleArm(func(int) bool { return false }); got != -1 {
-		t.Fatalf("empty feasible set: got %d, want -1", got)
-	}
-}
-
 func TestObserveReturnsPredictionError(t *testing.T) {
 	b, _ := NewBandit(1, 1, FlatPriors{Rate: 10, Power: 10}, rand.New(rand.NewSource(4)))
 	// Prior efficiency 1. Measured efficiency 3 -> error 2.
@@ -181,7 +160,8 @@ func TestVDBEEpsilonStartsAtOneAndDecays(t *testing.T) {
 
 func TestVDBEEpsilonGrowsOnModelError(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
-	v := NewVDBE(10, 0.85, rng, WithInitialEpsilon(0))
+	v := NewVDBE(10, 0.85, rng)
+	v.eps = 0
 	for i := 0; i < 50; i++ {
 		v.Update(100, 1) // huge persistent prediction error
 	}
@@ -208,7 +188,8 @@ func TestVDBEEpsilonBounded(t *testing.T) {
 
 func TestVDBESelectExploitsWhenEpsilonZero(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
-	v := NewVDBE(4, 0.85, rng, WithInitialEpsilon(0))
+	v := NewVDBE(4, 0.85, rng)
+	v.eps = 0
 	b, _ := NewBandit(4, 1, FlatPriors{1, 1}, rng)
 	b.Observe(2, 100, 1) // make arm 2 clearly best
 	for i := 0; i < 50; i++ {
@@ -237,7 +218,8 @@ func TestVDBESelectExploresWhenEpsilonOne(t *testing.T) {
 }
 
 func TestVDBEIgnoresNonFiniteErrors(t *testing.T) {
-	v := NewVDBE(4, 0.85, rand.New(rand.NewSource(12)), WithInitialEpsilon(0.5))
+	v := NewVDBE(4, 0.85, rand.New(rand.NewSource(12)))
+	v.eps = 0.5
 	v.Update(math.NaN(), 1)
 	v.Update(math.Inf(1), 1)
 	if v.Epsilon() != 0.5 {

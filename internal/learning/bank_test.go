@@ -162,7 +162,6 @@ func TestBankMatchesPerArmFilters(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			odd := func(arm int) bool { return arm%2 == 1 }
 			check := func(step int) {
 				t.Helper()
 				nan := false
@@ -175,11 +174,9 @@ func TestBankMatchesPerArmFilters(t *testing.T) {
 							ref.rate[i].Value(), ref.power[i].Value(), ref.efficiency(i), ref.pulls[i])
 					}
 				}
-				if b.BestArm() != ref.bestArm() || b.BestMeasuredArm() != ref.bestMeasuredArm() ||
-					b.BestFeasibleArm(odd) != ref.best(odd) || b.TotalPulls() != ref.total {
-					t.Fatalf("step %d: bank answers (%d, measured %d, odd %d), reference (%d, measured %d, odd %d)", step,
-						b.BestArm(), b.BestMeasuredArm(), b.BestFeasibleArm(odd),
-						ref.bestArm(), ref.bestMeasuredArm(), ref.best(odd))
+				if b.BestArm() != ref.bestArm() || b.BestMeasuredArm() != ref.bestMeasuredArm() || b.TotalPulls() != ref.total {
+					t.Fatalf("step %d: bank answers (%d, measured %d), reference (%d, measured %d)", step,
+						b.BestArm(), b.BestMeasuredArm(), ref.bestArm(), ref.bestMeasuredArm())
 				}
 				if got, want := encodeBandit(b), ref.encode(); !nan && !bytes.Equal(got, want) {
 					t.Fatalf("step %d: checkpoint is %d bytes that differ from the reference's %d", step, len(got), len(want))

@@ -31,11 +31,6 @@ type VDBE struct {
 // VDBEOption configures the VDBE policy.
 type VDBEOption func(*VDBE)
 
-// WithInitialEpsilon overrides eps(0) = 1.
-func WithInitialEpsilon(eps float64) VDBEOption {
-	return func(v *VDBE) { v.eps = clamp01(eps) }
-}
-
 // WithUpdateWeight overrides the per-update blending weight (Eqn 2 uses
 // 1/|Sys|). On spaces as large as Server's 1024 configurations a literal
 // 1/|Sys| keeps eps near 1 for thousands of iterations; JouleGuard's

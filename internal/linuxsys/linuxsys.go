@@ -183,21 +183,8 @@ func (a *Actuator) Apply(i int) error {
 	return nil
 }
 
-// RetryPolicy controls ApplyWithRetry. Sysfs writes fail transiently on
-// real hosts — a contended cpufreq lock returns EBUSY, a governor change
-// races the write — so actuation retries with capped exponential backoff
-// before giving up. Its Do is the retry loop behind actuation and the
-// RAPL counter reads in internal/sensors; the zero value makes 4
-// attempts, backing off from 10ms to at most 250ms.
+// RetryPolicy is the retry loop behind the RAPL counter reads in
+// internal/sensors: sysfs reads fail transiently on real hosts, so they
+// are retried with capped exponential backoff before giving up. The zero
+// value makes 4 attempts, backing off from 10ms to at most 250ms.
 type RetryPolicy = backoff.Policy
-
-// ApplyWithRetry actuates configuration index i, retrying transient
-// failures per the policy. An out-of-range index is permanent and fails
-// immediately — retrying a bug wastes the control period. The returned
-// error is the last attempt's; attempts reports how many were made.
-func (a *Actuator) ApplyWithRetry(i int, policy RetryPolicy) (attempts int, err error) {
-	if i < 0 || i >= a.topo.NumConfigs() {
-		return 0, fmt.Errorf("linuxsys: config %d out of range [0,%d)", i, a.topo.NumConfigs())
-	}
-	return policy.Do(func() error { return a.Apply(i) })
-}

@@ -7,7 +7,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 )
 
 // fakeSys builds a synthetic /sys tree with the given CPUs and frequencies.
@@ -169,77 +168,5 @@ func TestActuatorErrors(t *testing.T) {
 	failing, _ := NewActuator(topo, func([]int) error { return errors.New("denied") })
 	if err := failing.Apply(0); err == nil {
 		t.Error("want propagated affinity error")
-	}
-}
-
-func TestApplyWithRetryRecoversFromTransientFailure(t *testing.T) {
-	root := fakeSys(t, 2, []int{500, 900}, true)
-	topo, _ := Discover(root)
-	calls := 0
-	a, err := NewActuator(topo, func(cpus []int) error {
-		calls++
-		if calls < 3 {
-			return errors.New("EBUSY")
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var slept []time.Duration
-	attempts, err := a.ApplyWithRetry(0, RetryPolicy{
-		MaxAttempts: 5,
-		BaseDelay:   10 * time.Millisecond,
-		MaxDelay:    25 * time.Millisecond,
-		Sleep:       func(d time.Duration) { slept = append(slept, d) },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if attempts != 3 {
-		t.Fatalf("attempts: %d, want 3", attempts)
-	}
-	// Backoff doubles then caps: 10ms, 20ms.
-	want := []time.Duration{10 * time.Millisecond, 20 * time.Millisecond}
-	if len(slept) != len(want) || slept[0] != want[0] || slept[1] != want[1] {
-		t.Fatalf("backoff: %v, want %v", slept, want)
-	}
-}
-
-func TestApplyWithRetryBackoffCaps(t *testing.T) {
-	root := fakeSys(t, 1, []int{500}, true)
-	topo, _ := Discover(root)
-	a, _ := NewActuator(topo, func([]int) error { return errors.New("EBUSY") })
-	var slept []time.Duration
-	attempts, err := a.ApplyWithRetry(0, RetryPolicy{
-		MaxAttempts: 5,
-		BaseDelay:   10 * time.Millisecond,
-		MaxDelay:    15 * time.Millisecond,
-		Sleep:       func(d time.Duration) { slept = append(slept, d) },
-	})
-	if err == nil {
-		t.Fatal("persistent failure must surface")
-	}
-	if attempts != 5 {
-		t.Fatalf("attempts: %d, want 5", attempts)
-	}
-	for i, d := range slept {
-		if d > 15*time.Millisecond {
-			t.Fatalf("sleep %d exceeded the cap: %v", i, d)
-		}
-	}
-}
-
-func TestApplyWithRetryPermanentErrorFailsFast(t *testing.T) {
-	root := fakeSys(t, 1, []int{500}, true)
-	topo, _ := Discover(root)
-	a, _ := NewActuator(topo, func([]int) error { return nil })
-	slept := false
-	attempts, err := a.ApplyWithRetry(99, RetryPolicy{Sleep: func(time.Duration) { slept = true }})
-	if err == nil {
-		t.Fatal("out-of-range index must error")
-	}
-	if attempts != 0 || slept {
-		t.Fatalf("permanent error must not retry: attempts=%d slept=%v", attempts, slept)
 	}
 }

@@ -87,16 +87,6 @@ func (m *SimMeter) Deposit(joules float64) {
 	m.trueJ += joules
 }
 
-// TrueJoules returns the unperturbed ground-truth energy (idle + all
-// deposits) — what a perfect meter would have read. Tests and the smoke
-// harness assert attribution against this, proving injected faults were
-// rejected rather than debited.
-func (m *SimMeter) TrueJoules() float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.trueJ
-}
-
 // ReadJoules implements Meter: accrue idle power for the elapsed real
 // time, reconstruct the cumulative total through the 32-bit register,
 // then pass it through the fault chain.

@@ -24,8 +24,8 @@ func TestSimMeterDepositAndIdle(t *testing.T) {
 	if math.Abs(j-12) > 0.01 {
 		t.Fatalf("cumulative = %v, want ~12", j)
 	}
-	if math.Abs(m.TrueJoules()-j) > 0.01 {
-		t.Fatalf("TrueJoules %v != reading %v on a fault-free meter", m.TrueJoules(), j)
+	if math.Abs(m.trueJ-j) > 0.01 {
+		t.Fatalf("true joules %v != reading %v on a fault-free meter", m.trueJ, j)
 	}
 }
 
@@ -67,8 +67,8 @@ func TestSimMeterFaults(t *testing.T) {
 	if math.Abs(j-300) > 1 {
 		t.Fatalf("spiked reading = %v, want ~300", j)
 	}
-	if math.Abs(m.TrueJoules()-100) > 1 {
-		t.Fatalf("TrueJoules = %v, want ~100 (spikes are not energy)", m.TrueJoules())
+	if math.Abs(m.trueJ-100) > 1 {
+		t.Fatalf("true joules = %v, want ~100 (spikes are not energy)", m.trueJ)
 	}
 	// Dropout: the read fails like a failed sysfs read.
 	m.SetFault(faults.NewDropout(1.0, 1))

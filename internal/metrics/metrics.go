@@ -93,26 +93,3 @@ func percentile(sorted []float64, p float64) float64 {
 	frac := pos - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
-
-// Mean returns the arithmetic mean (0 for empty input).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}
-
-// Clamp01 clamps x into [0, 1].
-func Clamp01(x float64) float64 {
-	switch {
-	case math.IsNaN(x), x < 0:
-		return 0
-	case x > 1:
-		return 1
-	}
-	return x
-}

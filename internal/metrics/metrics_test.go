@@ -144,12 +144,3 @@ func TestPercentilesOrdered(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestMeanAndClamp(t *testing.T) {
-	if Mean(nil) != 0 || Mean([]float64{2, 4}) != 3 {
-		t.Fatal("Mean wrong")
-	}
-	if Clamp01(-1) != 0 || Clamp01(2) != 1 || Clamp01(0.5) != 0.5 || Clamp01(math.NaN()) != 0 {
-		t.Fatal("Clamp01 wrong")
-	}
-}

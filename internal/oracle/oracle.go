@@ -60,10 +60,6 @@ func New(frontier *knob.Frontier, plat *platform.Platform, prof platform.AppProf
 	return o, nil
 }
 
-// DefaultEnergyPerIter returns the default/default energy per iteration —
-// the baseline the paper's reduction factors f divide (Sec. 5.2).
-func (o *Oracle) DefaultEnergyPerIter() float64 { return o.defaultEPI }
-
 // BestAccuracy returns the highest accuracy achievable at or under the
 // given energy-per-iteration budget, with the chosen point. ok is false if
 // no configuration fits the budget (the goal is infeasible even for the

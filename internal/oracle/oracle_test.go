@@ -46,7 +46,7 @@ func TestNewValidates(t *testing.T) {
 
 func TestBestAccuracyMonotoneInBudget(t *testing.T) {
 	o := newOracle(t)
-	def := o.DefaultEnergyPerIter()
+	def := o.defaultEPI
 	prev := -1.0
 	for _, f := range []float64{3, 2.5, 2, 1.5, 1.2, 1} {
 		pt, ok := o.BestAccuracy(def / f)
@@ -67,7 +67,7 @@ func TestBestAccuracyMonotoneInBudget(t *testing.T) {
 
 func TestBestAccuracyRespectsBudget(t *testing.T) {
 	o := newOracle(t)
-	budget := o.DefaultEnergyPerIter() / 1.8
+	budget := o.defaultEPI / 1.8
 	pt, ok := o.BestAccuracy(budget)
 	if !ok {
 		t.Fatal("feasible budget reported infeasible")
@@ -113,7 +113,7 @@ func TestPhasedAllocationBeatsUniform(t *testing.T) {
 	o := newOracle(t)
 	tr := workload.ThreePhaseVideo(100)
 	// Budget: the uniform solution for f=1.8 over the trace's total cost.
-	def := o.DefaultEnergyPerIter()
+	def := o.defaultEPI
 	var uniformEnergy float64
 	uniformPt, ok := o.BestAccuracy(def / 1.8)
 	if !ok {
@@ -144,7 +144,10 @@ func TestPhasedAllocationBeatsUniform(t *testing.T) {
 
 func TestPhasedInfeasible(t *testing.T) {
 	o := newOracle(t)
-	tr := workload.ConstantTrace(10)
+	tr, err := workload.NewTrace(workload.Phase{Name: "steady", Iterations: 10, Cost: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, _, ok := o.BestAccuracyPhased(tr, 1e-12); ok {
 		t.Fatal("absurd budget reported feasible")
 	}
@@ -160,7 +163,7 @@ func TestDefaultEnergyMatchesModel(t *testing.T) {
 	}
 	def := plat.DefaultConfig()
 	want := plat.Power(def, prof) * work / plat.Rate(def, prof)
-	if math.Abs(o.DefaultEnergyPerIter()-want) > 1e-9*want {
-		t.Fatalf("default EPI %v, want %v", o.DefaultEnergyPerIter(), want)
+	if math.Abs(o.defaultEPI-want) > 1e-9*want {
+		t.Fatalf("default EPI %v, want %v", o.defaultEPI, want)
 	}
 }

@@ -81,14 +81,6 @@ func (l Loop) Range(n int, body func(i int)) int {
 	return k
 }
 
-// Indices returns the executed iteration indices as a slice; a convenience
-// wrapper around Range for kernels that need random access.
-func (l Loop) Indices(n int) []int {
-	out := make([]int, 0, l.Kept(n))
-	l.Range(n, func(i int) { out = append(out, i) })
-	return out
-}
-
 // Speedup returns the nominal speedup of the perforated loop over the full
 // loop, assuming uniform per-iteration cost: n / kept(n) in the limit,
 // i.e. 1/(1-rate).

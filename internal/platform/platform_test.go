@@ -25,7 +25,7 @@ func TestConfigurationCounts(t *testing.T) {
 }
 
 func TestDefaultConfigIsMaxResources(t *testing.T) {
-	for _, p := range All() {
+	for _, p := range allPlatforms() {
 		c, err := p.Config(p.DefaultConfig())
 		if err != nil {
 			t.Fatal(err)
@@ -81,7 +81,7 @@ func TestProfilesCoverAllBenchmarks(t *testing.T) {
 }
 
 func TestRatePositiveAndFiniteEverywhere(t *testing.T) {
-	for _, p := range All() {
+	for _, p := range allPlatforms() {
 		for name := range Profiles {
 			prof := Profiles[name]
 			for i := 0; i < p.NumConfigs(); i++ {
@@ -101,7 +101,7 @@ func TestRatePositiveAndFiniteEverywhere(t *testing.T) {
 func TestDefaultConfigIsFastest(t *testing.T) {
 	// The default (all resources) must deliver the highest rate — more
 	// resources never slow the model down.
-	for _, p := range All() {
+	for _, p := range allPlatforms() {
 		for name, prof := range Profiles {
 			def := p.DefaultConfig()
 			defRate := p.Rate(def, prof)
@@ -275,7 +275,7 @@ func TestPriorsOptimisticButNotGross(t *testing.T) {
 	// grossly inflated (mean <= 4), and optimistic at the top of the
 	// configuration space (the default config and the true best-efficiency
 	// config), which is what steers the greedy exploitation usefully.
-	for _, p := range All() {
+	for _, p := range allPlatforms() {
 		for name, prof := range Profiles {
 			priors := p.Priors(prof)
 			var ratio float64
@@ -304,7 +304,7 @@ func firstBest(p *Platform, prof AppProfile) int {
 }
 
 func TestPriorShapesMatchConfigs(t *testing.T) {
-	for _, p := range All() {
+	for _, p := range allPlatforms() {
 		shapes := p.PriorShapes()
 		if len(shapes) != p.NumConfigs() {
 			t.Fatalf("%s: %d shapes for %d configs", p.Name, len(shapes), p.NumConfigs())
@@ -389,7 +389,7 @@ func TestRateMonotoneInFrequencyProperty(t *testing.T) {
 // the whole pipeline (oracle profiling, CSV regeneration) depends on the
 // memo layer being a pure cache, not an approximation.
 func TestMemoTablesMatchDirectEvaluation(t *testing.T) {
-	for _, p := range All() {
+	for _, p := range allPlatforms() {
 		for _, profName := range []string{"x264", "canneal", "swish++"} {
 			prof := Profiles[profName]
 			for i := 0; i < p.NumConfigs(); i++ {
@@ -433,4 +433,14 @@ func TestConfigAtMatchesConfig(t *testing.T) {
 			t.Fatalf("ConfigAt(%d) = %+v, want %+v", i, got, want)
 		}
 	}
+}
+
+// allPlatforms returns the three platforms (the shared ByName instances).
+func allPlatforms() []*Platform {
+	out := make([]*Platform, 0, 3)
+	for _, n := range Names() {
+		p, _ := ByName(n)
+		out = append(out, p)
+	}
+	return out
 }

@@ -160,16 +160,6 @@ func ByName(name string) (*Platform, error) {
 // Names lists the three platforms in paper order.
 func Names() []string { return []string{"Mobile", "Tablet", "Server"} }
 
-// All returns the three platforms (the shared ByName instances).
-func All() []*Platform {
-	out := make([]*Platform, 0, 3)
-	for _, n := range Names() {
-		p, _ := ByName(n)
-		out = append(out, p)
-	}
-	return out
-}
-
 // Profiles maps each benchmark to its hardware-interaction profile. The
 // parallel fractions, memory-boundness and hyperthreading gains are set to
 // reproduce the paper's qualitative landscape (Sec. 4.3, Table 3): ferret

@@ -30,9 +30,6 @@ type Config struct {
 	// observations required to descend one rung (default 6 — twice the
 	// climb, like the watchdog's sticky degradation).
 	DeescalateAfter int
-	// DegradeFloorScale is the accuracy-floor multiplier applied at
-	// the degraded rung and above (default 0.8).
-	DegradeFloorScale float64
 	// ShedPressure is the pool-pressure threshold — (committed +
 	// consumed) / global — above which overload shedding engages
 	// (default 0.97).
@@ -52,9 +49,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.DeescalateAfter <= 0 {
 		c.DeescalateAfter = 2 * c.EscalateAfter
-	}
-	if c.DegradeFloorScale <= 0 || c.DegradeFloorScale > 1 {
-		c.DegradeFloorScale = 0.8
 	}
 	if c.ShedPressure <= 0 {
 		c.ShedPressure = 0.97
@@ -220,20 +214,6 @@ func (e *Engine) StateOf(tenant string) State {
 	return StateOK
 }
 
-// FloorScale returns the accuracy-floor multiplier the ladder applies
-// to the tenant right now (1 while below the degraded rung).
-func (e *Engine) FloorScale(tenant string) float64 {
-	if e.enforced.Load() == 0 {
-		return 1
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if t := e.tenants[tenant]; t != nil && t.effective() >= StateDegraded {
-		return e.cfg.DegradeFloorScale
-	}
-	return 1
-}
-
 // CheckRegister gates a new registration: nil admits, a refusal
 // carries tenant_suspended while the tenant sits at the suspend rung
 // or above. Existing sessions are unaffected (suspension is rung 3;
@@ -383,9 +363,8 @@ type Standing struct {
 	// State is the effective rung (max of local and fleet); Local is
 	// this node's own ladder verdict — what heartbeats ship, so the
 	// fleet merge never echoes itself into a ratchet.
-	State      State
-	Local      State
-	FloorScale float64
+	State State
+	Local State
 }
 
 // Standings snapshots every known tenant, sorted by name.
@@ -394,11 +373,7 @@ func (e *Engine) Standings() []Standing {
 	defer e.mu.Unlock()
 	out := make([]Standing, 0, len(e.tenants))
 	for name, t := range e.tenants {
-		fs := 1.0
-		if t.effective() >= StateDegraded {
-			fs = e.cfg.DegradeFloorScale
-		}
-		out = append(out, Standing{Tenant: name, Tier: t.tier, State: t.effective(), Local: t.local, FloorScale: fs})
+		out = append(out, Standing{Tenant: name, Tier: t.tier, State: t.effective(), Local: t.local})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Tenant < out[j].Tenant })
 	return out
@@ -415,11 +390,7 @@ func (e *Engine) LocalPolicies() []wire.TenantPolicy {
 		if t.local == StateOK {
 			continue
 		}
-		fs := 1.0
-		if t.local >= StateDegraded {
-			fs = e.cfg.DegradeFloorScale
-		}
-		out = append(out, wire.TenantPolicy{Tenant: name, Tier: t.tier.String(), State: t.local.String(), FloorScale: fs})
+		out = append(out, wire.TenantPolicy{Tenant: name, Tier: t.tier.String(), State: t.local.String()})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Tenant < out[j].Tenant })
 	return out

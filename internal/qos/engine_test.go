@@ -173,22 +173,6 @@ func TestRemotePolicyOverlay(t *testing.T) {
 	}
 }
 
-func TestFloorScaleFollowsLadder(t *testing.T) {
-	e := New(Config{Enabled: true, EscalateAfter: 1, DegradeFloorScale: 0.8})
-	e.SetTier("be", BestEffort)
-	if got := e.FloorScale("be"); got != 1 {
-		t.Fatalf("floor scale before the ladder = %v, want 1", got)
-	}
-	tick(e, "be", 2, 0)
-	tick(e, "be", 2, 0) // -> degraded
-	if st := e.StateOf("be"); st != StateDegraded {
-		t.Fatalf("state after two overrun ticks = %v, want degraded", st)
-	}
-	if got := e.FloorScale("be"); got != 0.8 {
-		t.Fatalf("degraded floor scale = %v, want DegradeFloorScale 0.8", got)
-	}
-}
-
 func TestTierAndStateParsing(t *testing.T) {
 	for _, tier := range []Tier{Guaranteed, Standard, BestEffort} {
 		if got := ParseTier(tier.String()); got != tier {

@@ -3,11 +3,11 @@
 // layer, and turns sustained over-budget behavior into *graduated*
 // enforcement. Three mechanisms compose:
 //
-//   - A per-tenant escalation ladder — throttle decision rate, then
-//     degrade the accuracy floor, then suspend new registrations, then
-//     kill sessions — with hysteresis on the way up (several
-//     consecutive overrun observations per rung) and sticky
-//     de-escalation on the way down (several consecutive clean
+//   - A per-tenant escalation ladder — throttle decision rate, hold
+//     one more rung at that pace (degraded), then suspend new
+//     registrations, then kill sessions — with hysteresis on the way
+//     up (several consecutive overrun observations per rung) and
+//     sticky de-escalation on the way down (several consecutive clean
 //     observations per rung), mirroring the runtime watchdog.
 //   - QoS tiers (guaranteed / standard / best-effort), each carrying a
 //     latency SLO, a shedding order and a fair-share weight.
@@ -96,8 +96,8 @@ func ParseTier(s string) Tier {
 }
 
 // State is a tenant's ladder rung. Rungs are ordered: every
-// enforcement at rung n also applies at rungs above it (a degraded
-// tenant is still throttled; a suspended tenant is still degraded).
+// enforcement at rung n also applies at rungs above it (a degraded or
+// suspended tenant is still throttled).
 type State int
 
 const (
@@ -106,19 +106,26 @@ const (
 	// StateThrottled: Next decisions are paced to the tenant's SLO
 	// rate; excess calls get 429 tenant_throttled.
 	StateThrottled
-	// StateDegraded: additionally, the tenant's accuracy floor is
-	// scaled down by the engine's DegradeFloorScale.
+	// StateDegraded enforces what StateThrottled does; it is one more
+	// hysteresis step between pacing and suspension, so a tenant must
+	// overrun for EscalateAfter more observations before its
+	// registrations are refused.
 	StateDegraded
 	// StateSuspended: additionally, new registrations are refused with
-	// 503 tenant_suspended; existing sessions keep running (paced,
-	// degraded).
+	// 503 tenant_suspended; existing sessions keep running (paced).
 	StateSuspended
 	// StateKilled: the tenant's sessions are torn down (503
 	// tenant_shed) and their grants reclaimed for the pool.
 	StateKilled
 )
 
-var stateNames = [...]string{"ok", "throttled", "degraded", "suspended", "killed"}
+var stateNames = [...]string{
+	StateOK:        "ok",
+	StateThrottled: "throttled",
+	StateDegraded:  "degraded",
+	StateSuspended: "suspended",
+	StateKilled:    "killed",
+}
 
 // String renders the rung's wire name.
 func (s State) String() string {

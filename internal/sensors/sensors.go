@@ -110,16 +110,6 @@ func (m *ExternalMeter) EnergyJ() float64 { return m.energyJ }
 // Samples returns the recorded 1 Hz power samples.
 func (m *ExternalMeter) Samples() []float64 { return append([]float64(nil), m.samples...) }
 
-// LastPowerW returns the most recent instantaneous power.
-func (m *ExternalMeter) LastPowerW() float64 { return m.lastW }
-
-// Reader is the feedback interface the runtime consumes: cumulative energy
-// and average power since the last call.
-type Reader interface {
-	// ReadEnergy returns the cumulative full-system energy in joules.
-	ReadEnergy() float64
-}
-
 // FullSystemReader implements the paper's measurement strategy on the Intel
 // platforms: fast on-chip counters cover only the package, so a fixed
 // constant (the externally measured non-CPU power) is added (Sec. 4.2:
@@ -173,9 +163,6 @@ func (f *FullSystemReader) ReadEnergy() float64 {
 	f.prevMSR = cur
 	return f.accumJ + f.FixedW*f.clock
 }
-
-// RAPLCounter exposes the underlying MSR for tests.
-func (f *FullSystemReader) RAPLCounter() uint32 { return f.rapl.Read() }
 
 // INAReader reconstructs full-system energy from INA231 rail sensors
 // (Mobile): the simulation updates the rail powers, and energy integrates

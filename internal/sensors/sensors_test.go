@@ -111,8 +111,8 @@ func TestExternalMeterSampling(t *testing.T) {
 	if n := len(m.Samples()); n != 2 {
 		t.Fatalf("samples at 1 Hz over 2.5 s: %d", n)
 	}
-	if m.LastPowerW() != 100 {
-		t.Fatalf("last power: %v", m.LastPowerW())
+	if m.lastW != 100 {
+		t.Fatalf("last power: %v", m.lastW)
 	}
 }
 
@@ -179,7 +179,7 @@ func TestFullSystemReaderValidates(t *testing.T) {
 func TestFullSystemReaderBelowFixed(t *testing.T) {
 	f, _ := NewFullSystemReader(85, 0)
 	f.Advance(50, 1) // true power below the adder: MSR sees zero
-	if got := f.RAPLCounter(); got != 0 {
+	if got := f.rapl.Read(); got != 0 {
 		t.Fatalf("counter: %d", got)
 	}
 	if got := f.ReadEnergy(); math.Abs(got-85) > 1e-9 {

@@ -213,7 +213,7 @@ func (s *Server) qosHealth() telemetry.QoSInfo {
 	info := telemetry.QoSInfo{Enabled: s.cfg.QoS.Enabled}
 	for _, st := range s.qos.Standings() {
 		info.Tenants = append(info.Tenants, telemetry.QoSTenant{
-			Tenant: st.Tenant, Tier: st.Tier.String(), State: st.State.String(), FloorScale: st.FloorScale,
+			Tenant: st.Tenant, Tier: st.Tier.String(), State: st.State.String(),
 		})
 	}
 	return info
@@ -861,7 +861,6 @@ func (s *Server) sessionInfo(sess *session, includeEstimates bool) wire.SessionI
 	si.Tier = s.qos.TierOf(si.Tenant).String()
 	if st := s.qos.StateOf(si.Tenant); st != qos.StateOK {
 		si.QoSState = st.String()
-		si.FloorScale = s.qos.FloorScale(si.Tenant)
 	}
 	return si
 }

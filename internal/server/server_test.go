@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -437,5 +438,34 @@ func TestListSessions(t *testing.T) {
 		if list.Sessions[i-1].SessionID >= list.Sessions[i].SessionID {
 			t.Fatalf("sessions out of order: %s >= %s", list.Sessions[i-1].SessionID, list.Sessions[i].SessionID)
 		}
+	}
+}
+
+// TestNaNClockDoneRetries: a Done whose clock is NaN is refused without
+// settling the iteration, and the session stays armed, so the client's
+// retry with a good clock settles it and the session carries on.
+func TestNaNClockDoneRetries(t *testing.T) {
+	srv := testServer(t, 1000, nil)
+	defer shutdown(srv)
+	resp, err := srv.Register(wire.RegisterRequest{App: "radar", Platform: "Tablet", Iterations: 10, BudgetJ: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := resp.SessionID
+	if _, err := srv.Next(id, wire.NextRequest{NowS: 0}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.Done(id, wire.DoneRequest{NowS: math.NaN(), EnergyJ: 1, Accuracy: 1}); err == nil {
+		t.Fatal("Done on a NaN clock was accepted")
+	}
+	done, err := srv.Done(id, wire.DoneRequest{NowS: 1, EnergyJ: 1, Accuracy: 1})
+	if err != nil {
+		t.Fatalf("retrying Done on a good clock: %v", err)
+	}
+	if done.IterationsDone != 1 {
+		t.Fatalf("retried Done settled %d iterations, want 1", done.IterationsDone)
+	}
+	if _, err := srv.Next(id, wire.NextRequest{NowS: 1}); err != nil {
+		t.Fatalf("Next after the retried Done: %v", err)
 	}
 }

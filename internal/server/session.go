@@ -347,8 +347,8 @@ func (s *session) done(req wire.DoneRequest) (wire.DoneResponse, *wire.Error) {
 	}
 	s.pending.now, s.pending.energy, s.pending.eerr = req.NowS, energyJ, energyErr
 	if err := s.ctl.Done(req.Accuracy); err != nil {
-		// The armed check above rules out sequencing errors; anything
-		// else is an internal failure worth surfacing as such.
+		// The armed check rules out sequencing errors; a non-finite clock
+		// is refused with the session still armed, so the client may retry.
 		return wire.DoneResponse{}, &wire.Error{Code: wire.CodeBadRequest, Msg: err.Error()}
 	}
 	// The log records what the controller consumed (the meter-attributed

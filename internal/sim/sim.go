@@ -345,25 +345,6 @@ func (e *Engine) Run(iters int, gov Governor) (*Record, error) {
 	return rec, nil
 }
 
-// DefaultBaseline measures the application in its default configuration on
-// the platform's default configuration (Sec. 5.2: "we first measure
-// accuracy and energy consumption in the default configuration") and
-// returns the true energy per iteration and the mean iteration rate.
-func DefaultBaseline(app apps.App, plat *platform.Platform, iters int, seed int64) (energyPerIter, iterRate, power float64, err error) {
-	e, err := New(app, plat, seed)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	rec, err := e.Run(iters, FixedGovernor{AppCfg: app.DefaultConfig(), SysCfg: plat.DefaultConfig()})
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	return rec.TrueEnergy / float64(rec.Iterations),
-		float64(rec.Iterations) / rec.Time,
-		rec.TrueEnergy / rec.Time,
-		nil
-}
-
 // FixedGovernor pins both configurations — the "out of the box" run.
 type FixedGovernor struct {
 	AppCfg, SysCfg int

@@ -115,20 +115,6 @@ func TestExternalTraceScalesWork(t *testing.T) {
 	}
 }
 
-func TestDefaultBaseline(t *testing.T) {
-	app, _ := apps.New("radar")
-	epi, rate, power, err := DefaultBaseline(app, platform.Tablet(), 50, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if epi <= 0 || rate <= 0 || power <= 0 {
-		t.Fatalf("baseline: epi=%v rate=%v power=%v", epi, rate, power)
-	}
-	if math.Abs(epi-power/rate) > 1e-9*epi {
-		t.Fatalf("baseline identities violated: %v vs %v", epi, power/rate)
-	}
-}
-
 func TestRecordCSV(t *testing.T) {
 	e := newEngine(t)
 	rec, err := e.Run(5, FixedGovernor{AppCfg: 1, SysCfg: 3})
@@ -191,10 +177,6 @@ func TestHeartbeatStreamMatchesRun(t *testing.T) {
 	wantRate := 20 / tail
 	if got := e.HB.WindowRate(); math.Abs(got-wantRate)/wantRate > 0.02 {
 		t.Fatalf("window rate %v, run tail rate %v", got, wantRate)
-	}
-	min, mean, max := e.HB.LatencyStats()
-	if !(min <= mean && mean <= max && min > 0) {
-		t.Fatalf("latency stats: %v %v %v", min, mean, max)
 	}
 }
 

@@ -33,13 +33,11 @@ type MeterInfo struct {
 }
 
 // QoSTenant is one tenant's standing in the /healthz tenant-protection
-// section: its QoS tier, current ladder rung and the accuracy-floor
-// degradation in force.
+// section: its QoS tier and current ladder rung.
 type QoSTenant struct {
-	Tenant     string  `json:"tenant"`
-	Tier       string  `json:"tier"`
-	State      string  `json:"state"`
-	FloorScale float64 `json:"floor_scale,omitempty"`
+	Tenant string `json:"tenant"`
+	Tier   string `json:"tier"`
+	State  string `json:"state"`
 }
 
 // QoSInfo is the tenant-protection section of /healthz: whether the

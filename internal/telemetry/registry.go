@@ -328,18 +328,6 @@ func validLabelName(s string) bool {
 	return true
 }
 
-// MetricNames returns the registered family names, in registration
-// order. Tests use it to assert every metric appears in the exposition.
-func (r *Registry) MetricNames() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]string, len(r.families))
-	for i, f := range r.families {
-		out[i] = f.name
-	}
-	return out
-}
-
 // WritePrometheus renders the registry in the Prometheus text exposition
 // format (version 0.0.4): one HELP and TYPE line per family followed by
 // its samples; histograms expand into cumulative _bucket series plus

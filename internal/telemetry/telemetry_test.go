@@ -107,7 +107,8 @@ func TestPrometheusExpositionGrammar(t *testing.T) {
 			}
 		}
 	}
-	for _, name := range tel.Registry.MetricNames() {
+	for _, f := range tel.Registry.families {
+		name := f.name
 		typ, ok := typed[name]
 		if !ok {
 			t.Fatalf("metric %q has no TYPE line", name)

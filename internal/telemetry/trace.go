@@ -193,13 +193,6 @@ func (b *SpanBuffer) Record(s Span) {
 	b.mu.Unlock()
 }
 
-// Total returns how many spans were ever recorded.
-func (b *SpanBuffer) Total() uint64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.total
-}
-
 // Snapshot returns the recorded window oldest-first, optionally
 // filtered to one trace id (0 = everything).
 func (b *SpanBuffer) Snapshot(trace uint64) []Span {

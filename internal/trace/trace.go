@@ -32,9 +32,6 @@ func (s *Set) Add(name string) *Series {
 	return ser
 }
 
-// Append adds a value to a series.
-func (ser *Series) Append(v float64) { ser.Values = append(ser.Values, v) }
-
 // Len returns the longest series length.
 func (s *Set) Len() int {
 	n := 0

@@ -10,9 +10,9 @@ func TestCSVOutput(t *testing.T) {
 	set := NewSet("iter")
 	a := set.Add("energy")
 	b := set.Add("accuracy")
-	a.Append(1.5)
-	a.Append(2.5)
-	b.Append(0.9)
+	a.Values = append(a.Values, 1.5)
+	a.Values = append(a.Values, 2.5)
+	b.Values = append(b.Values, 0.9)
 	var sb strings.Builder
 	if err := set.WriteCSV(&sb); err != nil {
 		t.Fatal(err)
@@ -35,7 +35,7 @@ func TestCSVOutput(t *testing.T) {
 func TestASCIIChartRendersShape(t *testing.T) {
 	ser := &Series{Name: "ramp"}
 	for i := 0; i < 100; i++ {
-		ser.Append(float64(i))
+		ser.Values = append(ser.Values, float64(i))
 	}
 	out := ASCIIChart(ser, 40, 8)
 	if out == "" {
@@ -119,9 +119,9 @@ func TestASCIIChartSparseNaNRegression(t *testing.T) {
 	ser := &Series{Name: "holey"}
 	for i := 0; i < 40; i++ {
 		if i/10%2 == 0 {
-			ser.Append(math.NaN())
+			ser.Values = append(ser.Values, math.NaN())
 		} else {
-			ser.Append(float64(i))
+			ser.Values = append(ser.Values, float64(i))
 		}
 	}
 	out := ASCIIChart(ser, 8, 4)

@@ -183,9 +183,6 @@ type TenantPolicy struct {
 	// State is the ladder rung ("ok" | "throttled" | "degraded" |
 	// "suspended" | "killed").
 	State string `json:"state"`
-	// FloorScale is the accuracy-floor degradation multiplier in force
-	// (1 = undegraded; only meaningful at the degraded rung and above).
-	FloorScale float64 `json:"floor_scale,omitempty"`
 }
 
 // HeartbeatResponse extends the lease and acks the session logs.

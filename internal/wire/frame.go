@@ -397,6 +397,9 @@ func ParseNext(h Hdr, p []byte) (NextRequest, error) {
 		return NextRequest{}, err
 	}
 	req := NextRequest{NowS: math.Float64frombits(binary.LittleEndian.Uint64(p[0:8]))}
+	if !finite(req.NowS) {
+		return NextRequest{}, fmt.Errorf("wire: TNext now_s %v is not finite", req.NowS)
+	}
 	req.TraceID, req.SpanID = getTraceExt(h, p, nextLen)
 	return req, nil
 }
@@ -414,7 +417,10 @@ func ParseDone(h Hdr, p []byte) (DoneRequest, error) {
 	if err := checkReq(h, p, doneLen, FlagEnergyErr); err != nil {
 		return DoneRequest{}, err
 	}
-	req := getDone(h.Flags, p)
+	req, err := getDone(h.Flags, p)
+	if err != nil {
+		return DoneRequest{}, err
+	}
 	req.TraceID, req.SpanID = getTraceExt(h, p, doneLen)
 	return req, nil
 }
@@ -433,8 +439,14 @@ func ParseDoneNext(h Hdr, p []byte) (DoneRequest, NextRequest, error) {
 	if err := checkReq(h, p, doneNextLen, FlagEnergyErr); err != nil {
 		return DoneRequest{}, NextRequest{}, err
 	}
-	done := getDone(h.Flags, p)
+	done, err := getDone(h.Flags, p)
+	if err != nil {
+		return DoneRequest{}, NextRequest{}, err
+	}
 	next := NextRequest{NowS: math.Float64frombits(binary.LittleEndian.Uint64(p[doneLen : doneLen+8]))}
+	if !finite(next.NowS) {
+		return DoneRequest{}, NextRequest{}, fmt.Errorf("wire: TDoneNext next now_s %v is not finite", next.NowS)
+	}
 	done.TraceID, done.SpanID = getTraceExt(h, p, doneNextLen)
 	next.TraceID, next.SpanID = done.TraceID, done.SpanID
 	return done, next, nil
@@ -457,14 +469,23 @@ func ParseErr(h Hdr, p []byte) (code, msg string, err error) {
 	return ErrCodeString(p[0]), string(p[1:]), nil
 }
 
-func getDone(flags byte, p []byte) DoneRequest {
-	return DoneRequest{
+// getDone decodes a done payload and refuses NaN and infinite values,
+// which v1's JSON cannot carry either.
+func getDone(flags byte, p []byte) (DoneRequest, error) {
+	req := DoneRequest{
 		NowS:      math.Float64frombits(binary.LittleEndian.Uint64(p[0:8])),
 		EnergyJ:   math.Float64frombits(binary.LittleEndian.Uint64(p[8:16])),
 		Accuracy:  math.Float64frombits(binary.LittleEndian.Uint64(p[16:24])),
 		EnergyErr: flags&FlagEnergyErr != 0,
 	}
+	if !finite(req.NowS) || !finite(req.EnergyJ) || !finite(req.Accuracy) {
+		return DoneRequest{}, fmt.Errorf("wire: done now_s %v, energy_j %v, accuracy %v: not all finite", req.NowS, req.EnergyJ, req.Accuracy)
+	}
+	return req, nil
 }
+
+// finite reports whether x is neither NaN nor infinite.
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 func getDoneResp(flags byte, p []byte) DoneResponse {
 	return DoneResponse{

@@ -3,7 +3,9 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"io"
+	"math"
 	"strings"
 	"testing"
 )
@@ -154,6 +156,61 @@ func TestFrameWrongLengthForType(t *testing.T) {
 	}
 	if _, err := ParseDoneResp(Hdr{Type: TDoneResp, Len: 3}, make([]byte, 3)); err == nil {
 		t.Fatal("ParseDoneResp accepted a mis-sized payload")
+	}
+}
+
+// TestFrameRejectsNonFinite: NaN and infinite clocks, energies and
+// accuracies are refused at decode, as v1's JSON cannot carry them.
+func TestFrameRejectsNonFinite(t *testing.T) {
+	good := DoneRequest{NowS: 2, EnergyJ: 3, Accuracy: 0.5}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		cases := []struct {
+			name string
+			done DoneRequest
+			next NextRequest
+		}{
+			{"now_s", DoneRequest{NowS: bad, EnergyJ: 3, Accuracy: 0.5}, NextRequest{NowS: 1}},
+			{"energy_j", DoneRequest{NowS: 2, EnergyJ: bad, Accuracy: 0.5}, NextRequest{NowS: 1}},
+			{"energy_j with energy_err", DoneRequest{NowS: 2, EnergyJ: bad, Accuracy: 0.5, EnergyErr: true}, NextRequest{NowS: 1}},
+			{"accuracy", DoneRequest{NowS: 2, EnergyJ: 3, Accuracy: bad}, NextRequest{NowS: 1}},
+			{"next now_s", good, NextRequest{NowS: bad}},
+		}
+		for _, tc := range cases {
+			t.Run(fmt.Sprintf("%s=%v", tc.name, bad), func(t *testing.T) {
+				var buf bytes.Buffer
+				enc := NewEncoder(&buf)
+				if err := enc.Next(1, &tc.next); err != nil {
+					t.Fatal(err)
+				}
+				if err := enc.Done(1, &tc.done); err != nil {
+					t.Fatal(err)
+				}
+				if err := enc.DoneNext(1, &tc.done, &tc.next); err != nil {
+					t.Fatal(err)
+				}
+				if err := enc.Flush(); err != nil {
+					t.Fatal(err)
+				}
+				dec := NewDecoder(&buf)
+				h, p, err := dec.ReadFrame()
+				if err != nil {
+					t.Fatal(err)
+				}
+				_, nextErr := ParseNext(h, p)
+				if h, p, err = dec.ReadFrame(); err != nil {
+					t.Fatal(err)
+				}
+				_, doneErr := ParseDone(h, p)
+				if h, p, err = dec.ReadFrame(); err != nil {
+					t.Fatal(err)
+				}
+				_, _, pairErr := ParseDoneNext(h, p)
+				badNext := tc.name == "next now_s"
+				if (nextErr != nil) != badNext || (doneErr != nil) == badNext || pairErr == nil {
+					t.Errorf("TNext err %v, TDone err %v, TDoneNext err %v", nextErr, doneErr, pairErr)
+				}
+			})
+		}
 	}
 }
 

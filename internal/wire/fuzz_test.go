@@ -2,14 +2,15 @@ package wire
 
 import (
 	"bytes"
+	"math"
 	"testing"
 )
 
 // FuzzDecoder feeds arbitrary bytes through the v2 frame decoder and
 // every payload parser, seeded with the frames the codec tests encode.
 // Nothing may panic; a TNext, TDone or TDoneNext frame a parser accepts
-// must re-encode byte for byte (the encoder is the only dialect the
-// parsers speak); and a TErr frame's code byte must map through the
+// must carry only finite floats and re-encode byte for byte (the encoder
+// is the only dialect the parsers speak); and a TErr frame's code byte must map through the
 // error table, or read as bad_request when the table has no such byte.
 func FuzzDecoder(f *testing.F) {
 	next := NextRequest{NowS: 12.375}
@@ -18,6 +19,7 @@ func FuzzDecoder(f *testing.F) {
 	tracedDone := DoneRequest{NowS: 2.5, EnergyJ: 7.25, Accuracy: 0.5, TraceID: 0xfeedfacefeedface, SpanID: 42}
 	nextResp := NextResponse{Iter: 7, AppConfig: 3, SysConfig: 11}
 	doneResp := DoneResponse{IterationsDone: 7, SpentJ: 55.5, GrantRemainingJ: 44.5, Degraded: true, Complete: true}
+	nanDone := DoneRequest{NowS: 3.5, EnergyJ: 9.25, Accuracy: math.NaN()}
 	seeds := []func(e *Encoder) error{
 		func(e *Encoder) error { return e.Next(42, &next) },
 		func(e *Encoder) error { return e.Next(9, &traced) },
@@ -27,6 +29,7 @@ func FuzzDecoder(f *testing.F) {
 		func(e *Encoder) error { return e.DoneResp(43, doneResp) },
 		func(e *Encoder) error { return e.DoneNext(44, &done, &next) },
 		func(e *Encoder) error { return e.DoneNext(9, &tracedDone, &traced) },
+		func(e *Encoder) error { return e.Done(46, &nanDone) },
 		func(e *Encoder) error { return e.DoneNextResp(44, doneResp, nextResp) },
 		func(e *Encoder) error { return e.Err(45, CodeSessionComplete, "workload complete") },
 		func(e *Encoder) error { return e.Err(100, CodeTenantShed, "tenant noisy was shed") },
@@ -64,16 +67,19 @@ func FuzzDecoder(f *testing.F) {
 			case TNext:
 				if req, err := ParseNext(h, p); err == nil {
 					accepted = true
+					mustBeFinite(t, req.NowS)
 					_ = enc.Next(h.Session, &req)
 				}
 			case TDone:
 				if req, err := ParseDone(h, p); err == nil {
 					accepted = true
+					mustBeFinite(t, req.NowS, req.EnergyJ, req.Accuracy)
 					_ = enc.Done(h.Session, &req)
 				}
 			case TDoneNext:
 				if d, n, err := ParseDoneNext(h, p); err == nil {
 					accepted = true
+					mustBeFinite(t, d.NowS, d.EnergyJ, d.Accuracy, n.NowS)
 					_ = enc.DoneNext(h.Session, &d, &n)
 				}
 			case TErr:
@@ -97,6 +103,17 @@ func FuzzDecoder(f *testing.F) {
 			}
 		}
 	})
+}
+
+// mustBeFinite fails the test on a NaN or infinite value a parser let
+// through.
+func mustBeFinite(t *testing.T, xs ...float64) {
+	t.Helper()
+	for _, x := range xs {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			t.Fatalf("parser accepted the non-finite value %v", x)
+		}
+	}
 }
 
 // lookupByte is the code the error table gives byte b, bad_request when

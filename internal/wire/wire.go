@@ -71,7 +71,7 @@ type RegisterRequest struct {
 	IdleTimeoutS float64 `json:"idle_timeout_s,omitempty"`
 	// Tier names the tenant's QoS class: "guaranteed", "standard"
 	// (default when empty), or "best-effort". The tier fixes the latency
-	// SLO and accuracy floor the qos engine defends for the tenant, and
+	// SLO the qos engine paces the tenant to, its fair-share weight, and
 	// the order overload shedding sacrifices tenants in.
 	Tier string `json:"tier,omitempty"`
 }
@@ -178,9 +178,6 @@ type SessionInfo struct {
 	// engine sees them at introspection time.
 	Tier     string `json:"tier,omitempty"`
 	QoSState string `json:"qos_state,omitempty"`
-	// FloorScale is the degradation multiplier the ladder currently
-	// applies to the tenant's accuracy floor (1 = undegraded).
-	FloorScale float64 `json:"floor_scale,omitempty"`
 }
 
 // ArmEstimate is one system configuration's learned model.

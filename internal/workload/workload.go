@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"strings"
 )
 
 // Phase describes a contiguous stretch of a workload with a constant
@@ -44,15 +43,6 @@ func NewTrace(phases ...Phase) (*Trace, error) {
 		t.total += p.Iterations
 	}
 	return t, nil
-}
-
-// ConstantTrace is a single-phase trace of n nominal-cost iterations.
-func ConstantTrace(n int) *Trace {
-	t, err := NewTrace(Phase{Name: "steady", Iterations: n, Cost: 1})
-	if err != nil {
-		panic(err) // n <= 0 is a programmer error
-	}
-	return t
 }
 
 // ThreePhaseVideo reproduces the Fig. 8 input: three scenes of framesPer
@@ -157,21 +147,6 @@ func (t *Trace) Cost(i int) float64 {
 		i -= p.Iterations
 	}
 	return t.phases[len(t.phases)-1].Cost
-}
-
-// PhaseAt returns the phase containing iteration i (the last phase for
-// out-of-range indices).
-func (t *Trace) PhaseAt(i int) Phase {
-	if i < 0 {
-		i = 0
-	}
-	for _, p := range t.phases {
-		if i < p.Iterations {
-			return p
-		}
-		i -= p.Iterations
-	}
-	return t.phases[len(t.phases)-1]
 }
 
 // TotalCost returns the sum of costs over the whole trace — the total work
@@ -290,15 +265,4 @@ func (q *QueryStream) Next() []int {
 		out[i] = q.words[q.z.Uint64()]
 	}
 	return out
-}
-
-// DictionarySize returns the number of candidate query words.
-func (q *QueryStream) DictionarySize() int { return len(q.words) }
-
-// WordString renders a word id as a fake token, for debugging output.
-func WordString(id int) string {
-	var b strings.Builder
-	b.WriteByte('w')
-	fmt.Fprintf(&b, "%d", id)
-	return b.String()
 }

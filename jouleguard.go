@@ -349,17 +349,6 @@ func (tb *Testbed) NewOracle() (*Oracle, error) {
 	return orc, nil
 }
 
-// resetExperimentCaches drops the testbed and oracle caches (benchmarks
-// measuring cold-path construction cost).
-func resetExperimentCaches() {
-	testbedMu.Lock()
-	testbedCache = map[[2]string]*Testbed{}
-	testbedMu.Unlock()
-	oracleMu.Lock()
-	oracleCache = map[oracleKey]*Oracle{}
-	oracleMu.Unlock()
-}
-
 // Run executes iters iterations under the governor on a fresh simulation
 // engine and returns the run record.
 func (tb *Testbed) Run(gov Governor, iters int) (*Record, error) {

@@ -3,6 +3,7 @@ package jouleguard
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"jouleguard/internal/guard"
 	"jouleguard/internal/heartbeats"
@@ -139,17 +140,23 @@ func (o *OnlineController) Next() (appCfg, sysCfg int) {
 // loop and never skip the governor: the observation is delivered with the
 // guard's model-based estimate and flagged as such, so the governor's
 // iteration/budget accounting stays synchronised and its own watchdog can
-// degrade gracefully.
+// degrade gracefully. A NaN or infinite clock reading at Done is the one
+// refusal: nothing is measured or recorded, and the iteration stays in
+// flight, so a retry with a good clock completes it.
 func (o *OnlineController) Done(accuracy float64) error {
 	if !o.started {
 		o.noteSequenceError("Done without Next")
 		return fmt.Errorf("%w: Done without Next", ErrOutOfSequence)
 	}
-	o.started = false
 	end := o.now()
+	if math.IsNaN(end) || math.IsInf(end, 0) {
+		return fmt.Errorf("jouleguard: clock read %v at Done", end)
+	}
+	o.started = false
 	dur := end - o.startT
-	if dur < 0 {
-		// Monotone-clock guard: clamp, record, continue.
+	if dur < 0 || math.IsNaN(dur) || math.IsInf(dur, 1) {
+		// Monotone-clock guard: a clock that stepped backwards, or a
+		// non-finite reading at Next, is clamped and recorded.
 		o.clockBack++
 		dur = 0
 	}
@@ -208,9 +215,9 @@ func (o *OnlineController) Done(accuracy float64) error {
 		beatT = o.lastBeatT
 	}
 	o.lastBeatT = beatT
-	if _, err := o.hb.Beat(beatT, o.appCfg); err != nil {
-		return err
-	}
+	// Beat refuses only non-finite or regressing times, and beatT is
+	// neither: end is finite and beatT never falls behind the last beat.
+	_, _ = o.hb.Beat(beatT, o.appCfg)
 	o.gov.Observe(sim.Feedback{
 		Iter:           o.iter,
 		AppConfig:      o.appCfg,

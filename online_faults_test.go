@@ -166,11 +166,11 @@ func (s *verdictSink) IterationDone(_ float64, accepted bool, reason uint8, _ fl
 // reading's baseline, accepted readings, a stuck meter, an outlier, a
 // reader error, a counter regression, a zero gap and a NaN clock — and
 // checks each completed iteration reports exactly the guard verdict it
-// got, so the sink's totals match GuardCounts. A NaN clock returns the
-// heartbeat error after the guard has ruled and before the governor is
-// fed: that iteration does not complete, and its verdict is not
-// reported either. Powers and intervals are dyadic, so every reading
-// divides out exactly and a repeated power repeats bit for bit.
+// got, so the sink's totals match GuardCounts. A NaN clock is refused
+// before the meter or the guard is consulted: that iteration stays in
+// flight with nothing counted, and a retry on a good clock completes it.
+// Powers and intervals are dyadic, so every reading divides out exactly
+// and a repeated power repeats bit for bit.
 func TestOneVerdictPerDone(t *testing.T) {
 	var clock, counter, spike float64
 	var readErr bool
@@ -235,6 +235,7 @@ func TestOneVerdictPerDone(t *testing.T) {
 		}
 	}
 
+	good, failures := clock, ctl.SensorFailures()
 	ctl.Next()
 	clock = math.NaN()
 	if err := ctl.Done(1); err == nil {
@@ -242,5 +243,89 @@ func TestOneVerdictPerDone(t *testing.T) {
 	}
 	if len(sink.reasons) != len(want) || ctl.Iterations() != len(want) {
 		t.Errorf("after the NaN clock: %d events, %d iterations, want both %d", len(sink.reasons), ctl.Iterations(), len(want))
+	}
+	if acc, rej := ctl.GuardCounts(); acc+rej != ctl.Iterations() || ctl.SensorFailures() != failures {
+		t.Errorf("after the NaN clock: guard ruled %d+%d times on %d iterations, sensor failures %d -> %d",
+			acc, rej, ctl.Iterations(), failures, ctl.SensorFailures())
+	}
+	if !ctl.InFlight() {
+		t.Fatal("the refused Done ended the iteration")
+	}
+	clock = good + 0.25
+	counter += 2 * 0.25
+	if err := ctl.Done(1); err != nil {
+		t.Fatalf("retrying Done on a good clock: %v", err)
+	}
+	for k := 0; k < 20; k++ {
+		step(0.25, 2+0.125*float64(2*(k%2)-1), guard.OK)
+	}
+	if acc, rej := ctl.GuardCounts(); acc+rej != ctl.Iterations() || len(sink.reasons) != ctl.Iterations() {
+		t.Errorf("guard ruled %d+%d times and the sink saw %d events on %d iterations", acc, rej, len(sink.reasons), ctl.Iterations())
+	}
+	if e := ctl.EnergyAccounted(); math.IsNaN(e) || math.IsInf(e, 0) {
+		t.Fatalf("EnergyAccounted() = %v after a refused NaN clock", e)
+	}
+}
+
+// TestNaNClockOnFirstDone: a NaN clock on the very first Done must not
+// become the time of the last good reading, or every later reading's gap
+// would be NaN and the guard would reject them all.
+func TestNaNClockOnFirstDone(t *testing.T) {
+	var clock, counter float64
+	ctl, err := jouleguard.NewOnline(sim.FixedGovernor{},
+		func() (float64, error) { return counter, nil },
+		func() float64 { return clock })
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctl.Next()
+	clock = math.NaN()
+	if err := ctl.Done(1); err == nil {
+		t.Fatal("Done on a NaN clock returned no error")
+	}
+	clock, counter = 0.25, 0.5
+	if err := ctl.Done(1); err != nil {
+		t.Fatalf("retrying Done on a good clock: %v", err)
+	}
+	for k := 0; k < 20; k++ {
+		ctl.Next()
+		clock += 0.25
+		counter += (2 + 0.125*float64(2*(k%2)-1)) * 0.25
+		if err := ctl.Done(1); err != nil {
+			t.Fatalf("iteration %d: %v", k+1, err)
+		}
+	}
+	if acc, rej := ctl.GuardCounts(); acc != 20 || rej != 1 {
+		t.Fatalf("guard accepted %d and rejected %d of 21 readings, want 20 and the baseline", acc, rej)
+	}
+	if e := ctl.EnergyAccounted(); math.IsNaN(e) || math.IsInf(e, 0) {
+		t.Fatalf("EnergyAccounted() = %v", e)
+	}
+}
+
+// TestNaNStartClockIsAClockAnomaly: a non-finite reading at Next cannot
+// be refused (Next returns no error), so Done clamps the interval it
+// spoils to zero and counts it like a backwards clock.
+func TestNaNStartClockIsAClockAnomaly(t *testing.T) {
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		var clock, counter float64
+		ctl, err := jouleguard.NewOnline(sim.FixedGovernor{},
+			func() (float64, error) { return counter, nil },
+			func() float64 { return clock })
+		if err != nil {
+			t.Fatal(err)
+		}
+		clock = bad
+		ctl.Next()
+		clock, counter = 0.25, 0.5
+		if err := ctl.Done(1); err != nil {
+			t.Fatalf("start clock %v: %v", bad, err)
+		}
+		if ctl.ClockAnomalies() != 1 || ctl.Iterations() != 1 {
+			t.Fatalf("start clock %v: %d clock anomalies, %d iterations, want 1 and 1", bad, ctl.ClockAnomalies(), ctl.Iterations())
+		}
+		if e := ctl.EnergyAccounted(); math.IsNaN(e) || math.IsInf(e, 0) {
+			t.Fatalf("start clock %v: EnergyAccounted() = %v", bad, e)
+		}
 	}
 }
