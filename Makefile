@@ -72,8 +72,8 @@ churn-race:
 # into Restore and damaged checkpoint blobs into the session rebuild path
 # must come back as an error — never a panic, never a live session. The
 # v2 frame decoder, seeded from the codec tests' frames: no panic, every
-# accepted request frame re-encodes byte for byte, every TErr byte maps
-# through the error table. (go test takes one -fuzz target per run, hence
+# accepted binary request frame and TClose re-encodes byte for byte, every
+# TErr byte maps through the error table. (go test takes one -fuzz target per run, hence
 # three steps; a failing input lands in the package's testdata/fuzz/ as a
 # regression case.)
 fuzz:

@@ -190,7 +190,7 @@ type Session struct {
 	closed   bool
 
 	num        uint32    // numeric session id for v2 frame headers (0 = v1 only)
-	v2         *v2Stream // the stream this session owns, nil until first use
+	v2         *v2Stream // the stream this session owns, nil until Open takes one
 	v2Off      bool      // v2 off for the current node (dial failed / closed)
 	v2Disabled bool      // v2 off for the session's lifetime (Options.DisableV2)
 
@@ -211,10 +211,12 @@ type Session struct {
 	coordFailovers int
 }
 
-// Open registers a session with the daemon. readEnergy returns the
-// application's cumulative joule counter; now returns seconds on a
-// monotone clock — the same instruments NewOnline takes, measured
-// client-side so network latency never pollutes the intervals.
+// Open registers a session with the daemon: over a v2 stream it takes
+// from the idle pool (or dials) when the daemon offers one, else over v1.
+// readEnergy returns the application's cumulative joule counter; now
+// returns seconds on a monotone clock — the same instruments NewOnline
+// takes, measured client-side so network latency never pollutes the
+// intervals.
 func Open(ctx context.Context, opts Options, readEnergy func() (float64, error), now func() float64) (*Session, error) {
 	coords := make([]string, 0, 1+len(opts.CoordinatorURLs))
 	if opts.CoordinatorURL != "" {
@@ -285,9 +287,12 @@ func Open(ctx context.Context, opts Options, readEnergy func() (float64, error),
 		}
 		s.base = place.Addr
 	}
-	var resp wire.RegisterResponse
-	if err := s.call(ctx, "POST", wire.BasePath, s.reg, &resp); err != nil {
-		return nil, err
+	resp, ok := s.v2Register()
+	if !ok {
+		if err := s.call(ctx, "POST", wire.BasePath, s.reg, &resp); err != nil {
+			s.v2Release()
+			return nil, err
+		}
 	}
 	s.id = resp.SessionID
 	s.num = resp.SessionNum
@@ -519,12 +524,14 @@ func (s *Session) Close(ctx context.Context) error {
 	if s.closed {
 		return nil
 	}
-	var resp wire.CloseResponse
-	if err := s.call(ctx, "DELETE", s.path(""), nil, &resp); err != nil {
-		// The session stays open, on v1: a daemon that cannot be asked to
-		// close is no daemon to keep streams to.
-		s.v2Teardown(false)
-		return err
+	resp, ok := s.v2Close()
+	if !ok {
+		if err := s.call(ctx, "DELETE", s.path(""), nil, &resp); err != nil {
+			// The session stays open, on v1: a daemon that cannot be asked
+			// to close is no daemon to keep streams to.
+			s.v2Teardown(false)
+			return err
+		}
 	}
 	s.v2Release()
 	s.closed = true

@@ -106,18 +106,45 @@ func TestClientSessionLoop(t *testing.T) {
 
 // TestClientRetriesTransientFailures pins the backoff layer: 5xx and
 // draining replies are retried with exponential delays; protocol errors
-// are not retried.
+// are not retried. Registration survives two outages on a session pinned
+// to v1, and on one whose daemon refuses the v2 upgrade — the refusal
+// sends the register to v1, whose retries carry it through.
 func TestClientRetriesTransientFailures(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		disableV2 bool // the session never asks for a stream
+		refuseV2  bool // the daemon answers every upgrade 503 draining
+	}{
+		{name: "v1 only", disableV2: true},
+		{name: "upgrade refused", refuseV2: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			retriesTransientFailures(t, tc.disableV2, tc.refuseV2)
+		})
+	}
+}
+
+func retriesTransientFailures(t *testing.T, disableV2, refuseV2 bool) {
 	ctx := context.Background()
 	srv := newDaemon(t, 10000)
 	inner := srv.Handler()
-	var fail atomic.Int32 // fail the next N requests with 503 draining
+	var fail atomic.Int32 // fail the next N v1 requests with 503 draining
+	drain := func(w http.ResponseWriter) {
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusServiceUnavailable)
+		w.Write([]byte(`{"code":"draining","error":"restarting"}`))
+	}
 	outer := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == wire.V2Path {
+			if refuseV2 {
+				drain(w)
+				return
+			}
+			t.Errorf("a session with DisableV2 asked for a stream")
+		}
 		if fail.Load() > 0 {
 			fail.Add(-1)
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(http.StatusServiceUnavailable)
-			w.Write([]byte(`{"code":"draining","error":"restarting"}`))
+			drain(w)
 			return
 		}
 		inner.ServeHTTP(w, r)
@@ -142,7 +169,7 @@ func TestClientRetriesTransientFailures(t *testing.T) {
 	fail.Store(2) // registration itself must survive two outages
 	sess, err := client.Open(ctx, client.Options{
 		BaseURL: ts.URL, App: "radar", Platform: "Tablet",
-		Iterations: 5, BudgetJ: 10, Retry: retry,
+		Iterations: 5, BudgetJ: 10, Retry: retry, DisableV2: disableV2,
 	}, m.readEnergy, m.readNow)
 	if err != nil {
 		t.Fatal(err)
@@ -170,7 +197,7 @@ func TestClientRetriesTransientFailures(t *testing.T) {
 	mu.Unlock()
 	_, err = client.Open(ctx, client.Options{
 		BaseURL: ts.URL, App: "radar", Platform: "Tablet",
-		Iterations: 5, BudgetJ: 1e9, Retry: retry,
+		Iterations: 5, BudgetJ: 1e9, Retry: retry, DisableV2: disableV2,
 	}, m.readEnergy, m.readNow)
 	if !client.IsCode(err, wire.CodeBudgetExhausted) {
 		t.Fatalf("over-budget registration: got %v, want budget-exhausted", err)

@@ -43,17 +43,27 @@ func (p *streamPool) size() int {
 
 // poolDaemon is a daemon behind a real listener that counts what the pool
 // is supposed to save: accepted connections that became v2 streams, and
-// decisions that had to travel over v1.
+// decisions and lifecycle calls that had to travel over v1.
 type poolDaemon struct {
 	srv      *server.Server
 	ts       *httptest.Server
 	stopOnce sync.Once
 	upgrades atomic.Int64 // accepted TCP connections hijacked into streams
 	v1Calls  atomic.Int64 // next/done requests over JSON
+	v1Life   atomic.Int64 // register (POST) and close (DELETE) requests over JSON
 }
 
 // startPoolDaemon serves a fresh daemon on addr ("" = any port).
 func startPoolDaemon(t *testing.T, addr string) *poolDaemon {
+	t.Helper()
+	d := newPoolDaemon(t, addr)
+	d.ts.Start()
+	return d
+}
+
+// newPoolDaemon builds the daemon unstarted, so a test can wrap its
+// listener or handler before d.ts.Start.
+func newPoolDaemon(t *testing.T, addr string) *poolDaemon {
 	t.Helper()
 	srv, err := server.New(server.Config{GlobalBudgetJ: 1e9, SweepInterval: -1})
 	if err != nil {
@@ -62,8 +72,12 @@ func startPoolDaemon(t *testing.T, addr string) *poolDaemon {
 	d := &poolDaemon{srv: srv}
 	inner := srv.Handler()
 	d.ts = httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if strings.HasSuffix(r.URL.Path, "/next") || strings.HasSuffix(r.URL.Path, "/done") {
+		switch {
+		case strings.HasSuffix(r.URL.Path, "/next") || strings.HasSuffix(r.URL.Path, "/done"):
 			d.v1Calls.Add(1)
+		case r.Method == http.MethodPost && r.URL.Path == wire.BasePath,
+			r.Method == http.MethodDelete && strings.HasPrefix(r.URL.Path, wire.BasePath+"/"):
+			d.v1Life.Add(1)
 		}
 		inner.ServeHTTP(w, r)
 	}))
@@ -80,7 +94,6 @@ func startPoolDaemon(t *testing.T, addr string) *poolDaemon {
 			d.upgrades.Add(1)
 		}
 	}
-	d.ts.Start()
 	t.Cleanup(d.stop)
 	return d
 }
@@ -146,7 +159,8 @@ func lifecycle(d *poolDaemon, hc *http.Client, tenant string, iters int, retries
 
 // TestSessionsShareOneStream pins what the pool is for: the second of two
 // sequential sessions pays no dial. Both ride the one TCP connection the
-// first upgraded, and no decision of either touches v1.
+// first upgraded — registration, decisions and close — and nothing of
+// either touches v1.
 func TestSessionsShareOneStream(t *testing.T) {
 	CloseIdleStreams()
 	defer CloseIdleStreams()
@@ -162,8 +176,8 @@ func TestSessionsShareOneStream(t *testing.T) {
 			t.Fatalf("after session %d closed: %d streams pooled, want 1", i, n)
 		}
 	}
-	if up, v1 := d.upgrades.Load(), d.v1Calls.Load(); up != 1 || v1 != 0 {
-		t.Errorf("two sessions rode %d accepted connections as v2 streams and sent %d decisions over v1; want one shared stream, none", up, v1)
+	if up, v1, life := d.upgrades.Load(), d.v1Calls.Load(), d.v1Life.Load(); up != 1 || v1 != 0 || life != 0 {
+		t.Errorf("two sessions rode %d accepted connections as v2 streams and sent %d decisions and %d registers or closes over v1; want one shared stream, none, none", up, v1, life)
 	}
 	if retries.Load() != 0 {
 		t.Errorf("%d retries", retries.Load())
@@ -175,10 +189,10 @@ func TestSessionsShareOneStream(t *testing.T) {
 }
 
 // TestStalePooledStream pins the price of a pooled stream that died while
-// idle: the session that draws it runs that one call over v1, and nothing
-// else — no error, no retry — whether the daemon merely severed its
-// streams or was replaced by a new process on the same address (which the
-// next call dials).
+// idle: Open draws it, so the register runs over v1, and nothing else —
+// no error, no retry — whether the daemon merely severed its streams or
+// was replaced by a new process on the same address (which the first
+// Next dials).
 func TestStalePooledStream(t *testing.T) {
 	const iters = 32
 	t.Run("streams severed", func(t *testing.T) {
@@ -192,14 +206,14 @@ func TestStalePooledStream(t *testing.T) {
 			t.Fatal(err)
 		}
 		// The daemon drops its streams and, as after Shutdown, upgrades no
-		// more: the stale stream costs one call, the refused re-dial pins
-		// the rest of the session to v1.
+		// more: the stale stream costs the register, the refused re-dial
+		// pins the rest of the session to v1.
 		d.srv.CloseV2Streams()
 		if err := lifecycle(d, hc, "a", iters, &retries, nil); err != nil {
 			t.Fatalf("session after the daemon severed its streams: %v", err)
 		}
-		if v1, r := d.v1Calls.Load(), retries.Load(); v1 != 1+2*(iters-1)+1 || r != 0 {
-			t.Errorf("%d v1 decisions and %d retries; want the whole second session on v1 (%d) and none", v1, r, 2*iters)
+		if v1, life, r := d.v1Calls.Load(), d.v1Life.Load(), retries.Load(); v1 != 1+2*(iters-1)+1 || life != 2 || r != 0 {
+			t.Errorf("%d v1 decisions, %d v1 registers and closes, %d retries; want the whole second session on v1 (%d, 2) and none", v1, life, r, 2*iters)
 		}
 		if n := idleStreams.size(); n != 0 {
 			t.Errorf("%d streams pooled to a daemon that refuses them", n)
@@ -227,8 +241,8 @@ func TestStalePooledStream(t *testing.T) {
 		if err := lifecycle(d2, hc, "a", iters, &retries, nil); err != nil {
 			t.Fatalf("session after the restart: %v", err)
 		}
-		if v1, up, r := d2.v1Calls.Load(), d2.upgrades.Load(), retries.Load(); v1 != 1 || up != 1 || r != 0 {
-			t.Errorf("the restart cost %d v1 decisions, %d dials, %d retries; want 1, 1, 0", v1, up, r)
+		if life, v1, up, r := d2.v1Life.Load(), d2.v1Calls.Load(), d2.upgrades.Load(), retries.Load(); life != 1 || v1 != 0 || up != 1 || r != 0 {
+			t.Errorf("the restart cost %d v1 registers or closes, %d v1 decisions, %d dials, %d retries; want 1 (the register), 0, 1, 0", life, v1, up, r)
 		}
 		if n := idleStreams.size(); n != 1 {
 			t.Errorf("%d streams pooled after the recovered session closed, want its fresh one", n)
@@ -289,8 +303,8 @@ func TestPoolConcurrentLifecycles(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if up, v1, r := d.upgrades.Load(), d.v1Calls.Load(), retries.Load(); up > workers || v1 != 0 || r != 0 {
-		t.Errorf("%d lifecycles cost %d dials, %d v1 decisions, %d retries; want at most %d, 0, 0", workers*rounds, up, v1, r, workers)
+	if up, v1, life, r := d.upgrades.Load(), d.v1Calls.Load(), d.v1Life.Load(), retries.Load(); up > workers || v1 != 0 || life != 0 || r != 0 {
+		t.Errorf("%d lifecycles cost %d dials, %d v1 decisions, %d v1 registers or closes, %d retries; want at most %d, 0, 0, 0", workers*rounds, up, v1, life, r, workers)
 	}
 	if n := idleStreams.size(); n < 1 || n > min(workers, maxIdleStreamsPerHost) {
 		t.Errorf("%d streams pooled at rest, want 1..%d", n, min(workers, maxIdleStreamsPerHost))

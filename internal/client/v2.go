@@ -12,19 +12,23 @@ import (
 	"jouleguard/internal/wire"
 )
 
-// The client side of the v2 hot path. After registering over v1, the
-// session upgrades one HTTP request on the daemon into a persistent
-// binary-frame stream and moves its per-iteration Next/Done traffic
-// there; DoneNext batches the settle of the previous iteration with the
-// fetch of the upcoming decision into a single round trip.
+// The client side of the v2 stream. Open checks a stream out of the
+// idle pool (pool.go), or upgrades one HTTP request on the daemon into a
+// persistent binary-frame stream, before it registers; the session's
+// registration, its per-iteration Next/Done traffic and its Close then
+// all ride that stream, and DoneNext batches the settle of the previous
+// iteration with the fetch of the upcoming decision into a single round
+// trip. Close hands the stream back to the pool for the next session.
 //
 // v2 is strictly an optimization with a hard fallback rule: any v2
-// failure — upgrade refused, transport error, or an error frame —
-// executes the v1 JSON/HTTP path for that call. All of the client's
-// resilience machinery (retry/backoff, re-bracketing after daemon
-// restarts, fleet failover) lives on the v1 path, so v2 never needs to
-// reimplement it: the stream only ever carries calls that succeed
-// outright.
+// failure — upgrade refused, lifecycle frames not negotiated, transport
+// error, or an error frame — executes the v1 JSON/HTTP path for that
+// call. All of the client's resilience machinery (retry/backoff,
+// re-bracketing after daemon restarts, fleet placement and failover)
+// lives on the v1 path, so v2 never needs to reimplement it: the stream
+// only ever carries calls that succeed outright. A register whose reply
+// the stream lost is therefore sent again over v1 — at-least-once, as a
+// v1 retry of a lost reply is.
 
 // v2Stream is one upgraded connection. While a Session holds it, that
 // Session owns it exclusively (Sessions are single-loop by contract), so
@@ -38,6 +42,9 @@ type v2Stream struct {
 	// at upgrade; without it the session strips trace contexts from its
 	// frames so an old peer never sees an extended payload.
 	traced bool
+	// lifecycle records whether the daemon echoed V2LifecycleHeader: only
+	// then may the session register and close over the stream.
+	lifecycle bool
 	// clean is true between rounds: the last frame sent has been answered
 	// in full and nothing unread trails the answer. Only a clean stream
 	// may be handed to another session.
@@ -54,12 +61,18 @@ func (v *v2Stream) close() {
 // is unset.
 const v2DialTimeout = 5 * time.Second
 
-// v2Ok reports whether the session can speak v2 right now, on first use
-// checking a stream out of the idle pool or, failing that, dialing one.
-// A failed dial turns v2 off for this node; fleet failover re-enables it
-// against the session's new owner.
+// v2Ok reports whether the session can speak v2 right now: the daemon
+// gave it a numeric id and it holds, or can get, a stream.
 func (s *Session) v2Ok() bool {
-	if s.v2Disabled || s.v2Off || s.num == 0 {
+	return s.num != 0 && s.v2Acquire()
+}
+
+// v2Acquire reports whether the session holds a stream, on first use
+// checking one out of the idle pool or, failing that, dialing one. A
+// failed dial turns v2 off for this node; fleet failover re-enables it
+// against the session's new owner.
+func (s *Session) v2Acquire() bool {
+	if s.v2Disabled || s.v2Off {
 		return false
 	}
 	if s.v2 != nil {
@@ -91,9 +104,9 @@ func (s *Session) v2Teardown(reDial bool) {
 	s.v2Off = !reDial
 }
 
-// v2Release ends a closed session's use of its stream: checked into the
-// idle pool for the next session if its last round ended cleanly, closed
-// otherwise.
+// v2Release ends a closed (or never opened) session's use of its stream:
+// checked into the idle pool for the next session if its last round ended
+// cleanly, closed otherwise.
 func (s *Session) v2Release() {
 	v := s.v2
 	if v == nil {
@@ -134,6 +147,7 @@ func dialV2(base string, timeout time.Duration) (*v2Stream, error) {
 		"Upgrade: " + wire.V2Proto + "\r\n" +
 		"Connection: Upgrade\r\n" +
 		wire.V2TraceHeader + ": 1\r\n" +
+		wire.V2LifecycleHeader + ": 1\r\n" +
 		"Content-Length: 0\r\n\r\n"
 	if _, err := conn.Write([]byte(req)); err != nil {
 		conn.Close()
@@ -157,7 +171,8 @@ func dialV2(base string, timeout time.Duration) (*v2Stream, error) {
 		base: base, conn: conn, enc: wire.GetEncoder(conn), dec: wire.GetDecoder(br),
 		// A daemon that understands FlagTraced echoes the capability
 		// header; anything else gets strictly base-length frames.
-		traced: resp.Header.Get(wire.V2TraceHeader) == "1",
+		traced:    resp.Header.Get(wire.V2TraceHeader) == "1",
+		lifecycle: resp.Header.Get(wire.V2LifecycleHeader) == "1",
 	}, nil
 }
 
@@ -190,44 +205,63 @@ func (s *Session) v2Round(send func(enc *wire.Encoder) error) (wire.Hdr, []byte,
 	return h, p, true
 }
 
-// v2Next runs one Next over the stream. ok=false means "use v1" — for
-// any reason, including server-reported errors, so the v1 path's error
-// handling (re-bracketing, failover) stays the single source of truth.
-func (s *Session) v2Next(req wire.NextRequest) (wire.NextResponse, bool) {
-	if !s.v2.traced {
-		req.TraceID, req.SpanID = 0, 0
+// v2Call runs one request over the stream and parses its reply, which
+// must be of type want. ok=false means "use v1" — for any reason,
+// including server-reported errors, so the v1 path's error handling
+// (retry, re-bracketing, failover) stays the single source of truth.
+func v2Call[T any](s *Session, want byte, send func(enc *wire.Encoder) error, parse func(wire.Hdr, []byte) (T, error)) (T, bool) {
+	var zero T
+	h, p, ok := s.v2Round(send)
+	if !ok || h.Type != want {
+		return zero, false
 	}
-	h, p, ok := s.v2Round(func(enc *wire.Encoder) error {
-		return enc.Next(s.num, &req)
-	})
-	if !ok || h.Type != wire.TNextResp {
-		return wire.NextResponse{}, false
-	}
-	resp, err := wire.ParseNextResp(h, p)
+	resp, err := parse(h, p)
 	if err != nil {
 		s.v2Teardown(true)
-		return wire.NextResponse{}, false
+		return zero, false
 	}
 	return resp, true
 }
 
-// v2Done runs one Done over the stream; same fallback contract.
+// v2Register registers the session over the stream Open acquired, when
+// the daemon negotiated lifecycle frames.
+func (s *Session) v2Register() (wire.RegisterResponse, bool) {
+	if !s.v2Acquire() || !s.v2.lifecycle {
+		return wire.RegisterResponse{}, false
+	}
+	return v2Call(s, wire.TRegisterResp, func(enc *wire.Encoder) error {
+		return enc.Register(&s.reg)
+	}, wire.ParseRegisterResp)
+}
+
+// v2Close closes the session over its stream.
+func (s *Session) v2Close() (wire.CloseResponse, bool) {
+	if !s.v2Ok() || !s.v2.lifecycle {
+		return wire.CloseResponse{}, false
+	}
+	return v2Call(s, wire.TCloseResp, func(enc *wire.Encoder) error {
+		return enc.CloseSession(s.num)
+	}, wire.ParseCloseResp)
+}
+
+// v2Next runs one Next over the stream.
+func (s *Session) v2Next(req wire.NextRequest) (wire.NextResponse, bool) {
+	if !s.v2.traced {
+		req.TraceID, req.SpanID = 0, 0
+	}
+	return v2Call(s, wire.TNextResp, func(enc *wire.Encoder) error {
+		return enc.Next(s.num, &req)
+	}, wire.ParseNextResp)
+}
+
+// v2Done runs one Done over the stream.
 func (s *Session) v2Done(req wire.DoneRequest) (wire.DoneResponse, bool) {
 	if !s.v2.traced {
 		req.TraceID, req.SpanID = 0, 0
 	}
-	h, p, ok := s.v2Round(func(enc *wire.Encoder) error {
+	return v2Call(s, wire.TDoneResp, func(enc *wire.Encoder) error {
 		return enc.Done(s.num, &req)
-	})
-	if !ok || h.Type != wire.TDoneResp {
-		return wire.DoneResponse{}, false
-	}
-	resp, err := wire.ParseDoneResp(h, p)
-	if err != nil {
-		s.v2Teardown(true)
-		return wire.DoneResponse{}, false
-	}
-	return resp, true
+	}, wire.ParseDoneResp)
 }
 
 // DoneNext settles the completed iteration and fetches the next

@@ -592,6 +592,12 @@ func (s *Server) Close(id string) (wire.CloseResponse, error) {
 	if werr != nil {
 		return wire.CloseResponse{}, werr
 	}
+	return s.closeSession(sess)
+}
+
+// closeSession is Close on a session already looked up — by string id on
+// v1, by numeric id on the v2 stream.
+func (s *Server) closeSession(sess *session) (wire.CloseResponse, error) {
 	spent, release := sess.teardown(stateClosed)
 	if !release {
 		return wire.CloseResponse{}, errSessionClosed("session already closed")
@@ -600,7 +606,7 @@ func (s *Server) Close(id string) (wire.CloseResponse, error) {
 	s.retire(sess)
 	s.mClosed.Inc()
 	return wire.CloseResponse{
-		SessionID:  id,
+		SessionID:  sess.id,
 		SpentJ:     spent,
 		ReclaimedJ: sess.grant.GrantJ - spent,
 	}, nil

@@ -469,3 +469,47 @@ func TestNaNClockDoneRetries(t *testing.T) {
 		t.Fatalf("Next after the retried Done: %v", err)
 	}
 }
+
+// TestNonFiniteAccuracyRefused: an in-process Done whose accuracy is NaN
+// or infinite is refused as bad_request with the iteration still armed,
+// so nothing non-finite reaches the session's mean accuracy and the
+// introspection endpoints keep answering JSON; a retry with a finite
+// accuracy settles the iteration.
+func TestNonFiniteAccuracyRefused(t *testing.T) {
+	srv := testServer(t, 1000, nil)
+	defer shutdown(srv)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	resp, err := srv.Register(wire.RegisterRequest{App: "radar", Platform: "Tablet", Iterations: 10, BudgetJ: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := resp.SessionID
+	if _, err := srv.Next(id, wire.NextRequest{NowS: 0}); err != nil {
+		t.Fatal(err)
+	}
+	for _, acc := range []float64{math.NaN(), math.Inf(1), math.NaN()} {
+		_, err := srv.Done(id, wire.DoneRequest{NowS: 1, EnergyJ: 1, Accuracy: acc})
+		if wire.CodeOf(err) != wire.CodeBadRequest {
+			t.Fatalf("Done with accuracy %v: %v, want bad_request", acc, err)
+		}
+	}
+	var list wire.ListResponse
+	if status, werr := doJSON(t, ts, "GET", wire.BasePath, nil, &list); status != http.StatusOK || len(list.Sessions) != 1 {
+		t.Fatalf("GET %s: HTTP %d %+v, %d sessions", wire.BasePath, status, werr, len(list.Sessions))
+	}
+	var info wire.SessionInfo
+	if status, werr := doJSON(t, ts, "GET", wire.BasePath+"/"+id, nil, &info); status != http.StatusOK || info.State != "armed" {
+		t.Fatalf("GET %s/%s: HTTP %d %+v, state %q; want 200 and armed", wire.BasePath, id, status, werr, info.State)
+	}
+	done, err := srv.Done(id, wire.DoneRequest{NowS: 1, EnergyJ: 1, Accuracy: 0.75})
+	if err != nil {
+		t.Fatalf("retrying Done with a finite accuracy: %v", err)
+	}
+	if done.IterationsDone != 1 {
+		t.Fatalf("retried Done settled %d iterations, want 1", done.IterationsDone)
+	}
+	if status, _ := doJSON(t, ts, "GET", wire.BasePath+"/"+id, nil, &info); status != http.StatusOK || info.MeanAcc != 0.75 {
+		t.Fatalf("after the retry: HTTP %d, mean accuracy %v; want 200 and 0.75", status, info.MeanAcc)
+	}
+}

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"sync"
@@ -340,6 +341,13 @@ func (s *session) done(req wire.DoneRequest) (wire.DoneResponse, *wire.Error) {
 	}
 	if s.state != stateArmed {
 		return wire.DoneResponse{}, errBadSequence("Done without a pending Next")
+	}
+	if math.IsNaN(req.Accuracy) || math.IsInf(req.Accuracy, 0) {
+		// Neither wire can carry one, but an in-process caller can, and a
+		// non-finite accuracy would poison the mean every introspection
+		// reply encodes. Refused before anything moves: still armed.
+		return wire.DoneResponse{}, &wire.Error{Code: wire.CodeBadRequest,
+			Msg: fmt.Sprintf("accuracy %v is not finite", req.Accuracy)}
 	}
 	energyJ, energyErr := req.EnergyJ, req.EnergyErr
 	if s.meter != nil {

@@ -10,13 +10,15 @@ import (
 	"jouleguard/internal/wire"
 )
 
-// The v2 hot path: the client POSTs to /v2/stream with an Upgrade
+// The v2 stream: the client POSTs to /v2/stream with an Upgrade
 // header, the daemon hijacks the connection, and both sides speak
 // length-prefixed binary frames (internal/wire frame layer) from then
-// on. Registration, introspection, teardown and the cluster control
-// plane stay on v1 JSON/HTTP; only the per-iteration Next/Done/DoneNext
-// traffic — the traffic that runs once per governed iteration across
-// every session — moves onto the stream.
+// on. A session's whole life rides the stream — TRegister and TClose
+// around the per-iteration Next/Done/DoneNext traffic — and each frame
+// calls the same Server method its v1 route does (Register,
+// sessionNext, sessionDone, closeSession), so the two wires cannot
+// drift. Introspection, snapshots and the cluster control plane stay on
+// v1 JSON/HTTP.
 //
 // One goroutine serves each stream. Frames are dispatched strictly in
 // order and answered in order (one response frame per request frame),
@@ -24,7 +26,8 @@ import (
 // are already buffered — so a pipelined burst of frames from many
 // multiplexed sessions costs one read and one write on the socket.
 // Dispatch itself takes no server-wide lock (see shards.go): a frame
-// costs one shard map read plus the session's own mutex.
+// naming a session costs one shard map read plus the session's own
+// mutex.
 
 // v2IdleTimeout bounds how long a stream may sit with no frames before
 // the daemon drops it. It is deliberately generous — idle-session
@@ -104,6 +107,11 @@ func (s *Server) handleV2Stream(w http.ResponseWriter, r *http.Request) {
 	// base-length frames, so either side may lag the other.
 	if r.Header.Get(wire.V2TraceHeader) == "1" {
 		resp += wire.V2TraceHeader + ": 1\r\n"
+	}
+	// Lifecycle frames are negotiated the same way, so a client never
+	// sends TRegister or TClose to a daemon that would drop the stream.
+	if r.Header.Get(wire.V2LifecycleHeader) == "1" {
+		resp += wire.V2LifecycleHeader + ": 1\r\n"
 	}
 	resp += "\r\n"
 	if _, err := bufrw.WriteString(resp); err != nil {
@@ -212,6 +220,31 @@ func (s *Server) dispatchV2(enc *wire.Encoder, h wire.Hdr, p []byte) error {
 		// draining, fenced, ...): answer TDoneResp alone so the settle is
 		// not lost, and let the client fetch the Next error over v1.
 		return enc.DoneResp(h.Session, doneResp)
+
+	case wire.TRegister:
+		req, err := wire.ParseRegister(h, p)
+		if err != nil {
+			return enc.Err(h.Session, wire.CodeBadRequest, err.Error())
+		}
+		resp, err := s.Register(req)
+		if err != nil {
+			return enc.Err(h.Session, wire.CodeOf(err), err.Error())
+		}
+		return enc.RegisterResp(&resp)
+
+	case wire.TClose:
+		if err := wire.ParseClose(h); err != nil {
+			return enc.Err(h.Session, wire.CodeBadRequest, err.Error())
+		}
+		sess := s.sessions.getNum(h.Session)
+		if sess == nil {
+			return enc.Err(h.Session, wire.CodeUnknownSession, "unknown v2 session")
+		}
+		resp, err := s.closeSession(sess)
+		if err != nil {
+			return enc.Err(h.Session, wire.CodeOf(err), err.Error())
+		}
+		return enc.CloseResp(h.Session, &resp)
 
 	default:
 		// Unknown frame type: the peer speaks a newer dialect; drop the

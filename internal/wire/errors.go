@@ -10,6 +10,7 @@ package wire
 import (
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -167,11 +168,19 @@ func CodeOf(err error) string {
 	return CodeBadRequest
 }
 
-// WriteJSON writes v as a JSON reply with the given status.
+// WriteJSON writes v as a JSON reply with the given status. v is encoded
+// before the status goes out, so a value that does not encode (a NaN
+// float, say) is answered 500 with a codeless ErrorResponse — which
+// callers treat as a failed call — never a 2xx with an empty body.
 func WriteJSON(w http.ResponseWriter, status int, v any) {
+	b, err := json.Marshal(v)
+	if err != nil {
+		b, _ = json.Marshal(ErrorResponse{Error: "encoding reply: " + err.Error()})
+		status = http.StatusInternalServerError
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+	_, _ = w.Write(append(b, '\n'))
 }
 
 // WriteError writes err as an ErrorResponse at its code's status.
@@ -199,17 +208,25 @@ func Handle[Req, Resp any](status int, op func(id string, req Req) (Resp, error)
 	}
 }
 
-// DecodeBody decodes a request's JSON body into v, rejecting unknown
-// fields and bodies over 1 MiB; on failure it writes the bad_request
-// reply itself and returns false.
+// DecodeBody decodes a request's JSON body into v with DecodeJSON,
+// refusing bodies over 1 MiB; on failure it writes the bad_request reply
+// itself and returns false.
 func DecodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+	if err := DecodeJSON(http.MaxBytesReader(w, r.Body, 1<<20), v); err != nil {
 		WriteError(w, &Error{CodeBadRequest, "invalid JSON body: " + err.Error()})
 		return false
 	}
 	return true
+}
+
+// DecodeJSON decodes one JSON value from r into v, rejecting unknown
+// fields. It is the request decoder of both wires — v1 bodies through
+// DecodeBody, v2 lifecycle frames through ParseRegister — so a request
+// has one schema whichever wire carries it.
+func DecodeJSON(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	return dec.Decode(v)
 }
 
 // DecodeError rebuilds the refusal a non-2xx reply carries. A body that

@@ -1,8 +1,10 @@
 package wire
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http/httptest"
 	"testing"
 )
@@ -110,5 +112,26 @@ func TestDecodeError(t *testing.T) {
 		if got := DecodeError(c.status, []byte(c.body)); *got != c.want {
 			t.Errorf("DecodeError(%d, %q) = %+v, want %+v", c.status, c.body, *got, c.want)
 		}
+	}
+}
+
+// TestWriteJSONEncodesFirst: a reply that does not encode goes out as a
+// 500 whose body is a codeless ErrorResponse — parseable JSON that
+// callers read as a failed call — never as the intended status with an
+// empty body.
+func TestWriteJSONEncodesFirst(t *testing.T) {
+	rec := httptest.NewRecorder()
+	WriteJSON(rec, 200, SessionInfo{SessionID: "s-000001", MeanAcc: math.NaN()})
+	var resp ErrorResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &resp); rec.Code != 500 || err != nil || resp.Code != "" || resp.Error == "" {
+		t.Fatalf("unencodable reply written as %d %q (%v)", rec.Code, rec.Body.String(), err)
+	}
+	if werr := DecodeError(rec.Code, rec.Body.Bytes()); werr.Code != "" {
+		t.Errorf("the 500 carries code %q; want none", werr.Code)
+	}
+	rec = httptest.NewRecorder()
+	WriteJSON(rec, 201, CloseResponse{SessionID: "s-000001", SpentJ: 1.5})
+	if rec.Code != 201 || rec.Body.String() != `{"session_id":"s-000001","spent_j":1.5,"reclaimed_j":0}`+"\n" {
+		t.Errorf("reply written as %d %q", rec.Code, rec.Body.String())
 	}
 }

@@ -1,12 +1,14 @@
 package wire
 
 // The v2 wire layer: length-prefixed binary frames over a persistent
-// connection, replacing one JSON/HTTP round trip per governed iteration
-// with one write + one read on a long-lived stream. v1 (JSON over HTTP)
-// remains the registration, introspection, teardown and cluster control
-// plane; v2 carries only the per-iteration hot path — Next, Done and
-// the pipelined DoneNext batch that settles the previous iteration and
-// fetches the upcoming decision in a single frame.
+// connection, replacing one JSON/HTTP round trip per call with one
+// write + one read on a long-lived stream. v2 carries a session's whole
+// life: its registration and teardown (TRegister, TClose) and, between
+// them, the per-iteration hot path — Next, Done and the pipelined
+// DoneNext batch that settles the previous iteration and fetches the
+// upcoming decision in a single frame. v1 (JSON over HTTP) remains the
+// introspection and cluster control plane, the path fleet placement and
+// failover take, and the fallback for any call a stream cannot carry.
 //
 // A v2 stream is opened by upgrading an HTTP/1.1 request on V2Path
 // (`POST /v2/stream` with `Upgrade: jouleguard-frames/2`); the server
@@ -26,15 +28,24 @@ package wire
 //	8       4     length (payload bytes that follow, uint32)
 //	12      —     payload
 //
-// Payloads are fixed-width binary except TErr, which carries one code
-// byte followed by a UTF-8 message. The codec allocates nothing on the
+// The hot-path payloads are fixed-width binary. TErr carries one code
+// byte followed by a UTF-8 message. The lifecycle frames carry the v1
+// JSON bodies (RegisterRequest, RegisterResponse, CloseResponse): the
+// request is read by the strict decoder v1's handlers use (DecodeJSON),
+// the replies as v1's client reads them, so a session's shape has one
+// schema on both wires. TClose names its session in the header and has
+// no payload. Two optional frame sets are negotiated at upgrade
+// (V2TraceHeader, V2LifecycleHeader), so a client never sends a frame an
+// older daemon cannot read. The codec allocates nothing on the
 // steady-state encode/decode path (pinned by BenchmarkFrame* at
 // 0 allocs/op); encoders and decoders are pooled (GetEncoder /
 // GetDecoder) so connection churn reuses their buffers.
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -82,6 +93,17 @@ const (
 	// TErr reports a failed request (payload: one ErrCode byte + UTF-8
 	// message). The stream stays usable.
 	TErr = byte(7)
+	// TRegister opens a session (payload: RegisterRequest as v1 JSON;
+	// header session 0). Negotiated by V2LifecycleHeader.
+	TRegister = byte(8)
+	// TRegisterResp admits it (payload: RegisterResponse as v1 JSON;
+	// header session = its SessionNum).
+	TRegisterResp = byte(9)
+	// TClose tears the session named in the header down (no payload).
+	// Negotiated by V2LifecycleHeader.
+	TClose = byte(10)
+	// TCloseResp settles it (payload: CloseResponse as v1 JSON).
+	TCloseResp = byte(11)
 )
 
 // Header flag bits (meaning depends on the frame type).
@@ -109,6 +131,11 @@ const TraceExtLen = 16
 // extension: the client sends it with the upgrade request, the daemon
 // echoes it in the 101 reply iff it understands traced frames.
 const V2TraceHeader = "X-Jouleguard-Trace"
+
+// V2LifecycleHeader is the upgrade-negotiation header for the lifecycle
+// frames (TRegister, TClose), echoed the same way: a client sends them
+// only over a stream whose 101 reply carried it.
+const V2LifecycleHeader = "X-Jouleguard-Lifecycle"
 
 // Payload sizes per type (base sizes; FlagTraced appends TraceExtLen).
 const (
@@ -268,6 +295,48 @@ func (e *Encoder) Err(session uint32, code, msg string) error {
 		return err
 	}
 	_, err := e.w.WriteString(msg)
+	return err
+}
+
+// Register writes a TRegister frame carrying req's v1 JSON body.
+func (e *Encoder) Register(req *RegisterRequest) error {
+	return e.jsonFrame(TRegister, 0, req)
+}
+
+// RegisterResp writes a TRegisterResp frame carrying resp's v1 JSON body
+// under the admitted session's numeric id.
+func (e *Encoder) RegisterResp(resp *RegisterResponse) error {
+	return e.jsonFrame(TRegisterResp, resp.SessionNum, resp)
+}
+
+// CloseSession writes a TClose frame for session.
+func (e *Encoder) CloseSession(session uint32) error {
+	e.header(TClose, 0, session, 0)
+	_, err := e.w.Write(e.scratch[:HeaderLen])
+	return err
+}
+
+// CloseResp writes a TCloseResp frame carrying resp's v1 JSON body.
+func (e *Encoder) CloseResp(session uint32, resp *CloseResponse) error {
+	return e.jsonFrame(TCloseResp, session, resp)
+}
+
+// jsonFrame writes a frame whose payload is v's JSON encoding, without the
+// trailing newline v1's replies carry. Nothing is written when v does not
+// encode or its encoding exceeds MaxFramePayload.
+func (e *Encoder) jsonFrame(t byte, session uint32, v any) error {
+	b, err := json.Marshal(v)
+	if err != nil {
+		return err
+	}
+	if len(b) > MaxFramePayload {
+		return fmt.Errorf("wire: frame type %d payload %d bytes exceeds %d-byte cap", t, len(b), MaxFramePayload)
+	}
+	e.header(t, 0, session, uint32(len(b)))
+	if _, err := e.w.Write(e.scratch[:HeaderLen]); err != nil {
+		return err
+	}
+	_, err = e.w.Write(b)
 	return err
 }
 
@@ -467,6 +536,49 @@ func ParseErr(h Hdr, p []byte) (code, msg string, err error) {
 		return "", "", fmt.Errorf("wire: empty TErr payload")
 	}
 	return ErrCodeString(p[0]), string(p[1:]), nil
+}
+
+// ParseRegister decodes a TRegister payload with the strict decoder v1's
+// handlers use (DecodeJSON).
+func ParseRegister(h Hdr, p []byte) (RegisterRequest, error) {
+	var req RegisterRequest
+	if h.Flags != 0 || h.Session != 0 {
+		return req, fmt.Errorf("wire: TRegister with flags %#x, session %d; want neither", h.Flags, h.Session)
+	}
+	if err := DecodeJSON(bytes.NewReader(p), &req); err != nil {
+		return RegisterRequest{}, fmt.Errorf("invalid JSON body: %w", err)
+	}
+	return req, nil
+}
+
+// ParseRegisterResp decodes a TRegisterResp payload.
+func ParseRegisterResp(h Hdr, p []byte) (RegisterResponse, error) {
+	var resp RegisterResponse
+	return resp, parseJSONResp(h, p, &resp)
+}
+
+// ParseClose checks a TClose frame: no flags, no payload.
+func ParseClose(h Hdr) error {
+	if h.Flags != 0 || h.Len != 0 {
+		return fmt.Errorf("wire: TClose with flags %#x, payload %d bytes; want neither", h.Flags, h.Len)
+	}
+	return nil
+}
+
+// ParseCloseResp decodes a TCloseResp payload.
+func ParseCloseResp(h Hdr, p []byte) (CloseResponse, error) {
+	var resp CloseResponse
+	return resp, parseJSONResp(h, p, &resp)
+}
+
+// parseJSONResp decodes a lifecycle reply's JSON payload as v1's client
+// reads the same body: fields it does not know are ignored, so a newer
+// daemon may add some.
+func parseJSONResp(h Hdr, p []byte, v any) error {
+	if h.Flags != 0 {
+		return fmt.Errorf("wire: frame type %d sets undefined flags %#x", h.Type, h.Flags)
+	}
+	return json.Unmarshal(p, v)
 }
 
 // getDone decodes a done payload and refuses NaN and infinite values,

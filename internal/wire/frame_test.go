@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -395,5 +396,87 @@ func BenchmarkFrameRoundTrip(b *testing.B) {
 		if _, _, err := ParseDoneNextResp(h, p); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestLifecycleFrameRoundTrip pins the lifecycle frames: TRegister,
+// TRegisterResp and TCloseResp carry byte for byte the JSON bodies v1
+// sends (less v1's trailing newline), TRegisterResp names the admitted
+// session in its header, TClose is a bare header, and the register
+// request is read by v1's strict decoder — an unknown field is refused
+// on both wires alike.
+func TestLifecycleFrameRoundTrip(t *testing.T) {
+	reg := RegisterRequest{Tenant: "enc", Tier: "guaranteed", Key: "k1", App: "x264", Platform: "Server",
+		Iterations: 32, Factor: 2, MinAccuracy: 0.9, Seed: 7, IdleTimeoutS: 1.5}
+	regResp := RegisterResponse{SessionID: "s-000009", SessionNum: 9, GrantJ: 123.5, Iterations: 32,
+		AppConfigs: 4, SysConfigs: 1024}
+	closeResp := CloseResponse{SessionID: "s-000009", SpentJ: 100.25, ReclaimedJ: 23.25}
+
+	var buf bytes.Buffer
+	enc := NewEncoder(&buf)
+	for _, write := range []func() error{
+		func() error { return enc.Register(&reg) },
+		func() error { return enc.RegisterResp(&regResp) },
+		func() error { return enc.CloseSession(9) },
+		func() error { return enc.CloseResp(9, &closeResp) },
+	} {
+		if err := write(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := enc.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	dec := NewDecoder(&buf)
+	frame := func(typ byte, session uint32, body any) []byte {
+		t.Helper()
+		h, p, err := dec.ReadFrame()
+		if err != nil || h.Type != typ || h.Session != session || h.Flags != 0 {
+			t.Fatalf("want type %d session %d: hdr %+v err %v", typ, session, h, err)
+		}
+		if body != nil {
+			want, _ := json.Marshal(body)
+			if !bytes.Equal(p, want) {
+				t.Fatalf("type %d payload %s, want v1's body %s", typ, p, want)
+			}
+		}
+		if typ == TRegister {
+			if got, err := ParseRegister(h, p); err != nil || got != reg {
+				t.Fatalf("ParseRegister: %+v %v", got, err)
+			}
+		}
+		if typ == TClose {
+			if err := ParseClose(h); err != nil || len(p) != 0 {
+				t.Fatalf("ParseClose: %v, payload %d bytes", err, len(p))
+			}
+		}
+		return append([]byte(nil), p...)
+	}
+	frame(TRegister, 0, reg)
+	if got, err := ParseRegisterResp(Hdr{Type: TRegisterResp}, frame(TRegisterResp, 9, regResp)); err != nil || got != regResp {
+		t.Fatalf("ParseRegisterResp: %+v %v", got, err)
+	}
+	frame(TClose, 9, nil)
+	if got, err := ParseCloseResp(Hdr{Type: TCloseResp}, frame(TCloseResp, 9, closeResp)); err != nil || got != closeResp {
+		t.Fatalf("ParseCloseResp: %+v %v", got, err)
+	}
+
+	for name, body := range map[string]string{
+		"unknown field": `{"tenant":"a","app":"x264","platform":"Server","iterations":1,"budget":5}`,
+		"not JSON":      `{"tenant":`,
+		"wrong type":    `{"iterations":"many"}`,
+	} {
+		if _, err := ParseRegister(Hdr{Type: TRegister, Len: uint32(len(body))}, []byte(body)); err == nil {
+			t.Errorf("ParseRegister accepted the %s body %s", name, body)
+		}
+	}
+	if _, err := ParseRegister(Hdr{Type: TRegister, Flags: FlagTraced, Len: 2}, []byte("{}")); err == nil {
+		t.Error("ParseRegister accepted a flag")
+	}
+	if err := ParseClose(Hdr{Type: TClose, Session: 9, Len: 1}); err == nil {
+		t.Error("ParseClose accepted a payload")
+	}
+	if err := ParseClose(Hdr{Type: TClose, Session: 9, Flags: FlagEnergyErr}); err == nil {
+		t.Error("ParseClose accepted a flag")
 	}
 }

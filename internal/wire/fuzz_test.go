@@ -10,8 +10,11 @@ import (
 // every payload parser, seeded with the frames the codec tests encode.
 // Nothing may panic; a TNext, TDone or TDoneNext frame a parser accepts
 // must carry only finite floats and re-encode byte for byte (the encoder
-// is the only dialect the parsers speak); and a TErr frame's code byte must map through the
-// error table, or read as bad_request when the table has no such byte.
+// is the only dialect the parsers speak), and so must an accepted TClose;
+// a TErr frame's code byte must map through the error table, or read as
+// bad_request when the table has no such byte. The JSON lifecycle
+// payloads (TRegister, TRegisterResp, TCloseResp) only have to parse or
+// refuse without panicking: JSON has many spellings of one value.
 func FuzzDecoder(f *testing.F) {
 	next := NextRequest{NowS: 12.375}
 	traced := NextRequest{NowS: 1.5, TraceID: 0xdeadbeefcafef00d, SpanID: 0x0123456789abcdef}
@@ -20,6 +23,11 @@ func FuzzDecoder(f *testing.F) {
 	nextResp := NextResponse{Iter: 7, AppConfig: 3, SysConfig: 11}
 	doneResp := DoneResponse{IterationsDone: 7, SpentJ: 55.5, GrantRemainingJ: 44.5, Degraded: true, Complete: true}
 	nanDone := DoneRequest{NowS: 3.5, EnergyJ: 9.25, Accuracy: math.NaN()}
+	reg := RegisterRequest{Tenant: "enc", Tier: "standard", Key: "k", App: "x264", Platform: "Server",
+		Iterations: 32, Factor: 2, Seed: 7}
+	regResp := RegisterResponse{SessionID: "s-000047", SessionNum: 47, GrantJ: 99.5, Iterations: 32,
+		AppConfigs: 4, SysConfigs: 1024}
+	closeResp := CloseResponse{SessionID: "s-000047", SpentJ: 80.25, ReclaimedJ: 19.25}
 	seeds := []func(e *Encoder) error{
 		func(e *Encoder) error { return e.Next(42, &next) },
 		func(e *Encoder) error { return e.Next(9, &traced) },
@@ -33,6 +41,10 @@ func FuzzDecoder(f *testing.F) {
 		func(e *Encoder) error { return e.DoneNextResp(44, doneResp, nextResp) },
 		func(e *Encoder) error { return e.Err(45, CodeSessionComplete, "workload complete") },
 		func(e *Encoder) error { return e.Err(100, CodeTenantShed, "tenant noisy was shed") },
+		func(e *Encoder) error { return e.Register(&reg) },
+		func(e *Encoder) error { return e.RegisterResp(&regResp) },
+		func(e *Encoder) error { return e.CloseSession(47) },
+		func(e *Encoder) error { return e.CloseResp(47, &closeResp) },
 	}
 	var stream bytes.Buffer
 	for _, seed := range seeds {
@@ -82,6 +94,13 @@ func FuzzDecoder(f *testing.F) {
 					mustBeFinite(t, d.NowS, d.EnergyJ, d.Accuracy, n.NowS)
 					_ = enc.DoneNext(h.Session, &d, &n)
 				}
+			case TClose:
+				if ParseClose(h) == nil {
+					accepted = true
+					_ = enc.CloseSession(h.Session)
+				}
+			case TRegister:
+				_, _ = ParseRegister(h, p)
 			case TErr:
 				code, _, err := ParseErr(h, p)
 				if err != nil {
@@ -95,6 +114,8 @@ func FuzzDecoder(f *testing.F) {
 			_, _ = ParseNextResp(h, p)
 			_, _ = ParseDoneResp(h, p)
 			_, _, _ = ParseDoneNextResp(h, p)
+			_, _ = ParseRegisterResp(h, p)
+			_, _ = ParseCloseResp(h, p)
 			if accepted {
 				_ = enc.Flush()
 				if !bytes.Equal(out.Bytes(), frame) {
