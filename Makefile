@@ -43,7 +43,8 @@ test-race:
 
 # Race-detector pass over the packages that share state across the
 # experiment worker pool: the pool itself, the drivers, and the caches —
-# plus the daemon, which shares sessions and the budget broker across
+# the kernels' compute-once memos included, which parallel calibration
+# and concurrent sweep cells fill together — plus the daemon, which shares sessions and the budget broker across
 # request handlers, the client, whose sessions share a pool of idle v2
 # streams, the load driver's concurrent tenants, and the bandit and
 # runtime, whose instances are copied from shared prior tables — and the
@@ -53,7 +54,7 @@ test-race:
 # and decision windows, which their sessions write under the session
 # mutex, while scrapes fold and read them all.
 race:
-	$(GO) test -race ./internal/par/ ./internal/experiments/ ./internal/platform/ ./internal/learning/ ./internal/core/ ./internal/server/ ./internal/client/ ./internal/cluster/ ./cmd/loadgen/ ./internal/measure/ ./internal/qos/ ./internal/wire/ ./internal/backoff/ ./internal/telemetry/ .
+	$(GO) test -race ./internal/par/ ./internal/apps/... ./internal/experiments/ ./internal/platform/ ./internal/learning/ ./internal/core/ ./internal/server/ ./internal/client/ ./internal/cluster/ ./cmd/loadgen/ ./internal/measure/ ./internal/qos/ ./internal/wire/ ./internal/backoff/ ./internal/telemetry/ .
 
 # The full-size (10k-session) shard-churn test under the race detector:
 # the concurrent registry/broker workload the sharded session map exists

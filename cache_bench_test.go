@@ -1,6 +1,10 @@
 package jouleguard
 
-import "testing"
+import (
+	"testing"
+
+	"jouleguard/internal/apps/kernel"
+)
 
 // BenchmarkNewTestbedCacheHit measures the cost a sweep pays per testbed
 // once the (app, platform) template exists: a map lookup and a shallow
@@ -94,10 +98,6 @@ func TestNewOracleMemoised(t *testing.T) {
 // resetExperimentCaches drops the testbed and oracle caches (benchmarks
 // measuring cold-path construction cost).
 func resetExperimentCaches() {
-	testbedMu.Lock()
-	testbedCache = map[[2]string]*Testbed{}
-	testbedMu.Unlock()
-	oracleMu.Lock()
-	oracleCache = map[oracleKey]*Oracle{}
-	oracleMu.Unlock()
+	testbeds = kernel.OnceMap[[2]string, *Testbed]{}
+	oracles = kernel.OnceMap[oracleKey, *Oracle]{}
 }

@@ -20,7 +20,7 @@ const resultsDir = "../../results"
 // cannot leave results/ — and EXPERIMENTS.md, which quotes it — behind.
 func TestResultsCurrent(t *testing.T) {
 	if testing.Short() {
-		t.Skip("full-scale evaluation (about 10 s)")
+		t.Skip("full-scale evaluation (about 8 s)")
 	}
 	for _, a := range artefacts {
 		if a.timed {

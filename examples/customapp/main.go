@@ -3,7 +3,9 @@
 // The App interface needs five methods; here we implement an "approximate
 // image blur" whose knob is the kernel radius sampling rate. Accuracy is
 // measured for real (output difference against the exact blur), exactly
-// like the built-in benchmarks.
+// like the built-in benchmarks. Calibration measures configurations in
+// parallel, so Step must be safe to call from several goroutines at once;
+// Blur's only reads its inputs.
 package main
 
 import (

@@ -8,9 +8,10 @@ package apps
 
 import (
 	"fmt"
-	"sync"
 
+	"jouleguard/internal/apps/kernel"
 	"jouleguard/internal/knob"
+	"jouleguard/internal/par"
 )
 
 // App is an approximate application. Configurations are dense ids in
@@ -22,7 +23,10 @@ import (
 // of input `iter` at configuration `cfg` and returns the abstract work
 // units actually executed (the platform model converts work to time) and
 // the measured accuracy of this iteration's output relative to the default
-// configuration on the same input (1 = identical to default).
+// configuration on the same input (1 = identical to default). Step must be
+// a deterministic pure function of (cfg, iter), safe to call from several
+// goroutines at once: calibration measures configurations in parallel, and
+// the experiment drivers run their cells concurrently on shared instances.
 type App interface {
 	Name() string
 	NumConfigs() int
@@ -58,7 +62,8 @@ var Table2 = []Spec{
 // calibration iterations and returns the resulting performance/accuracy
 // profile, with speedups anchored at the default configuration. This is the
 // PowerDial calibration step (and its Loop Perforation analogue) that
-// JouleGuard's AAO consumes as a Pareto frontier.
+// JouleGuard's AAO consumes as a Pareto frontier. The configurations are
+// measured in parallel, each into its own slot.
 func ProfileApp(a App, calibIters int) (*knob.Profile, error) {
 	if calibIters <= 0 {
 		calibIters = 1
@@ -81,15 +86,19 @@ func ProfileApp(a App, calibIters int) (*knob.Profile, error) {
 		return nil, fmt.Errorf("apps: %s default config reported no work", a.Name())
 	}
 	prof := &knob.Profile{Points: make([]knob.Point, n)}
-	for cfg := 0; cfg < n; cfg++ {
+	err := par.Map(n, func(cfg int) error {
 		w, acc := defWork, defAcc
 		if cfg != defCfg {
 			w, acc = measure(cfg)
 		}
 		if w <= 0 {
-			return nil, fmt.Errorf("apps: %s config %d reported no work", a.Name(), cfg)
+			return fmt.Errorf("apps: %s config %d reported no work", a.Name(), cfg)
 		}
 		prof.Points[cfg] = knob.Point{Config: cfg, Speedup: defWork / w, Accuracy: acc}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return prof, nil
 }
@@ -119,24 +128,17 @@ func CalibrationIters(a App) int {
 	}
 }
 
-var (
-	frontierMu    sync.Mutex
-	frontierCache = map[App]*knob.Frontier{}
-)
+// frontiers holds one calibrated frontier per App instance.
+var frontiers kernel.OnceMap[App, *knob.Frontier]
 
 // CalibratedFrontier returns the application's Pareto frontier profiled at
-// the CalibrationIters length, memoised per App instance (profiles are
-// deterministic, so sharing is safe across sequential experiments).
+// the CalibrationIters length, memoised per App instance: profiles are
+// deterministic, so one frontier serves every concurrent experiment and
+// session. A caller asking for an instance another is still calibrating
+// waits for that calibration; one asking for a different instance does
+// not.
 func CalibratedFrontier(a App) (*knob.Frontier, error) {
-	frontierMu.Lock()
-	defer frontierMu.Unlock()
-	if f, ok := frontierCache[a]; ok {
-		return f, nil
-	}
-	f, err := Frontier(a, CalibrationIters(a))
-	if err != nil {
-		return nil, err
-	}
-	frontierCache[a] = f
-	return f, nil
+	return frontiers.Do(a, func() (*knob.Frontier, error) {
+		return Frontier(a, CalibrationIters(a))
+	})
 }

@@ -11,7 +11,6 @@ package bodytrack
 import (
 	"math"
 	"math/rand"
-	"sync"
 
 	"jouleguard/internal/apps/kernel"
 	"jouleguard/internal/knob"
@@ -31,15 +30,14 @@ const (
 	calibIters          = 16
 )
 
-// Tracker implements the App interface. The error cache is guarded so Step
-// is safe for concurrent use by parallel experiment sweeps.
+// Tracker implements the App interface. Its caches compute each value
+// once, so Step is safe for concurrent use by parallel experiment sweeps.
 type Tracker struct {
 	space     *knob.Space
 	particles []int
 	defCfg    int
-	mu        sync.RWMutex
-	defErr    map[int]float64  // cached default-config tracking error per iter
-	segs      map[int]*segment // cached ground-truth segments per iter
+	defErr    kernel.OnceMap[int, float64] // default-config tracking error per iter
+	segs      kernel.OnceMap[int, segment] // ground-truth segment per iter
 	work      kernel.WorkScale
 	acc       kernel.AccuracyScale
 }
@@ -62,8 +60,7 @@ func New() *Tracker {
 	if err != nil {
 		panic(err)
 	}
-	t := &Tracker{space: space, particles: particles, defCfg: def,
-		defErr: make(map[int]float64), segs: make(map[int]*segment)}
+	t := &Tracker{space: space, particles: particles, defCfg: def}
 	rawDef := float64(maxParticles * numLayers * segSteps)
 	rawFast := float64(minParticles * 1 * segSteps)
 	t.work = kernel.NewWorkScale(rawDef, rawFast, targetSpeed)
@@ -215,35 +212,17 @@ func (t *Tracker) settings(cfgID int) (nParticles, layers int) {
 
 // segmentAt returns (and caches) the ground-truth segment for an
 // iteration. Segments are pure functions of the iteration index, so every
-// configuration profiled against the same input can share one instance.
-func (t *Tracker) segmentAt(iter int) *segment {
-	t.mu.RLock()
-	s, ok := t.segs[iter]
-	t.mu.RUnlock()
-	if ok {
-		return s
-	}
-	seg := makeSegment(iter)
-	t.mu.Lock()
-	t.segs[iter] = &seg
-	t.mu.Unlock()
-	return &seg
+// configuration profiled against the same input can share one.
+func (t *Tracker) segmentAt(iter int) segment {
+	return t.segs.Get(iter, func() segment { return makeSegment(iter) })
 }
 
 // defaultError returns (and caches) the default configuration's tracking
 // error for an iteration.
 func (t *Tracker) defaultError(iter int) float64 {
-	t.mu.RLock()
-	e, ok := t.defErr[iter]
-	t.mu.RUnlock()
-	if ok {
-		return e
-	}
-	e = run(*t.segmentAt(iter), maxParticles, numLayers, kernel.RNG(name+"-pf", iter))
-	t.mu.Lock()
-	t.defErr[iter] = e
-	t.mu.Unlock()
-	return e
+	return t.defErr.Get(iter, func() float64 {
+		return run(t.segmentAt(iter), maxParticles, numLayers, kernel.RNG(name+"-pf", iter))
+	})
 }
 
 // rawLoss is the relative tracking-error increase of cfg versus default.
@@ -251,7 +230,7 @@ func (t *Tracker) rawLoss(cfgID, iter int) float64 {
 	// Common random numbers: every configuration consumes the same PF
 	// stream, so differences in tracking error reflect the configuration,
 	// not sampling luck.
-	seg := *t.segmentAt(iter)
+	seg := t.segmentAt(iter)
 	n, l := t.settings(cfgID)
 	err := run(seg, n, l, kernel.RNG(name+"-pf", iter))
 	ref := t.defaultError(iter)

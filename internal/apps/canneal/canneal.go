@@ -222,6 +222,10 @@ func (a *Annealer) NumConfigs() int { return len(rates) }
 // DefaultConfig implements the App interface.
 func (a *Annealer) DefaultConfig() int { return 0 }
 
+// Period reports the number of netlists Step cycles through: for
+// iter >= 0, Step(cfg, iter) depends on iter only through iter mod Period().
+func (*Annealer) Period() int { return instances }
+
 // Step implements the App interface: anneal one netlist instance.
 func (a *Annealer) Step(cfg, iter int) (work, accuracy float64) {
 	if cfg < 0 || cfg >= len(rates) {

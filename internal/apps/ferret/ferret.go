@@ -179,6 +179,11 @@ func (s *Searcher) NumConfigs() int { return numConfigs }
 // DefaultConfig implements the App interface.
 func (s *Searcher) DefaultConfig() int { return 0 }
 
+// Period reports that Step walks the query pool batch queries at a time,
+// so for iter >= 0, Step(cfg, iter) depends on iter only through
+// iter mod Period().
+func (*Searcher) Period() int { return queryPool / batch }
+
 // Step implements the App interface: answer one batch of similarity
 // queries.
 func (s *Searcher) Step(cfg, iter int) (work, accuracy float64) {

@@ -1,7 +1,8 @@
 // Package kernel holds helpers shared by the eight benchmark kernels:
-// deterministic per-iteration seeding, geometric knob ladders, and the
+// deterministic per-iteration seeding, geometric knob ladders, the
 // two-point calibration that anchors each kernel's measured speedup and
-// accuracy-loss range to the paper's Table 2.
+// accuracy-loss range to the paper's Table 2, and OnceMap, the
+// compute-once cache behind every memo of their pure results.
 //
 // Calibration rationale: the paper's speedup and loss numbers were measured
 // on the authors' inputs (full PARSEC inputs, Gutenberg corpora, real

@@ -163,6 +163,10 @@ func (d *DSP) NumConfigs() int { return numConfigs }
 // DefaultConfig implements the App interface.
 func (d *DSP) DefaultConfig() int { return 0 }
 
+// Period reports the number of pulse scenarios Step cycles through: for
+// iter >= 0, Step(cfg, iter) depends on iter only through iter mod Period().
+func (*DSP) Period() int { return pulses }
+
 // Step implements the App interface: filter one pulse return and measure
 // the detection SNR against the default filter's output.
 func (d *DSP) Step(cfg, iter int) (work, accuracy float64) {

@@ -222,6 +222,11 @@ func (e *Engine) NumConfigs() int { return len(resultCaps) }
 // DefaultConfig implements the App interface.
 func (e *Engine) DefaultConfig() int { return 0 }
 
+// Period reports that Step walks the query pool batchSize queries at a time,
+// so for iter >= 0, Step(cfg, iter) depends on iter only through
+// iter mod Period().
+func (*Engine) Period() int { return queryPool / batchSize }
+
 // Step implements the App interface: answer one batch of queries.
 func (e *Engine) Step(cfg, iter int) (work, accuracy float64) {
 	if cfg < 0 || cfg >= len(resultCaps) {

@@ -162,6 +162,10 @@ func (c *Clusterer) NumConfigs() int { return numConfigs }
 // DefaultConfig implements the App interface.
 func (c *Clusterer) DefaultConfig() int { return 0 }
 
+// Period reports the number of point batches Step cycles through: for
+// iter >= 0, Step(cfg, iter) depends on iter only through iter mod Period().
+func (*Clusterer) Period() int { return instances }
+
 // Step implements the App interface: cluster one point batch.
 func (c *Clusterer) Step(cfg, iter int) (work, accuracy float64) {
 	if cfg < 0 || cfg >= numConfigs {

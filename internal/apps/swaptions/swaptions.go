@@ -119,6 +119,10 @@ func (p *Pricer) NumConfigs() int { return numConfigs }
 // DefaultConfig implements the App interface; config 0 runs all trials.
 func (p *Pricer) DefaultConfig() int { return 0 }
 
+// Period reports the number of swaptions Step cycles through: for
+// iter >= 0, Step(cfg, iter) depends on iter only through iter mod Period().
+func (*Pricer) Period() int { return instruments }
+
 // Trials exposes the knob ladder (for tests and docs).
 func (p *Pricer) Trials() []int { return append([]int(nil), p.trials...) }
 

@@ -17,7 +17,6 @@ package x264
 
 import (
 	"math"
-	"sync"
 
 	"jouleguard/internal/apps/kernel"
 	"jouleguard/internal/knob"
@@ -45,9 +44,12 @@ type frame [][]float64 // [y][x] luma
 // mvKey identifies one motion search: the frame pair (iter, iter-r), the
 // block, and the two knobs the search depends on. The depth and
 // reference-count knobs do not enter the search itself, so all
-// configurations sharing (range, subme) reuse the same result.
+// configurations sharing (range, subme) reuse the same result. The
+// small fields are narrow so a key packs into 16 bytes: the memo holds
+// hundreds of thousands of them.
 type mvKey struct {
-	iter, r, blk, rng, subme int
+	iter               int
+	r, blk, rng, subme int8
 }
 
 // mvVal is one memoised searchBlock result.
@@ -59,9 +61,13 @@ type mvVal struct {
 // prKey identifies one block prediction: the frame pair, the block, the
 // motion vector the search produced, and the partition depth. Distinct
 // configurations frequently converge to the same vector, so the
-// quadrant-refinement sads are shared across them.
+// quadrant-refinement sads are shared across them. Packed to 16 bytes
+// like mvKey; a vector stays within the search range plus the refinement
+// passes, far inside int16.
 type prKey struct {
-	iter, r, blk, mx, my, depth int
+	iter          int
+	r, blk, depth int8
+	mx, my        int16
 }
 
 // prVal is one memoised predict result.
@@ -70,18 +76,16 @@ type prVal struct {
 	work float64
 }
 
-// Encoder implements the App interface. The caches make Step safe for
-// concurrent use by parallel experiment sweeps.
+// Encoder implements the App interface. Its caches compute each value
+// once, so Step is safe for concurrent use by parallel experiment sweeps.
 type Encoder struct {
 	space      *knob.Space
 	defaultCfg int
 	difficulty func(iter int) float64
-	mu         sync.RWMutex
-	frames     map[int]frame   // frame cache keyed by index
-	refPSNR    map[int]float64 // default-config PSNR per iteration
-	mvMu       sync.RWMutex
-	mv         map[mvKey]mvVal  // motion-search memo (bit-identical replay)
-	pr         map[prKey]*prVal // prediction memo, same purity argument
+	frames     kernel.OnceMap[int, frame]   // frame cache keyed by index
+	refPSNR    kernel.OnceMap[int, float64] // default-config PSNR per iteration
+	mv         kernel.OnceMap[mvKey, mvVal] // motion-search memo (bit-identical replay)
+	pr         kernel.OnceMap[prKey, prVal] // prediction memo, same purity argument
 	objects    []object
 	work       kernel.WorkScale
 	acc        kernel.AccuracyScale
@@ -127,10 +131,6 @@ func New(difficulty func(iter int) float64) *Encoder {
 		space:      space,
 		defaultCfg: def,
 		difficulty: difficulty,
-		frames:     make(map[int]frame),
-		refPSNR:    make(map[int]float64),
-		mv:         make(map[mvKey]mvVal),
-		pr:         make(map[prKey]*prVal),
 	}
 	rng := kernel.RNG(name+"-scene", 0)
 	for i := 0; i < 3; i++ {
@@ -172,17 +172,17 @@ func (e *Encoder) decode(id int) cfg {
 	}
 }
 
-// frameAt synthesises (and caches) frame j: gradient background, moving
-// objects, global pan, and sensor noise, all scaled by scene difficulty.
+// frameAt returns (and caches) frame j. Frames are pure functions of j,
+// so every configuration and reference distance shares one.
 func (e *Encoder) frameAt(j int) frame {
-	e.mu.RLock()
-	f, ok := e.frames[j]
-	e.mu.RUnlock()
-	if ok {
-		return f
-	}
+	return e.frames.Get(j, func() frame { return e.synthesise(j) })
+}
+
+// synthesise renders frame j: gradient background, moving objects, global
+// pan, and sensor noise, all scaled by scene difficulty.
+func (e *Encoder) synthesise(j int) frame {
 	d := e.difficulty(j)
-	f = make(frame, height)
+	f := make(frame, height)
 	rng := kernel.RNG(name+"-noise", j)
 	panX := 0.4 * d * float64(j)
 	for y := range f {
@@ -207,11 +207,6 @@ func (e *Encoder) frameAt(j int) frame {
 			f[y][x] = clamp255(f[y][x] + noise*rng.NormFloat64())
 		}
 	}
-	// Duplicate computation under a race is harmless: frames are pure
-	// functions of j, so last-writer-wins stores an identical value.
-	e.mu.Lock()
-	e.frames[j] = f
-	e.mu.Unlock()
 	return f
 }
 
@@ -274,18 +269,12 @@ func sad(cur, ref frame, bx, by, mx, my, bs int) (float64, float64) {
 // partition depth or reference count share entries, which is where the
 // 560-configuration profiling sweep spends most of its redundancy.
 func (e *Encoder) searchBlockMemo(iter, r, blk, rng, subme int, cur, ref frame, bx, by int) (mx, my int, best, work float64) {
-	k := mvKey{iter: iter, r: r, blk: blk, rng: rng, subme: subme}
-	e.mvMu.RLock()
-	v, ok := e.mv[k]
-	e.mvMu.RUnlock()
-	if ok {
-		return v.mx, v.my, v.best, v.work
-	}
-	mx, my, best, work = searchBlock(cur, ref, bx, by, rng, subme)
-	e.mvMu.Lock()
-	e.mv[k] = mvVal{mx: mx, my: my, best: best, work: work}
-	e.mvMu.Unlock()
-	return mx, my, best, work
+	k := mvKey{iter: iter, r: int8(r), blk: int8(blk), rng: int8(rng), subme: int8(subme)}
+	v := e.mv.Get(k, func() mvVal {
+		mx, my, best, work := searchBlock(cur, ref, bx, by, rng, subme)
+		return mvVal{mx: mx, my: my, best: best, work: work}
+	})
+	return v.mx, v.my, v.best, v.work
 }
 
 // searchBlock runs a three-step (log) search with early termination and
@@ -347,19 +336,13 @@ func searchBlock(cur, ref frame, bx, by, rng, subme int) (mx, my int, best float
 // vector has been predicted before. predict is pure in its inputs, so
 // the copy is bit-identical to recomputation.
 func (e *Encoder) predictMemo(iter, r, blk, mx, my, depth int, cur, ref frame, bx, by int, pred *[block * block]float64) (work float64) {
-	k := prKey{iter: iter, r: r, blk: blk, mx: mx, my: my, depth: depth}
-	e.mvMu.RLock()
-	v, ok := e.pr[k]
-	e.mvMu.RUnlock()
-	if ok {
-		*pred = v.pred
-		return v.work
-	}
-	work = predict(cur, ref, bx, by, mx, my, depth, pred)
-	e.mvMu.Lock()
-	e.pr[k] = &prVal{pred: *pred, work: work}
-	e.mvMu.Unlock()
-	return work
+	k := prKey{iter: iter, r: int8(r), blk: int8(blk), depth: int8(depth), mx: int16(mx), my: int16(my)}
+	v := e.pr.Get(k, func() (v prVal) {
+		v.work = predict(cur, ref, bx, by, mx, my, depth, &v.pred)
+		return v
+	})
+	*pred = v.pred
+	return v.work
 }
 
 // predict fills pred (a row-major block x block buffer, reused across
@@ -465,17 +448,10 @@ func (e *Encoder) encode(c cfg, iter int) (rawWork, psnr float64) {
 // defaultPSNR returns (and caches) the default configuration's PSNR for an
 // iteration — the reference the accuracy metric normalises against.
 func (e *Encoder) defaultPSNR(iter int) float64 {
-	e.mu.RLock()
-	p, ok := e.refPSNR[iter]
-	e.mu.RUnlock()
-	if ok {
+	return e.refPSNR.Get(iter, func() float64 {
+		_, p := e.encode(e.decode(e.defaultCfg), iter)
 		return p
-	}
-	_, p = e.encode(e.decode(e.defaultCfg), iter)
-	e.mu.Lock()
-	e.refPSNR[iter] = p
-	e.mu.Unlock()
-	return p
+	})
 }
 
 func relLoss(got, ref float64) float64 {

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"math"
+	"sort"
 
 	"jouleguard"
 	"jouleguard/internal/apps"
@@ -255,6 +256,7 @@ func Sweep(factors []float64, scale float64) ([]SweepCell, error) {
 	type jobSpec struct {
 		app, plat string
 		factor    float64
+		slot      int // the cell's place in the matrix
 	}
 	var jobs []jobSpec
 	for _, platName := range platform.Names() {
@@ -270,18 +272,30 @@ func Sweep(factors []float64, scale float64) ([]SweepCell, error) {
 			maxF := orc.MaxFeasibleFactor()
 			for _, f := range factors {
 				if f <= maxF {
-					jobs = append(jobs, jobSpec{appName, platName, f})
+					jobs = append(jobs, jobSpec{appName, platName, f, len(jobs)})
 				}
 			}
 		}
 	}
+	// Run the longest cells first, each factor across every application
+	// before the next: in matrix order the workers would run neighbouring
+	// cells of one application, which need the same kernel results at the
+	// same moment, so one would wait on the other's computation. Each cell
+	// still lands in its matrix slot.
+	sort.SliceStable(jobs, func(a, b int) bool {
+		if ia, ib := ItersFor(jobs[a].plat, scale), ItersFor(jobs[b].plat, scale); ia != ib {
+			return ia > ib
+		}
+		return jobs[a].factor < jobs[b].factor
+	})
 	cells := make([]SweepCell, len(jobs))
-	err := par.Map(len(jobs), func(i int) error {
-		res, err := RunJouleGuard(jobs[i].app, jobs[i].plat, jobs[i].factor, scale, jouleguard.Options{})
+	err := par.Map(len(jobs), func(k int) error {
+		j := jobs[k]
+		res, err := RunJouleGuard(j.app, j.plat, j.factor, scale, jouleguard.Options{})
 		if err != nil {
 			return err
 		}
-		cells[i] = SweepCell{res}
+		cells[j.slot] = SweepCell{res}
 		return nil
 	})
 	return cells, err
@@ -343,6 +357,9 @@ func Fig7(scale float64) ([]Fig7Result, error) {
 		}
 		out[ai] = res
 	}
+	// Same interleaving as Sweep: each grid point across every
+	// application before the next, so the workers run different kernels.
+	sort.SliceStable(jobs, func(a, b int) bool { return jobs[a].ptIdx < jobs[b].ptIdx })
 	err := par.Map(len(jobs), func(j int) error {
 		spec := jobs[j]
 		appName := appNames[spec.appIdx]

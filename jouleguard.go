@@ -27,9 +27,9 @@ package jouleguard
 
 import (
 	"fmt"
-	"sync"
 
 	"jouleguard/internal/apps"
+	"jouleguard/internal/apps/kernel"
 	"jouleguard/internal/baselines"
 	"jouleguard/internal/core"
 	"jouleguard/internal/faults"
@@ -164,23 +164,17 @@ type Testbed struct {
 // default-configuration characteristics — work that is deterministic per
 // (app, platform) pair yet used to be repaid by every run of every sweep
 // (the full evaluation builds 864+ testbeds). The cache holds one immutable
-// template per pair; NewTestbed hands out shallow copies so per-run Seed
-// mutations never leak between experiments. Platform, Frontier and App are
-// shared read-only (the app kernels' Step methods are deterministic pure
+// template per pair, built once even when concurrent callers ask for it
+// together; NewTestbed hands out shallow copies so per-run Seed mutations
+// never leak between experiments. Platform, Frontier and App are shared
+// read-only (the app kernels' Step methods are deterministic pure
 // functions, safe under the concurrent sweeps in internal/experiments).
-var (
-	testbedMu    sync.Mutex
-	testbedCache = map[[2]string]*Testbed{}
-)
+var testbeds kernel.OnceMap[[2]string, *Testbed]
 
 // NewTestbed builds a testbed for (application, platform) by name, serving
 // repeat requests from the process-wide template cache.
 func NewTestbed(appName, platName string) (*Testbed, error) {
-	key := [2]string{appName, platName}
-	testbedMu.Lock()
-	tmpl := testbedCache[key]
-	testbedMu.Unlock()
-	if tmpl == nil {
+	tmpl, err := testbeds.Do([2]string{appName, platName}, func() (*Testbed, error) {
 		app, err := apps.New(appName)
 		if err != nil {
 			return nil, err
@@ -189,13 +183,10 @@ func NewTestbed(appName, platName string) (*Testbed, error) {
 		if err != nil {
 			return nil, err
 		}
-		tmpl, err = NewTestbedFrom(app, plat)
-		if err != nil {
-			return nil, err
-		}
-		testbedMu.Lock()
-		testbedCache[key] = tmpl
-		testbedMu.Unlock()
+		return NewTestbedFrom(app, plat)
+	})
+	if err != nil {
+		return nil, err
 	}
 	tb := *tmpl
 	return &tb, nil
@@ -316,7 +307,8 @@ func (tb *Testbed) NewUncoordinated(f float64, iters int) (Governor, error) {
 // finished run consult one. Keyed by the identity of the testbed's shared
 // parts, so cached testbeds for the same (app, platform) hit the same
 // oracle while custom NewTestbedFrom testbeds (distinct Frontier pointers)
-// get their own. Oracles are immutable after construction.
+// get their own. Oracles are immutable after construction, and each is
+// built once even when concurrent callers ask for it together.
 type oracleKey struct {
 	frontier *Frontier
 	plat     *Platform
@@ -324,29 +316,15 @@ type oracleKey struct {
 	work     float64
 }
 
-var (
-	oracleMu    sync.Mutex
-	oracleCache = map[oracleKey]*Oracle{}
-)
+var oracles kernel.OnceMap[oracleKey, *Oracle]
 
 // NewOracle constructs the omniscient oracle for this testbed (Sec. 5.2),
 // memoized process-wide per (frontier, platform, profile, work) identity.
 func (tb *Testbed) NewOracle() (*Oracle, error) {
 	key := oracleKey{tb.Frontier, tb.Platform, tb.Profile, tb.WorkPerIter}
-	oracleMu.Lock()
-	orc := oracleCache[key]
-	oracleMu.Unlock()
-	if orc != nil {
-		return orc, nil
-	}
-	orc, err := oracle.New(tb.Frontier, tb.Platform, tb.Profile, tb.WorkPerIter)
-	if err != nil {
-		return nil, err
-	}
-	oracleMu.Lock()
-	oracleCache[key] = orc
-	oracleMu.Unlock()
-	return orc, nil
+	return oracles.Do(key, func() (*Oracle, error) {
+		return oracle.New(tb.Frontier, tb.Platform, tb.Profile, tb.WorkPerIter)
+	})
 }
 
 // Run executes iters iterations under the governor on a fresh simulation
