@@ -183,3 +183,54 @@ func TestCalibrationDoesNotSerialiseOtherApps(t *testing.T) {
 		t.Fatalf("a's Step ran %d times, want %d (one calibration)", got, want)
 	}
 }
+
+// countApp is an App whose Step returns its own arguments and counts its
+// calls; with period > 0 it also claims that Period.
+type countApp struct {
+	steps  atomic.Int64
+	period int
+}
+
+func (c *countApp) Name() string       { return "count" }
+func (c *countApp) NumConfigs() int    { return 2 }
+func (c *countApp) DefaultConfig() int { return 0 }
+func (c *countApp) Metric() string     { return "test" }
+func (c *countApp) Step(cfg, iter int) (float64, float64) {
+	c.steps.Add(1)
+	return float64(iter), float64(cfg)
+}
+
+type periodicCountApp struct{ *countApp }
+
+func (p periodicCountApp) Period() int { return p.period }
+
+// TestStepMemoKeysWholeIterations: the memo keys a kernel with no period
+// by the whole (cfg, iter) pair, so iterations 2^32 apart, and an
+// iteration at 2^31 and its negative, are distinct keys, each computed
+// once; a periodic kernel's iterations still fold onto their residue,
+// and its negative iterations keep their own keys.
+func TestStepMemoKeysWholeIterations(t *testing.T) {
+	raw := &countApp{}
+	m := memoizeSteps(raw)
+	for _, iter := range []int{0, 1 << 32, 1 << 31, -(1 << 31), 5, 5 + 1<<32} {
+		for rep := 0; rep < 2; rep++ {
+			if w, cfg := m.Step(1, iter); w != float64(iter) || cfg != 1 {
+				t.Fatalf("Step(1, %d) = (%v, %v), want (%v, 1)", iter, w, cfg, float64(iter))
+			}
+		}
+	}
+	if got := raw.steps.Load(); got != 6 {
+		t.Fatalf("6 distinct iterations took %d computations, want 6", got)
+	}
+
+	per := &countApp{period: 4}
+	pm := memoizeSteps(periodicCountApp{per})
+	for _, c := range []struct{ iter, residue int }{{1, 1}, {5, 1}, {1 + 4<<30, 1}, {3, 3}, {-1, -1}, {-5, -5}} {
+		if w, _ := pm.Step(0, c.iter); w != float64(c.residue) {
+			t.Fatalf("periodic Step(0, %d) = %v, want the residue's %v", c.iter, w, float64(c.residue))
+		}
+	}
+	if got := per.steps.Load(); got != 4 {
+		t.Fatalf("periodic kernel: %d computations, want 4 (residues 1 and 3, iterations -1 and -5)", got)
+	}
+}

@@ -55,8 +55,8 @@ type periodic interface{ Period() int }
 // methods loses nothing.
 type stepMemo struct {
 	App
-	period int // 0: Step depends on the whole iteration
-	m      kernel.OnceMap[uint64, stepVal]
+	period int                             // 0: Step depends on the whole iteration
+	m      kernel.OnceMap[[2]int, stepVal] // keyed by (cfg, iter or its residue)
 }
 
 func memoizeSteps(a App) App {
@@ -72,8 +72,7 @@ func (s *stepMemo) Step(cfg, iter int) (work, accuracy float64) {
 	if s.period > 0 && iter >= 0 {
 		iter %= s.period
 	}
-	key := uint64(uint32(cfg))<<32 | uint64(uint32(iter))
-	v := s.m.Get(key, func() stepVal {
+	v := s.m.Get([2]int{cfg, iter}, func() stepVal {
 		w, acc := s.App.Step(cfg, iter)
 		return stepVal{w, acc}
 	})

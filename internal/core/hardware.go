@@ -40,6 +40,7 @@ type HardwareRuntime struct {
 
 	sink   telemetry.Sink
 	traced bool
+	dec    telemetry.Decision // the last traced Observe's record, lent to sink
 }
 
 // NewHardware builds the approximate-hardware runtime. frontier is the
@@ -100,9 +101,17 @@ func (h *HardwareRuntime) scaleOf(level int) float64 {
 // Observe implements sim.Governor.
 func (h *HardwareRuntime) Observe(fb sim.Feedback) {
 	h.lastMiss = fb.SysConfig != h.nextSys || fb.AppConfig != h.nextLevel
-	if h.traced {
-		defer h.record(fb, h.ctrl.Steps(), h.bandit.TotalPulls())
+	if !h.traced {
+		h.observe(&fb)
+		return
 	}
+	steps, pulls := h.ctrl.Steps(), h.bandit.TotalPulls()
+	h.observe(&fb)
+	h.record(&fb, steps, pulls)
+}
+
+// observe is Observe's body: everything but the trace.
+func (h *HardwareRuntime) observe(fb *sim.Feedback) {
 	if !fb.Sane() || fb.Estimated {
 		return // corrupt or model-estimated sample: never learn from it
 	}
@@ -175,46 +184,38 @@ func (h *HardwareRuntime) Observe(fb sim.Feedback) {
 }
 
 // record assembles the flight-recorder Decision for one hardware-mode
-// Observe; deferred so NextApp/NextSys reflect the decision produced,
-// with the controller's step and the bandit's pull counts at entry.
-// SpeedupCmd carries the commanded power scale and TargetRate the power
-// target — the hardware loop's analogues of speedup and rate.
-func (h *HardwareRuntime) record(fb sim.Feedback, steps, pulls int) {
-	d := telemetry.Decision{
-		Iter:      fb.Iter,
-		AppConfig: fb.AppConfig,
-		SysConfig: fb.SysConfig,
-		NextApp:   h.nextLevel,
-		NextSys:   h.nextSys,
+// Observe in h.dec and lends it to the sink. It runs after observe, so
+// NextApp/NextSys reflect the decision produced, with the controller's
+// step and the bandit's pull counts from before it. SpeedupCmd carries
+// the commanded power scale and TargetRate the power target — the
+// hardware loop's analogues of speedup and rate.
+func (h *HardwareRuntime) record(fb *sim.Feedback, steps, pulls int) {
+	// Field by field, as in Runtime.record; the fields the hardware loop
+	// has no analogue for (Epsilon, AllowedJPerIter, Degraded, Tripped)
+	// stay zero.
+	d := &h.dec
+	d.Iter, d.AppConfig, d.SysConfig = fb.Iter, fb.AppConfig, fb.SysConfig
+	d.NextApp, d.NextSys = h.nextLevel, h.nextSys
 
-		SEURate:       h.bandit.Rate(h.nextSys),
-		SEUPower:      h.bandit.Power(h.nextSys),
-		SEUEfficiency: h.bandit.Efficiency(h.nextSys),
-		EstimatorGain: h.bandit.Gain(h.nextSys),
-		BestArm:       h.bandit.BestArm(),
-		Explored:      h.explored,
+	d.SEURate, d.SEUPower = h.bandit.Rate(h.nextSys), h.bandit.Power(h.nextSys)
+	d.SEUEfficiency, d.EstimatorGain = h.bandit.Efficiency(h.nextSys), h.bandit.Gain(h.nextSys)
+	d.BestArm, d.Explored = h.bandit.BestArm(), h.explored
 
-		SpeedupCmd: h.lastScale,
-		TargetRate: h.lastTarget,
-		PIError:    h.ctrl.LastError(),
-		Pole:       h.ctrl.Pole(),
+	d.SpeedupCmd, d.TargetRate = h.lastScale, h.lastTarget
+	d.PIError, d.Pole = h.ctrl.LastError(), h.ctrl.Pole()
 
-		EnergyUsedJ:      fb.Energy,
-		BudgetRemainingJ: h.budget - fb.Energy,
+	d.EnergyUsedJ, d.BudgetRemainingJ = fb.Energy, h.budget-fb.Energy
 
-		Sane:          fb.Sane(),
-		GuardAccepted: !fb.Estimated,
-		Estimated:     fb.Estimated,
-		ActuationMiss: h.lastMiss,
-		Infeasible:    h.infeasible,
+	d.Sane, d.GuardAccepted, d.Estimated = fb.Sane(), !fb.Estimated, fb.Estimated
+	d.ActuationMiss, d.Infeasible = h.lastMiss, h.infeasible
 
-		Stepped: h.ctrl.Steps() != steps,
-		Updated: h.bandit.TotalPulls() != pulls,
-	}
+	d.Stepped = h.ctrl.Steps() != steps
+	d.Updated = h.bandit.TotalPulls() != pulls
+	d.UpdatedGain = 0
 	if d.Updated {
 		d.UpdatedGain = h.bandit.Gain(fb.SysConfig)
 	}
-	h.sink.RecordDecision(d)
+	h.sink.Record(d)
 }
 
 // Infeasible reports whether the goal exceeds the hardware's power range.

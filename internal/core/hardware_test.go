@@ -1,12 +1,14 @@
 package core
 
 import (
+	"sync"
 	"testing"
 
 	"jouleguard/internal/hwapprox"
 	"jouleguard/internal/learning"
 	"jouleguard/internal/platform"
 	"jouleguard/internal/sim"
+	"jouleguard/internal/telemetry"
 )
 
 func hwSetup(t *testing.T) (*hwapprox.Unit, *platform.Platform, learning.Priors, float64) {
@@ -142,5 +144,54 @@ func TestHardwareModeInfeasible(t *testing.T) {
 	}
 	if !gov.Infeasible() {
 		t.Fatal("impossible hardware goal not flagged")
+	}
+}
+
+// TestObserveZeroAllocWithSessionSink pins the traced Observe of both
+// runtimes at zero allocations with a live session sink: the record is
+// built in the runtime's own Decision and lent to the sink by pointer,
+// and a pointer that let it escape would cost one allocation per
+// decision.
+func TestObserveZeroAllocWithSessionSink(t *testing.T) {
+	var owner sync.Mutex
+	tel := telemetry.New(0)
+	owner.Lock() // every call into a session sink is made under its owner lock
+	pin := func(name string, gov sim.Governor) {
+		t.Helper()
+		iter, energy := 0, 0.0
+		step := func() {
+			app, sys := gov.Decide(iter)
+			energy += 0.2
+			iter++
+			gov.Observe(sim.Feedback{Iter: iter - 1, AppConfig: app, SysConfig: sys, Work: 1,
+				Duration: 0.01 * (1 + 0.1*float64(iter%3)), Power: 20, Energy: energy,
+				Accuracy: 1, IterationsDone: iter})
+		}
+		for i := 0; i < 100; i++ {
+			step()
+		}
+		if allocs := testing.AllocsPerRun(1000, step); allocs != 0 {
+			t.Errorf("%s.Observe allocates %v per decision, want 0", name, allocs)
+		}
+	}
+
+	w := newFakeWorld(16)
+	gov, err := New(1e6, 1e9, testFrontier(t), 16, optimisticPriors(w), 15,
+		Options{Telemetry: telemetry.WithSession(tel, "s-000001", 0, &owner, nil)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pin("Runtime", gov)
+
+	unit, plat, priors, _ := hwSetup(t)
+	hw, err := NewHardware(1e6, 1e9, unit.MeasureFrontier(16), plat.NumConfigs(), priors,
+		Options{Telemetry: telemetry.WithSession(tel, "s-000002", 0, &owner, nil)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pin("HardwareRuntime", hw)
+	owner.Unlock()
+	if n := len(tel.Decisions("", 0, 0)); n == 0 {
+		t.Fatal("the session sinks recorded no decisions")
 	}
 }

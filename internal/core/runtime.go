@@ -98,6 +98,9 @@ type Runtime struct {
 	lastMiss    bool           // last observation ran a config other than commanded
 	sink        telemetry.Sink // never nil; Nop when Options.Telemetry unset
 	traced      bool           // whether to assemble full Decision records
+	// dec is the record of the last traced Observe, lent to the sink: a
+	// field, so handing the sink a pointer moves nothing to the heap.
+	dec telemetry.Decision
 }
 
 // New builds a JouleGuard runtime.
@@ -213,15 +216,23 @@ func (r *Runtime) Decide(int) (appCfg, sysCfg int) {
 // known-safe configuration when feedback stays broken.
 func (r *Runtime) Observe(fb sim.Feedback) {
 	r.iters++
-	// The trace is recorded on the way out so it captures the *next*
-	// decision alongside the feedback that produced it — including every
-	// early-return path (corrupt, estimated, degraded, budget-spent). The
-	// step, pull and trip counts are read here, at entry, so the record
-	// can tell what this Observe did.
 	r.lastMiss = fb.SysConfig != r.nextSys || fb.AppConfig != r.nextApp.Config
-	if r.traced {
-		defer r.record(fb, r.ctrl.Steps(), r.bandit.TotalPulls(), r.degradeEvents)
+	if !r.traced {
+		r.observe(&fb)
+		return
 	}
+	// The trace is recorded after observe so it captures the *next*
+	// decision alongside the feedback that produced it, whichever way
+	// observe returned (corrupt, estimated, degraded, budget-spent). The
+	// step, pull and trip counts are read before it, so the record can
+	// tell what this Observe did.
+	steps, pulls, trips := r.ctrl.Steps(), r.bandit.TotalPulls(), r.degradeEvents
+	r.observe(&fb)
+	r.record(&fb, steps, pulls, trips)
+}
+
+// observe is Observe's body: everything but the trace.
+func (r *Runtime) observe(fb *sim.Feedback) {
 	if !fb.Sane() {
 		r.noteRejected()
 		return // corrupt measurement; hold (or degrade) every decision
@@ -422,50 +433,39 @@ func (r *Runtime) Observe(fb sim.Feedback) {
 }
 
 // record assembles the flight-recorder Decision for one completed
-// Observe. Deferred from Observe's entry when tracing is on, it runs
-// after the body has chosen the next configurations, so NextApp/NextSys
-// are the decision this feedback produced; steps, pulls and trips are
-// the controller, bandit and watchdog counts at entry.
-func (r *Runtime) record(fb sim.Feedback, steps, pulls, trips int) {
-	d := telemetry.Decision{
-		Iter:      fb.Iter,
-		AppConfig: fb.AppConfig,
-		SysConfig: fb.SysConfig,
-		NextApp:   r.nextApp.Config,
-		NextSys:   r.nextSys,
+// Observe in r.dec and lends it to the sink. It runs after observe has
+// chosen the next configurations, so NextApp/NextSys are the decision
+// this feedback produced; steps, pulls and trips are the controller,
+// bandit and watchdog counts before it.
+func (r *Runtime) record(fb *sim.Feedback, steps, pulls, trips int) {
+	// Field by field: a composite literal assigned through a pointer is
+	// built in a temporary and copied, the copy this record avoids. The
+	// fields record does not write (Seq, Session, the calibration ones)
+	// stay zero: sinks copy *d and never write through d.
+	d := &r.dec
+	d.Iter, d.AppConfig, d.SysConfig = fb.Iter, fb.AppConfig, fb.SysConfig
+	d.NextApp, d.NextSys = r.nextApp.Config, r.nextSys
 
-		SEURate:       r.bandit.Rate(r.nextSys),
-		SEUPower:      r.bandit.Power(r.nextSys),
-		SEUEfficiency: r.bandit.Efficiency(r.nextSys),
-		EstimatorGain: r.bandit.Gain(r.nextSys),
-		BestArm:       r.bandit.BestArm(),
-		Explored:      r.explored,
-		Epsilon:       r.lastEps,
+	d.SEURate, d.SEUPower = r.bandit.Rate(r.nextSys), r.bandit.Power(r.nextSys)
+	d.SEUEfficiency, d.EstimatorGain = r.bandit.Efficiency(r.nextSys), r.bandit.Gain(r.nextSys)
+	d.BestArm, d.Explored, d.Epsilon = r.bandit.BestArm(), r.explored, r.lastEps
 
-		SpeedupCmd: r.ctrl.Speedup(),
-		TargetRate: r.lastTarget,
-		PIError:    r.ctrl.LastError(),
-		Pole:       r.ctrl.Pole(),
+	d.SpeedupCmd, d.TargetRate = r.ctrl.Speedup(), r.lastTarget
+	d.PIError, d.Pole = r.ctrl.LastError(), r.ctrl.Pole()
 
-		EnergyUsedJ:      fb.Energy,
-		BudgetRemainingJ: r.budget - fb.Energy,
-		AllowedJPerIter:  r.lastF,
+	d.EnergyUsedJ, d.BudgetRemainingJ, d.AllowedJPerIter = fb.Energy, r.budget-fb.Energy, r.lastF
 
-		Sane:          fb.Sane(),
-		GuardAccepted: !fb.Estimated,
-		Estimated:     fb.Estimated,
-		ActuationMiss: r.lastMiss,
-		Degraded:      r.degraded,
-		Infeasible:    r.infeasible,
+	d.Sane, d.GuardAccepted, d.Estimated = fb.Sane(), !fb.Estimated, fb.Estimated
+	d.ActuationMiss, d.Degraded, d.Infeasible = r.lastMiss, r.degraded, r.infeasible
 
-		Stepped: r.ctrl.Steps() != steps,
-		Updated: r.bandit.TotalPulls() != pulls,
-		Tripped: r.degradeEvents != trips,
-	}
+	d.Stepped = r.ctrl.Steps() != steps
+	d.Updated = r.bandit.TotalPulls() != pulls
+	d.Tripped = r.degradeEvents != trips
+	d.UpdatedGain = 0
 	if d.Updated {
 		d.UpdatedGain = r.bandit.Gain(fb.SysConfig)
 	}
-	r.sink.RecordDecision(d)
+	r.sink.Record(d)
 }
 
 // noteRejected advances the watchdog for an observation that carried no

@@ -18,7 +18,6 @@ package guard
 
 import (
 	"math"
-	"sort"
 
 	"jouleguard/internal/ckpt"
 )
@@ -99,8 +98,8 @@ type Verdict struct {
 // Sensor is the hardened sensing state. Not safe for concurrent use.
 type Sensor struct {
 	cfg    Config
-	win    []float64 // recently accepted samples, oldest first
-	energy float64   // cleaned cumulative joules
+	win    window  // recently accepted samples
+	energy float64 // cleaned cumulative joules
 
 	model float64 // model-based fallback power (0 = none)
 
@@ -112,28 +111,17 @@ type Sensor struct {
 	pending     float64 // last out-of-gate sample awaiting confirmation
 	havePending bool
 
-	ivals []float64 // recent intervals on the current configuration
-
-	tmp []float64 // scratch for medianMAD; windows are a handful of samples
+	ivals window // recent intervals on the current configuration
 
 	rejectStreak       int
 	accepted, rejected int
 }
 
-// medianMAD is medianMADInto on the Sensor's own scratch: the guard runs once
-// per governed iteration on the daemon's decision path, and a fresh
-// scratch slice per call was the path's dominant allocator.
-func (s *Sensor) medianMAD(xs []float64) (med, mad float64) {
-	if cap(s.tmp) < len(xs) {
-		s.tmp = make([]float64, len(xs))
-	}
-	return medianMADInto(s.tmp[:len(xs)], xs)
-}
-
 // New builds a Sensor; zero-value Config fields take the defaults.
 func New(cfg Config) *Sensor {
 	cfg = cfg.withDefaults()
-	return &Sensor{cfg: cfg, model: cfg.ModelPower}
+	return &Sensor{cfg: cfg, model: cfg.ModelPower,
+		win: newWindow(cfg.Window), ivals: newWindow(ivalWindow)}
 }
 
 // SetModelPower registers the current model-based power estimate used as
@@ -151,7 +139,7 @@ func (s *Sensor) SetModelPower(w float64) {
 // so the next samples may legitimately sit far from the old window:
 // the window is rebased rather than treating the new level as outliers.
 func (s *Sensor) NoteActuation() {
-	s.win = s.win[:0]
+	s.win.reset()
 	s.havePending = false
 }
 
@@ -182,12 +170,11 @@ func (s *Sensor) Interval(dur, expected float64) float64 {
 	if expected > 0 && !math.IsInf(expected, 0) {
 		x, scale = dur/expected, expected
 	}
-	s.ivals = slideAppend(s.ivals, x, ivalWindow)
-	if len(s.ivals) < 3 {
+	s.ivals.push(x)
+	if len(s.ivals.seq) < 3 {
 		return dur
 	}
-	med, _ := s.medianMAD(s.ivals)
-	return med * scale
+	return s.ivals.median() * scale
 }
 
 // Estimate returns the current fallback power estimate: the registered
@@ -196,11 +183,7 @@ func (s *Sensor) Estimate() float64 {
 	if s.model > 0 {
 		return s.model
 	}
-	if len(s.win) > 0 {
-		med, _ := s.medianMAD(s.win)
-		return med
-	}
-	return 0
+	return s.win.median()
 }
 
 // Observe rules on a measured power sample covering dur seconds.
@@ -221,20 +204,25 @@ func (s *Sensor) Observe(power, dur float64) Verdict {
 		s.expectShift = false
 	}
 	s.lastRaw, s.haveRaw = power, true
-	if s.isStuck() {
+	// One median/MAD of the window serves the stuck test and the gate.
+	warm := len(s.win.seq) >= 3
+	var med, mad float64
+	if warm {
+		med, mad = s.win.medianMAD()
+	}
+	if s.isStuck(mad) {
 		return s.reject(Stuck, dur)
 	}
 	if s.cfg.MaxPower > 0 && power > s.cfg.MaxPower {
 		return s.reject(Implausible, dur)
 	}
-	if len(s.win) >= 3 {
-		med, mad := s.medianMAD(s.win)
+	if warm {
 		gate := s.cfg.MADGate * math.Max(mad, s.cfg.RelFloor*math.Abs(med))
 		if math.Abs(power-med) > gate {
 			if s.havePending && math.Abs(power-s.pending) <= s.cfg.ConfirmTol*math.Abs(s.pending) {
 				// Two consecutive out-of-gate samples agree: a genuine
 				// level shift, not a spike. Rebase on the new level.
-				s.win = s.win[:0]
+				s.win.reset()
 				s.havePending = false
 				return s.accept(power, dur)
 			}
@@ -251,16 +239,13 @@ func (s *Sensor) Observe(power, dur float64) Verdict {
 // anomalous given contrary evidence: the model power level moved and the
 // reading did not follow (caught within a few samples), or the accepted
 // window shows the source is noisy — a noisy source never repeats
-// exactly for a whole StuckRun.
-func (s *Sensor) isStuck() bool {
+// exactly for a whole StuckRun. mad is the window's MAD, 0 while it
+// holds fewer than the three samples a MAD needs.
+func (s *Sensor) isStuck(mad float64) bool {
 	if s.expectShift && s.stuckRun >= 3 {
 		return true
 	}
-	if s.stuckRun < s.cfg.StuckRun || len(s.win) < 3 {
-		return false
-	}
-	_, mad := s.medianMAD(s.win)
-	return mad > 0
+	return s.stuckRun >= s.cfg.StuckRun && mad > 0
 }
 
 // Missing rules on an interval for which no sample arrived.
@@ -290,7 +275,7 @@ func (s *Sensor) AdjustEnergy(dj float64) float64 {
 }
 
 func (s *Sensor) accept(power, dur float64) Verdict {
-	s.win = slideAppend(s.win, power, s.cfg.Window)
+	s.win.push(power)
 	s.accepted++
 	s.rejectStreak = 0
 	s.integrate(power, dur)
@@ -314,48 +299,125 @@ func (s *Sensor) integrate(power, dur float64) {
 	}
 }
 
-// slideAppend appends x to a bounded window, shifting in place once the
-// window is full so the backing array never migrates forward (reslicing
-// with win[1:] forces a reallocation every cap-len appends — a steady
-// drip of garbage on the per-iteration path).
-func slideAppend(win []float64, x float64, max int) []float64 {
-	if len(win) < max {
-		return append(win, x)
-	}
-	copy(win, win[1:])
-	win[len(win)-1] = x
-	return win
+// window is a bounded run of samples in arrival order, kept beside an
+// ascending copy of itself so its order statistics need no sort: a push
+// is one ordered insert and, once the window is full, one ordered
+// delete, each O(n) with n at most Config.Window. Only the arrival order
+// is state; the ascending copy is rebuilt from it (restore).
+type window struct {
+	seq []float64 // arrival order, oldest first
+	ord []float64 // the same samples, ascending
 }
 
-// medianMADInto returns the median and the median absolute deviation of
-// xs, using tmp (len(tmp) == len(xs)) as scratch; xs is left untouched.
-func medianMADInto(tmp, xs []float64) (med, mad float64) {
-	n := len(xs)
+// newWindow returns an empty window of at most max samples: seq and ord
+// share one allocation, and seq's capacity is max, so neither outgrows
+// its half.
+func newWindow(max int) window {
+	buf := make([]float64, 2*max)
+	return window{seq: buf[:0:max], ord: buf[max:max]}
+}
+
+// push appends x, evicting the oldest sample once the window is full.
+// The arrival order shifts in place so the backing array never migrates
+// (reslicing with seq[1:] would reallocate every cap-len pushes).
+func (w *window) push(x float64) {
+	if len(w.seq) < cap(w.seq) {
+		w.seq = append(w.seq, x)
+	} else {
+		w.ord = deleteOrdered(w.ord, w.seq[0])
+		copy(w.seq, w.seq[1:])
+		w.seq[len(w.seq)-1] = x
+	}
+	w.ord = insertOrdered(w.ord, x)
+}
+
+// reset empties the window.
+func (w *window) reset() { w.seq, w.ord = w.seq[:0], w.ord[:0] }
+
+// restore rebuilds the ascending copy after seq was overwritten (a
+// decoded checkpoint).
+func (w *window) restore() {
+	w.ord = w.ord[:0]
+	for _, x := range w.seq {
+		w.ord = insertOrdered(w.ord, x)
+	}
+}
+
+// median returns the window's median (0 when empty).
+func (w *window) median() float64 {
+	o, n := w.ord, len(w.ord)
+	switch {
+	case n == 0:
+		return 0
+	case n%2 == 0:
+		return (o[n/2-1] + o[n/2]) / 2
+	}
+	return o[n/2]
+}
+
+// medianMAD returns the window's median and its median absolute
+// deviation. Walking down from the median through the samples below it,
+// and up through those at or above it, visits the deviations |x - med|
+// in ascending order on each side, so merging the two walks yields them
+// sorted; the MAD is the middle of that merge, reached after n/2+1 steps.
+func (w *window) medianMAD() (med, mad float64) {
+	o, n := w.ord, len(w.ord)
 	if n == 0 {
 		return 0, 0
 	}
-	copy(tmp, xs)
-	sort.Float64s(tmp)
-	med = tmp[n/2]
+	med = w.median()
+	up := 0
+	for up < n && o[up] < med {
+		up++
+	}
+	down := up - 1
+	var prev, cur float64
+	for k := 0; k <= n/2; k++ {
+		prev = cur
+		if up < n && (down < 0 || math.Abs(o[up]-med) <= math.Abs(o[down]-med)) {
+			cur = math.Abs(o[up] - med)
+			up++
+		} else {
+			cur = math.Abs(o[down] - med)
+			down--
+		}
+	}
 	if n%2 == 0 {
-		med = (tmp[n/2-1] + tmp[n/2]) / 2
+		return med, (prev + cur) / 2
 	}
-	for i, x := range tmp {
-		tmp[i] = math.Abs(x - med)
+	return med, cur
+}
+
+// insertOrdered inserts x into the ascending slice ord, after any equal
+// samples.
+func insertOrdered(ord []float64, x float64) []float64 {
+	i := len(ord)
+	ord = append(ord, x)
+	for ; i > 0 && ord[i-1] > x; i-- {
+		ord[i] = ord[i-1]
 	}
-	sort.Float64s(tmp)
-	mad = tmp[n/2]
-	if n%2 == 0 {
-		mad = (tmp[n/2-1] + tmp[n/2]) / 2
+	ord[i] = x
+	return ord
+}
+
+// deleteOrdered removes from ord one sample with x's exact bits, so ord
+// stays the arrival order's multiset (-0 and +0 compare equal but are
+// not the same sample).
+func deleteOrdered(ord []float64, x float64) []float64 {
+	bits := math.Float64bits(x)
+	for i, y := range ord {
+		if math.Float64bits(y) == bits {
+			return append(ord[:i], ord[i+1:]...)
+		}
 	}
-	return med, mad
+	return ord
 }
 
 // EncodeState appends the sensing state to a checkpoint: both sliding
 // windows, the cleaned ledger, the stuck/level-shift detectors and the
 // tallies. The Config is a constructor argument and is rebuilt.
 func (s *Sensor) EncodeState(enc *ckpt.Enc) {
-	enc.Floats(s.win)
+	enc.Floats(s.win.seq)
 	enc.Float(s.energy)
 	enc.Float(s.model)
 	enc.Float(s.lastRaw)
@@ -364,16 +426,18 @@ func (s *Sensor) EncodeState(enc *ckpt.Enc) {
 	enc.Bool(s.expectShift)
 	enc.Float(s.pending)
 	enc.Bool(s.havePending)
-	enc.Floats(s.ivals)
+	enc.Floats(s.ivals.seq)
 	enc.Int(s.rejectStreak)
 	enc.Int(s.accepted)
 	enc.Int(s.rejected)
 }
 
 // DecodeState restores what EncodeState wrote into a Sensor built with
-// the same Config; failures stick to d.
+// the same Config, and rebuilds the windows' ascending copies; failures
+// stick to d.
 func (s *Sensor) DecodeState(d *ckpt.Dec) {
-	s.win = d.Floats(s.win, s.cfg.Window)
+	s.win.seq = d.Floats(s.win.seq, s.cfg.Window)
+	s.win.restore()
 	s.energy = d.Float()
 	s.model = d.Float()
 	s.lastRaw = d.Float()
@@ -382,7 +446,8 @@ func (s *Sensor) DecodeState(d *ckpt.Dec) {
 	s.expectShift = d.Bool()
 	s.pending = d.Float()
 	s.havePending = d.Bool()
-	s.ivals = d.Floats(s.ivals, ivalWindow)
+	s.ivals.seq = d.Floats(s.ivals.seq, ivalWindow)
+	s.ivals.restore()
 	s.rejectStreak = d.Count(math.MaxInt)
 	s.accepted = d.Count(math.MaxInt)
 	s.rejected = d.Count(math.MaxInt)

@@ -1,8 +1,13 @@
 package guard
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
+	"sort"
 	"testing"
+
+	"jouleguard/internal/ckpt"
 )
 
 // noisy returns a deterministic pseudo-noisy level: base plus a small
@@ -272,7 +277,155 @@ func TestIntervalPassesThroughGrossFaults(t *testing.T) {
 	}
 }
 
-// medianMAD returns the median and the median absolute deviation of xs.
+// medianMAD returns the median and the median absolute deviation of xs,
+// through a window holding exactly xs.
 func medianMAD(xs []float64) (med, mad float64) {
-	return medianMADInto(make([]float64, len(xs)), xs)
+	w := newWindow(len(xs))
+	for _, x := range xs {
+		w.push(x)
+	}
+	return w.medianMAD()
+}
+
+// medianMADInto is the sort-based reference the window's order statistics
+// must reproduce bit for bit: the median and the median absolute
+// deviation of xs, with tmp (len(tmp) == len(xs)) as scratch.
+func medianMADInto(tmp, xs []float64) (med, mad float64) {
+	n := len(xs)
+	if n == 0 {
+		return 0, 0
+	}
+	copy(tmp, xs)
+	sort.Float64s(tmp)
+	med = tmp[n/2]
+	if n%2 == 0 {
+		med = (tmp[n/2-1] + tmp[n/2]) / 2
+	}
+	for i, x := range tmp {
+		tmp[i] = math.Abs(x - med)
+	}
+	sort.Float64s(tmp)
+	mad = tmp[n/2]
+	if n%2 == 0 {
+		mad = (tmp[n/2-1] + tmp[n/2]) / 2
+	}
+	return med, mad
+}
+
+// sameBits reports whether a and b are the same float64, bit for bit.
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+// checkWindow fails unless w's ascending copy is its arrival order sorted,
+// and its median and MAD (median alone when medianOnly) are bit-identical
+// to the sort-based reference's.
+func checkWindow(t *testing.T, what string, w *window, medianOnly bool) {
+	t.Helper()
+	want := append([]float64(nil), w.seq...)
+	sort.Float64s(want)
+	for i := range want {
+		if i >= len(w.ord) || !sameBits(w.ord[i], want[i]) {
+			t.Fatalf("%s: ascending copy %v, want %v (arrival order %v)", what, w.ord, want, w.seq)
+		}
+	}
+	if len(w.ord) != len(want) {
+		t.Fatalf("%s: ascending copy %v, want %v", what, w.ord, want)
+	}
+	wantMed, wantMAD := medianMADInto(make([]float64, len(w.seq)), w.seq)
+	if medianOnly {
+		if med := w.median(); !sameBits(med, wantMed) {
+			t.Fatalf("%s: median %v of %v, want %v", what, med, w.seq, wantMed)
+		}
+		return
+	}
+	if med, mad := w.medianMAD(); !sameBits(med, wantMed) || !sameBits(mad, wantMAD) {
+		t.Fatalf("%s: median/MAD %v/%v of %v, want %v/%v", what, med, mad, w.seq, wantMed, wantMAD)
+	}
+}
+
+// TestWindowOrderStatisticsMatchSort drives windows through random pushes
+// (ties, subnormals, 0, and values whose sum overflows), resets and
+// restores of a copied arrival order, and after every step checks the
+// sort-free median and MAD against the sort-based reference bit for bit.
+// Samples come from the domains the guard feeds: finite and non-negative
+// for the power window (its MAD is used), and up to +Inf for the interval
+// window (only its median is). -0 is left out: sort.Float64s places -0
+// and +0 in no specified order, so a zero median's sign is not the
+// reference's to pin.
+func TestWindowOrderStatisticsMatchSort(t *testing.T) {
+	finite := []float64{0, 5e-324, 1, 1, 2, 2, 2.5, 3, 10, 1e300, math.MaxFloat64, math.MaxFloat64}
+	intervals := append(append([]float64(nil), finite...), math.Inf(1))
+	for _, c := range []struct {
+		name       string
+		pool       []float64
+		max        int
+		medianOnly bool
+	}{
+		{"power", finite, 16, false},
+		{"power-odd", finite, 5, false},
+		{"interval", intervals, ivalWindow, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(1))
+			w := newWindow(c.max)
+			for step := 0; step < 20000; step++ {
+				switch r := rng.Intn(100); {
+				case r < 3:
+					w.reset()
+				case r < 6:
+					// Restore mid-window: a fresh window rebuilt from a copy
+					// of the arrival order, as DecodeState rebuilds one.
+					fresh := newWindow(c.max)
+					fresh.seq = append(fresh.seq, w.seq...)
+					fresh.restore()
+					w = fresh
+				default:
+					x := c.pool[rng.Intn(len(c.pool))]
+					if rng.Intn(2) == 0 {
+						x = float64(rng.Intn(8)) + rng.Float64()
+					}
+					w.push(x)
+				}
+				checkWindow(t, fmt.Sprintf("step %d", step), &w, c.medianOnly)
+			}
+		})
+	}
+}
+
+// TestSensorWindowsMatchSort runs Sensors through the guard's own paths —
+// accepted samples, outliers, the level-shift reset, NoteActuation,
+// intervals, and a checkpoint restored mid-window into a fresh Sensor —
+// checking both windows against the sort-based reference after each call.
+func TestSensorWindowsMatchSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	s := New(Config{})
+	level := 10.0
+	for step := 0; step < 5000; step++ {
+		switch r := rng.Intn(100); {
+		case r < 3:
+			s.NoteActuation()
+		case r < 6:
+			level = 5 + 20*rng.Float64() // two agreeing samples at a new level reset the window
+		case r < 9:
+			enc := ckpt.NewEnc(nil, 'g', 1)
+			s.EncodeState(enc)
+			d, _, err := ckpt.Open(enc.Seal(), 'g')
+			if err != nil {
+				t.Fatal(err)
+			}
+			restored := New(Config{})
+			restored.DecodeState(d)
+			if err := d.Close(); err != nil {
+				t.Fatal(err)
+			}
+			s = restored
+		case r < 12:
+			s.Observe(level*(3+rng.Float64()), 0.1) // spike
+		default:
+			// Rounded readings, so the window holds ties.
+			s.Observe(math.Round(level*(1+0.05*rng.NormFloat64())*4)/4, 0.1)
+		}
+		s.Interval(0.1*(1+0.2*rng.NormFloat64()), 0.1*float64(1+rng.Intn(3)))
+		checkWindow(t, fmt.Sprintf("step %d power", step), &s.win, false)
+		checkWindow(t, fmt.Sprintf("step %d interval", step), &s.ivals, true)
+	}
 }

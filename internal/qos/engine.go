@@ -235,13 +235,18 @@ func (e *Engine) CheckRegister(tenant string) *wire.Error {
 		Msg: "tenant " + tenant + " is " + t.effective().String() + "; new registrations refused until it de-escalates"}
 }
 
+// Enforcing reports whether any tenant's effective state is not OK: the
+// one atomic load CheckNext starts with, so a caller can skip reading the
+// clock CheckNext needs while nothing is enforced.
+func (e *Engine) Enforcing() bool { return e.enforced.Load() != 0 }
+
 // CheckNext gates one decision on the hot path. nowNS is the caller's
 // UnixNano. While no tenant is enforced this is a single atomic load;
 // for a throttled tenant it paces decisions to the tier's SLO rate
 // (excess gets tenant_throttled), and for a killed tenant it returns
 // tenant_shed.
 func (e *Engine) CheckNext(tenant string, nowNS int64) *wire.Error {
-	if e.enforced.Load() == 0 {
+	if !e.Enforcing() {
 		return nil
 	}
 	e.mu.Lock()

@@ -132,3 +132,41 @@ func benchRegister(b *testing.B, srv *Server, i, iters int) string {
 	}
 	return resp.SessionID
 }
+
+// TestInprocDecisionZeroAlloc pins a warm in-process session's Next+Done
+// at zero allocations: the decision is recorded into the runtime's own
+// Decision and copied once into the session's window, and an untraced
+// Next reads no wall clock. The measured iterations sit between two log
+// folds (checkpointEvery), past the first, so the log has reached its
+// working capacity and no fold falls inside the run.
+func TestInprocDecisionZeroAlloc(t *testing.T) {
+	srv, err := New(Config{GlobalBudgetJ: 1e12, SweepInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.CloseV2Streams()
+	resp, err := srv.Register(wire.RegisterRequest{Tenant: "t", App: "x264", Platform: "Server",
+		Iterations: 4 * checkpointEvery, BudgetJ: 1e9, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := resp.SessionID
+	clockS, energyJ := 0.0, 0.0
+	iterate := func() {
+		if _, err := srv.Next(id, wire.NextRequest{NowS: clockS}); err != nil {
+			t.Fatalf("next: %v", err)
+		}
+		clockS += 0.01
+		energyJ += 0.2
+		if _, err := srv.Done(id, wire.DoneRequest{NowS: clockS, EnergyJ: energyJ, Accuracy: 0.9}); err != nil {
+			t.Fatalf("done: %v", err)
+		}
+	}
+	for i := 0; i < checkpointEvery+8; i++ {
+		iterate()
+	}
+	const runs = checkpointEvery / 2 // AllocsPerRun adds one warm-up call
+	if allocs := testing.AllocsPerRun(runs, iterate); allocs != 0 {
+		t.Fatalf("warm Next+Done allocates %v per iteration, want 0", allocs)
+	}
+}

@@ -43,7 +43,7 @@ type Config struct {
 	Telemetry *telemetry.Telemetry
 	// Clock is injectable for tests (nil = time.Now). It paces idle
 	// expiry and the QoS gate's throttle; iteration intervals always use
-	// client clocks.
+	// client clocks, and decision latency and span bounds real time.
 	Clock func() time.Time
 	// Meter switches the daemon to measured-energy mode: every session
 	// iteration is bracketed by an attribution window on this
@@ -768,28 +768,35 @@ func (s *Server) gate() *wire.Error {
 	return nil
 }
 
-// stamp reads the clock once for one wire call. wall is real time, what
-// latency samples and span bounds are measured on; now is what the QoS
-// gate's throttle pacing and the idle stamp of Next see — the same
-// instant unless a test injected Config.Clock.
-func (s *Server) stamp() (wall, now time.Time) {
-	wall = time.Now()
-	if s.cfg.Clock == nil {
-		return wall, wall
-	}
-	return wall, s.cfg.Clock()
-}
+// monoEpoch anchors monoNS, so a reading is one monotonic clock read and
+// no wall clock.
+var monoEpoch = time.Now()
 
+// monoNS is a monotonic reading in nanoseconds, what decision latency is
+// measured on.
+func monoNS() int64 { return int64(time.Since(monoEpoch)) }
+
+// sessionNext decides one iteration for a looked-up session. An untraced
+// Next reads no wall clock: its latency sample is two monotonic readings,
+// from here to the end of session.next; the QoS gate reads the clock only
+// while a tenant is enforced (throttle pacing); the idle stamp comes from
+// the expiry sweep, as Done's does (session.idleSince).
 func (s *Server) sessionNext(sess *session, req wire.NextRequest) (wire.NextResponse, error) {
-	wall, now := s.stamp()
+	start := monoNS()
+	var wall time.Time // a traced call's span start: real time, whatever Config.Clock is
+	if req.TraceID != 0 {
+		wall = time.Now()
+	}
 	// Tenant-protection gate, shared by v1 and v2 so neither transport
 	// escapes enforcement. reg is immutable post-construction, so the
 	// tenant read needs no lock; while no tenant is enforced the check
 	// is one atomic load.
-	if d := s.qos.CheckNext(sess.reg.Tenant, now.UnixNano()); d != nil {
-		return wire.NextResponse{}, d
+	if s.qos.Enforcing() {
+		if d := s.qos.CheckNext(sess.reg.Tenant, s.clock().UnixNano()); d != nil {
+			return wire.NextResponse{}, d
+		}
 	}
-	resp, werr := sess.next(req, wall, now)
+	resp, werr := sess.next(req, start)
 	if werr != nil {
 		return wire.NextResponse{}, werr
 	}
@@ -818,9 +825,9 @@ func (s *Server) Done(id string, req wire.DoneRequest) (wire.DoneResponse, error
 // An untraced Done reads no clock: its only use of one would be the idle
 // stamp, which the expiry sweep supplies instead (session.idleSince).
 func (s *Server) sessionDone(sess *session, req wire.DoneRequest) (wire.DoneResponse, error) {
-	var wall time.Time
+	var wall time.Time // a traced call's span start: real time, whatever Config.Clock is
 	if req.TraceID != 0 {
-		wall, _ = s.stamp()
+		wall = time.Now()
 	}
 	resp, werr := sess.done(req)
 	if werr != nil {

@@ -294,7 +294,7 @@ func TestIdleExpiry(t *testing.T) {
 	}
 	// The expired session answers with a terminal code.
 	sess, _ := srv.lookup(resp.SessionID)
-	if _, werr := sess.next(wire.NextRequest{}, time.Now(), now); werr == nil || werr.Code != wire.CodeSessionClosed {
+	if _, werr := sess.next(wire.NextRequest{}, monoNS()); werr == nil || werr.Code != wire.CodeSessionClosed {
 		t.Fatalf("next on expired session: %+v", werr)
 	}
 }

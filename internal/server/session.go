@@ -169,9 +169,9 @@ type session struct {
 	base int
 	ckpt []byte
 
-	// Idle expiry. Next stamps lastTouch; Done reads no clock and sets
-	// touched instead, which the next expiry sweep turns into a stamp at
-	// its own time (idleSince).
+	// Idle expiry. Next and Done read no clock: they set touched, which
+	// the next expiry sweep turns into a stamp at its own time
+	// (idleSince). Registration stamps lastTouch.
 	lastTouch time.Time
 	touched   bool
 
@@ -295,10 +295,11 @@ func (s *session) checkLive() *wire.Error {
 }
 
 // next runs the wire Next call: decide the upcoming iteration's
-// configurations and start its interval on the client's clock. wall is
-// the call's stamp: the decision latency the sink tallies runs from it
-// to the end of the call, the meter window's open included.
-func (s *session) next(req wire.NextRequest, wall, now time.Time) (wire.NextResponse, *wire.Error) {
+// configurations and start its interval on the client's clock. start is
+// the call's monotonic stamp (monoNS): the decision latency the sink
+// tallies runs from it to the end of the call, the meter window's open
+// included.
+func (s *session) next(req wire.NextRequest, start int64) (wire.NextResponse, *wire.Error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if werr := s.checkLive(); werr != nil {
@@ -315,7 +316,7 @@ func (s *session) next(req wire.NextRequest, wall, now time.Time) (wire.NextResp
 	app, sys := s.ctl.Next()
 	s.armedNow = req.NowS
 	s.state = stateArmed
-	s.lastTouch, s.touched = now, false
+	s.touched = true
 	if s.meter != nil {
 		// The attribution weight is the CHOSEN operating point's model
 		// draw, not the app default: concurrent windows split each
@@ -326,7 +327,7 @@ func (s *session) next(req wire.NextRequest, wall, now time.Time) (wire.NextResp
 		s.meter.open(s.id, s.meterW)
 	}
 	if s.sink != nil {
-		s.sink.ObserveLatency(time.Since(wall).Seconds())
+		s.sink.ObserveLatency(time.Duration(monoNS() - start).Seconds())
 	}
 	return wire.NextResponse{Iter: s.ctl.Iterations(), AppConfig: app, SysConfig: sys}, nil
 }
@@ -561,9 +562,9 @@ func (s *session) closeWindow() {
 
 // idleSince reports the last wire activity as of a sweep at now, and
 // whether the session is live; the expiry watchdog compares it against
-// the session's timeout. A Done since the last sweep is dated now: Done
-// reads no clock, so a session expires no earlier than its timeout after
-// its last call and at most one sweep interval later.
+// the session's timeout. A Next or Done since the last sweep is dated
+// now: neither reads a clock, so a session expires no earlier than its
+// timeout after its last call and at most one sweep interval later.
 func (s *session) idleSince(now time.Time) (time.Time, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -43,12 +43,17 @@ type Feedback struct {
 // Sane reports whether the measurement fields are finite and physically
 // plausible. Governors must treat insane feedback as a corrupt sample —
 // one NaN folded into an EWMA or Kalman filter poisons it permanently.
-func (fb Feedback) Sane() bool {
-	finite := func(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
-	return finite(fb.Duration) && fb.Duration > 0 &&
-		finite(fb.Power) && fb.Power >= 0 &&
-		finite(fb.Energy) && fb.Energy >= 0 &&
-		finite(fb.Accuracy) && finite(fb.Work)
+//
+// It runs twice per governed iteration, so it is written to inline
+// without copying the Feedback: finiteness is a comparison against the
+// largest finite float64, which NaN fails and an infinity exceeds, and
+// the receiver is a pointer (a value receiver is copied even when the
+// call inlines).
+func (fb *Feedback) Sane() bool {
+	return fb.Duration > 0 && fb.Duration <= math.MaxFloat64 &&
+		fb.Power >= 0 && fb.Power <= math.MaxFloat64 &&
+		fb.Energy >= 0 && fb.Energy <= math.MaxFloat64 &&
+		math.Abs(fb.Accuracy) <= math.MaxFloat64 && math.Abs(fb.Work) <= math.MaxFloat64
 }
 
 // PowerScaler is implemented by approximate-hardware applications

@@ -244,3 +244,44 @@ func TestDisturbNilIsNoDisturbance(t *testing.T) {
 		t.Fatal("nil Disturb must be identical to no hook")
 	}
 }
+
+// saneWithClosure is Feedback.Sane as it was written before it had to
+// inline: the reference TestSaneMatchesClosureForm holds it to.
+func saneWithClosure(fb Feedback) bool {
+	finite := func(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+	return finite(fb.Duration) && fb.Duration > 0 &&
+		finite(fb.Power) && fb.Power >= 0 &&
+		finite(fb.Energy) && fb.Energy >= 0 &&
+		finite(fb.Accuracy) && finite(fb.Work)
+}
+
+// TestSaneMatchesClosureForm sets each measurement field of an otherwise
+// sane Feedback to each edge value in turn, and requires Sane to agree
+// with the closure form on every one.
+func TestSaneMatchesClosureForm(t *testing.T) {
+	values := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 0, -1,
+		math.SmallestNonzeroFloat64, math.MaxFloat64}
+	fields := []struct {
+		name string
+		at   func(*Feedback) *float64
+	}{
+		{"Duration", func(fb *Feedback) *float64 { return &fb.Duration }},
+		{"Power", func(fb *Feedback) *float64 { return &fb.Power }},
+		{"Energy", func(fb *Feedback) *float64 { return &fb.Energy }},
+		{"Accuracy", func(fb *Feedback) *float64 { return &fb.Accuracy }},
+		{"Work", func(fb *Feedback) *float64 { return &fb.Work }},
+	}
+	base := Feedback{Duration: 0.01, Power: 20, Energy: 5, Accuracy: 0.9, Work: 1}
+	if !base.Sane() || !saneWithClosure(base) {
+		t.Fatal("the base feedback must be sane")
+	}
+	for _, f := range fields {
+		for _, v := range values {
+			fb := base
+			*f.at(&fb) = v
+			if got, want := fb.Sane(), saneWithClosure(fb); got != want {
+				t.Errorf("%s = %v: Sane() = %v, closure form %v", f.name, v, got, want)
+			}
+		}
+	}
+}

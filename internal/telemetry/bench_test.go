@@ -22,7 +22,7 @@ func BenchmarkTelemetryNopSink(b *testing.B) {
 	var s Sink = Nop{}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		s.RecordDecision(benchDecision)
+		s.Record(&benchDecision)
 		s.FaultInjected(0)
 		s.IterationDone(0.01, true, 0, 20)
 	}
@@ -34,7 +34,7 @@ func BenchmarkTelemetryLiveSink(b *testing.B) {
 	var s Sink = New(DefaultFlightCapacity)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		s.RecordDecision(benchDecision)
+		s.Record(&benchDecision)
 		s.FaultInjected(0)
 		s.IterationDone(0.01, true, 0, 20)
 	}
@@ -56,7 +56,7 @@ func BenchmarkTelemetryLiveSinkParallel(b *testing.B) {
 		s := WithSession(tel, fmt.Sprintf("s-%06d", sessions.Add(1)), 0, &owner, nil)
 		for pb.Next() {
 			owner.Lock()
-			s.RecordDecision(benchDecision)
+			s.Record(&benchDecision)
 			s.FaultInjected(0)
 			s.IterationDone(0.01, true, 0, 20)
 			owner.Unlock()

@@ -34,18 +34,24 @@ type FlightRecorder struct {
 	seq *atomic.Uint64
 }
 
-// record appends one decision, overwriting the oldest once full, and
-// stamps its sequence number (1-based; the ?since= export cursor). A
-// closed recorder drops the decision. Callers hold the recorder's guard.
-func (f *FlightRecorder) record(d Decision) {
+// record copies one decision into the ring, overwriting the oldest once
+// full, then stamps the copy: session, when not empty, and its sequence
+// number (1-based; the ?since= export cursor). d itself is not written.
+// A closed recorder drops the decision. Callers hold the recorder's
+// guard.
+func (f *FlightRecorder) record(d *Decision, session string) {
 	if f.buf == nil {
 		if f.closed {
 			return
 		}
 		f.buf = make([]Decision, f.size)
 	}
-	d.Seq = f.seq.Add(1)
-	f.buf[f.total%uint64(f.size)] = d
+	slot := &f.buf[f.total%uint64(f.size)]
+	*slot = *d
+	if session != "" {
+		slot.Session = session
+	}
+	slot.Seq = f.seq.Add(1)
 	f.total++
 }
 

@@ -251,7 +251,7 @@ func provided[T any](v *atomic.Value) (report T, ok bool) {
 func (t *Telemetry) RecordCalibration(backend string, baselineW, cv float64, trials int, earlyStopped bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.proc.window.record(Decision{
+	t.proc.window.record(&Decision{
 		Session:       "meter-calibration",
 		Sane:          true,
 		GuardAccepted: earlyStopped,
@@ -259,7 +259,7 @@ func (t *Telemetry) RecordCalibration(backend string, baselineW, cv float64, tri
 		CalBaselineW:  baselineW,
 		CalCV:         cv,
 		CalTrials:     trials,
-	})
+	}, "")
 }
 
 // CounterSummary snapshots the cumulative counters a cluster member
@@ -509,13 +509,10 @@ func (s *SessionSink) foldIfClosed() {
 	}
 }
 
-// RecordDecision implements Sink, stamping the session id. The decision
-// also counts the controller step, estimator update and watchdog trip it
-// carries.
-func (s *SessionSink) RecordDecision(d Decision) {
-	if s.session != "" {
-		d.Session = s.session
-	}
+// Record implements Sink: one copy of *d into the window, stamped there
+// with the session id. The decision also counts the controller step,
+// estimator update and watchdog trip it carries.
+func (s *SessionSink) Record(d *Decision) {
 	c := &s.tally
 	c.decisions++
 	if d.Explored {
@@ -536,7 +533,7 @@ func (s *SessionSink) RecordDecision(d Decision) {
 	if d.Tripped {
 		c.watchdogTrips++
 	}
-	s.window.record(d)
+	s.window.record(d, s.session)
 	s.foldIfClosed()
 }
 
@@ -590,13 +587,16 @@ func (s *SessionSink) ObserveLatency(seconds float64) {
 	s.foldIfClosed()
 }
 
-// RecordDecision implements Sink. The controller gauges take the
-// decision's values only when it stepped the controller, and the
-// estimator gain only when it updated an estimate, so they hold the last
-// step's and the last update's.
-func (t *Telemetry) RecordDecision(d Decision) {
+// RecordDecision is Record for a caller holding a Decision value.
+func (t *Telemetry) RecordDecision(d Decision) { t.Record(&d) }
+
+// Record implements Sink. The controller gauges take the decision's
+// values only when it stepped the controller, and the estimator gain
+// only when it updated an estimate, so they hold the last step's and the
+// last update's.
+func (t *Telemetry) Record(d *Decision) {
 	t.mu.Lock()
-	t.proc.RecordDecision(d)
+	t.proc.Record(d)
 	t.mu.Unlock()
 	t.degraded.SetBool(d.Degraded)
 	t.infeasible.SetBool(d.Infeasible)

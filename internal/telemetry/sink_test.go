@@ -26,7 +26,7 @@ func dyadicEvents(s Sink, owner sync.Locker, iters int) {
 		if owner != nil {
 			owner.Lock()
 		}
-		s.RecordDecision(Decision{
+		s.Record(&Decision{
 			Iter: i, AppConfig: i % 3, SysConfig: i % 5, BestArm: 1, Explored: i%4 == 0, Epsilon: 0.25,
 			SpeedupCmd: 1.5, TargetRate: 12, PIError: 0.5, Pole: 0.125,
 			EnergyUsedJ: float64(i), BudgetRemainingJ: float64(100 - i), AllowedJPerIter: 0.5,
@@ -182,7 +182,7 @@ func TestCloseLeavesNoUncountedGap(t *testing.T) {
 	owner := &hookLocker{}
 	sink := WithSession(tel, "s-000001", 0, owner, nil)
 	for i := 0; i < recorded; i++ {
-		sink.RecordDecision(Decision{Iter: i})
+		sink.Record(&Decision{Iter: i})
 	}
 	var during float64
 	owner.hook = func() { during, _, _, _, _ = tel.CounterSummary() }

@@ -12,11 +12,12 @@
 // those events.
 //
 // Instrumentation is designed to cost nothing when disabled: every Sink
-// method takes only scalars or small value structs, so calling through
-// the no-op implementation performs no allocation and no locking — the
-// zero-alloc property is pinned by BenchmarkTelemetryNopSink and
-// TestNopSinkZeroAlloc. Components therefore call their sink
-// unconditionally instead of branching on "is telemetry on".
+// method takes only scalars, except Record, which borrows a Decision the
+// caller owns, so calling through the no-op implementation performs no
+// allocation and no locking — the zero-alloc property is pinned by
+// BenchmarkTelemetryNopSink and TestNopSinkZeroAlloc. Components
+// therefore call their sink unconditionally instead of branching on "is
+// telemetry on".
 package telemetry
 
 // Decision is one flight-recorder event: everything the runtime knew and
@@ -127,9 +128,10 @@ func FaultChannelName(ch uint8) string {
 // Implementations that do not care about an event simply ignore it; Nop
 // ignores everything at zero cost.
 type Sink interface {
-	// RecordDecision traces one completed control iteration: the
-	// runtime's one event per observation.
-	RecordDecision(d Decision)
+	// Record traces one completed control iteration: the runtime's one
+	// event per observation. d is borrowed for the call: a sink that
+	// keeps the decision copies *d, and never writes through d.
+	Record(d *Decision)
 	// FaultInjected reports one injected fault on the given channel
 	// (FaultSensor, FaultClock, FaultActuator).
 	FaultInjected(channel uint8)
@@ -148,11 +150,11 @@ type Sink interface {
 
 // Nop is the no-op Sink: every method is empty, so instrumented code can
 // call it unconditionally and pay only a static interface dispatch. It
-// allocates nothing (all methods take scalars or value structs).
+// allocates nothing.
 type Nop struct{}
 
-// RecordDecision implements Sink.
-func (Nop) RecordDecision(Decision) {}
+// Record implements Sink.
+func (Nop) Record(*Decision) {}
 
 // FaultInjected implements Sink.
 func (Nop) FaultInjected(channel uint8) {}

@@ -17,7 +17,7 @@ import (
 // flag, so each registered metric carries state.
 func exercise(s Sink, iters int) {
 	for i := 0; i < iters; i++ {
-		s.RecordDecision(Decision{
+		s.Record(&Decision{
 			Iter: i, AppConfig: i % 3, SysConfig: i % 5, NextApp: i % 3, NextSys: i % 5,
 			SEURate: 10, SEUPower: 20, SEUEfficiency: 0.5, EstimatorGain: 0.85,
 			BestArm: 1, Explored: i%4 == 0, Epsilon: 0.3,
@@ -298,7 +298,7 @@ func TestNopSinkZeroAlloc(t *testing.T) {
 	var s Sink = Nop{}
 	d := Decision{Iter: 1, SEURate: 10, SEUPower: 20}
 	allocs := testing.AllocsPerRun(1000, func() {
-		s.RecordDecision(d)
+		s.Record(&d)
 		s.FaultInjected(0)
 		s.IterationDone(0.01, true, 0, 20)
 		s.JobStart(3)
@@ -316,7 +316,7 @@ func TestLiveSinkZeroAlloc(t *testing.T) {
 	var s Sink = tel
 	d := Decision{Iter: 1, SEURate: 10, SEUPower: 20}
 	allocs := testing.AllocsPerRun(1000, func() {
-		s.RecordDecision(d)
+		s.Record(&d)
 		s.FaultInjected(0)
 		s.IterationDone(0.01, true, 0, 20)
 	})

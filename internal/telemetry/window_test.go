@@ -27,11 +27,11 @@ func TestSessionWindowLifecycle(t *testing.T) {
 	}
 	for i := 0; i < 25; i++ {
 		ownA.Lock()
-		a.RecordDecision(Decision{Iter: i, Epsilon: 0.5, EnergyUsedJ: float64(i),
+		a.Record(&Decision{Iter: i, Epsilon: 0.5, EnergyUsedJ: float64(i),
 			Pole: 0.5, Stepped: true, Updated: true, UpdatedGain: 0.5})
 		ownA.Unlock()
 		ownB.Lock()
-		b.RecordDecision(Decision{Iter: i})
+		b.Record(&Decision{Iter: i})
 		ownB.Unlock()
 	}
 	if tel.proc.window.buf != nil {
@@ -82,7 +82,7 @@ func TestSessionWindowLifecycle(t *testing.T) {
 
 	a.Close()
 	ownA.Lock()
-	a.RecordDecision(Decision{Iter: 25})
+	a.Record(&Decision{Iter: 25})
 	kept := len(a.WindowLocked())
 	ownA.Unlock()
 	if n := len(tel.Decisions("s-a", 0, 0)); n != 0 || kept != 0 {
@@ -108,7 +108,7 @@ func TestDecisionsReadIsBounded(t *testing.T) {
 		s := WithSession(tel, "s-"+strings.Repeat("x", i+1), 0, &owners[i], nil)
 		owners[i].Lock()
 		for k := 0; k < sessionWindow; k++ {
-			s.RecordDecision(Decision{Iter: k})
+			s.Record(&Decision{Iter: k})
 		}
 		owners[i].Unlock()
 	}
