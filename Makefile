@@ -72,14 +72,17 @@ churn-race:
 # recovery parsers, seeded from a real snapshot: damaged snapshot streams
 # into Restore and damaged checkpoint blobs into the session rebuild path
 # must come back as an error — never a panic, never a live session. The
-# v2 frame decoder, seeded from the codec tests' frames: no panic, every
-# accepted binary request frame and TClose re-encodes byte for byte, every
-# TErr byte maps through the error table. (go test takes one -fuzz target per run, hence
-# three steps; a failing input lands in the package's testdata/fuzz/ as a
-# regression case.)
+# snapshot's fast iter-line decoder, seeded from both testdata snapshots
+# and hand-made non-canonical lines: every line it accepts, json.Unmarshal
+# reads into the same record. The v2 frame decoder, seeded from the codec
+# tests' frames: no panic, every accepted binary request frame and TClose
+# re-encodes byte for byte, every TErr byte maps through the error table.
+# (go test takes one -fuzz target per run, hence four steps; a failing
+# input lands in the package's testdata/fuzz/ as a regression case.)
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzRestore$$' -fuzztime=10s ./internal/server/
 	$(GO) test -run '^$$' -fuzz '^FuzzRestoreState$$' -fuzztime=10s ./internal/server/
+	$(GO) test -run '^$$' -fuzz '^FuzzSnapshotLine$$' -fuzztime=10s ./internal/server/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecoder$$' -fuzztime=10s ./internal/wire/
 
 # The smoke targets below assert and print nothing to keep: each is one

@@ -87,25 +87,30 @@ func (e *Enc) Seal() []byte {
 // every later read returns a zero value, so a decoder reads its whole
 // field list and checks Close once.
 type Dec struct {
-	buf []byte
-	err error
+	buf     []byte
+	err     error
+	version byte
 }
 
 // Open verifies a blob's frame — length, magic, kind and checksum — and
-// returns a decoder over its fields together with its version byte.
-func Open(blob []byte, kind byte) (*Dec, byte, error) {
+// returns a decoder over its fields.
+func Open(blob []byte, kind byte) (*Dec, error) {
 	if len(blob) < headerLen+sumLen {
-		return nil, 0, fmt.Errorf("%w: %d bytes is shorter than an empty blob", ErrCorrupt, len(blob))
+		return nil, fmt.Errorf("%w: %d bytes is shorter than an empty blob", ErrCorrupt, len(blob))
 	}
 	body, sum := blob[:len(blob)-sumLen], binary.LittleEndian.Uint32(blob[len(blob)-sumLen:])
 	if crc32.ChecksumIEEE(body) != sum {
-		return nil, 0, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
+		return nil, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
 	}
 	if body[0] != magic || body[1] != kind {
-		return nil, 0, fmt.Errorf("%w: header %q, want %q", ErrCorrupt, body[:2], []byte{magic, kind})
+		return nil, fmt.Errorf("%w: header %q, want %q", ErrCorrupt, body[:2], []byte{magic, kind})
 	}
-	return &Dec{buf: body[headerLen:]}, body[2], nil
+	return &Dec{buf: body[headerLen:], version: body[2]}, nil
 }
+
+// Version is the blob's version byte: its writer's field list, which a
+// layer nested in the blob may follow too.
+func (d *Dec) Version() byte { return d.version }
 
 // Fail records a semantic decoding error (a value out of the range the
 // restoring layer accepts) unless an earlier one already stuck.

@@ -11,7 +11,7 @@ import (
 // blob.
 const (
 	stateKind    = 'R'
-	stateVersion = 1
+	stateVersion = 2
 )
 
 // MarshalState returns the runtime's state as a checkpoint blob.
@@ -24,12 +24,12 @@ func (r *Runtime) MarshalState() []byte {
 // RestoreState loads a MarshalState blob into a Runtime fresh from New.
 // On error the runtime may be partly written and must be discarded.
 func (r *Runtime) RestoreState(blob []byte) error {
-	d, version, err := ckpt.Open(blob, stateKind)
+	d, err := ckpt.Open(blob, stateKind)
 	if err != nil {
 		return fmt.Errorf("core: restoring runtime state: %w", err)
 	}
-	if version != stateVersion {
-		return fmt.Errorf("core: runtime state version %d, want %d", version, stateVersion)
+	if version := d.Version(); version < 1 || version > stateVersion {
+		return fmt.Errorf("core: runtime state version %d, want 1..%d", version, stateVersion)
 	}
 	r.DecodeState(d)
 	if err := d.Close(); err != nil {

@@ -5,9 +5,12 @@ import (
 	"encoding/binary"
 	"hash/crc32"
 	"hash/fnv"
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
+	"jouleguard/internal/ckpt"
 	"jouleguard/internal/learning"
 	"jouleguard/internal/sim"
 )
@@ -145,7 +148,10 @@ func TestRestoreStateRejects(t *testing.T) {
 // of their own. The estimator bank and the prior table must reproduce both
 // to the bit under every estimator family, selector and prior variant: a
 // checkpoint written before they existed restores after, and the Kalman
-// and flat-priors ablations still measure what they measured.
+// and flat-priors ablations still measure what they measured. The hashes
+// are of version-1 blobs: 150 iterations draw fewer than ringLen words, so
+// the version-2 blob carries no register and differs only in its version
+// byte and checksum, which the test puts back before hashing.
 var stateGolden = map[string][2]uint64{
 	"paper":                  {0x6c58611e7e442d8f, 0x770632765fb8139a},
 	"kalman":                 {0x363be8e10e63b77d, 0x73d02625f5eac5cc},
@@ -170,12 +176,22 @@ func TestStateMatchesPerArmEstimators(t *testing.T) {
 			fb := w.step(gov, f)
 			decisions = append(decisions, byte(fb.AppConfig), byte(fb.SysConfig))
 		}
-		got := [2]uint64{fnv1a(gov.MarshalState()), fnv1a(decisions)}
+		if gov.rng.draws >= ringLen {
+			t.Fatalf("%s: %d draws fill the register; the version-1 golden no longer applies", tc.name, gov.rng.draws)
+		}
+		got := [2]uint64{fnv1a(asVersion1(gov.MarshalState())), fnv1a(decisions)}
 		if want := stateGolden[tc.name]; got != want {
 			t.Errorf("%s: checkpoint and decision hashes {%#x, %#x}, want {%#x, %#x}",
 				tc.name, got[0], got[1], want[0], want[1])
 		}
 	}
+}
+
+// asVersion1 reframes a blob without a register as version 1 wrote it.
+func asVersion1(blob []byte) []byte {
+	body := bytes.Clone(blob[:len(blob)-4])
+	body[2] = 1
+	return binary.LittleEndian.AppendUint32(body, crc32.ChecksumIEEE(body))
 }
 
 func fnv1a(b []byte) uint64 {
@@ -211,6 +227,156 @@ func TestRuntimesShareAPriorTable(t *testing.T) {
 		want := run(model)
 		if first, second := run(table), run(table); !bytes.Equal(first, want) || !bytes.Equal(second, want) {
 			t.Errorf("%s: runtimes built from one prior table do not reproduce the untabulated run", tc.name)
+		}
+	}
+}
+
+// TestCountedSourceIsMathRand pins the generator to math/rand's stream,
+// word for word, across the point where it stops delegating to
+// math/rand's source and runs the recurrence on its own register, for
+// seeds math/rand folds in every way (zero, negative, past 2^31).
+func TestCountedSourceIsMathRand(t *testing.T) {
+	for _, seed := range []int64{0, 1, -1, 7, 1<<31 - 1, 1 << 40, math.MinInt64, math.MaxInt64} {
+		got, want := newCountedSource(seed), rand.NewSource(seed).(rand.Source64)
+		for i := 0; i < 3*ringLen+10; i++ {
+			if i%3 == 0 {
+				if g, w := got.Int63(), want.Int63(); g != w {
+					t.Fatalf("seed %d, word %d: Int63 %d, math/rand %d", seed, i, g, w)
+				}
+			} else if g, w := got.Uint64(), want.Uint64(); g != w {
+				t.Fatalf("seed %d, word %d: Uint64 %d, math/rand %d", seed, i, g, w)
+			}
+		}
+		got.Seed(seed + 1)
+		want.Seed(seed + 1)
+		for i := 0; i < ringLen+5; i++ {
+			if g, w := got.Uint64(), want.Uint64(); g != w {
+				t.Fatalf("reseeded %d, word %d: %d, math/rand %d", seed+1, i, g, w)
+			}
+		}
+	}
+}
+
+// stepCounter counts the words drawn from math/rand's own source: a
+// restore that fast-forwards from the seed draws its first ringLen words
+// through it, and building the ring replays them once more.
+type stepCounter struct {
+	rand.Source64
+	n int
+}
+
+func (s *stepCounter) Uint64() uint64 { s.n++; return s.Source64.Uint64() }
+
+// TestRegisterRestoresWithoutSteps is what the version-2 blob buys: a
+// source restored from its register steps its generator zero times,
+// however far into the stream it stands, and its next 10,000 words are
+// the uninterrupted source's. A version-1 blob, which has no register,
+// restores the same stream by re-seeding and fast-forwarding.
+func TestRegisterRestoresWithoutSteps(t *testing.T) {
+	const seed, next = 42, 10_000
+	for _, pos := range []uint64{0, 1, ringLen - 1, ringLen, ringLen + 1, 2*ringLen + 5, 10_003, 1_000_000} {
+		orig := newCountedSource(seed)
+		for orig.draws < pos {
+			orig.Uint64()
+		}
+		for _, version := range []byte{1, 2} {
+			enc := ckpt.NewEnc(nil, 'T', version)
+			if version >= 2 {
+				orig.encode(enc)
+			}
+			d, err := ckpt.Open(enc.Seal(), 'T')
+			if err != nil {
+				t.Fatal(err)
+			}
+			rest := newCountedSource(seed)
+			steps := &stepCounter{Source64: rest.src}
+			rest.src = steps
+			rest.decode(d, pos)
+			if err := d.Close(); err != nil {
+				t.Fatalf("position %d, version %d: %v", pos, version, err)
+			}
+			wantSteps := int(pos)
+			switch {
+			case pos < ringLen:
+			case version >= 2:
+				wantSteps = 0
+			default:
+				wantSteps = 2 * ringLen
+			}
+			if steps.n != wantSteps {
+				t.Errorf("position %d, version %d: restore drew %d words from math/rand, want %d", pos, version, steps.n, wantSteps)
+			}
+			ref := rand.NewSource(seed).(rand.Source64)
+			for i := uint64(0); i < pos; i++ {
+				ref.Uint64()
+			}
+			for i := 0; i < next; i++ {
+				if g, w := rest.Uint64(), ref.Uint64(); g != w {
+					t.Fatalf("position %d, version %d: word %d after the restore is %d, uninterrupted %d", pos, version, i, g, w)
+				}
+			}
+		}
+	}
+}
+
+// TestRuntimeCheckpointCarriesRegister runs a runtime until its stream
+// is well past the register's fill, checkpoints it, and restores it
+// without a single draw from math/rand; the restored runtime then makes
+// the original's decisions. A position the iteration count cannot
+// explain is refused in either blob version.
+func TestRuntimeCheckpointCarriesRegister(t *testing.T) {
+	f := testFrontier(t)
+	const arms, total = 12, 20_000
+	w := newFakeWorld(arms)
+	build := func() *Runtime {
+		gov, err := New(total, 60, f, arms, optimisticPriors(w), arms-1, Options{Seed: 7, Selector: SelectFixedEps, FixedEpsilon: 0.3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return gov
+	}
+	orig := build()
+	for orig.rng.draws < 3*ringLen {
+		if orig.iters >= total/2 {
+			t.Fatalf("%d iterations drew only %d words", orig.iters, orig.rng.draws)
+		}
+		w.step(orig, f)
+	}
+	blob := orig.MarshalState()
+
+	rest := build()
+	steps := &stepCounter{Source64: rest.rng.src}
+	rest.rng.src = steps
+	if err := rest.RestoreState(blob); err != nil {
+		t.Fatal(err)
+	}
+	if steps.n != 0 {
+		t.Errorf("restore at stream position %d drew %d words from math/rand", orig.rng.draws, steps.n)
+	}
+	if again := rest.MarshalState(); !bytes.Equal(again, blob) {
+		t.Fatal("restored runtime re-marshals to different bytes")
+	}
+	for i := 0; i < 500; i++ {
+		fb := w.step(orig, f)
+		a, s := rest.Decide(fb.Iter)
+		if a != fb.AppConfig || s != fb.SysConfig {
+			t.Fatalf("decision %d after the restore diverged: (%d,%d), original (%d,%d)", i, a, s, fb.AppConfig, fb.SysConfig)
+		}
+		rest.Observe(fb)
+	}
+
+	// Word 4 of the body is the stream position (workload, budget,
+	// frontier length and seed come first).
+	for _, version := range []byte{1, 2} {
+		body := bytes.Clone(blob[:len(blob)-4])
+		if version == 1 {
+			body = body[:len(body)-8*ringLen]
+		}
+		body[2] = version
+		binary.LittleEndian.PutUint64(body[3+8*4:], 1<<40)
+		forged := binary.LittleEndian.AppendUint32(body, crc32.ChecksumIEEE(body))
+		if err := build().RestoreState(forged); err == nil || !strings.Contains(err.Error(), "implausible") {
+			t.Errorf("version %d blob at stream position 2^40 after %d iterations: %v, want an implausible-position refusal", version, orig.iters, err)
 		}
 	}
 }

@@ -408,7 +408,7 @@ func TestSensorWindowsMatchSort(t *testing.T) {
 		case r < 9:
 			enc := ckpt.NewEnc(nil, 'g', 1)
 			s.EncodeState(enc)
-			d, _, err := ckpt.Open(enc.Seal(), 'g')
+			d, err := ckpt.Open(enc.Seal(), 'g')
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -48,7 +48,7 @@ func encodeBandit(b *Bandit) []byte {
 }
 
 func decodeBandit(b *Bandit, blob []byte) error {
-	d, _, err := ckpt.Open(blob, 'B')
+	d, err := ckpt.Open(blob, 'B')
 	if err != nil {
 		return err
 	}

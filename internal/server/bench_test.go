@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"fmt"
 	"sync/atomic"
 	"testing"
@@ -101,6 +102,57 @@ func BenchmarkRegisterClose(b *testing.B) {
 				}
 				if _, err := srv.Close(resp.SessionID); err != nil {
 					b.Fatalf("close %d: %v", i, err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkRestoreSession is one restore of a snapshot holding one
+// x264/Server session (1,024 arms) with iters settled iterations: a
+// thousand (no checkpoint yet, every record replayed) and a million (a
+// checkpoint and the 576 records since). What a restore costs is the
+// retained tail, not the history: parsing it, replaying it, and loading
+// the checkpoint, random register included.
+func BenchmarkRestoreSession(b *testing.B) {
+	for _, iters := range []int{1_000, 1_000_000} {
+		b.Run(fmt.Sprintf("iters=%d", iters), func(b *testing.B) {
+			src := cutServer(b, nil)
+			resp, err := src.Register(wire.RegisterRequest{Tenant: "bench", App: "x264", Platform: "Server",
+				Key: "bench", Iterations: iters + 1, Factor: 2, Seed: 1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			sess, werr := src.lookup(resp.SessionID)
+			if werr != nil {
+				b.Fatal(werr)
+			}
+			m := newMemoMachine(b, "x264", "Server")
+			for k := 0; k < iters; k++ {
+				next, werr := sess.next(wire.NextRequest{NowS: m.clockS}, monoNS())
+				if werr != nil {
+					b.Fatal(werr)
+				}
+				acc := m.step(next.AppConfig, next.SysConfig)
+				if _, werr := sess.done(wire.DoneRequest{NowS: m.clockS, EnergyJ: m.energyJ, Accuracy: acc}); werr != nil {
+					b.Fatal(werr)
+				}
+			}
+			var snap bytes.Buffer
+			if err := src.Snapshot(&snap); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer() // a fresh server's span buffer is most of New
+				dst, err := New(Config{GlobalBudgetJ: 1e9, SweepInterval: -1})
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				if err := dst.Restore(bytes.NewReader(snap.Bytes())); err != nil {
+					b.Fatal(err)
 				}
 			}
 		})

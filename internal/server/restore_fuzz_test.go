@@ -8,6 +8,7 @@ import (
 	"os"
 	"strings"
 	"testing"
+	"time"
 
 	"jouleguard/internal/wire"
 )
@@ -123,8 +124,10 @@ func TestRestoreParentCheckpoint(t *testing.T) {
 // TestParentCheckpointReencodes pins the other direction of the same
 // compatibility: the governor stack that blob restores into — its bandit
 // now a flat estimator bank copied from a prior table, where the writing
-// daemon held three heap objects per arm — marshals back to the very bytes
-// that daemon wrote.
+// daemon held three heap objects per arm — marshals back to the very
+// fields that daemon wrote. The blob is version 1; its re-encoding is
+// version 2, which is the same fields followed by the runtime's 607-word
+// random register, and a version-2 blob re-encodes to itself.
 func TestParentCheckpointReencodes(t *testing.T) {
 	raw, err := os.ReadFile("testdata/snapshot_v2.jsonl")
 	if err != nil {
@@ -149,8 +152,69 @@ func TestParentCheckpointReencodes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(again, rec.State) {
-		t.Fatalf("the restored stack marshals to %d bytes that differ from the %d the parent daemon wrote", len(again), len(rec.State))
+	const ring = 607 * 8
+	old, fields := rec.State[:len(rec.State)-4], again[:len(again)-4]
+	if old[2] != 1 || fields[2] != 2 || len(fields) != len(old)+ring ||
+		!bytes.Equal(fields[:2], old[:2]) || !bytes.Equal(fields[3:len(old)], old[3:]) {
+		t.Fatalf("the restored stack marshals to %d bytes (version %d) that are not the %d the parent daemon wrote (version %d) plus the register",
+			len(again), again[2], len(rec.State), rec.State[2])
+	}
+
+	twin, err := newSession(sess.id, sess.reg, sess.grant, nil, sess.lastTouch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := twin.replay(iterRec{State: again}); err != nil {
+		t.Fatal(err)
+	}
+	if back, err := twin.ctl.MarshalState(); err != nil || !bytes.Equal(back, again) {
+		t.Fatalf("a version-2 blob re-encodes to %d different bytes (%v)", len(back), err)
+	}
+}
+
+// TestParentCheckpointRefusesImplausiblePosition damages the version-1
+// blob of testdata/snapshot_v2.jsonl where it matters to a fast-forward:
+// its random stream position, resealed so only the decoder's own guard
+// stands between it and 2^40 discarded words.
+func TestParentCheckpointRefusesImplausiblePosition(t *testing.T) {
+	raw, err := os.ReadFile("testdata/snapshot_v2.jsonl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.SplitAfterN(raw, []byte("\n"), 4)
+	var sl, rec snapLine
+	if err := json.Unmarshal(lines[1], &sl); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(lines[2], &rec); err != nil || rec.State == nil {
+		t.Fatalf("third line of the fixture is not a checkpoint record: %v", err)
+	}
+	// The runtime writes its seed (the registration's, plus one) and then
+	// its stream position; a session 1,029 iterations in stands at or past
+	// the register's 607 words and below the guard's 64 per iteration.
+	body := rec.State[:len(rec.State)-4]
+	at := -1
+	for i := 3; i+16 <= len(body); i++ {
+		seed, pos := binary.LittleEndian.Uint64(body[i:]), binary.LittleEndian.Uint64(body[i+8:])
+		if seed == uint64(sl.Reg.Seed+1) && pos >= 607 && pos <= 64*1029+64 {
+			if at >= 0 {
+				t.Fatalf("seed and stream position found at offsets %d and %d", at, i)
+			}
+			at = i + 8
+		}
+	}
+	if at < 0 {
+		t.Fatal("no seed and stream position in the fixture's blob")
+	}
+	forged := bytes.Clone(body)
+	binary.LittleEndian.PutUint64(forged[at:], 1<<40)
+	forged = binary.LittleEndian.AppendUint32(forged, crc32.ChecksumIEEE(forged))
+	sess, err := newSession(sl.ID, sl.Reg, Grant{Tenant: sl.Reg.Tenant, GrantJ: sl.GrantJ, Weight: sl.Weight}, nil, time.Time{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sess.replay(iterRec{State: forged}); err == nil || !strings.Contains(err.Error(), "implausible") {
+		t.Fatalf("a version-1 blob at stream position 2^40: %v, want an implausible-position refusal", err)
 	}
 }
 

@@ -127,9 +127,10 @@ type iterRec = wire.IterRec
 // checkpointEvery is how many settles pass between checkpoints of a
 // session's governor stack, and so the bound on its retained log. A
 // checkpoint of a 1,024-arm session with nearly every arm pulled is
-// ~31 KB and costs ~11.5 us to write; spread over 1,024 settles that is
-// ~11 ns each, under 1% of the ~1.4 us settle, and a restore steps
-// through 512 records on average instead of the session's whole history.
+// ~36 KB (the generator's 4.9 KB register included) and cost ~11.5 us to
+// write without the register; spread over 1,024 settles that is ~11 ns
+// each, under 1% of the ~1.4 us settle, and a restore steps through 512
+// records on average instead of the session's whole history.
 const checkpointEvery = 1024
 
 // session wraps one tenant's governor — a JouleGuard runtime behind an

@@ -59,6 +59,7 @@ var stdlibMethods = map[string]bool{
 	"Read": true, "Write": true, "Close": true, "Len": true, "Less": true,
 	"Swap": true, "Push": true, "Pop": true, "Lock": true, "Unlock": true,
 	"Timeout": true, "Temporary": true,
+	"Int63": true, "Uint64": true, "Seed": true, // rand.Source64, through rand.New
 }
 
 // goFile is one parsed source file of the module (bench/ included).

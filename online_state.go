@@ -9,8 +9,11 @@ import (
 )
 
 const (
-	onlineStateKind    = 'O'
-	onlineStateVersion = 1
+	onlineStateKind = 'O'
+	// onlineStateVersion 2 adds the runtime's random register (core's
+	// countedSource); a version-1 blob still restores, by re-seeding and
+	// fast-forwarding the generator.
+	onlineStateVersion = 2
 	// maxErrText bounds the error strings a checkpoint may carry.
 	maxErrText = 1 << 10
 )
@@ -91,12 +94,12 @@ func truncate(s string) string {
 // the process that held it). On error the controller and its governor
 // may be partly written and must be discarded.
 func (o *OnlineController) RestoreState(blob []byte) error {
-	d, version, err := ckpt.Open(blob, onlineStateKind)
+	d, err := ckpt.Open(blob, onlineStateKind)
 	if err != nil {
 		return fmt.Errorf("jouleguard: restoring controller state: %w", err)
 	}
-	if version != onlineStateVersion {
-		return fmt.Errorf("jouleguard: controller state version %d, want %d", version, onlineStateVersion)
+	if version := d.Version(); version < 1 || version > onlineStateVersion {
+		return fmt.Errorf("jouleguard: controller state version %d, want 1..%d", version, onlineStateVersion)
 	}
 	gov, ok := o.gov.(checkpointed)
 	if !ok {
