@@ -77,13 +77,16 @@ churn-race:
 # reads into the same record. The v2 frame decoder, seeded from the codec
 # tests' frames: no panic, every accepted binary request frame and TClose
 # re-encodes byte for byte, every TErr byte maps through the error table.
-# (go test takes one -fuzz target per run, hence four steps; a failing
+# The runtime's random source, which a checkpoint carries and restores:
+# for any seed, length and cut, math/rand's stream word for word.
+# (go test takes one -fuzz target per run, hence five steps; a failing
 # input lands in the package's testdata/fuzz/ as a regression case.)
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzRestore$$' -fuzztime=10s ./internal/server/
 	$(GO) test -run '^$$' -fuzz '^FuzzRestoreState$$' -fuzztime=10s ./internal/server/
 	$(GO) test -run '^$$' -fuzz '^FuzzSnapshotLine$$' -fuzztime=10s ./internal/server/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecoder$$' -fuzztime=10s ./internal/wire/
+	$(GO) test -run '^$$' -fuzz '^FuzzCountedSource$$' -fuzztime=10s ./internal/core/
 
 # The smoke targets below assert and print nothing to keep: each is one
 # `go run -race ./cmd/loadgen ... -check 1.05` whose verdict is its exit

@@ -57,7 +57,7 @@ func NewHardware(workload, budget float64, frontier []hwapprox.FrontierPoint, nS
 	if alpha == 0 {
 		alpha = control.DefaultAlpha
 	}
-	rng := rand.New(rand.NewSource(opts.Seed + 5))
+	rng := rand.New(newCountedSource(opts.Seed + 5))
 	bandit, err := learning.NewBandit(nSys, alpha, priors, rng)
 	if err != nil {
 		return nil, err

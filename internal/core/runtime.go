@@ -527,10 +527,10 @@ func (r *Runtime) ArmEstimate(arm int) (rate, power float64, pulls int) {
 	return r.bandit.Rate(arm), r.bandit.Power(arm), r.bandit.Pulls(arm)
 }
 
-// ArmPulls is ArmEstimate's observation count alone, for callers that
-// want the estimates of measured arms only and would rather not query
-// the filters of the (usually many) arms still at their priors.
-func (r *Runtime) ArmPulls(arm int) int { return r.bandit.Pulls(arm) }
+// PulledArms lists, in ascending order, the system configurations with
+// at least one observation: the arms whose ArmEstimate is learned rather
+// than the prior. It costs the arms pulled, not the arm count.
+func (r *Runtime) PulledArms() []int { return r.bandit.PulledArms() }
 
 // Degraded reports whether the watchdog currently pins the conservative
 // configuration (broken sensing or a sustained projected overrun).

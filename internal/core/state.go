@@ -22,31 +22,90 @@ import (
 // and EncodeState of the two is byte-equal.
 
 // countedSource is the Runtime's random source, written so a checkpoint
-// can carry the generator itself. math/rand's source is an additive
-// lagged-Fibonacci register, x[n] = x[n-607] + x[n-273], and every word
-// it returns is stored back into the register: 607 draws after seeding,
-// the register holds exactly the last 607 outputs. So countedSource
-// draws its first ringLen words from math/rand; at the ringLen-th it
-// re-seeds that source, replays the same words into the slots math/rand
-// stores them in, drops the source and from then on runs the recurrence
-// on its own ring. The stream is math/rand's word for word, seeding costs
-// what rand.NewSource costs, and a session that never draws ringLen words
-// never holds a ring. From the ringLen-th draw on, seed + draw count +
-// ring is the whole generator: a checkpoint loads it with no stepping,
-// however long the session has run. Before that, and for a version-1 blob
-// (which has no ring), a restore re-seeds and discards draws words.
+// can carry the generator itself. The stream is math/rand's word for
+// word: math/rand's source is an additive lagged-Fibonacci register,
+// x[n] = x[n-607] + x[n-273], whose every output is stored back into the
+// register, and countedSource owns that register from its first word.
+//
+// Seeding writes the register as math/rand's Seed does, bit for bit, but
+// not as a chain: math/rand walks x[k] = 48271·x[k-1] mod (2^31-1) 1,841
+// steps from the seed and folds three walk values and one constant of
+// its own table (rngCooked) into each register word. The walk's k-th
+// value is seed·48271^k mod (2^31-1), so against the powers tabulated
+// once at init every value is one independent multiply, where math/rand
+// divides 1,841 times in series. rngCooked is not exported; init recovers
+// it from one math/rand seeding (see init below).
+//
+// From the ringLen-th draw on the register holds exactly the last 607
+// outputs, and seed + draw count + register is the whole generator: a
+// checkpoint loads it with no stepping, however long the session has
+// run. Before that, and for a version-1 blob (which has no register), a
+// restore re-seeds and discards draws words.
 type countedSource struct {
-	src       rand.Source64 // math/rand's source, until the ring is built
 	seed      int64
 	draws     uint64
-	ring      *[ringLen]uint64
-	tap, feed int // the ring's indices, as math/rand keeps them
+	tap, feed int // the register's indices, as math/rand keeps them
+	ring      [ringLen]uint64
+	// skipped counts the words restores stepped through (skipTo): what a
+	// register in the checkpoint saves.
+	skipped uint64
 }
 
 const (
 	ringLen = 607 // math/rand's rngLen
 	ringTap = 273 // math/rand's rngTap
+
+	seedMod  = 1<<31 - 1 // the seed walk's modulus, math/rand's int32max
+	seedMul  = 48271     // and its multiplier
+	seedSkip = 20        // walk steps math/rand discards before the first word
 )
+
+var (
+	// seedPow[i] holds seedMul^k mod seedMod for the three walk steps k
+	// register word i is made of.
+	seedPow [ringLen][3]uint64
+	// cooked is math/rand's rngCooked, the constants Seed folds into the
+	// register.
+	cooked [ringLen]uint64
+)
+
+// init tabulates the walk's powers and recovers rngCooked. Seeding
+// math/rand and drawing ringLen words leaves its register holding those
+// words, in the slots the draws stored them in, with the indices back
+// where seeding put them; running the recurrence backward ringLen steps
+// from there (each step undoes one draw: slot feed held what it holds now
+// less slot tap) gives the register as seeded. Its XOR with what the walk
+// alone contributes for the same seed is rngCooked.
+func init() {
+	p := uint64(1)
+	for range seedSkip + 1 {
+		p = p * seedMul % seedMod
+	}
+	for i := range seedPow {
+		for j := range seedPow[i] {
+			seedPow[i][j] = p
+			p = p * seedMul % seedMod
+		}
+	}
+
+	const seed = 1
+	src := rand.NewSource(seed).(rand.Source64)
+	var c countedSource
+	c.tap, c.feed = 0, ringLen-ringTap
+	for k := 1; k <= ringLen; k++ {
+		c.ring[(c.feed-k+ringLen)%ringLen] = src.Uint64()
+	}
+	for range ringLen {
+		c.ring[c.feed] -= c.ring[c.tap]
+		c.tap, c.feed = (c.tap+1)%ringLen, (c.feed+1)%ringLen
+	}
+	// cooked is still all zero: this seeding is the walk's share alone.
+	var walk countedSource
+	walk.Seed(seed)
+	for i := range cooked {
+		cooked[i] = c.ring[i] ^ walk.ring[i]
+	}
+}
 
 func newCountedSource(seed int64) *countedSource {
 	c := &countedSource{}
@@ -54,22 +113,36 @@ func newCountedSource(seed int64) *countedSource {
 	return c
 }
 
+// Seed writes the register math/rand's Seed writes for seed.
 func (c *countedSource) Seed(seed int64) {
-	c.src = rand.NewSource(seed).(rand.Source64)
-	c.seed, c.draws, c.ring = seed, 0, nil
+	x := seed % seedMod
+	if x < 0 {
+		x += seedMod
+	}
+	if x == 0 {
+		x = 89482311 // math/rand's stand-in for a zero seed
+	}
+	s := uint64(x)
+	for i, pow := range &seedPow {
+		c.ring[i] = modWalk(s*pow[0])<<40 ^ modWalk(s*pow[1])<<20 ^ modWalk(s*pow[2]) ^ cooked[i]
+	}
+	c.seed, c.draws = seed, 0
+	c.tap, c.feed = 0, ringLen-ringTap
+}
+
+// modWalk reduces a product of two walk values, below 2^62, modulo
+// 2^31-1: 2^31 is 1 modulo it, so folding the high bits onto the low
+// twice leaves a value in [0, 2^31-1], and never the modulus itself, since
+// neither factor is a multiple of the prime.
+func modWalk(x uint64) uint64 {
+	x = x&seedMod + x>>31
+	return x&seedMod + x>>31
 }
 
 func (c *countedSource) Int63() int64 { return int64(c.Uint64() &^ (1 << 63)) }
 
 func (c *countedSource) Uint64() uint64 {
 	c.draws++
-	if c.ring == nil {
-		x := c.src.Uint64()
-		if c.draws == ringLen {
-			c.buildRing()
-		}
-		return x
-	}
 	if c.tap--; c.tap < 0 {
 		c.tap += ringLen
 	}
@@ -81,29 +154,18 @@ func (c *countedSource) Uint64() uint64 {
 	return x
 }
 
-// buildRing runs once, at the ringLen-th draw: it replays the words drawn
-// so far into the slots math/rand's register holds them in. ringLen draws
-// bring math/rand's indices back to where seeding put them.
-func (c *countedSource) buildRing() {
-	c.src.Seed(c.seed)
-	c.ring = new([ringLen]uint64)
-	c.tap, c.feed = 0, ringLen-ringTap
-	for k := 1; k <= ringLen; k++ {
-		c.ring[(c.feed-k+ringLen)%ringLen] = c.src.Uint64()
-	}
-	c.src = nil
-}
-
 // skipTo advances a freshly seeded source to its draws-th word.
 func (c *countedSource) skipTo(draws uint64) {
 	for c.draws < draws {
 		c.Uint64()
+		c.skipped++
 	}
 }
 
-// encode appends the source's register once it has one.
+// encode appends the source's register from the ringLen-th draw on,
+// when it holds nothing but outputs.
 func (c *countedSource) encode(enc *ckpt.Enc) {
-	if c.ring == nil {
+	if c.draws < ringLen {
 		return
 	}
 	for _, x := range c.ring {
@@ -119,12 +181,11 @@ func (c *countedSource) decode(d *ckpt.Dec, draws uint64) {
 		c.skipTo(draws)
 		return
 	}
-	c.ring = new([ringLen]uint64)
 	for i := range c.ring {
 		c.ring[i] = d.Uint()
 	}
 	k := int(draws % ringLen)
-	c.src, c.draws = nil, draws
+	c.draws = draws
 	c.tap, c.feed = (ringLen-k)%ringLen, (2*ringLen-ringTap-k)%ringLen
 }
 

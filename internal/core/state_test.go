@@ -232,11 +232,13 @@ func TestRuntimesShareAPriorTable(t *testing.T) {
 }
 
 // TestCountedSourceIsMathRand pins the generator to math/rand's stream,
-// word for word, across the point where it stops delegating to
-// math/rand's source and runs the recurrence on its own register, for
-// seeds math/rand folds in every way (zero, negative, past 2^31).
+// word for word, from the register its own seeding writes through the
+// point where every word of it has been replaced by an output: for seeds
+// math/rand folds in every way (zero, negative, past 2^31, the modulus
+// itself and its multiples) and for 10^4 random seeds.
 func TestCountedSourceIsMathRand(t *testing.T) {
-	for _, seed := range []int64{0, 1, -1, 7, 1<<31 - 1, 1 << 40, math.MinInt64, math.MaxInt64} {
+	edges := []int64{0, 1, -1, 7, 1<<31 - 2, 1<<31 - 1, 1 << 31, 2 * (1<<31 - 1), -(1<<31 - 1), 1 << 40, math.MinInt64, math.MaxInt64}
+	for _, seed := range edges {
 		got, want := newCountedSource(seed), rand.NewSource(seed).(rand.Source64)
 		for i := 0; i < 3*ringLen+10; i++ {
 			if i%3 == 0 {
@@ -255,23 +257,67 @@ func TestCountedSourceIsMathRand(t *testing.T) {
 			}
 		}
 	}
+	seeds := rand.New(rand.NewSource(99))
+	got, want := newCountedSource(0), rand.NewSource(0).(rand.Source64)
+	for range 10_000 {
+		seed := int64(seeds.Uint64())
+		got.Seed(seed)
+		want.Seed(seed)
+		for i := 0; i < 3*ringLen; i++ {
+			if g, w := got.Uint64(), want.Uint64(); g != w {
+				t.Fatalf("seed %d, word %d: %d, math/rand %d", seed, i, g, w)
+			}
+		}
+	}
 }
 
-// stepCounter counts the words drawn from math/rand's own source: a
-// restore that fast-forwards from the seed draws its first ringLen words
-// through it, and building the ring replays them once more.
-type stepCounter struct {
-	rand.Source64
-	n int
+// FuzzCountedSource holds the generator to math/rand's stream for any
+// seed and length, through a checkpoint cut anywhere in it: the source
+// restored at the cut, from either blob version, goes on with the words
+// the uninterrupted math/rand source draws.
+func FuzzCountedSource(f *testing.F) {
+	f.Add(int64(1), uint16(10), uint16(3))
+	f.Add(int64(0), uint16(3*ringLen), uint16(ringLen))
+	f.Add(int64(0), uint16(3*ringLen+1), uint16(ringLen))
+	f.Add(int64(-1), uint16(2*ringLen), uint16(ringLen-1))
+	f.Add(int64(-1), uint16(2*ringLen+1), uint16(ringLen-1))
+	f.Add(int64(1<<31-1), uint16(5001), uint16(4000))
+	f.Fuzz(func(t *testing.T, seed int64, draws, cut uint16) {
+		cut %= draws + 1
+		want := rand.NewSource(seed).(rand.Source64)
+		orig := newCountedSource(seed)
+		for i := uint16(0); i < cut; i++ {
+			if g, w := orig.Uint64(), want.Uint64(); g != w {
+				t.Fatalf("seed %d, word %d: %d, math/rand %d", seed, i, g, w)
+			}
+		}
+		version := byte(1 + draws%2)
+		enc := ckpt.NewEnc(nil, 'T', version)
+		if version >= 2 {
+			orig.encode(enc)
+		}
+		d, err := ckpt.Open(enc.Seal(), 'T')
+		if err != nil {
+			t.Fatal(err)
+		}
+		rest := newCountedSource(seed)
+		rest.decode(d, orig.draws)
+		if err := d.Close(); err != nil {
+			t.Fatalf("seed %d, cut %d, version %d: %v", seed, cut, version, err)
+		}
+		for i := cut; i < draws; i++ {
+			if g, w := rest.Uint64(), want.Uint64(); g != w {
+				t.Fatalf("seed %d, cut %d, version %d: word %d is %d, math/rand %d", seed, cut, version, i, g, w)
+			}
+		}
+	})
 }
-
-func (s *stepCounter) Uint64() uint64 { s.n++; return s.Source64.Uint64() }
 
 // TestRegisterRestoresWithoutSteps is what the version-2 blob buys: a
-// source restored from its register steps its generator zero times,
+// source restored from its register steps through no words at all,
 // however far into the stream it stands, and its next 10,000 words are
 // the uninterrupted source's. A version-1 blob, which has no register,
-// restores the same stream by re-seeding and fast-forwarding.
+// restores the same stream by stepping a fresh source to the position.
 func TestRegisterRestoresWithoutSteps(t *testing.T) {
 	const seed, next = 42, 10_000
 	for _, pos := range []uint64{0, 1, ringLen - 1, ringLen, ringLen + 1, 2*ringLen + 5, 10_003, 1_000_000} {
@@ -289,22 +335,16 @@ func TestRegisterRestoresWithoutSteps(t *testing.T) {
 				t.Fatal(err)
 			}
 			rest := newCountedSource(seed)
-			steps := &stepCounter{Source64: rest.src}
-			rest.src = steps
 			rest.decode(d, pos)
 			if err := d.Close(); err != nil {
 				t.Fatalf("position %d, version %d: %v", pos, version, err)
 			}
-			wantSteps := int(pos)
-			switch {
-			case pos < ringLen:
-			case version >= 2:
+			wantSteps := pos
+			if version >= 2 && pos >= ringLen {
 				wantSteps = 0
-			default:
-				wantSteps = 2 * ringLen
 			}
-			if steps.n != wantSteps {
-				t.Errorf("position %d, version %d: restore drew %d words from math/rand, want %d", pos, version, steps.n, wantSteps)
+			if rest.skipped != wantSteps {
+				t.Errorf("position %d, version %d: restore stepped through %d words, want %d", pos, version, rest.skipped, wantSteps)
 			}
 			ref := rand.NewSource(seed).(rand.Source64)
 			for i := uint64(0); i < pos; i++ {
@@ -321,7 +361,7 @@ func TestRegisterRestoresWithoutSteps(t *testing.T) {
 
 // TestRuntimeCheckpointCarriesRegister runs a runtime until its stream
 // is well past the register's fill, checkpoints it, and restores it
-// without a single draw from math/rand; the restored runtime then makes
+// without stepping through a single word; the restored runtime then makes
 // the original's decisions. A position the iteration count cannot
 // explain is refused in either blob version.
 func TestRuntimeCheckpointCarriesRegister(t *testing.T) {
@@ -345,13 +385,11 @@ func TestRuntimeCheckpointCarriesRegister(t *testing.T) {
 	blob := orig.MarshalState()
 
 	rest := build()
-	steps := &stepCounter{Source64: rest.rng.src}
-	rest.rng.src = steps
 	if err := rest.RestoreState(blob); err != nil {
 		t.Fatal(err)
 	}
-	if steps.n != 0 {
-		t.Errorf("restore at stream position %d drew %d words from math/rand", orig.rng.draws, steps.n)
+	if rest.rng.skipped != 0 {
+		t.Errorf("restore at stream position %d stepped through %d words", orig.rng.draws, rest.rng.skipped)
 	}
 	if again := rest.MarshalState(); !bytes.Equal(again, blob) {
 		t.Fatal("restored runtime re-marshals to different bytes")
@@ -378,5 +416,15 @@ func TestRuntimeCheckpointCarriesRegister(t *testing.T) {
 		if err := build().RestoreState(forged); err == nil || !strings.Contains(err.Error(), "implausible") {
 			t.Errorf("version %d blob at stream position 2^40 after %d iterations: %v, want an implausible-position refusal", version, orig.iters, err)
 		}
+	}
+}
+
+// BenchmarkSeed is what a session's random source costs to seed; every
+// registration pays it once.
+func BenchmarkSeed(b *testing.B) {
+	c := newCountedSource(1)
+	b.ReportAllocs()
+	for i := 0; b.Loop(); i++ {
+		c.Seed(int64(i))
 	}
 }

@@ -1,6 +1,7 @@
 package learning
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
@@ -83,26 +84,29 @@ type FlatPriors struct {
 func (p FlatPriors) Estimate(arm int) (rate, power float64) { return p.Rate, p.Power }
 
 // PriorTable is a Priors materialised once per configuration space, and
-// with it the image of a bandit that has observed nothing: the priors are
-// the filters' initial estimates, their efficiencies are the initial
-// scores, and the argmax tree over those is already played. A bandit is
-// built from a table by copying that image — a handful of allocations
-// whatever the arm count, no prior evaluated, no match replayed — so the
-// cost of starting a session does not grow with the work the prior model
-// does per arm.
+// with it everything a bandit that has observed nothing would know: the
+// priors are the filters' initial estimates, their efficiencies the
+// initial scores, and the candidate arms ranked by those scores are the
+// order in which the argmax would pick them. Every bandit built from the
+// table reads its unpulled arms from it rather than copying them, so
+// starting a session costs neither the prior model's work per arm nor a
+// copy of its 1,024 answers.
 //
-// A table is immutable once Tabulate returns and safe for concurrent use:
-// every bandit built from it owns copies, never the table's slices.
-// Whoever evaluates a prior model repeatedly (a platform per application
-// profile, a testbed per registration) keeps the table instead and hands
-// it to NewBandit as the Priors.
+// A table is immutable once Tabulate returns (the Kalman priors and the
+// flat table are built once, on first use) and safe for concurrent use:
+// the bandits built from it only read it. Whoever evaluates a prior model
+// repeatedly (a platform per application profile, a testbed per
+// registration) keeps the table instead and hands it to NewBandit as the
+// Priors.
 type PriorTable struct {
-	rate, power []float64 // the priors; also the EWMA bank before any pull
+	rate, power []float64 // the priors: every unpulled arm's estimates
 	eff         []float64
-	all         argmaxTree // every arm entered, every match played
+	// rank lists the candidate arms by their priors' efficiency, best
+	// first, in the order BestArm plays (see better).
+	rank []int32
 
 	kalmanOnce  sync.Once
-	kalmanRate  []control.Kalman1D // the Kalman bank before any pull
+	kalmanRate  []control.Kalman1D // the Kalman filters an arm's first pull starts from
 	kalmanPower []control.Kalman1D
 
 	flatOnce sync.Once
@@ -127,15 +131,22 @@ func Tabulate(n int, priors Priors) (*PriorTable, error) {
 
 // newPriorTable takes ownership of the two slices.
 func newPriorTable(rate, power []float64) (*PriorTable, error) {
-	n := len(rate)
-	t := &PriorTable{rate: rate, power: power, eff: make([]float64, n), all: newArgmaxTree(n)}
+	t := &PriorTable{rate: rate, power: power, eff: make([]float64, len(rate))}
 	for i := range rate {
 		if rate[i] <= 0 || power[i] <= 0 {
 			return nil, fmt.Errorf("learning: prior for arm %d not positive (rate=%v power=%v)", i, rate[i], power[i])
 		}
 		t.eff[i] = efficiency(rate[i], power[i])
+		if candidate(t.eff[i]) {
+			t.rank = append(t.rank, int32(i))
+		}
 	}
-	t.all.fill(t.eff)
+	slices.SortFunc(t.rank, func(a, b int32) int {
+		if c := cmp.Compare(t.eff[b], t.eff[a]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
 	return t, nil
 }
 
@@ -171,7 +182,7 @@ func (t *PriorTable) NewBandit(alpha float64, rng *rand.Rand) (*Bandit, error) {
 	if _, err := control.NewEWMA(alpha); err != nil {
 		return nil, err
 	}
-	return t.newBandit(&ewmaBank{alpha: alpha, rates: slices.Clone(t.rate), powers: slices.Clone(t.power)}, rng)
+	return t.newBandit(&ewmaBank{alpha: alpha}, rng)
 }
 
 // NewKalmanBandit builds a bandit whose arms are tracked by Kalman
@@ -185,16 +196,13 @@ func (t *PriorTable) NewKalmanBandit(rng *rand.Rand) (*Bandit, error) {
 			t.kalmanPower[i] = newKalmanFilter(t.power[i])
 		}
 	})
-	return t.newBandit(&kalmanBank{rates: slices.Clone(t.kalmanRate), powers: slices.Clone(t.kalmanPower)}, rng)
+	return t.newBandit(&kalmanBank{}, rng)
 }
 
-// newBandit wraps a freshly copied bank in copies of the table's scores
-// and argmax tree.
+// newBandit wraps an empty bank in a bandit that has pulled nothing.
 func (t *PriorTable) newBandit(est bank, rng *rand.Rand) (*Bandit, error) {
 	if rng == nil {
 		return nil, fmt.Errorf("learning: nil rng")
 	}
-	n := len(t.rate)
-	return &Bandit{est: est, eff: slices.Clone(t.eff), pulls: make([]int, n),
-		all: slices.Clone(t.all), pulled: newArgmaxTree(n), rng: rng}, nil
+	return &Bandit{table: t, est: est, index: make([]int32, len(t.rate)), rng: rng}, nil
 }

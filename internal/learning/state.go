@@ -7,28 +7,22 @@ import (
 )
 
 // EncodeState appends the bandit's learned state. Only arms that were
-// ever pulled travel: an unpulled arm still holds the prior its
-// constructor copied in, and on a 1,024-arm platform those are most of
-// the table for most of a run. The two argmaxes travel as a cross-check
+// ever pulled travel, in arm order: an unpulled arm stands at the prior
+// its table holds, and on a 1,024-arm platform those are most of the
+// table for most of a run. The two argmaxes travel as a cross-check
 // only: DecodeState recomputes them from the estimates it restored.
 func (b *Bandit) EncodeState(enc *ckpt.Enc) {
-	enc.Int(len(b.pulls))
+	enc.Int(len(b.index))
 	enc.Uint(uint64(b.est.tag()))
 	enc.Int(b.totalPulls)
 	enc.Int(b.BestArm())
 	enc.Int(b.BestMeasuredArm())
-	pulled := 0
-	for _, p := range b.pulls {
-		if p > 0 {
-			pulled++
-		}
-	}
-	enc.Int(pulled)
-	for i, p := range b.pulls {
-		if p > 0 {
-			enc.Int(i)
-			enc.Int(p)
-			b.est.encodeArm(enc, i)
+	enc.Int(len(b.slots))
+	for arm, s := range b.index {
+		if s > 0 {
+			enc.Int(arm)
+			enc.Int(b.slots[s-1].pulls)
+			b.est.encodeSlot(enc, int(s)-1)
 		}
 	}
 }
@@ -42,7 +36,7 @@ func (b *Bandit) DecodeState(d *ckpt.Dec) {
 		d.Fail("bandit already holds %d observations", b.totalPulls)
 		return
 	}
-	n := len(b.pulls)
+	n := len(b.index)
 	if got := d.Int(); got != n {
 		d.Fail("checkpoint of a %d-arm bandit, this one has %d", got, n)
 		return
@@ -64,13 +58,13 @@ func (b *Bandit) DecodeState(d *ckpt.Dec) {
 			return
 		}
 		prev = i
-		b.pulls[i] = pulls
-		b.est.decodeArm(d, i)
-		b.eff[i] = efficiency(b.est.rate(i), b.est.power(i))
-		// As the Observe that last touched the arm did: the fresh bandit's
-		// trees already hold every other arm's prior.
-		b.all.update(b.eff, i)
-		b.pulled.update(b.eff, i)
+		// As the Observe that last touched the arm did: its slot opens at
+		// the prior, then takes the recorded filters and re-plays its path.
+		s := b.open(i)
+		b.slots[s].pulls = pulls
+		b.est.decodeSlot(d, s, i)
+		b.slots[s].eff = efficiency(b.est.rate(s), b.est.power(s))
+		b.pulled.update(b.slots, s)
 		sum += pulls
 	}
 	if d.Err() != nil {

@@ -296,8 +296,9 @@ func (p *Platform) Priors(prof AppProfile) learning.Priors {
 // PriorsPerIteration returns Priors(prof) with rates in iterations per
 // second, for an application whose iteration is workPerIter work units —
 // the unit a governor observes. The model is evaluated once per (profile,
-// workPerIter) into a learning.PriorTable, so building a governor copies
-// the table instead of re-deriving 1,024 priors on Server.
+// workPerIter) into a learning.PriorTable, which every governor's bandit
+// then reads for the arms it has not pulled: building one neither
+// re-derives nor copies the 1,024 priors on Server.
 func (p *Platform) PriorsPerIteration(prof AppProfile, workPerIter float64) learning.Priors {
 	t := p.table(prof)
 	t.priorsMu.Lock()

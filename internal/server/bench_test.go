@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"sync/atomic"
 	"testing"
 
@@ -220,5 +221,42 @@ func TestInprocDecisionZeroAlloc(t *testing.T) {
 	const runs = checkpointEvery / 2 // AllocsPerRun adds one warm-up call
 	if allocs := testing.AllocsPerRun(runs, iterate); allocs != 0 {
 		t.Fatalf("warm Next+Done allocates %v per iteration, want 0", allocs)
+	}
+}
+
+// TestRegisterCloseBytes pins a session's fixed cost in memory: Register
+// then Close of x264/Server — admission, the governor stack with its
+// 1,024-arm bandit, teardown — with no iteration between. A bandit holds
+// only the arms it has pulled, so that is the zeroed arm index, the
+// random generator's register and the stack around them; a bandit that
+// copies its prior table's 1,024 arms does not fit.
+func TestRegisterCloseBytes(t *testing.T) {
+	srv, err := New(Config{GlobalBudgetJ: 1e12, SweepInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.CloseV2Streams()
+	req := wire.RegisterRequest{Tenant: "t", App: "x264", Platform: "Server", Iterations: 32, BudgetJ: 1e3, Seed: 1}
+	cycle := func() {
+		resp, err := srv.Register(req)
+		if err != nil {
+			t.Fatalf("register: %v", err)
+		}
+		if _, err := srv.Close(resp.SessionID); err != nil {
+			t.Fatalf("close: %v", err)
+		}
+	}
+	for range 8 {
+		cycle()
+	}
+	const runs, limit = 64, 16 << 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		cycle()
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per > limit {
+		t.Fatalf("Register+Close allocates %d B per session, want at most %d", per, limit)
 	}
 }

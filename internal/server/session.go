@@ -465,13 +465,23 @@ func (s *session) tallyLocked() tally {
 // estimatesLocked lists the live stack's per-arm estimates, every arm or
 // only those with observations; callers hold s.mu.
 func (s *session) estimatesLocked(pulledOnly bool) []wire.ArmEstimate {
-	var out []wire.ArmEstimate
-	for arm := 0; arm < s.gov.NumArms(); arm++ {
-		if pulledOnly && s.gov.ArmPulls(arm) == 0 {
-			continue
+	var arms []int
+	n := s.gov.NumArms()
+	if pulledOnly {
+		arms = s.gov.PulledArms()
+		n = len(arms)
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]wire.ArmEstimate, n)
+	for i := range out {
+		arm := i
+		if pulledOnly {
+			arm = arms[i]
 		}
 		rate, power, pulls := s.gov.ArmEstimate(arm)
-		out = append(out, wire.ArmEstimate{Arm: arm, Rate: rate, Power: power, Pulls: pulls})
+		out[i] = wire.ArmEstimate{Arm: arm, Rate: rate, Power: power, Pulls: pulls}
 	}
 	return out
 }
@@ -652,6 +662,11 @@ func (s *session) replay(rec iterRec) error {
 		}
 		s.ckpt = append(s.ckpt[:0], rec.State...)
 		rec.State = s.ckpt
+		if cap(s.log) < checkpointEvery+1 {
+			// The tail that follows is at most checkpointEvery records:
+			// hold them without growing the log copy by copy.
+			s.log = make([]iterRec, 0, checkpointEvery+1)
+		}
 		s.base, s.log = n-1, append(s.log[:0], rec)
 	} else {
 		s.pending.now, s.pending.eerr = rec.NextNow, false
