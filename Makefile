@@ -7,7 +7,7 @@ GO ?= go
 SHELL := /usr/bin/bash
 .SHELLFLAGS := -o pipefail -ec
 
-.PHONY: all build vet lint check test test-race race churn-race fuzz bench bench-check bench-smoke bench-full bench-profile results examples chaos-smoke serve-smoke cluster-smoke chaos-cluster hotpath-smoke obs-smoke meter-smoke qos-smoke clean
+.PHONY: all build vet lint check test test-race race churn-race fuzz bench bench-check bench-smoke bench-full bench-profile results size examples chaos-smoke serve-smoke cluster-smoke chaos-cluster hotpath-smoke obs-smoke meter-smoke qos-smoke clean
 
 all: build vet test
 
@@ -234,6 +234,21 @@ examples:
 	$(GO) run ./examples/customapp
 	$(GO) run ./examples/approxhw
 	$(GO) run ./examples/realmachine
+
+# Lines of Go, non-test then test, in the service packages, the load
+# driver and the whole repository outside bench/: the score a change that
+# simplifies states, before and after, with one command.
+SIZE_DIRS := internal/server internal/cluster internal/telemetry internal/wire \
+	internal/client internal/measure internal/qos internal/backoff cmd/loadgen
+size:
+	@for d in $(SIZE_DIRS); do \
+		printf '%-22s %6d non-test %6d test\n' $$d \
+			$$(cat $$(ls $$d/*.go | grep -v '_test\.go$$') | wc -l) \
+			$$(cat $$d/*_test.go | wc -l); \
+	done
+	@printf '%-22s %6d non-test %6d test\n' 'outside bench/' \
+		$$(find . -name '*.go' -not -path './bench/*' -not -path './.*' -not -name '*_test.go' | xargs cat | wc -l) \
+		$$(find . -name '*_test.go' -not -path './bench/*' -not -path './.*' | xargs cat | wc -l)
 
 # Removes what builds and runs write. results/ itself is tracked.
 clean:

@@ -287,34 +287,18 @@ func openMeter(tel *telemetry.Telemetry, mode, raplRoot string, idleW, modelW fl
 	}
 }
 
-// simMeter assembles the simulated backend: meter, calibration and
-// service all run on one virtual clock advanced by each settled
-// iteration's client-reported duration, so per-sample power lands at
-// the physical watt scale the gate judges. No sampling loop is started
-// — the clock only moves on stimulus, making sampling settle-driven
-// and deterministic.
+// simMeter assembles the simulated backend on a virtual clock advanced by
+// each settled iteration's client-reported duration, so per-sample power
+// lands at the physical watt scale the gate judges; modelW only scales the
+// absolute plausibility ceiling.
 func simMeter(tel *telemetry.Telemetry, idleW, modelW float64) (*measure.Service, func(joules, durS float64), error) {
-	vc := measure.NewVirtualClock()
-	sim := measure.NewSimMeter(measure.SimConfig{IdleW: idleW, Seed: 1, Now: vc.Now})
-	cal, err := measure.Calibrate(sim, measure.CalibrationConfig{Sleep: vc.Sleep, Now: vc.Now})
+	sim, err := measure.NewSimBackend(idleW, 1, modelW*16, tel)
 	if err != nil {
 		return nil, nil, err
 	}
-	// No ModelPower: rejected samples are debited at the accepted-window
-	// median, which tracks the fleet's governed operating point. A fixed
-	// model would over-debit every rejection once the governors have
-	// throttled the tenants below full draw; modelW only scales the
-	// absolute plausibility ceiling.
-	svc := measure.NewService(measure.ServiceConfig{
-		Meter:    sim,
-		Gate:     guard.Config{MaxPower: modelW * 16},
-		Baseline: cal,
-		Now:      vc.Now,
-		Tel:      tel,
-	})
-	installMeterHealth(tel, svc)
-	announceMeter(svc)
-	return svc, func(joules, durS float64) { sim.Deposit(joules); vc.Advance(durS) }, nil
+	installMeterHealth(tel, sim.Service)
+	announceMeter(sim.Service)
+	return sim.Service, sim.Stimulus, nil
 }
 
 // raplMeter assembles the hardware backend: the hardened powercap

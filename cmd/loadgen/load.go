@@ -1,14 +1,13 @@
 package main
 
 // The tenants and the verdicts. Each tenant is a faithful stand-in for a
-// governed application: it runs its workload on a virtual clock and
-// energy meter derived from the same platform models the paper's
-// experiments use. When the daemon says (appCfg, sysCfg), the tenant
-// "executes" the iteration by advancing its clock by work/rate(sysCfg)
-// seconds and its meter by power(sysCfg) x that duration — so the
-// governor under test observes exactly the dynamics it would on the
-// modeled machine, while the wire round trips are real HTTP over real
-// sockets.
+// governed application: a client of jouleguard.Machine, the modeled
+// machine the paper's experiments run on. When the daemon says (appCfg,
+// sysCfg), the tenant "executes" the iteration on its machine, whose clock
+// advances by work/rate(sysCfg) seconds and whose meter by power(sysCfg) x
+// that duration — so the governor under test observes exactly the dynamics
+// it would on the modeled machine, while the wire round trips are real
+// HTTP over real sockets.
 
 import (
 	"context"
@@ -240,8 +239,8 @@ func (r *Report) Summary() string {
 		len(r.Tenants), r.Iterations, r.TotalSpentJ, r.TotalGrantJ, r.MaxOverGrant*100, r.Errors)
 }
 
-// tenant is the virtual application: clock and meter advance by the
-// platform model, decisions come from the wire.
+// tenant is the virtual application: its machine runs the iterations,
+// decisions come from the wire.
 type tenant struct {
 	name      string
 	app       string
@@ -249,11 +248,28 @@ type tenant struct {
 	tb        *jouleguard.Testbed
 	adversary bool
 
-	clockS  float64 // virtual seconds
-	energyJ float64 // virtual cumulative joules
-
 	done *atomic.Int64 // fleet-wide completed-iteration counter
 	res  TenantResult
+}
+
+// place points opts at the coordinator under key in cluster mode, and
+// in the factor-priced mode grants it claim priced budgets' worth of
+// joules.
+func (t *tenant) place(opts *client.Options, key string, claim float64) error {
+	if t.cfg.CoordinatorURL != "" {
+		opts.CoordinatorURL = t.cfg.CoordinatorURL
+		opts.CoordinatorURLs = t.cfg.CoordinatorURLs
+		opts.Key = key
+		opts.BaseURL = ""
+	}
+	if t.cfg.Factor > 0 {
+		b, err := t.tb.Budget(t.cfg.Factor, t.cfg.Iterations)
+		if err != nil {
+			return err
+		}
+		opts.BudgetJ = b * claim
+	}
+	return nil
 }
 
 // run executes the tenant's whole workload against the daemon.
@@ -271,23 +287,14 @@ func (t *tenant) run(ctx context.Context) {
 		DisableV2:  !t.cfg.WireV2,
 		TraceEvery: t.cfg.TraceEvery,
 		Tracer:     t.cfg.Tracer,
+		Seed:       t.cfg.Seed,
 	}
-	if t.cfg.CoordinatorURL != "" {
-		opts.CoordinatorURL = t.cfg.CoordinatorURL
-		opts.CoordinatorURLs = t.cfg.CoordinatorURLs
-		opts.Key = t.name
-		opts.BaseURL = ""
+	if err := t.place(&opts, t.name, 1); err != nil {
+		t.res.Err = err
+		return
 	}
-	if t.cfg.Factor > 0 {
-		b, err := t.tb.Budget(t.cfg.Factor, t.cfg.Iterations)
-		if err != nil {
-			t.res.Err = err
-			return
-		}
-		opts.BudgetJ = b
-	}
-	opts.Seed = t.cfg.Seed
-	sess, err := client.Open(ctx, opts, t.readEnergy, t.readNow)
+	m := t.tb.Machine()
+	sess, err := client.Open(ctx, opts, m.ReadEnergy, m.Now)
 	if err != nil {
 		t.res.Err = err
 		return
@@ -312,12 +319,7 @@ func (t *tenant) run(ctx context.Context) {
 			}
 			armed = true
 		}
-		// "Execute" the iteration on the modeled machine.
-		work, acc := t.tb.App.Step(appCfg, i)
-		dur := work / t.tb.Platform.Rate(sysCfg, t.tb.Profile)
-		t.clockS += dur
-		t.energyJ += t.tb.Platform.Power(sysCfg, t.tb.Profile) * dur
-
+		acc := m.Step(appCfg, sysCfg, i)
 		if t.cfg.WireV2 && i < t.cfg.Iterations-1 {
 			// Steady state: settle this iteration and fetch the next
 			// decision in one batched round trip.
@@ -355,9 +357,6 @@ func (t *tenant) run(ctx context.Context) {
 	t.noteDenial(t.res.Err)
 }
 
-func (t *tenant) readEnergy() (float64, error) { return t.energyJ, nil }
-func (t *tenant) readNow() float64             { return t.clockS }
-
 // noteDenial tallies err on the result if it is an enforcement denial.
 func (t *tenant) noteDenial(err error) {
 	switch {
@@ -386,9 +385,6 @@ func (t *tenant) runAdversary(ctx context.Context, stop <-chan struct{}) {
 			return
 		default:
 		}
-		// Fresh virtual clock and meter per registration: each session's
-		// readings are its own, as a restarted application's would be.
-		t.clockS, t.energyJ = 0, 0
 		opts := client.Options{
 			BaseURL:    t.cfg.BaseURL,
 			Tenant:     t.name,
@@ -404,25 +400,20 @@ func (t *tenant) runAdversary(ctx context.Context, stop <-chan struct{}) {
 		// whichever pricing mode the honest tenants use. Admission is
 		// claim-blind while the pool has room — noticing and punishing
 		// the sustained hogging is the QoS ladder's job.
-		if t.cfg.Factor > 0 {
-			b, err := t.tb.Budget(t.cfg.Factor, t.cfg.Iterations)
-			if err != nil {
-				t.res.Err = err
-				return
-			}
-			opts.BudgetJ = b * t.cfg.AdversaryWeight
-		} else {
+		if t.cfg.Factor <= 0 {
 			opts.Weight = t.cfg.AdversaryWeight * math.Max(t.cfg.Weight, 1)
 		}
-		if t.cfg.CoordinatorURL != "" {
-			opts.CoordinatorURL = t.cfg.CoordinatorURL
-			opts.CoordinatorURLs = t.cfg.CoordinatorURLs
-			// A fresh key per attempt: a suspended tenant re-placing under
-			// new keys is exactly the escape hatch fleet policy must close.
-			opts.Key = fmt.Sprintf("%s-r%d", t.name, t.res.Registrations)
-			opts.BaseURL = ""
+		// A fresh key per attempt in cluster mode: a suspended tenant
+		// re-placing under new keys is exactly the escape hatch fleet policy
+		// must close.
+		if err := t.place(&opts, fmt.Sprintf("%s-r%d", t.name, t.res.Registrations), t.cfg.AdversaryWeight); err != nil {
+			t.res.Err = err
+			return
 		}
-		sess, err := client.Open(ctx, opts, t.readEnergy, t.readNow)
+		// A fresh machine per registration: each session's readings are
+		// its own, as a restarted application's would be.
+		m := t.tb.Machine()
+		sess, err := client.Open(ctx, opts, m.ReadEnergy, m.Now)
 		if err != nil {
 			t.noteDenial(err)
 			select {
@@ -446,12 +437,7 @@ func (t *tenant) runAdversary(ctx context.Context, stop <-chan struct{}) {
 				t.noteDenial(err)
 				break
 			}
-			work, acc := t.tb.App.Step(appCfg, i)
-			dur := work / t.tb.Platform.Rate(sysCfg, t.tb.Profile)
-			t.clockS += dur
-			t.energyJ += t.tb.Platform.Power(sysCfg, t.tb.Profile) * dur
-			err = sess.Done(ctx, acc)
-			if err != nil {
+			if err := sess.Done(ctx, m.Step(appCfg, sysCfg, i)); err != nil {
 				t.noteDenial(err)
 				break
 			}

@@ -1,8 +1,9 @@
-// Command loadgen drives a jouleguardd daemon with N simulated tenants
-// and judges the run: every assertion a smoke target makes — each tenant
-// within -check of its grant, broker and fleet conservation, failover
-// seen, faults rejected, isolation held — is a non-zero exit when it
-// fails. It measures nothing; latency and throughput are bench/'s.
+// Command loadgen drives a jouleguardd daemon with N simulated tenants,
+// each a client of its own jouleguard.Machine, and judges the run: every
+// assertion a smoke target makes — each tenant within -check of its
+// grant, broker and fleet conservation, failover seen, faults rejected,
+// isolation held — is a non-zero exit when it fails. It measures
+// nothing; latency and throughput are bench/'s.
 //
 // Three modes:
 //
@@ -48,7 +49,6 @@ import (
 	"jouleguard/internal/client"
 	"jouleguard/internal/cluster"
 	"jouleguard/internal/faults"
-	"jouleguard/internal/guard"
 	"jouleguard/internal/measure"
 	"jouleguard/internal/qos"
 	"jouleguard/internal/server"
@@ -218,7 +218,7 @@ func main() {
 	}
 	if sh != nil {
 		if sh.rig != nil {
-			if err := sh.rig.verify(); err != nil {
+			if err := sh.verifyMeter(); err != nil {
 				fail(err)
 			}
 		}
@@ -317,7 +317,9 @@ type selfhost struct {
 	qos     qos.Config
 	srv     *server.Server
 	httpSrv *http.Server
-	rig     *meterRig
+	rig     *measure.SimBackend // -meter sim; nil bills the clients' readings
+	// meterFaults is set when counter faults are injected into rig.
+	meterFaults bool
 }
 
 func startSelfhost(globalJ float64, mo *meterOpts, qcfg qos.Config) (*selfhost, error) {
@@ -332,6 +334,7 @@ func startSelfhost(globalJ float64, mo *meterOpts, qcfg qos.Config) (*selfhost, 
 		qos:     qcfg,
 	}
 	if mo != nil {
+		sh.meterFaults = mo.inject
 		sh.rig, err = buildMeterRig(sh.tel, mo)
 		if err != nil {
 			return nil, err
@@ -364,8 +367,8 @@ func (sh *selfhost) serverConfig() server.Config {
 		cfg.SweepInterval = 25 * time.Millisecond
 	}
 	if sh.rig != nil {
-		cfg.Meter = sh.rig.svc
-		cfg.MeterStimulus = sh.rig.stimulus
+		cfg.Meter = sh.rig.Service
+		cfg.MeterStimulus = sh.rig.Stimulus
 	}
 	return cfg
 }
@@ -451,9 +454,9 @@ func (sh *selfhost) fleetIterations() (int, error) {
 // within the global pool.
 func (sh *selfhost) verifyBroker(rep *Report) error {
 	info := sh.srv.Broker().Info()
-	if info.CommittedJ+info.ConsumedJ > info.GlobalJ*1.0001 {
-		return fmt.Errorf("loadgen: broker over-committed: committed %.1f + consumed %.1f > global %.1f",
-			info.CommittedJ, info.ConsumedJ, info.GlobalJ)
+	if info.CommittedJ+info.ConsumedJ > info.GlobalJ*(1+1e-9) {
+		return fmt.Errorf("loadgen: broker over-committed: committed %.1f + consumed %.1f > global %.1f (by %.3g J)",
+			info.CommittedJ, info.ConsumedJ, info.GlobalJ, info.CommittedJ+info.ConsumedJ-info.GlobalJ)
 	}
 	if rep.TotalSpentJ > info.GlobalJ {
 		return fmt.Errorf("loadgen: fleet spent %.1f J of a %.1f J global budget", rep.TotalSpentJ, info.GlobalJ)
@@ -481,63 +484,35 @@ type meterOpts struct {
 	seed   int64
 }
 
-// meterRig is the selfhosted daemon's measurement stack in -meter=sim
-// mode: a calibrated simulated meter on a virtual clock that the
-// stimulus path advances by each settled iteration's reported duration.
-// Wire iterations finish in microseconds of wall time but represent
-// seconds of modeled work; on the virtual timeline the meter sees
-// physically plausible watts, so the gate judges the injected faults —
-// not the load generator's speed.
-type meterRig struct {
-	vc     *measure.VirtualClock
-	sim    *measure.SimMeter
-	svc    *measure.Service
-	inject bool
-}
-
-func buildMeterRig(tel *telemetry.Telemetry, mo *meterOpts) (*meterRig, error) {
-	vc := measure.NewVirtualClock()
-	sim := measure.NewSimMeter(measure.SimConfig{IdleW: 2, Seed: mo.seed, Now: vc.Now})
-	cal, err := measure.Calibrate(sim, measure.CalibrationConfig{Sleep: vc.Sleep, Now: vc.Now})
+// buildMeterRig is the selfhosted daemon's measurement stack in
+// -meter=sim mode: the calibrated simulated backend, whose virtual clock
+// the stimulus path advances by each settled iteration's reported
+// duration. Wire iterations finish in microseconds of wall time but
+// represent seconds of modeled work; on the virtual timeline the meter
+// sees physically plausible watts, so the gate judges the injected faults
+// — not the load generator's speed.
+func buildMeterRig(tel *telemetry.Telemetry, mo *meterOpts) (*measure.SimBackend, error) {
+	sim, err := measure.NewSimBackend(2, mo.seed, mo.modelW*16, tel)
 	if err != nil {
 		return nil, err
 	}
-	// No ModelPower: rejected samples are debited at the accepted-window
-	// median, which tracks the governed operating point. A fixed model
-	// at the app's default draw would over-debit every rejection ~2x
-	// once the governor has throttled the tenants below default.
-	svc := measure.NewService(measure.ServiceConfig{
-		Meter:    sim,
-		Gate:     guard.Config{MaxPower: mo.modelW * 16},
-		Baseline: cal,
-		Now:      vc.Now,
-		Tel:      tel,
-	})
-	r := &meterRig{vc: vc, sim: sim, svc: svc, inject: mo.inject}
 	if mo.inject {
 		// Rare additive counter spikes, installed after calibration so the
 		// baseline is honest. Each one must surface as a gate rejection
 		// (the spiked delta, then its negative echo) debited at the model
 		// estimate — never at the corrupted reading.
-		sim.SetFault(faults.NewSpike(0.03, 1, mo.spikeJ, mo.seed+99))
+		sim.Meter.SetFault(faults.NewSpike(0.03, 1, mo.spikeJ, mo.seed+99))
 	}
+	st := sim.Service.Status()
 	fmt.Fprintf(os.Stderr, "meter: %s backend, idle baseline %.2f W (calibration cv %.4f over %d trials)\n",
-		cal.Backend, cal.BaselineW, cal.CV, cal.Trials)
-	return r, nil
+		st.Backend, st.BaselineW, st.CalibrationCV, st.CalibrationTrials)
+	return sim, nil
 }
 
-// stimulus is the server's MeterStimulus hook: the client's reported
-// per-iteration energy becomes physical work in the fake counter, and
-// the virtual clock advances by the iteration's reported duration.
-func (r *meterRig) stimulus(joules, durS float64) {
-	r.sim.Deposit(joules)
-	r.vc.Advance(durS)
-}
-
-// verify prints the measurement service's post-run status and asserts
-// the run's meter invariants.
-func (r *meterRig) verify() error {
-	st := r.svc.Status()
+// verifyMeter prints the measurement service's post-run status and
+// asserts the run's meter invariants.
+func (sh *selfhost) verifyMeter() error {
+	st := sh.rig.Service.Status()
 	quarantined := ""
 	if st.Quarantined {
 		quarantined = " QUARANTINED"
@@ -546,7 +521,7 @@ func (r *meterRig) verify() error {
 		"trusted %.1f J (raw %.1f J), attributed %.1f J, unattributed %.1f J\n",
 		st.Samples, st.GateAccepted, st.GateRejected, st.Quarantines, quarantined,
 		st.TrustedJ, st.RawJ, st.AttributedJ, st.UnattributedJ)
-	return checkMeter(st, r.inject)
+	return checkMeter(st, sh.meterFaults)
 }
 
 // checkMeter is the meter rig's verdict: every attribution window

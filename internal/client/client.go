@@ -16,9 +16,11 @@
 //		sess.Done(ctx, measuredAccuracy)
 //	}
 //
-// Every call takes a context: cancellation aborts in-flight requests
-// and the retry/backoff loop alike, and Options.RequestTimeout bounds
-// each individual attempt.
+// Every call takes a context: cancellation aborts in-flight v1 requests
+// and the retry/backoff loop alike, so a caller bounds a v1 call (every
+// attempt and backoff sleep in it) with its ctx. A round on the v2 frame
+// stream does not watch ctx: it ends when the daemon answers or the
+// connection fails.
 //
 // Transient transport failures and daemon restarts are absorbed by
 // capped exponential backoff (internal/backoff, the same loop sysfs
@@ -97,15 +99,6 @@ type Options struct {
 	Seed        int64
 	IdleTimeout time.Duration // server-side idle expiry override
 
-	// RequestTimeout bounds each individual attempt (0 = only the
-	// caller's context bounds it).
-	RequestTimeout time.Duration
-
-	// HistoryCap bounds the completed-iteration record kept for failover
-	// catch-up (default 4096; iterations past the window are replayed as
-	// estimated observations instead of exact ones).
-	HistoryCap int
-
 	// DisableV2 pins the session to v1 JSON/HTTP even when the daemon
 	// offers the v2 frame stream (diagnostics; v1 is always available).
 	DisableV2 bool
@@ -175,7 +168,6 @@ type Session struct {
 	reg        wire.RegisterRequest
 	httpc      *http.Client
 	retry      RetryPolicy
-	timeout    time.Duration
 	readEnergy func() (float64, error)
 	now        func() float64
 
@@ -197,7 +189,6 @@ type Session struct {
 	hist     []iterHist // ring of completed iterations [histBase, histBase+len)
 	histBase int
 	histHead int // ring slot holding iteration histBase
-	histCap  int
 
 	traceEvery int // sampled round-trips per trace (0 = disabled)
 	tracer     *telemetry.SpanBuffer
@@ -238,10 +229,6 @@ func Open(ctx context.Context, opts Options, readEnergy func() (float64, error),
 	if httpc == nil {
 		httpc = defaultHTTPClient
 	}
-	histCap := opts.HistoryCap
-	if histCap <= 0 {
-		histCap = 4096
-	}
 	traceEvery := opts.TraceEvery
 	if traceEvery == 0 {
 		traceEvery = 256
@@ -253,10 +240,8 @@ func Open(ctx context.Context, opts Options, readEnergy func() (float64, error),
 		coords:     coords,
 		httpc:      httpc,
 		retry:      opts.Retry.Or(defaultRetry),
-		timeout:    opts.RequestTimeout,
 		readEnergy: readEnergy,
 		now:        now,
-		histCap:    histCap,
 		v2Disabled: opts.DisableV2,
 		traceEvery: traceEvery,
 		tracer:     opts.Tracer,
@@ -488,12 +473,17 @@ func (s *Session) reportDone(ctx context.Context, accuracy float64, estimated bo
 	return nil
 }
 
+// historyCap bounds the completed-iteration record kept for failover
+// catch-up; iterations past the window are replayed as estimated
+// observations instead of exact ones.
+const historyCap = 4096
+
 // record appends one completed iteration to the failover history. Once
 // the window is full it overwrites the oldest ring slot — record runs
 // once per governed iteration, and sliding a 4096-entry window down by
 // one per call was the client hot loop's largest single cost.
 func (s *Session) record(h iterHist) {
-	if len(s.hist) < s.histCap {
+	if len(s.hist) < historyCap {
 		s.hist = append(s.hist, h)
 		return
 	}
@@ -722,12 +712,7 @@ func (s *Session) callTo(ctx context.Context, base, method, path string, body, o
 		}
 	}
 	_, err := s.retry.DoContext(ctx, func() error {
-		attemptCtx, cancel := ctx, context.CancelFunc(func() {})
-		if s.timeout > 0 {
-			attemptCtx, cancel = context.WithTimeout(ctx, s.timeout)
-		}
-		status, raw, err := s.do(attemptCtx, base, method, path, payload)
-		cancel()
+		status, raw, err := s.do(ctx, base, method, path, payload)
 		if err != nil {
 			if ctx.Err() != nil {
 				return backoff.Permanent(ctx.Err()) // cancelled mid-request: stop, do not retry

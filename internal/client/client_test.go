@@ -17,32 +17,16 @@ import (
 	"jouleguard/internal/wire"
 )
 
-// machine simulates the governed application's clock and meter.
-type machine struct {
-	tb      *jouleguard.Testbed
-	clockS  float64
-	energyJ float64
-}
-
-func newMachine(t *testing.T) *machine {
+// newMachine is the modeled radar-on-Tablet machine a test's governed
+// application runs on.
+func newMachine(t *testing.T) *jouleguard.Machine {
 	t.Helper()
 	tb, err := jouleguard.NewTestbed("radar", "Tablet")
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &machine{tb: tb}
+	return tb.Machine()
 }
-
-func (m *machine) step(appCfg, sysCfg, iter int) float64 {
-	work, acc := m.tb.App.Step(appCfg, iter)
-	dur := work / m.tb.Platform.Rate(sysCfg, m.tb.Profile)
-	m.clockS += dur
-	m.energyJ += m.tb.Platform.Power(sysCfg, m.tb.Profile) * dur
-	return acc
-}
-
-func (m *machine) readEnergy() (float64, error) { return m.energyJ, nil }
-func (m *machine) readNow() float64             { return m.clockS }
 
 func newDaemon(t *testing.T, globalJ float64) *server.Server {
 	t.Helper()
@@ -70,7 +54,7 @@ func TestClientSessionLoop(t *testing.T) {
 	sess, err := client.Open(ctx, client.Options{
 		BaseURL: ts.URL, Tenant: "t1", App: "radar", Platform: "Tablet",
 		Iterations: 30, Factor: 2, Seed: 3,
-	}, m.readEnergy, m.readNow)
+	}, m.ReadEnergy, m.Now)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +66,7 @@ func TestClientSessionLoop(t *testing.T) {
 		if err != nil {
 			t.Fatalf("next %d: %v", i, err)
 		}
-		if err := sess.Done(ctx, m.step(appCfg, sysCfg, i)); err != nil {
+		if err := sess.Done(ctx, m.Step(appCfg, sysCfg, i)); err != nil {
 			t.Fatalf("done %d: %v", i, err)
 		}
 	}
@@ -170,7 +154,7 @@ func retriesTransientFailures(t *testing.T, disableV2, refuseV2 bool) {
 	sess, err := client.Open(ctx, client.Options{
 		BaseURL: ts.URL, App: "radar", Platform: "Tablet",
 		Iterations: 5, BudgetJ: 10, Retry: retry, DisableV2: disableV2,
-	}, m.readEnergy, m.readNow)
+	}, m.ReadEnergy, m.Now)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +182,7 @@ func retriesTransientFailures(t *testing.T, disableV2, refuseV2 bool) {
 	_, err = client.Open(ctx, client.Options{
 		BaseURL: ts.URL, App: "radar", Platform: "Tablet",
 		Iterations: 5, BudgetJ: 1e9, Retry: retry, DisableV2: disableV2,
-	}, m.readEnergy, m.readNow)
+	}, m.ReadEnergy, m.Now)
 	if !client.IsCode(err, wire.CodeBudgetExhausted) {
 		t.Fatalf("over-budget registration: got %v, want budget-exhausted", err)
 	}
@@ -227,7 +211,7 @@ func TestClientRidesThroughRestart(t *testing.T) {
 		BaseURL: ts.URL, App: "radar", Platform: "Tablet",
 		Iterations: 20, Factor: 2, Seed: 5,
 		Retry: client.RetryPolicy{BaseDelay: time.Millisecond, Sleep: func(time.Duration) {}},
-	}, m.readEnergy, m.readNow)
+	}, m.ReadEnergy, m.Now)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +220,7 @@ func TestClientRidesThroughRestart(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := sess.Done(ctx, m.step(appCfg, sysCfg, i)); err != nil {
+		if err := sess.Done(ctx, m.Step(appCfg, sysCfg, i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -246,7 +230,7 @@ func TestClientRidesThroughRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	acc := m.step(appCfg, sysCfg, 10)
+	acc := m.Step(appCfg, sysCfg, 10)
 
 	var snap strings.Builder
 	if err := srv1.Snapshot(&snap); err != nil {
@@ -273,7 +257,7 @@ func TestClientRidesThroughRestart(t *testing.T) {
 		if err != nil {
 			t.Fatalf("next %d after restart: %v", i, err)
 		}
-		if err := sess.Done(ctx, m.step(appCfg, sysCfg, i)); err != nil {
+		if err := sess.Done(ctx, m.Step(appCfg, sysCfg, i)); err != nil {
 			t.Fatalf("done %d after restart: %v", i, err)
 		}
 	}
@@ -311,7 +295,7 @@ func TestClientContextCancelsBackoff(t *testing.T) {
 		Iterations: 5, Factor: 2,
 		// Delays so long that only cancellation can end the call quickly.
 		Retry: client.RetryPolicy{MaxAttempts: 100, BaseDelay: 10 * time.Second, MaxDelay: time.Minute},
-	}, m.readEnergy, m.readNow)
+	}, m.ReadEnergy, m.Now)
 	if err == nil {
 		t.Fatal("open against a permanently draining daemon succeeded")
 	}
@@ -348,7 +332,7 @@ func TestClientRotatesPastStandbyAtOnce(t *testing.T) {
 		CoordinatorURL: standby.URL, CoordinatorURLs: []string{primary.URL}, Key: "k",
 		App: "radar", Platform: "Tablet", Iterations: 5, Factor: 2,
 		Retry: client.RetryPolicy{Sleep: func(time.Duration) { sleeps.Add(1) }},
-	}, m.readEnergy, m.readNow)
+	}, m.ReadEnergy, m.Now)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,7 +30,7 @@ func runTracedWorkload(t *testing.T, traceEvery int, tracer *telemetry.SpanBuffe
 		BaseURL: ts.URL, Tenant: "golden", App: "radar", Platform: "Tablet",
 		Iterations: iters, Factor: 2, Seed: 77,
 		TraceEvery: traceEvery, Tracer: tracer,
-	}, m.readEnergy, m.readNow)
+	}, m.ReadEnergy, m.Now)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func runTracedWorkload(t *testing.T, traceEvery int, tracer *telemetry.SpanBuffe
 		t.Fatal(err)
 	}
 	for i := 0; i < iters; i++ {
-		acc := m.step(appCfg, sysCfg, i)
+		acc := m.Step(appCfg, sysCfg, i)
 		if i == iters-1 {
 			if err := sess.Done(ctx, acc); err != nil {
 				t.Fatalf("final done: %v", err)

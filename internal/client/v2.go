@@ -57,8 +57,7 @@ func (v *v2Stream) close() {
 	v.conn.Close()
 }
 
-// v2DialTimeout bounds the upgrade handshake when Options.RequestTimeout
-// is unset.
+// v2DialTimeout bounds the dial and the upgrade handshake.
 const v2DialTimeout = 5 * time.Second
 
 // v2Ok reports whether the session can speak v2 right now: the daemon
@@ -81,7 +80,7 @@ func (s *Session) v2Acquire() bool {
 	v := idleStreams.get(s.base)
 	if v == nil {
 		var err error
-		if v, err = dialV2(s.base, s.timeout); err != nil {
+		if v, err = dialV2(s.base); err != nil {
 			s.v2Off = true
 			return false
 		}
@@ -122,7 +121,7 @@ func (s *Session) v2Release() {
 
 // dialV2 opens a TCP connection to the daemon and upgrades it to the
 // frame protocol with a plain HTTP/1.1 Upgrade handshake.
-func dialV2(base string, timeout time.Duration) (*v2Stream, error) {
+func dialV2(base string) (*v2Stream, error) {
 	u, err := url.Parse(base)
 	if err != nil {
 		return nil, err
@@ -134,14 +133,11 @@ func dialV2(base string, timeout time.Duration) (*v2Stream, error) {
 	if u.Port() == "" {
 		host = net.JoinHostPort(u.Hostname(), "80")
 	}
-	if timeout <= 0 {
-		timeout = v2DialTimeout
-	}
-	conn, err := net.DialTimeout("tcp", host, timeout)
+	conn, err := net.DialTimeout("tcp", host, v2DialTimeout)
 	if err != nil {
 		return nil, err
 	}
-	_ = conn.SetDeadline(time.Now().Add(timeout))
+	_ = conn.SetDeadline(time.Now().Add(v2DialTimeout))
 	req := "POST " + wire.V2Path + " HTTP/1.1\r\n" +
 		"Host: " + u.Host + "\r\n" +
 		"Upgrade: " + wire.V2Proto + "\r\n" +
@@ -176,15 +172,12 @@ func dialV2(base string, timeout time.Duration) (*v2Stream, error) {
 	}, nil
 }
 
-// v2Round sends one frame and reads the single response frame, under a
-// per-attempt deadline when one is configured. A transport failure
-// tears the stream down (reply-less writes are unrecoverable framing
-// loss) and reports !ok so the caller runs the v1 path.
+// v2Round sends one frame and reads the single response frame. A
+// transport failure tears the stream down (reply-less writes are
+// unrecoverable framing loss) and reports !ok so the caller runs the v1
+// path.
 func (s *Session) v2Round(send func(enc *wire.Encoder) error) (wire.Hdr, []byte, bool) {
 	s.v2.clean = false
-	if s.timeout > 0 {
-		_ = s.v2.conn.SetDeadline(time.Now().Add(s.timeout))
-	}
 	if err := send(s.v2.enc); err != nil {
 		s.v2Teardown(true)
 		return wire.Hdr{}, nil, false
@@ -197,9 +190,6 @@ func (s *Session) v2Round(send func(enc *wire.Encoder) error) (wire.Hdr, []byte,
 	if err != nil {
 		s.v2Teardown(true)
 		return wire.Hdr{}, nil, false
-	}
-	if s.timeout > 0 {
-		_ = s.v2.conn.SetDeadline(time.Time{})
 	}
 	s.v2.clean = s.v2.dec.Buffered() == 0
 	return h, p, true

@@ -68,7 +68,7 @@ func runGoldenWorkload(t *testing.T, disableV2 bool) goldenRun {
 		BaseURL: ts.URL, Tenant: "golden", App: "radar", Platform: "Tablet",
 		Iterations: iters, Factor: 2, Seed: 77,
 		DisableV2: disableV2,
-	}, m.readEnergy, m.readNow)
+	}, m.ReadEnergy, m.Now)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func runGoldenWorkload(t *testing.T, disableV2 bool) goldenRun {
 		t.Fatal(err)
 	}
 	for i := 0; i < iters; i++ {
-		acc := m.step(appCfg, sysCfg, i)
+		acc := m.Step(appCfg, sysCfg, i)
 		if i == iters-1 {
 			if err := sess.Done(ctx, acc); err != nil {
 				t.Fatalf("final done: %v", err)

@@ -307,7 +307,7 @@ func TestChaosPartitionThenHeal(t *testing.T) {
 	if code := d.tryNext(); code != "" {
 		t.Fatalf("session did not resume after heal: %s", code)
 	}
-	if _, _, _, blocked := fab.Stats(); blocked == 0 {
+	if _, _, blocked := fab.Stats(); blocked == 0 {
 		t.Fatal("fabric never blocked a partitioned request")
 	}
 }
@@ -344,7 +344,7 @@ func TestChaosMemberFlapping(t *testing.T) {
 	if diff := info.ConsumedJ - spent; diff < -1e-6 || diff > 1e-6 {
 		t.Fatalf("after 5 flaps: consumed %.6f J vs actual spend %.6f J", info.ConsumedJ, spent)
 	}
-	if drops, _, _, _ := fab.Stats(); drops == 0 {
+	if drops, _, _ := fab.Stats(); drops == 0 {
 		t.Fatal("seeded fabric never dropped a request; the flapping ran unchallenged")
 	}
 }

@@ -41,7 +41,7 @@ func TestClientRidesThroughNodeDeath(t *testing.T) {
 		Tenant:         "rider", App: "radar", Platform: "Tablet",
 		Iterations: 30, Factor: 2, Seed: 23,
 		Retry: client.RetryPolicy{MaxAttempts: 4, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond},
-	}, func() (float64, error) { return m.energyJ, nil }, func() float64 { return m.clockS })
+	}, m.ReadEnergy, m.Now)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestClientRidesThroughNodeDeath(t *testing.T) {
 		if err != nil {
 			t.Fatalf("next %d: %v", iter, err)
 		}
-		acc := m.step(appCfg, sysCfg, iter)
+		acc := m.Step(appCfg, sysCfg, iter)
 		if err := sess.Done(ctx, acc); err != nil {
 			t.Fatalf("done %d: %v", iter, err)
 		}

@@ -39,29 +39,15 @@ func (c *manualClock) Advance(d time.Duration) {
 	c.mu.Unlock()
 }
 
-// machine simulates the governed application's clock and energy meter
-// (same model the client tests use).
-type machine struct {
-	tb      *jouleguard.Testbed
-	clockS  float64
-	energyJ float64
-}
-
-func newMachine(t *testing.T) *machine {
+// newMachine is the modeled radar-on-Tablet machine a test's governed
+// application runs on.
+func newMachine(t *testing.T) *jouleguard.Machine {
 	t.Helper()
 	tb, err := jouleguard.NewTestbed("radar", "Tablet")
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &machine{tb: tb}
-}
-
-func (m *machine) step(appCfg, sysCfg, iter int) float64 {
-	work, acc := m.tb.App.Step(appCfg, iter)
-	dur := work / m.tb.Platform.Rate(sysCfg, m.tb.Profile)
-	m.clockS += dur
-	m.energyJ += m.tb.Platform.Power(sysCfg, m.tb.Profile) * dur
-	return acc
+	return tb.Machine()
 }
 
 // fleet is a coordinator plus N member daemons, all on httptest servers
@@ -223,7 +209,7 @@ type driver struct {
 	t    *testing.T
 	base string
 	id   string
-	m    *machine
+	m    *jouleguard.Machine
 	iter int
 }
 
@@ -281,14 +267,14 @@ func (f *fleet) place(key, tenant string, iters int, factor float64, seed int64)
 func (d *driver) step() (wire.NextResponse, wire.DoneResponse) {
 	d.t.Helper()
 	var next wire.NextResponse
-	if status, e := postJSON(d.t, d.base+wire.BasePath+"/"+d.id+"/next", wire.NextRequest{NowS: d.m.clockS}, &next); status != http.StatusOK {
+	if status, e := postJSON(d.t, d.base+wire.BasePath+"/"+d.id+"/next", wire.NextRequest{NowS: d.m.ClockS}, &next); status != http.StatusOK {
 		d.t.Fatalf("next: status %d %+v", status, e)
 	}
-	acc := d.m.step(next.AppConfig, next.SysConfig, d.iter)
+	acc := d.m.Step(next.AppConfig, next.SysConfig, d.iter)
 	d.iter++
 	var done wire.DoneResponse
 	if status, e := postJSON(d.t, d.base+wire.BasePath+"/"+d.id+"/done",
-		wire.DoneRequest{NowS: d.m.clockS, EnergyJ: d.m.energyJ, Accuracy: acc}, &done); status != http.StatusOK {
+		wire.DoneRequest{NowS: d.m.ClockS, EnergyJ: d.m.EnergyJ, Accuracy: acc}, &done); status != http.StatusOK {
 		d.t.Fatalf("done: status %d %+v", status, e)
 	}
 	return next, done
@@ -299,15 +285,15 @@ func (d *driver) step() (wire.NextResponse, wire.DoneResponse) {
 func (d *driver) tryNext() string {
 	d.t.Helper()
 	var next wire.NextResponse
-	status, e := postJSON(d.t, d.base+wire.BasePath+"/"+d.id+"/next", wire.NextRequest{NowS: d.m.clockS}, &next)
+	status, e := postJSON(d.t, d.base+wire.BasePath+"/"+d.id+"/next", wire.NextRequest{NowS: d.m.ClockS}, &next)
 	if status != http.StatusOK {
 		return e.Code
 	}
-	acc := d.m.step(next.AppConfig, next.SysConfig, d.iter)
+	acc := d.m.Step(next.AppConfig, next.SysConfig, d.iter)
 	d.iter++
 	var done wire.DoneResponse
 	if status, e := postJSON(d.t, d.base+wire.BasePath+"/"+d.id+"/done",
-		wire.DoneRequest{NowS: d.m.clockS, EnergyJ: d.m.energyJ, Accuracy: acc}, &done); status != http.StatusOK {
+		wire.DoneRequest{NowS: d.m.ClockS, EnergyJ: d.m.EnergyJ, Accuracy: acc}, &done); status != http.StatusOK {
 		d.t.Fatalf("done after successful next: status %d %+v", status, e)
 	}
 	return ""
@@ -333,7 +319,7 @@ func TestFleetLeaseLifecycle(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		d.step()
 	}
-	if d.m.energyJ <= 0 {
+	if d.m.EnergyJ <= 0 {
 		t.Fatal("workload consumed no energy")
 	}
 

@@ -38,10 +38,6 @@ type MemberConfig struct {
 	Advertise string
 	// Server is the local governor daemon the lease feeds.
 	Server *server.Server
-	// Heartbeat overrides the coordinator-suggested cadence (<= 0 keeps
-	// the suggestion; tests drive Beat/CheckFence manually via Run not
-	// being started).
-	Heartbeat time.Duration
 	// HTTPClient performs coordinator calls (nil builds one).
 	HTTPClient *http.Client
 	// Clock is injectable for tests (nil = time.Now).
@@ -178,9 +174,6 @@ func (m *Member) Join() error {
 	m.joined = true
 	m.epoch = resp.Epoch
 	m.beatEvery = time.Duration(resp.HeartbeatMS) * time.Millisecond
-	if m.cfg.Heartbeat > 0 {
-		m.beatEvery = m.cfg.Heartbeat
-	}
 	m.mu.Unlock()
 	m.applyLease(resp.LeaseJ, resp.TTLMS, true)
 	return nil

@@ -44,20 +44,24 @@ type Options struct {
 	FlatPriors      bool         // replace linear/cubic priors with flat ones
 	Selector        SelectorKind // exploration policy; "" = VDBE
 	FixedEpsilon    float64      // epsilon for SelectFixedEps
-	VDBEWeight      float64      // Eqn 2 blending weight; 0 = min(1/|Sys|, capped)
-	InfeasibleSlack float64      // tolerated overshoot of max speedup; 0 = 5%
 	KalmanEstimator bool         // replace Eqn 1's EWMA with Kalman filters
-	// DegradeAfter is the watchdog threshold: after this many consecutive
-	// rejected/missing observations the runtime forces its most
-	// conservative known-safe configuration until healthy feedback
-	// resumes. 0 = 5.
-	DegradeAfter int
-	Seed         int64
+	Seed            int64
 	// Telemetry streams decision traces and metrics into an observability
 	// sink (telemetry.New provides the live registry + flight recorder).
 	// nil disables instrumentation at zero cost.
 	Telemetry telemetry.Sink
 }
+
+const (
+	// degradeAfter is the watchdog threshold: after this many consecutive
+	// rejected/missing observations the runtime forces its most
+	// conservative known-safe configuration until healthy feedback
+	// resumes.
+	degradeAfter = 5
+	// infeasibleSlack is the tolerated overshoot of the maximum speedup
+	// before the goal is reported infeasible.
+	infeasibleSlack = 0.05
+)
 
 // Runtime is JouleGuard. It implements sim.Governor.
 type Runtime struct {
@@ -79,11 +83,9 @@ type Runtime struct {
 	iters      int
 	done       bool
 	infeasible bool
-	slack      float64 // tolerated overshoot of max speedup before flagging
 
 	// Watchdog: graceful degradation under broken sensing or a budget
 	// trajectory that cannot recover.
-	degradeAfter  int  // rejected-observation streak before degrading
 	badStreak     int  // consecutive insane/estimated observations
 	infStreak     int  // consecutive infeasible verdicts on live feedback
 	healStreak    int  // consecutive healthy observations while degraded
@@ -152,12 +154,9 @@ func New(workload, budget float64, frontier *knob.Frontier, nSys int, priors lea
 	var sel learning.Selector
 	switch opts.Selector {
 	case "", SelectVDBE:
-		w := opts.VDBEWeight
-		if w == 0 {
-			// Eqn 2 uses 1/|Sys|; cap the time constant at 100 updates so
-			// exploration can settle within a few-hundred-iteration run.
-			w = math.Max(1.0/float64(nSys), 1.0/40)
-		}
+		// Eqn 2 uses 1/|Sys|; cap the time constant at 100 updates so
+		// exploration can settle within a few-hundred-iteration run.
+		w := math.Max(1.0/float64(nSys), 1.0/40)
 		sel = learning.NewVDBE(nSys, alpha, rng, learning.WithUpdateWeight(w))
 	case SelectFixedEps:
 		sel = learning.NewFixedEpsilon(opts.FixedEpsilon, rng)
@@ -173,27 +172,17 @@ func New(workload, budget float64, frontier *knob.Frontier, nSys int, priors lea
 	if opts.FixedPoleSet {
 		ctrlOpts = append(ctrlOpts, control.WithFixedPole(opts.FixedPole))
 	}
-	slack := opts.InfeasibleSlack
-	if slack <= 0 {
-		slack = 0.05
-	}
-	degradeAfter := opts.DegradeAfter
-	if degradeAfter <= 0 {
-		degradeAfter = 5
-	}
 	r := &Runtime{
-		workload:     workload,
-		budget:       budget,
-		frontier:     frontier,
-		bandit:       bandit,
-		selector:     sel,
-		ctrl:         control.NewSpeedupController(ctrlOpts...),
-		rng:          src,
-		defSys:       defaultSys,
-		slack:        slack,
-		degradeAfter: degradeAfter,
-		sink:         telemetry.OrNop(opts.Telemetry),
-		traced:       opts.Telemetry != nil,
+		workload: workload,
+		budget:   budget,
+		frontier: frontier,
+		bandit:   bandit,
+		selector: sel,
+		ctrl:     control.NewSpeedupController(ctrlOpts...),
+		rng:      src,
+		defSys:   defaultSys,
+		sink:     telemetry.OrNop(opts.Telemetry),
+		traced:   opts.Telemetry != nil,
 	}
 	// Before any feedback: most accurate application configuration, and the
 	// prior-optimal system configuration (the priors stand in for the
@@ -307,7 +296,7 @@ func (r *Runtime) observe(fb *sim.Feedback) {
 		// degrade episodes. The estimates above keep learning from live
 		// data the whole time; the pin tracks the improving best arm.
 		r.healStreak++
-		if r.healStreak < r.degradeAfter {
+		if r.healStreak < degradeAfter {
 			r.nextSys = r.conservativeArm()
 			r.nextApp, _ = r.frontier.ForSpeedup(math.Inf(1))
 			return
@@ -393,8 +382,7 @@ func (r *Runtime) observe(fb *sim.Feedback) {
 		r.explored = false
 		rSel, pSel = r.bandit.Rate(ca), r.bandit.Power(ca)
 	}
-	slack := r.slack
-	if sReq > r.frontier.MaxSpeedup()*(1+slack) {
+	if sReq > r.frontier.MaxSpeedup()*(1+infeasibleSlack) {
 		// The goal is not achievable even at maximum approximation on the
 		// most efficient system configuration: report infeasibility and
 		// deliver the smallest possible energy (Sec. 3.4.3).
@@ -407,7 +395,7 @@ func (r *Runtime) observe(fb *sim.Feedback) {
 	} else {
 		r.infStreak = 0
 	}
-	if r.infStreak >= 3*r.degradeAfter {
+	if r.infStreak >= 3*degradeAfter {
 		// The projected trajectory has demanded more than maximum
 		// approximation for a sustained stretch: stop exploring and hold
 		// the known-safe minimum-energy configuration until the ledger
@@ -473,7 +461,7 @@ func (r *Runtime) record(fb *sim.Feedback, steps, pulls, trips int) {
 func (r *Runtime) noteRejected() {
 	r.badStreak++
 	r.healStreak = 0
-	if r.badStreak >= r.degradeAfter {
+	if r.badStreak >= degradeAfter {
 		r.degrade()
 	}
 }

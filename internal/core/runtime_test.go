@@ -301,19 +301,6 @@ func TestZeroDurationFeedbackIgnored(t *testing.T) {
 func TestCorruptFeedbackDoesNotPoison(t *testing.T) {
 	// NaN/Inf/negative observations must change nothing: same next
 	// decision, no budget movement, no learner update.
-	w := newFakeWorld(4)
-	f := testFrontier(t)
-	// DegradeAfter is raised past the number of bad samples so the
-	// watchdog (tested separately) does not legitimately move the pin.
-	gov, err := New(100, 1000, f, 4, optimisticPriors(w), 3, Options{DegradeAfter: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 20; i++ {
-		w.step(gov, f)
-	}
-	a0, s0 := gov.Decide(20)
-	sp0 := gov.Speedup()
 	bad := []sim.Feedback{
 		{Duration: math.NaN(), Power: 10, Energy: 10, IterationsDone: 21},
 		{Duration: 0.1, Power: math.Inf(1), Energy: 10, IterationsDone: 21},
@@ -323,18 +310,35 @@ func TestCorruptFeedbackDoesNotPoison(t *testing.T) {
 		{Duration: -0.1, Power: 10, Energy: 10, IterationsDone: 21},
 		{Duration: 0.1, Power: 10, Energy: 10, Accuracy: math.NaN(), IterationsDone: 21},
 	}
-	for i, fb := range bad {
-		gov.Observe(fb)
-		a, s := gov.Decide(21)
-		if a != a0 || s != s0 {
-			t.Fatalf("corrupt feedback %d changed the decision: (%d,%d) -> (%d,%d)", i, a0, s0, a, s)
+	// The samples go in runs shorter than the watchdog's threshold, each
+	// on a fresh governor, so the watchdog (tested separately) does not
+	// legitimately move the pin.
+	for start := 0; start < len(bad); start += degradeAfter - 1 {
+		run := bad[start:min(start+degradeAfter-1, len(bad))]
+		w := newFakeWorld(4)
+		f := testFrontier(t)
+		gov, err := New(100, 1000, f, 4, optimisticPriors(w), 3, Options{})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if gov.Speedup() != sp0 {
-			t.Fatalf("corrupt feedback %d moved the speedup demand", i)
+		for i := 0; i < 20; i++ {
+			w.step(gov, f)
 		}
-	}
-	if gov.badStreak != len(bad) {
-		t.Fatalf("rejected streak: %d, want %d", gov.badStreak, len(bad))
+		a0, s0 := gov.Decide(20)
+		sp0 := gov.Speedup()
+		for i, fb := range run {
+			gov.Observe(fb)
+			a, s := gov.Decide(21)
+			if a != a0 || s != s0 {
+				t.Fatalf("corrupt feedback %d changed the decision: (%d,%d) -> (%d,%d)", start+i, a0, s0, a, s)
+			}
+			if gov.Speedup() != sp0 {
+				t.Fatalf("corrupt feedback %d moved the speedup demand", start+i)
+			}
+		}
+		if gov.badStreak != len(run) {
+			t.Fatalf("rejected streak after samples %d..%d: %d, want %d", start, start+len(run)-1, gov.badStreak, len(run))
+		}
 	}
 }
 
@@ -343,7 +347,7 @@ func TestWatchdogDegradesAndRecovers(t *testing.T) {
 	// conservative pinned configuration; healthy feedback must release it.
 	w := newFakeWorld(8)
 	f := testFrontier(t)
-	gov, err := New(1000, 1e6, f, 8, optimisticPriors(w), 7, Options{DegradeAfter: 4})
+	gov, err := New(1000, 1e6, f, 8, optimisticPriors(w), 7, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,7 +357,10 @@ func TestWatchdogDegradesAndRecovers(t *testing.T) {
 	if gov.Degraded() {
 		t.Fatal("healthy run already degraded")
 	}
-	for i := 0; i < 4; i++ {
+	for i := 0; i < degradeAfter; i++ {
+		if gov.Degraded() {
+			t.Fatalf("watchdog tripped after %d of %d rejected samples", i, degradeAfter)
+		}
 		gov.Observe(sim.Feedback{Duration: math.NaN(), IterationsDone: 31 + i})
 	}
 	if !gov.Degraded() {
@@ -362,7 +369,7 @@ func TestWatchdogDegradesAndRecovers(t *testing.T) {
 	if gov.DegradeEvents() != 1 {
 		t.Fatalf("degrade events: %d", gov.DegradeEvents())
 	}
-	appCfg, sysCfg := gov.Decide(35)
+	appCfg, sysCfg := gov.Decide(31 + degradeAfter)
 	if appCfg != 4 {
 		t.Fatalf("degraded mode should pin max speedup (most conservative), got app %d", appCfg)
 	}
@@ -376,7 +383,7 @@ func TestWatchdogDegradesAndRecovers(t *testing.T) {
 	if !gov.Degraded() {
 		t.Fatal("a single healthy sample released the pin; recovery must be sticky")
 	}
-	for i := 0; i < 4; i++ {
+	for i := 0; i < degradeAfter; i++ {
 		w.step(gov, f)
 	}
 	if gov.Degraded() {
@@ -393,14 +400,14 @@ func TestEstimatedFeedbackCountsTowardDegradation(t *testing.T) {
 	// like missing data (an estimate must not reinforce itself).
 	w := newFakeWorld(8)
 	f := testFrontier(t)
-	gov, err := New(1000, 1e6, f, 8, optimisticPriors(w), 7, Options{DegradeAfter: 5})
+	gov, err := New(1000, 1e6, f, 8, optimisticPriors(w), 7, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 30; i++ {
 		w.step(gov, f)
 	}
-	for i := 0; i < 5; i++ {
+	for i := 0; i < degradeAfter; i++ {
 		gov.Observe(sim.Feedback{
 			Duration: 0.1, Power: 50, Energy: w.energy, Accuracy: 1,
 			IterationsDone: 31 + i, Estimated: true,

@@ -2,10 +2,10 @@
 // sensor/clock/actuator models. A Fabric stands between every HTTP hop
 // of a test cluster — client to node, member to coordinator, standby to
 // primary — and perturbs requests the way real networks do: messages
-// dropped, delayed, duplicated, and whole pairs of endpoints
-// partitioned from each other. Like every model in this package, the
-// stochastic behaviour is a pure function of the seed, so a chaos run
-// that found a hole is replayed exactly by naming its seed.
+// dropped, duplicated, and whole pairs of endpoints partitioned from
+// each other. Like every model in this package, the stochastic behaviour
+// is a pure function of the seed, so a chaos run that found a hole is
+// replayed exactly by naming its seed.
 package faults
 
 import (
@@ -29,21 +29,13 @@ type NetRules struct {
 	// exhibits. The caller sees the second response, so idempotency
 	// holes surface as state corruption, not test flakes.
 	DupP float64
-	// DelayP holds each request for Delay before delivery with this
-	// probability (congestion, scheduling, a slow proxy).
-	DelayP float64
-	Delay  time.Duration
-}
-
-func (r NetRules) zero() bool {
-	return r.DropP == 0 && r.DupP == 0 && (r.DelayP == 0 || r.Delay == 0)
 }
 
 // Fabric is a seeded network-fault plane for an in-process cluster.
 // Endpoints register under stable names; every component then talks
 // through Transport(name), and the fabric decides per request — from
-// the seed and nothing else — whether it is dropped, delayed,
-// duplicated, or blocked by a partition.
+// the seed and nothing else — whether it is dropped, duplicated, or
+// blocked by a partition.
 type Fabric struct {
 	mu    sync.Mutex
 	rng   *rand.Rand
@@ -53,7 +45,7 @@ type Fabric struct {
 	parts map[string]bool // "a|b" with a < b
 	sink  telemetry.Sink
 
-	drops, dups, delays, blocked int
+	drops, dups, blocked int
 }
 
 // NewFabric builds a fault plane; all stochastic decisions flow from
@@ -120,10 +112,10 @@ func (f *Fabric) Heal(a, b string) {
 }
 
 // Stats reports how many requests the fabric perturbed, by kind.
-func (f *Fabric) Stats() (drops, dups, delays, blocked int) {
+func (f *Fabric) Stats() (drops, dups, blocked int) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.drops, f.dups, f.delays, f.blocked
+	return f.drops, f.dups, f.blocked
 }
 
 // verdict is one request's fate, decided under the fabric lock so the
@@ -133,7 +125,6 @@ type verdict struct {
 	blocked bool
 	drop    bool
 	dup     bool
-	delay   time.Duration
 	dst     string
 }
 
@@ -153,7 +144,7 @@ func (f *Fabric) decide(src, hostport string) verdict {
 	if !ok {
 		r = f.def
 	}
-	if r.zero() {
+	if r.DropP == 0 && r.DupP == 0 {
 		return verdict{dst: dst}
 	}
 	v := verdict{dst: dst}
@@ -162,11 +153,6 @@ func (f *Fabric) decide(src, hostport string) verdict {
 		f.drops++
 		f.reportLocked()
 		return v
-	}
-	if r.Delay > 0 && f.rng.Float64() < r.DelayP {
-		v.delay = r.Delay
-		f.delays++
-		f.reportLocked()
 	}
 	if f.rng.Float64() < r.DupP {
 		v.dup = true
@@ -216,18 +202,6 @@ func (t *netTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 			req.Body.Close()
 		}
 		return nil, fmt.Errorf("faults: %s -> %s request dropped", t.src, v.dst)
-	}
-	if v.delay > 0 {
-		timer := time.NewTimer(v.delay)
-		select {
-		case <-timer.C:
-		case <-req.Context().Done():
-			timer.Stop()
-			if req.Body != nil {
-				req.Body.Close()
-			}
-			return nil, req.Context().Err()
-		}
 	}
 	if v.dup {
 		// Deliver twice: the first response is discarded, the caller sees

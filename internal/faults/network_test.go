@@ -46,7 +46,7 @@ func TestFabricPartitionBlocksBothDirections(t *testing.T) {
 	if hits.Load() != 1 {
 		t.Fatalf("server saw %d requests after heal, want 1", hits.Load())
 	}
-	_, _, _, blocked := fab.Stats()
+	_, _, blocked := fab.Stats()
 	if blocked != 1 {
 		t.Fatalf("blocked = %d, want 1", blocked)
 	}

@@ -77,13 +77,12 @@ func BusyFraction(prev, cur CPUTime) float64 {
 
 // CPUShare samples the host's busy fraction incrementally: each Sample
 // call returns the busy fraction since the previous call (the first call
-// primes the baseline and returns fallback). Reads that fail — /proc
-// missing in a container, a torn read — also return fallback, so the
-// attribution layer degrades to "charge the whole window" instead of
-// dropping joules on the floor.
+// primes the baseline and returns 1). Reads that fail — /proc missing in
+// a container, a torn read — also return 1, so the attribution layer
+// degrades to "charge the whole window" instead of dropping joules on the
+// floor.
 type CPUShare struct {
-	Root     string  // "" = /proc
-	Fallback float64 // returned when no delta is available (default 1)
+	Root string // "" = /proc
 
 	prev CPUTime
 	have bool
@@ -91,10 +90,7 @@ type CPUShare struct {
 
 // Sample returns the busy fraction since the last call.
 func (s *CPUShare) Sample() float64 {
-	fallback := s.Fallback
-	if fallback == 0 {
-		fallback = 1
-	}
+	const fallback = 1 // no delta: charge the whole window
 	cur, err := ReadCPUTime(s.Root)
 	if err != nil {
 		s.have = false

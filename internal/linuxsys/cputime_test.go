@@ -80,9 +80,9 @@ func TestCPUShareSample(t *testing.T) {
 	if got := s.Sample(); got != 1 {
 		t.Fatalf("stale call = %v, want fallback 1", got)
 	}
-	// Custom fallback honoured when the file disappears.
-	s2 := &CPUShare{Root: t.TempDir(), Fallback: 0.25}
-	if got := s2.Sample(); got != 0.25 {
-		t.Fatalf("missing stat = %v, want fallback 0.25", got)
+	// Fallback when the file disappears.
+	s2 := &CPUShare{Root: t.TempDir()}
+	if got := s2.Sample(); got != 1 {
+		t.Fatalf("missing stat = %v, want fallback 1", got)
 	}
 }

@@ -5,8 +5,8 @@
 // and actuates a configuration by writing cpufreq files and setting the
 // process's CPU affinity.
 //
-// Discovery and actuation take an explicit sysfs root so tests (and
-// dry-runs) can point at a synthetic tree; pass "" for the live /sys.
+// Discovery and actuation take an explicit sysfs root so tests can point
+// at a synthetic tree; pass "" for the live /sys.
 // Frequency writes require the userspace governor and root; affinity uses
 // sched_setaffinity on the calling process.
 package linuxsys
@@ -135,13 +135,10 @@ type Affinity func(cpus []int) error
 type Actuator struct {
 	topo     *Topology
 	affinity Affinity
-	// DryRun collects the writes instead of performing them.
-	DryRun bool
-	Log    []string
 }
 
-// NewActuator builds an actuator over a topology. affinity may be nil in
-// DryRun mode.
+// NewActuator builds an actuator over a topology. With a nil affinity
+// function, Apply fails.
 func NewActuator(topo *Topology, affinity Affinity) (*Actuator, error) {
 	if topo == nil {
 		return nil, fmt.Errorf("linuxsys: nil topology")
@@ -158,24 +155,16 @@ func (a *Actuator) Apply(i int) error {
 	}
 	cfg := cfgs[i]
 	cpus := a.topo.CPUs[:cfg.Cores]
-	if a.DryRun {
-		a.Log = append(a.Log, fmt.Sprintf("affinity %v", cpus))
-	} else {
-		if a.affinity == nil {
-			return fmt.Errorf("linuxsys: no affinity function configured")
-		}
-		if err := a.affinity(cpus); err != nil {
-			return fmt.Errorf("linuxsys: affinity: %w", err)
-		}
+	if a.affinity == nil {
+		return fmt.Errorf("linuxsys: no affinity function configured")
+	}
+	if err := a.affinity(cpus); err != nil {
+		return fmt.Errorf("linuxsys: affinity: %w", err)
 	}
 	for _, cpu := range a.topo.CPUs {
 		path := filepath.Join(a.topo.root, "devices", "system", "cpu",
 			fmt.Sprintf("cpu%d", cpu), "cpufreq", "scaling_setspeed")
 		val := strconv.Itoa(cfg.FreqKHz)
-		if a.DryRun {
-			a.Log = append(a.Log, fmt.Sprintf("write %s <- %s", path, val))
-			continue
-		}
 		if err := os.WriteFile(path, []byte(val), 0o644); err != nil {
 			return fmt.Errorf("linuxsys: setting %s: %w", path, err)
 		}

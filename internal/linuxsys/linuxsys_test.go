@@ -104,25 +104,34 @@ func TestConfigsShape(t *testing.T) {
 	}
 }
 
-func TestActuatorDryRun(t *testing.T) {
+// TestActuatorAppliesDefaultConfig checks the three writes the default
+// configuration makes on a two-CPU host: one affinity call pinning both
+// CPUs, and each CPU's frequency setpoint at the top of the ladder.
+func TestActuatorAppliesDefaultConfig(t *testing.T) {
 	root := fakeSys(t, 2, []int{500, 900}, true)
 	topo, _ := Discover(root)
-	a, err := NewActuator(topo, nil)
+	var pinned [][]int
+	a, err := NewActuator(topo, func(cpus []int) error {
+		pinned = append(pinned, append([]int(nil), cpus...))
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	a.DryRun = true
 	if err := a.Apply(topo.DefaultConfig()); err != nil {
 		t.Fatal(err)
 	}
-	if len(a.Log) != 3 { // 1 affinity + 2 freq writes
-		t.Fatalf("dry-run log: %v", a.Log)
+	if len(pinned) != 1 || len(pinned[0]) != 2 || pinned[0][0] != 0 || pinned[0][1] != 1 {
+		t.Fatalf("affinity calls: %v, want one pinning [0 1]", pinned)
 	}
-	if !strings.Contains(a.Log[0], "affinity [0 1]") {
-		t.Fatalf("affinity entry: %q", a.Log[0])
-	}
-	if !strings.Contains(a.Log[1], "900") {
-		t.Fatalf("freq entry: %q", a.Log[1])
+	for _, cpu := range []string{"cpu0", "cpu1"} {
+		raw, err := os.ReadFile(filepath.Join(root, "devices", "system", "cpu", cpu, "cpufreq", "scaling_setspeed"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if strings.TrimSpace(string(raw)) != "900" {
+			t.Fatalf("%s setspeed: %q, want 900", cpu, raw)
+		}
 	}
 }
 

@@ -4,8 +4,8 @@ package linuxsys
 
 import "fmt"
 
-// SchedAffinity is unavailable off Linux; the dry-run actuator still works
-// everywhere.
+// SchedAffinity is unavailable off Linux, so Actuator.Apply fails there
+// unless the caller hands NewActuator its own affinity function.
 func SchedAffinity(cpus []int) error {
 	return fmt.Errorf("linuxsys: sched_setaffinity requires Linux")
 }

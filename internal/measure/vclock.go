@@ -4,6 +4,9 @@ import (
 	"math"
 	"sync"
 	"time"
+
+	"jouleguard/internal/guard"
+	"jouleguard/internal/telemetry"
 )
 
 // VirtualClock is a monotone, hand-advanced time source for
@@ -60,4 +63,46 @@ func (c *VirtualClock) Sleep(d time.Duration) {
 	c.mu.Lock()
 	c.t = c.t.Add(d)
 	c.mu.Unlock()
+}
+
+// SimBackend is the simulated measurement backend, assembled in one place
+// for every daemon that bills it: a SimMeter and a calibrated Service on
+// one VirtualClock that only Stimulus moves. No sampling loop is started,
+// so sampling is settle-driven and deterministic.
+type SimBackend struct {
+	Meter   *SimMeter
+	Service *Service
+	clock   *VirtualClock
+}
+
+// NewSimBackend builds the backend: a meter idling at idleW watts with
+// noise drawn from seed, its idle baseline calibrated on the virtual
+// clock, and a service whose gate rejects per-sample power above
+// maxPowerW. There is no ModelPower: rejected samples are debited at the
+// accepted-window median, which tracks the governed operating point,
+// where a fixed model would over-debit every rejection once the governors
+// have throttled their tenants below full draw. tel may be nil.
+func NewSimBackend(idleW float64, seed int64, maxPowerW float64, tel *telemetry.Telemetry) (*SimBackend, error) {
+	vc := NewVirtualClock()
+	sim := NewSimMeter(SimConfig{IdleW: idleW, Seed: seed, Now: vc.Now})
+	cal, err := Calibrate(sim, CalibrationConfig{Sleep: vc.Sleep, Now: vc.Now})
+	if err != nil {
+		return nil, err
+	}
+	svc := NewService(ServiceConfig{
+		Meter:    sim,
+		Gate:     guard.Config{MaxPower: maxPowerW},
+		Baseline: cal,
+		Now:      vc.Now,
+		Tel:      tel,
+	})
+	return &SimBackend{Meter: sim, Service: svc, clock: vc}, nil
+}
+
+// Stimulus is the daemon's MeterStimulus hook: an iteration's reported
+// energy becomes physical work in the fake counter, and the virtual clock
+// advances by the iteration's reported duration.
+func (b *SimBackend) Stimulus(joules, durS float64) {
+	b.Meter.Deposit(joules)
+	b.clock.Advance(durS)
 }

@@ -128,14 +128,14 @@ func BenchmarkRestoreSession(b *testing.B) {
 			if werr != nil {
 				b.Fatal(werr)
 			}
-			m := newMemoMachine(b, "x264", "Server")
+			m := testbed(b, "x264", "Server").Machine()
 			for k := 0; k < iters; k++ {
-				next, werr := sess.next(wire.NextRequest{NowS: m.clockS}, monoNS())
+				next, werr := sess.next(wire.NextRequest{NowS: m.ClockS}, monoNS())
 				if werr != nil {
 					b.Fatal(werr)
 				}
-				acc := m.step(next.AppConfig, next.SysConfig)
-				if _, werr := sess.done(wire.DoneRequest{NowS: m.clockS, EnergyJ: m.energyJ, Accuracy: acc}); werr != nil {
+				acc := m.Step(next.AppConfig, next.SysConfig, 0)
+				if _, werr := sess.done(wire.DoneRequest{NowS: m.ClockS, EnergyJ: m.EnergyJ, Accuracy: acc}); werr != nil {
 					b.Fatal(werr)
 				}
 			}

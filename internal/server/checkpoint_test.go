@@ -9,42 +9,9 @@ import (
 	"time"
 
 	"jouleguard"
-	"jouleguard/internal/guard"
 	"jouleguard/internal/measure"
 	"jouleguard/internal/wire"
 )
-
-// memoMachine is simMachine with each application configuration's
-// kernel run once and remembered: the cut-point tests settle tens of
-// thousands of iterations, and what they pin is the governor, not radar.
-type memoMachine struct {
-	tb      *jouleguard.Testbed
-	steps   map[int][2]float64 // appCfg -> work, accuracy
-	clockS  float64
-	energyJ float64
-}
-
-func newMemoMachine(t testing.TB, app, plat string) *memoMachine {
-	t.Helper()
-	tb, err := jouleguard.NewTestbed(app, plat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &memoMachine{tb: tb, steps: map[int][2]float64{}}
-}
-
-func (m *memoMachine) step(appCfg, sysCfg int) float64 {
-	wa, ok := m.steps[appCfg]
-	if !ok {
-		w, a := m.tb.App.Step(appCfg, 0)
-		wa = [2]float64{w, a}
-		m.steps[appCfg] = wa
-	}
-	dur := wa[0] / m.tb.Platform.Rate(sysCfg, m.tb.Profile)
-	m.clockS += dur
-	m.energyJ += m.tb.Platform.Power(sysCfg, m.tb.Profile) * dur
-	return wa[1]
-}
 
 // cutRegime is one way of running the session under test.
 type cutRegime struct {
@@ -53,39 +20,23 @@ type cutRegime struct {
 	meter    bool // daemon bills a simulated meter, as loadgen -meter sim does
 }
 
-// cutRig is the measurement stack of a metering daemon. Like real
+// newCutRig is the measurement stack of a metering daemon. Like real
 // hardware it outlives the daemon: the servers on either side of a cut
 // share one.
-type cutRig struct {
-	vc  *measure.VirtualClock
-	sim *measure.SimMeter
-	svc *measure.Service
-}
-
-func newCutRig(t testing.TB, seed int64) *cutRig {
+func newCutRig(t testing.TB, seed int64) *measure.SimBackend {
 	t.Helper()
-	vc := measure.NewVirtualClock()
-	sim := measure.NewSimMeter(measure.SimConfig{IdleW: 2, Seed: seed, Now: vc.Now})
-	cal, err := measure.Calibrate(sim, measure.CalibrationConfig{Sleep: vc.Sleep, Now: vc.Now})
+	rig, err := measure.NewSimBackend(2, seed, 1e4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc := measure.NewService(measure.ServiceConfig{
-		Meter: sim, Gate: guard.Config{MaxPower: 1e4}, Baseline: cal, Now: vc.Now,
-	})
-	return &cutRig{vc: vc, sim: sim, svc: svc}
+	return rig
 }
 
-func (r *cutRig) stimulus(joules, durS float64) {
-	r.sim.Deposit(joules)
-	r.vc.Advance(durS)
-}
-
-func cutServer(t testing.TB, rig *cutRig) *Server {
+func cutServer(t testing.TB, rig *measure.SimBackend) *Server {
 	t.Helper()
 	cfg := Config{GlobalBudgetJ: 1e9, SweepInterval: -1}
 	if rig != nil {
-		cfg.Meter, cfg.MeterStimulus = rig.svc, rig.stimulus
+		cfg.Meter, cfg.MeterStimulus = rig.Service, rig.Stimulus
 	}
 	srv, err := New(cfg)
 	if err != nil {
@@ -106,17 +57,20 @@ type cutTrace struct {
 }
 
 // drive settles iterations [from, to) of sess against m, appending to tr.
-func (tr *cutTrace) drive(t testing.TB, srv *Server, sess *session, m *memoMachine, re cutRegime, from, to int) {
+// Every iteration runs the kernel on input 0: the cut-point tests settle
+// tens of thousands of iterations, and what they pin is the governor, not
+// the kernel, whose Step the registry already caches per (config, input).
+func (tr *cutTrace) drive(t testing.TB, srv *Server, sess *session, m *jouleguard.Machine, re cutRegime, from, to int) {
 	t.Helper()
 	for k := from; k < to; k++ {
-		next, werr := sess.next(wire.NextRequest{NowS: m.clockS}, monoNS())
+		next, werr := sess.next(wire.NextRequest{NowS: m.ClockS}, monoNS())
 		if werr != nil {
 			t.Fatalf("next %d: %v", k, werr)
 		}
-		acc := m.step(next.AppConfig, next.SysConfig)
-		req := wire.DoneRequest{NowS: m.clockS, EnergyJ: m.energyJ, Accuracy: acc}
+		acc := m.Step(next.AppConfig, next.SysConfig, 0)
+		req := wire.DoneRequest{NowS: m.ClockS, EnergyJ: m.EnergyJ, Accuracy: acc}
 		if re.errEvery > 0 && k%re.errEvery == re.errEvery-1 {
-			req = wire.DoneRequest{NowS: m.clockS, EnergyErr: true, Accuracy: acc}
+			req = wire.DoneRequest{NowS: m.ClockS, EnergyErr: true, Accuracy: acc}
 		}
 		done, werr := sess.done(req)
 		if werr != nil {
@@ -198,7 +152,7 @@ func TestCheckpointCutPointsBitIdentical(t *testing.T) {
 		{seed: 17, meter: true, errEvery: 7},
 	}
 	for _, re := range regimes {
-		rigFor := func() *cutRig {
+		rigFor := func() *measure.SimBackend {
 			if re.meter {
 				return newCutRig(t, re.seed)
 			}
@@ -208,7 +162,7 @@ func TestCheckpointCutPointsBitIdentical(t *testing.T) {
 		{
 			srv := cutServer(t, rigFor())
 			sess := cutRegister(t, srv, re.seed, total)
-			ref.drive(t, srv, sess, newMemoMachine(t, "radar", "Tablet"), re, 0, total)
+			ref.drive(t, srv, sess, testbed(t, "radar", "Tablet").Machine(), re, 0, total)
 			ref.finish(t, sess)
 			if len(sess.log) > K || sess.base+len(sess.log) != total {
 				t.Fatalf("uninterrupted session retains %d records from %d after %d iterations", len(sess.log), sess.base, total)
@@ -219,14 +173,14 @@ func TestCheckpointCutPointsBitIdentical(t *testing.T) {
 				t.Run(fmt.Sprintf("%+v/cut=%d,armed=%v/%s", re, c.at, c.armed, how), func(t *testing.T) {
 					rig := rigFor()
 					got := &cutTrace{}
-					m := newMemoMachine(t, "radar", "Tablet")
+					m := testbed(t, "radar", "Tablet").Machine()
 					src := cutServer(t, rig)
 					sess := cutRegister(t, src, re.seed, total)
 					got.drive(t, src, sess, m, re, 0, c.at)
 					if c.armed {
 						// The bracket opened here is lost with the daemon; the
 						// client opens it again on the far side at the same time.
-						if _, werr := sess.next(wire.NextRequest{NowS: m.clockS}, monoNS()); werr != nil {
+						if _, werr := sess.next(wire.NextRequest{NowS: m.ClockS}, monoNS()); werr != nil {
 							t.Fatal(werr)
 						}
 					}
@@ -292,7 +246,7 @@ func TestSessionLogBounded(t *testing.T) {
 	const K = checkpointEvery
 	srv := cutServer(t, nil)
 	sess := cutRegister(t, srv, 3, 50*K+1)
-	m := newMemoMachine(t, "radar", "Tablet")
+	m := testbed(t, "radar", "Tablet").Machine()
 	tr := &cutTrace{}
 	tr.drive(t, srv, sess, m, cutRegime{}, 0, 2*K)
 	logCap, ckptCap := cap(sess.log), cap(sess.ckpt)
@@ -325,7 +279,7 @@ func TestExportCursor(t *testing.T) {
 	const K = checkpointEvery
 	srv := cutServer(t, nil)
 	sess := cutRegister(t, srv, 5, 4*K)
-	m := newMemoMachine(t, "radar", "Tablet")
+	m := testbed(t, "radar", "Tablet").Machine()
 	tr := &cutTrace{}
 	tr.drive(t, srv, sess, m, cutRegime{}, 0, K+10)
 	export := func(from int) SessionExport { return srv.Export(map[string]int{sess.id: from})[0] }
@@ -368,7 +322,7 @@ func TestRestoreCostIndependentOfUptime(t *testing.T) {
 	measure := func(iters int) cost {
 		srv := cutServer(t, nil)
 		sess := cutRegister(t, srv, 9, iters+1)
-		(&cutTrace{}).drive(t, srv, sess, newMemoMachine(t, "radar", "Tablet"), cutRegime{errEvery: 11}, 0, iters)
+		(&cutTrace{}).drive(t, srv, sess, testbed(t, "radar", "Tablet").Machine(), cutRegime{errEvery: 11}, 0, iters)
 		var snap bytes.Buffer
 		if err := srv.Snapshot(&snap); err != nil {
 			t.Fatal(err)

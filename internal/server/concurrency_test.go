@@ -35,6 +35,7 @@ func TestConcurrentTenants(t *testing.T) {
 		spent  float64
 		errors []error
 	)
+	tb := testbed(t, "radar", "Tablet")
 	var wg sync.WaitGroup
 	for i := 0; i < tenants; i++ {
 		wg.Add(1)
@@ -60,17 +61,17 @@ func TestConcurrentTenants(t *testing.T) {
 			ids[reg.SessionID] = true
 			mu.Unlock()
 
-			m := newSimMachine(t, "radar", "Tablet")
+			m := tb.Machine()
 			base := wire.BasePath + "/" + reg.SessionID
 			var last wire.DoneResponse
 			for k := 0; k < iters; k++ {
 				var next wire.NextResponse
-				if status, _ := doJSON(t, ts, "POST", base+"/next", wire.NextRequest{NowS: m.clockS}, &next); status != 200 {
+				if status, _ := doJSON(t, ts, "POST", base+"/next", wire.NextRequest{NowS: m.ClockS}, &next); status != 200 {
 					break
 				}
-				acc := m.step(next.AppConfig, next.SysConfig, k)
+				acc := m.Step(next.AppConfig, next.SysConfig, k)
 				if status, _ := doJSON(t, ts, "POST", base+"/done", wire.DoneRequest{
-					NowS: m.clockS, EnergyJ: m.energyJ, Accuracy: acc,
+					NowS: m.ClockS, EnergyJ: m.EnergyJ, Accuracy: acc,
 				}, &last); status != 200 {
 					break
 				}

@@ -116,18 +116,18 @@ func TestQoSIsolationUnderChurn(t *testing.T) {
 					fail("honest %s round %d: register HTTP %d code %q: %s", tenant, r, status, werr.Code, werr.Error)
 					return
 				}
-				m := newSimMachine(t, "radar", "Tablet")
+				m := tb.Machine()
 				base := wire.BasePath + "/" + reg.SessionID
 				for k := 0; k < iters; k++ {
 					var next wire.NextResponse
-					if status, werr := doJSON(t, ts, "POST", base+"/next", wire.NextRequest{NowS: m.clockS}, &next); status != 200 {
+					if status, werr := doJSON(t, ts, "POST", base+"/next", wire.NextRequest{NowS: m.ClockS}, &next); status != 200 {
 						fail("honest %s iter %d: Next HTTP %d code %q", tenant, k, status, werr.Code)
 						return
 					}
-					acc := m.step(next.AppConfig, next.SysConfig, k)
+					acc := m.Step(next.AppConfig, next.SysConfig, k)
 					var dresp wire.DoneResponse
 					if status, werr := doJSON(t, ts, "POST", base+"/done", wire.DoneRequest{
-						NowS: m.clockS, EnergyJ: m.energyJ, Accuracy: acc,
+						NowS: m.ClockS, EnergyJ: m.EnergyJ, Accuracy: acc,
 					}, &dresp); status != 200 {
 						fail("honest %s iter %d: Done HTTP %d code %q", tenant, k, status, werr.Code)
 						return

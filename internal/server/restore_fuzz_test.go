@@ -109,8 +109,8 @@ func TestRestoreParentCheckpoint(t *testing.T) {
 			t.Fatalf("%s restored at %d iterations / %.17g J, the writing daemon stood at %d / %.17g J",
 				want.key, x.Done, x.SpentJ, want.done, want.spent)
 		}
-		m := newMemoMachine(t, "radar", "Tablet")
-		m.clockS, m.energyJ = want.clockS, want.energyJ
+		m := testbed(t, "radar", "Tablet").Machine()
+		m.ClockS, m.EnergyJ = want.clockS, want.energyJ
 		var tr cutTrace
 		tr.drive(t, srv, sess, m, want.re, want.done, want.done+want.more)
 		last := tr.decisions[len(tr.decisions)-1]
@@ -224,7 +224,7 @@ func fuzzSource(t testing.TB) (*Server, *session) {
 	const total = 3 * checkpointEvery
 	srv := cutServer(t, nil)
 	sess := cutRegister(t, srv, 7, total)
-	(&cutTrace{}).drive(t, srv, sess, newMemoMachine(t, "radar", "Tablet"), cutRegime{errEvery: 9}, 0, checkpointEvery+5)
+	(&cutTrace{}).drive(t, srv, sess, testbed(t, "radar", "Tablet").Machine(), cutRegime{errEvery: 9}, 0, checkpointEvery+5)
 	return srv, sess
 }
 

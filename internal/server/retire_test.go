@@ -35,7 +35,7 @@ func TestTerminalSessionReleasesStack(t *testing.T) {
 			ts := httptest.NewServer(srv.Handler())
 			defer ts.Close()
 			sess := cutRegister(t, srv, 5, 50)
-			(&cutTrace{}).drive(t, srv, sess, newMemoMachine(t, "radar", "Tablet"), cutRegime{errEvery: 4}, 0, 12)
+			(&cutTrace{}).drive(t, srv, sess, testbed(t, "radar", "Tablet").Machine(), cutRegime{errEvery: 4}, 0, 12)
 			live := sess.info(true)
 			if live.IterDone != 12 || live.SpentJ <= 0 || live.MeanAcc <= 0 {
 				t.Fatalf("live session reports %+v", live)

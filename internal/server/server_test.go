@@ -40,31 +40,15 @@ func shutdown(s *Server) {
 	_ = s.Shutdown(ctx)
 }
 
-// simMachine advances a virtual clock and energy meter by the platform
-// model, like a governed application would.
-type simMachine struct {
-	tb      *jouleguard.Testbed
-	clockS  float64
-	energyJ float64
-}
-
-func newSimMachine(t *testing.T, app, plat string) *simMachine {
+// testbed is app on plat; its Machine is the governed application the
+// tests drive.
+func testbed(t testing.TB, app, plat string) *jouleguard.Testbed {
 	t.Helper()
 	tb, err := jouleguard.NewTestbed(app, plat)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &simMachine{tb: tb}
-}
-
-// step executes one iteration at the given configs and returns accuracy.
-func (m *simMachine) step(appCfg, sysCfg, iter int) float64 {
-	work, acc := m.tb.App.Step(appCfg, iter)
-	rate := m.tb.Platform.Rate(sysCfg, m.tb.Profile)
-	dur := work / rate
-	m.clockS += dur
-	m.energyJ += m.tb.Platform.Power(sysCfg, m.tb.Profile) * dur
-	return acc
+	return tb
 }
 
 // doJSON is a bare-bones wire client for protocol-shape assertions.
@@ -124,17 +108,17 @@ func TestProtocolRoundTrip(t *testing.T) {
 		t.Fatalf("register response %+v", reg)
 	}
 
-	m := newSimMachine(t, "radar", "Tablet")
+	m := testbed(t, "radar", "Tablet").Machine()
 	base := wire.BasePath + "/" + reg.SessionID
 	var last wire.DoneResponse
 	for i := 0; i < iters; i++ {
 		var next wire.NextResponse
-		if status, werr := doJSON(t, ts, "POST", base+"/next", wire.NextRequest{NowS: m.clockS}, &next); status != http.StatusOK {
+		if status, werr := doJSON(t, ts, "POST", base+"/next", wire.NextRequest{NowS: m.ClockS}, &next); status != http.StatusOK {
 			t.Fatalf("next %d: status %d %+v", i, status, werr)
 		}
-		acc := m.step(next.AppConfig, next.SysConfig, i)
+		acc := m.Step(next.AppConfig, next.SysConfig, i)
 		if status, werr := doJSON(t, ts, "POST", base+"/done", wire.DoneRequest{
-			NowS: m.clockS, EnergyJ: m.energyJ, Accuracy: acc,
+			NowS: m.ClockS, EnergyJ: m.EnergyJ, Accuracy: acc,
 		}, &last); status != http.StatusOK {
 			t.Fatalf("done %d: status %d %+v", i, status, werr)
 		}
@@ -147,7 +131,7 @@ func TestProtocolRoundTrip(t *testing.T) {
 	}
 
 	// Next past completion is a conflict with a stable code.
-	if status, werr := doJSON(t, ts, "POST", base+"/next", wire.NextRequest{NowS: m.clockS}, nil); status != http.StatusConflict || werr.Code != wire.CodeSessionComplete {
+	if status, werr := doJSON(t, ts, "POST", base+"/next", wire.NextRequest{NowS: m.ClockS}, nil); status != http.StatusConflict || werr.Code != wire.CodeSessionComplete {
 		t.Fatalf("next past complete: %d %+v", status, werr)
 	}
 
@@ -231,9 +215,9 @@ func TestDrainingRefusesNewWork(t *testing.T) {
 		App: "radar", Platform: "Tablet", Iterations: 10, BudgetJ: 100,
 	}, &reg)
 	base := wire.BasePath + "/" + reg.SessionID
-	m := newSimMachine(t, "radar", "Tablet")
+	m := testbed(t, "radar", "Tablet").Machine()
 	var next wire.NextResponse
-	doJSON(t, ts, "POST", base+"/next", wire.NextRequest{NowS: m.clockS}, &next)
+	doJSON(t, ts, "POST", base+"/next", wire.NextRequest{NowS: m.ClockS}, &next)
 
 	// Shutdown with an armed iteration outstanding: the drain must wait
 	// for its Done, which is still accepted.
@@ -251,16 +235,16 @@ func TestDrainingRefusesNewWork(t *testing.T) {
 		t.Fatalf("register while draining: %d %+v", status, werr)
 	}
 
-	acc := m.step(next.AppConfig, next.SysConfig, 0)
+	acc := m.Step(next.AppConfig, next.SysConfig, 0)
 	if status, werr := doJSON(t, ts, "POST", base+"/done", wire.DoneRequest{
-		NowS: m.clockS, EnergyJ: m.energyJ, Accuracy: acc,
+		NowS: m.ClockS, EnergyJ: m.EnergyJ, Accuracy: acc,
 	}, nil); status != http.StatusOK {
 		t.Fatalf("done while draining: %d %+v", status, werr)
 	}
 	if err := <-drained; err != nil {
 		t.Fatalf("drain: %v", err)
 	}
-	if status, werr := doJSON(t, ts, "POST", base+"/next", wire.NextRequest{NowS: m.clockS}, nil); status != http.StatusServiceUnavailable || werr.Code != wire.CodeDraining {
+	if status, werr := doJSON(t, ts, "POST", base+"/next", wire.NextRequest{NowS: m.ClockS}, nil); status != http.StatusServiceUnavailable || werr.Code != wire.CodeDraining {
 		t.Fatalf("next after drain: %d %+v", status, werr)
 	}
 }
@@ -353,13 +337,13 @@ func TestMetricsAndSessionDecisions(t *testing.T) {
 	doJSON(t, ts, "POST", wire.BasePath, wire.RegisterRequest{
 		App: "radar", Platform: "Tablet", Iterations: 10, BudgetJ: 100,
 	}, &reg)
-	m := newSimMachine(t, "radar", "Tablet")
+	m := testbed(t, "radar", "Tablet").Machine()
 	base := wire.BasePath + "/" + reg.SessionID
 	for i := 0; i < 5; i++ {
 		var next wire.NextResponse
-		doJSON(t, ts, "POST", base+"/next", wire.NextRequest{NowS: m.clockS}, &next)
-		acc := m.step(next.AppConfig, next.SysConfig, i)
-		doJSON(t, ts, "POST", base+"/done", wire.DoneRequest{NowS: m.clockS, EnergyJ: m.energyJ, Accuracy: acc}, nil)
+		doJSON(t, ts, "POST", base+"/next", wire.NextRequest{NowS: m.ClockS}, &next)
+		acc := m.Step(next.AppConfig, next.SysConfig, i)
+		doJSON(t, ts, "POST", base+"/done", wire.DoneRequest{NowS: m.ClockS, EnergyJ: m.EnergyJ, Accuracy: acc}, nil)
 	}
 
 	scrape, err := ts.Client().Get(ts.URL + "/metrics")

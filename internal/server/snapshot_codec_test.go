@@ -143,7 +143,7 @@ func TestSnapshotLinesAreEncodingJSONs(t *testing.T) {
 	rig := newCutRig(t, 4)
 	metered := cutServer(t, rig)
 	sess := cutRegister(t, metered, 5, 100)
-	(&cutTrace{}).drive(t, metered, sess, newMemoMachine(t, "radar", "Tablet"), cutRegime{errEvery: 7, meter: true}, 0, 40)
+	(&cutTrace{}).drive(t, metered, sess, testbed(t, "radar", "Tablet").Machine(), cutRegime{errEvery: 7, meter: true}, 0, 40)
 	for _, srv := range []*Server{src, metered} {
 		var snap bytes.Buffer
 		if err := srv.Snapshot(&snap); err != nil {
@@ -198,7 +198,7 @@ func poison(t *testing.T, srv *Server) {
 func TestSnapshotFileLeavesNoTemp(t *testing.T) {
 	srv := cutServer(t, nil)
 	sess := cutRegister(t, srv, 3, 50)
-	(&cutTrace{}).drive(t, srv, sess, newMemoMachine(t, "radar", "Tablet"), cutRegime{}, 0, 10)
+	(&cutTrace{}).drive(t, srv, sess, testbed(t, "radar", "Tablet").Machine(), cutRegime{}, 0, 10)
 	dir := t.TempDir()
 	path := filepath.Join(dir, "snap.jsonl")
 	if err := srv.SnapshotFile(path); err != nil {
@@ -245,7 +245,7 @@ func TestRestoreLongCheckpointLine(t *testing.T) {
 		t.Fatal(werr)
 	}
 	const settles = 4*checkpointEvery + 3
-	(&cutTrace{}).drive(t, srv, sess, newMemoMachine(t, "x264", "Server"), cutRegime{errEvery: 13}, 0, settles)
+	(&cutTrace{}).drive(t, srv, sess, testbed(t, "x264", "Server").Machine(), cutRegime{errEvery: 13}, 0, settles)
 	var snap bytes.Buffer
 	if err := srv.Snapshot(&snap); err != nil {
 		t.Fatal(err)

@@ -5,24 +5,25 @@ import (
 	"reflect"
 	"testing"
 
+	"jouleguard"
 	"jouleguard/internal/wire"
 )
 
 // driveIters runs n bracketed iterations of sess against m, failing the
 // test on any protocol error.
-func driveIters(t *testing.T, srv *Server, id string, m *simMachine, start, n int) {
+func driveIters(t *testing.T, srv *Server, id string, m *jouleguard.Machine, start, n int) {
 	t.Helper()
 	sess, werr := srv.lookup(id)
 	if werr != nil {
 		t.Fatalf("lookup %s: %v", id, werr)
 	}
 	for k := start; k < start+n; k++ {
-		next, werr := sess.next(wire.NextRequest{NowS: m.clockS}, monoNS())
+		next, werr := sess.next(wire.NextRequest{NowS: m.ClockS}, monoNS())
 		if werr != nil {
 			t.Fatalf("next %d: %v", k, werr)
 		}
-		acc := m.step(next.AppConfig, next.SysConfig, k)
-		if _, werr := sess.done(wire.DoneRequest{NowS: m.clockS, EnergyJ: m.energyJ, Accuracy: acc}); werr != nil {
+		acc := m.Step(next.AppConfig, next.SysConfig, k)
+		if _, werr := sess.done(wire.DoneRequest{NowS: m.ClockS, EnergyJ: m.EnergyJ, Accuracy: acc}); werr != nil {
 			t.Fatalf("done %d: %v", k, werr)
 		}
 	}
@@ -48,7 +49,7 @@ func TestSnapshotRestoreBitIdentical(t *testing.T) {
 	id := resp.SessionID
 
 	// Run half the workload, then "kill" the daemon: snapshot its state.
-	m1 := newSimMachine(t, "radar", "Tablet")
+	m1 := testbed(t, "radar", "Tablet").Machine()
 	driveIters(t, srv1, id, m1, 0, 60)
 	var snap bytes.Buffer
 	if err := srv1.Snapshot(&snap); err != nil {
@@ -85,10 +86,10 @@ func TestSnapshotRestoreBitIdentical(t *testing.T) {
 
 	// Both daemons now govern identical virtual machines forward: every
 	// decision must agree, or the restored RNG/controller state differs.
-	m2 := &simMachine{tb: m1.tb, clockS: m1.clockS, energyJ: m1.energyJ}
+	m2 := *m1
 	for k := 60; k < 120; k++ {
-		n1, werr1 := s1.next(wire.NextRequest{NowS: m1.clockS}, monoNS())
-		n2, werr2 := s2.next(wire.NextRequest{NowS: m2.clockS}, monoNS())
+		n1, werr1 := s1.next(wire.NextRequest{NowS: m1.ClockS}, monoNS())
+		n2, werr2 := s2.next(wire.NextRequest{NowS: m2.ClockS}, monoNS())
 		if werr1 != nil || werr2 != nil {
 			t.Fatalf("next %d: %v / %v", k, werr1, werr2)
 		}
@@ -96,10 +97,10 @@ func TestSnapshotRestoreBitIdentical(t *testing.T) {
 			t.Fatalf("decision %d diverged: (%d,%d) vs (%d,%d)",
 				k, n1.AppConfig, n1.SysConfig, n2.AppConfig, n2.SysConfig)
 		}
-		a1 := m1.step(n1.AppConfig, n1.SysConfig, k)
-		a2 := m2.step(n2.AppConfig, n2.SysConfig, k)
-		d1, werr1 := s1.done(wire.DoneRequest{NowS: m1.clockS, EnergyJ: m1.energyJ, Accuracy: a1})
-		d2, werr2 := s2.done(wire.DoneRequest{NowS: m2.clockS, EnergyJ: m2.energyJ, Accuracy: a2})
+		a1 := m1.Step(n1.AppConfig, n1.SysConfig, k)
+		a2 := m2.Step(n2.AppConfig, n2.SysConfig, k)
+		d1, werr1 := s1.done(wire.DoneRequest{NowS: m1.ClockS, EnergyJ: m1.EnergyJ, Accuracy: a1})
+		d2, werr2 := s2.done(wire.DoneRequest{NowS: m2.ClockS, EnergyJ: m2.EnergyJ, Accuracy: a2})
 		if werr1 != nil || werr2 != nil {
 			t.Fatalf("done %d: %v / %v", k, werr1, werr2)
 		}
@@ -129,7 +130,7 @@ func TestRestoredSessionNotesSpend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := newSimMachine(t, "radar", "Tablet")
+	m := testbed(t, "radar", "Tablet").Machine()
 	driveIters(t, srv1, resp.SessionID, m, 0, before)
 	var snap bytes.Buffer
 	if err := srv1.Snapshot(&snap); err != nil {
@@ -151,12 +152,12 @@ func TestRestoredSessionNotesSpend(t *testing.T) {
 	prev := sess.spent()
 	var delta float64
 	for i := before; i < before+k; i++ {
-		next, werr := sess.next(wire.NextRequest{NowS: m.clockS}, monoNS())
+		next, werr := sess.next(wire.NextRequest{NowS: m.ClockS}, monoNS())
 		if werr != nil {
 			t.Fatalf("next %d: %v", i, werr)
 		}
-		acc := m.step(next.AppConfig, next.SysConfig, i)
-		done, werr := sess.done(wire.DoneRequest{NowS: m.clockS, EnergyJ: m.energyJ, Accuracy: acc})
+		acc := m.Step(next.AppConfig, next.SysConfig, i)
+		done, werr := sess.done(wire.DoneRequest{NowS: m.ClockS, EnergyJ: m.EnergyJ, Accuracy: acc})
 		if werr != nil {
 			t.Fatalf("done %d: %v", i, werr)
 		}
@@ -188,7 +189,7 @@ func TestSnapshotSkipsDeadSessions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := newSimMachine(t, "radar", "Tablet")
+	m := testbed(t, "radar", "Tablet").Machine()
 	driveIters(t, srv1, dead.SessionID, m, 0, 10)
 	closed, err := srv1.Close(dead.SessionID)
 	if err != nil {

@@ -105,7 +105,7 @@ func TestSessionDecisionWindows(t *testing.T) {
 	done := make([]int, len(ids)) // iterations each worker settled
 	var workers sync.WaitGroup
 	for i := range ids {
-		m := newSimMachine(t, "radar", "Tablet")
+		m := testbed(t, "radar", "Tablet").Machine()
 		workers.Add(1)
 		go func(i int) {
 			defer workers.Done()
@@ -115,13 +115,13 @@ func TestSessionDecisionWindows(t *testing.T) {
 					return
 				default:
 				}
-				next, err := srv.Next(ids[i], wire.NextRequest{NowS: m.clockS})
+				next, err := srv.Next(ids[i], wire.NextRequest{NowS: m.ClockS})
 				if err != nil {
 					t.Errorf("%s next %d: %v", ids[i], k, err)
 					return
 				}
-				acc := m.step(next.AppConfig, next.SysConfig, k)
-				if _, err := srv.Done(ids[i], wire.DoneRequest{NowS: m.clockS, EnergyJ: m.energyJ, Accuracy: acc}); err != nil {
+				acc := m.Step(next.AppConfig, next.SysConfig, k)
+				if _, err := srv.Done(ids[i], wire.DoneRequest{NowS: m.ClockS, EnergyJ: m.EnergyJ, Accuracy: acc}); err != nil {
 					t.Errorf("%s done %d: %v", ids[i], k, err)
 					return
 				}
@@ -239,19 +239,19 @@ func TestDecisionSecondsExactOnRead(t *testing.T) {
 	nexts := make([]int, sessions)
 	var workers sync.WaitGroup
 	for i := range ids {
-		m := newSimMachine(t, "radar", "Tablet")
+		m := testbed(t, "radar", "Tablet").Machine()
 		workers.Add(1)
 		go func(i int) {
 			defer workers.Done()
 			for k := 0; k < iters; k++ {
-				next, err := srv.Next(ids[i], wire.NextRequest{NowS: m.clockS})
+				next, err := srv.Next(ids[i], wire.NextRequest{NowS: m.ClockS})
 				if err != nil {
 					t.Errorf("%s next %d: %v", ids[i], k, err)
 					return
 				}
 				nexts[i]++
-				acc := m.step(next.AppConfig, next.SysConfig, k)
-				if _, err := srv.Done(ids[i], wire.DoneRequest{NowS: m.clockS, EnergyJ: m.energyJ, Accuracy: acc}); err != nil {
+				acc := m.Step(next.AppConfig, next.SysConfig, k)
+				if _, err := srv.Done(ids[i], wire.DoneRequest{NowS: m.ClockS, EnergyJ: m.EnergyJ, Accuracy: acc}); err != nil {
 					t.Errorf("%s done %d: %v", ids[i], k, err)
 					return
 				}

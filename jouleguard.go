@@ -421,8 +421,7 @@ type LinuxActuator = linuxsys.Actuator
 func DiscoverLinux() (*LinuxTopology, error) { return linuxsys.Discover("") }
 
 // NewLinuxActuator builds an actuator that pins the process via
-// sched_setaffinity and writes cpufreq setpoints. Set DryRun to log the
-// actions instead of performing them (useful without root).
+// sched_setaffinity and writes cpufreq setpoints.
 func NewLinuxActuator(t *LinuxTopology) (*LinuxActuator, error) {
 	return linuxsys.NewActuator(t, linuxsys.SchedAffinity)
 }

@@ -9,18 +9,20 @@ import (
 	"os"
 	"path"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
 )
 
 // testOnlyAllowed names the exported identifiers under internal/ that no
-// non-test file references yet, each with the reason it stays. A reason is
-// either the ROADMAP item whose change will give it a user, or, for a fake
-// that tests in another package need (and which therefore cannot live in a
-// _test.go file), "test fake used by <file>". Keys are the declaring
-// package's directory under internal/, then the receiver type for a
-// method, then the name.
+// non-test file references yet, and the exported struct fields that no
+// non-test code sets, each with the reason it stays. A reason is either the
+// ROADMAP item whose change will give it a user, or, for a fake that tests
+// in another package need (and which therefore cannot live in a _test.go
+// file), "test fake used by <file>". Keys are the declaring package's
+// directory under internal/, then the receiver type for a method or the
+// struct type for a field, then the name.
 var testOnlyAllowed = map[string]string{
 	// The loop analysis behind TestRobustnessMargin, which the horizon-aware
 	// bound for short sessions will derive its pole schedule from.
@@ -43,6 +45,8 @@ var testOnlyAllowed = map[string]string{
 	"faults.Fabric.SetDefault": "ROADMAP item 4",
 	"faults.Fabric.SetRules":   "ROADMAP item 4",
 	"faults.Fabric.Stats":      "ROADMAP item 4",
+	"faults.NetRules.DropP":    "ROADMAP item 4",
+	"faults.NetRules.DupP":     "ROADMAP item 4",
 	// Fakes that tests of other packages build on.
 	"faults.NewFakePowercap":         "test fake used by internal/measure/service_test.go",
 	"faults.FakePowercap.TrueJoules": "test fake used by internal/measure/service_test.go",
@@ -283,12 +287,95 @@ func uses(files []goFile) map[string]bool {
 	return used
 }
 
+// structFields lists the exported fields of the exported struct types a
+// file declares, keyed "pkg.Type.Field", except the fields with a json
+// tag, which a decoder sets. recv holds the struct's name.
+func structFields(f goFile, fset *token.FileSet) []declared {
+	var out []declared
+	for _, d := range f.ast.Decls {
+		gd, ok := d.(*ast.GenDecl)
+		if !ok || gd.Tok != token.TYPE {
+			continue
+		}
+		for _, s := range gd.Specs {
+			ts := s.(*ast.TypeSpec)
+			st, ok := ts.Type.(*ast.StructType)
+			if !ok || !ts.Name.IsExported() {
+				continue
+			}
+			for _, fl := range st.Fields.List {
+				if fl.Tag != nil {
+					if v, ok := reflect.StructTag(strings.Trim(fl.Tag.Value, "`")).Lookup("json"); ok && v != "-" {
+						continue
+					}
+				}
+				for _, id := range fl.Names {
+					if !id.IsExported() {
+						continue
+					}
+					key := strings.TrimPrefix(f.dir, "internal/") + "." + ts.Name.Name + "." + id.Name
+					out = append(out, declared{key: key, pkg: f.dir, recv: ts.Name.Name, name: id.Name, pos: fmt.Sprintf("%s:%d", f.path, fset.Position(id.Pos()).Line)})
+				}
+			}
+		}
+	}
+	return out
+}
+
+// fieldWrites collects the names of the fields non-test files write: a
+// composite-literal key, the selector an assignment, an op=, a ++ or --
+// or an & takes (through index, star and paren expressions, so
+// x.F[i] = v writes F). Like uses, it matches names, not types.
+func fieldWrites(files []goFile) map[string]bool {
+	written := map[string]bool{}
+	var target func(e ast.Expr)
+	target = func(e ast.Expr) {
+		switch x := e.(type) {
+		case *ast.SelectorExpr:
+			written[x.Sel.Name] = true
+		case *ast.IndexExpr:
+			target(x.X)
+		case *ast.StarExpr:
+			target(x.X)
+		case *ast.ParenExpr:
+			target(x.X)
+		}
+	}
+	for _, f := range files {
+		if f.test {
+			continue
+		}
+		ast.Inspect(f.ast, func(n ast.Node) bool {
+			switch x := n.(type) {
+			case *ast.KeyValueExpr:
+				if id, ok := x.Key.(*ast.Ident); ok {
+					written[id.Name] = true
+				}
+			case *ast.AssignStmt:
+				for _, l := range x.Lhs {
+					target(l)
+				}
+			case *ast.IncDecStmt:
+				target(x.X)
+			case *ast.UnaryExpr:
+				if x.Op == token.AND {
+					target(x.X)
+				}
+			}
+			return true
+		})
+	}
+	return written
+}
+
 // findings is what scan reports about a set of files.
 type findings struct {
 	unused      []declared      // exported under internal/, no non-test user, not allowlisted
 	allowedUsed []declared      // allowlisted, but a non-test file references it now
 	unexported  []declared      // unexported top-level functions outside bench/ their package never calls
-	declared    map[string]bool // the allowlist keys of every exported name under internal/
+	unset       []declared      // exported fields under internal/ no non-test code writes, not allowlisted
+	allowedSet  []declared      // allowlisted fields a non-test file writes now
+	declared    map[string]bool // the allowlist keys of every exported name and field under internal/
 }
 
 // scan checks the non-test files among files against allow. Names are
@@ -296,12 +383,23 @@ type findings struct {
 // interface shares its name.
 func scan(files []goFile, fset *token.FileSet, allow map[string]string) findings {
 	used := uses(files)
+	written := fieldWrites(files)
 	r := findings{declared: map[string]bool{}}
 	for _, f := range files {
 		if f.test {
 			continue
 		}
 		if strings.HasPrefix(f.dir, "internal/") {
+			for _, d := range structFields(f, fset) {
+				r.declared[d.key] = true
+				_, allowed := allow[d.key]
+				switch {
+				case written[d.name] && allowed:
+					r.allowedSet = append(r.allowedSet, d)
+				case !written[d.name] && !allowed:
+					r.unset = append(r.unset, d)
+				}
+			}
 			for _, d := range topLevel(f, fset, true) {
 				r.declared[d.key] = true
 				ref := used[d.pkg+"."+d.name]
@@ -332,7 +430,8 @@ func scan(files []goFile, fset *token.FileSet, allow map[string]string) findings
 // TestNothingTestOnly fails when the product carries code only tests use:
 // an exported name declared in a non-test file under internal/ that no
 // non-test file of the repository references (bench/, cmd/ and examples/
-// count as users), unless testOnlyAllowed says why it stays; or an
+// count as users), or an exported field of an exported struct there that
+// no non-test code sets, unless testOnlyAllowed says why it stays; or an
 // unexported top-level function outside bench/ that no non-test file of
 // its own package calls.
 func TestNothingTestOnly(t *testing.T) {
@@ -349,6 +448,14 @@ func TestNothingTestOnly(t *testing.T) {
 	t.Run("unexported", func(t *testing.T) {
 		for _, d := range r.unexported {
 			t.Errorf("%s: unexported %s has no non-test user: delete it or move it into a _test.go file", d.pos, d.key)
+		}
+	})
+	t.Run("fields", func(t *testing.T) {
+		for _, d := range r.unset {
+			t.Errorf("%s: field %s is set by no non-test code, so the path it selects runs only in tests: wire it to a caller, delete it, or allowlist it with a reason", d.pos, d.key)
+		}
+		for _, d := range r.allowedSet {
+			t.Errorf("%s: field %s is on the allowlist but non-test code sets it now; drop the entry", d.pos, d.key)
 		}
 	})
 	t.Run("allowlist", func(t *testing.T) {
@@ -404,7 +511,7 @@ func F()                 {}
 		name  string
 		files map[string]string
 		allow map[string]string
-		want  []string // keys flagged, in scan order: unused, then allowlisted-but-used, then unexported
+		want  []string // keys flagged, in scan order: unused, allowlisted-but-used, unexported, unset, allowlisted-but-set
 	}{
 		{
 			name:  "nothing uses the package",
@@ -482,6 +589,27 @@ func h(n int) {
 				"x_test.go": "package jouleguard\n\nfunc use() { helper() }\n"},
 			want: []string{"..helper"},
 		},
+		{
+			name: "a field only a test sets",
+			files: map[string]string{"internal/a/a.go": "package a\n\ntype T struct{ F, G int }\n\nfunc New() T { return T{G: 1} }\n",
+				"internal/a/a_test.go": "package a\n\nfunc use() { t := New(); t.F = 2 }\n",
+				"cmd/x/main.go":        "package main\n\nimport \"jouleguard/internal/a\"\n\nfunc main() { a.New() }\n"},
+			want: []string{"a.T.F"},
+		},
+		{
+			name: "writes through an index, ++, op=, & and a json tag count; json:\"-\" does not",
+			files: map[string]string{"internal/a/a.go": "package a\n\ntype T struct {\n\tA []int\n\tB int\n\tC int\n\tD float64\n\tE int `json:\"e\"`\n\tF int `json:\"-\"`\n}\n\n" +
+				"func New() *T {\n\tt := new(T)\n\tt.A[0] = 1\n\tt.B++\n\tp := &t.C\n\t*p = 1\n\tt.D += 1\n\treturn t\n}\n",
+				"cmd/x/main.go": "package main\n\nimport \"jouleguard/internal/a\"\n\nfunc main() { a.New() }\n"},
+			want: []string{"a.T.F"},
+		},
+		{
+			name: "the allowlist excuses an unset field and flags a set one",
+			files: map[string]string{"internal/a/a.go": "package a\n\ntype T struct{ F, G int }\n\nfunc New() T { return T{G: 1} }\n",
+				"cmd/x/main.go": "package main\n\nimport \"jouleguard/internal/a\"\n\nfunc main() { a.New() }\n"},
+			allow: map[string]string{"a.T.F": "ROADMAP item 1", "a.T.G": "ROADMAP item 1"},
+			want:  []string{"a.T.G"},
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -501,7 +629,7 @@ func h(n int) {
 			}
 			r := scan(files, fset, tc.allow)
 			var got []string
-			for _, ds := range [][]declared{r.unused, r.allowedUsed, r.unexported} {
+			for _, ds := range [][]declared{r.unused, r.allowedUsed, r.unexported, r.unset, r.allowedSet} {
 				for _, d := range ds {
 					got = append(got, d.key)
 				}
